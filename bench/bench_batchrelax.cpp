@@ -243,7 +243,7 @@ std::vector<MicroRow> run_micro() {
   // parallelism shows.
   Rng rng(4242);
   const Time period = kDayseconds;
-  TtfPool pool(period);
+  TtfPoolBuilder builder(period);
   std::vector<std::uint32_t> fs;
   for (int f = 0; f < 4000; ++f) {
     std::vector<TtfPoint> pts;
@@ -252,8 +252,9 @@ std::vector<MicroRow> run_micro() {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(60 + rng.next_below(7200))});
     }
-    fs.push_back(pool.add(Ttf::build(std::move(pts), period)));
+    fs.push_back(builder.add(Ttf::build(std::move(pts), period)));
   }
+  const TtfPool pool = builder.finish();
 
   std::vector<MicroRow> rows;
   const int sweeps = options().smoke ? 400 : 2000;

@@ -16,6 +16,13 @@
 //                 cost a connection, never an answer;
 //   recovered     baseline re-measured against the restarted fleet.
 //
+// Each shard's memory (Pss and Private_* from /proc/<pid>/smaps_rollup)
+// is sampled once the fleet is warm and again after recovery, and
+// reported ungated: shards adopt the mapped snapshot in place, so its
+// pages are shared (Pss splits them across every process mapping the
+// file, this one's oracle included) and the private share stays what one
+// shard needs on its own.
+//
 // Emits BENCH_shard.json (--json=FILE); CI gates on identity_match,
 // recovery_ms <= recovery_deadline_ms, corrupt_responses == 0, and
 // throughput_ratio >= 0.9 (--smoke).
@@ -26,7 +33,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,6 +85,29 @@ bool check_identity(const LiveOverlay& live, std::uint16_t port,
     if (*payload != encode_ea_response(h, arr).substr(4)) return false;
   }
   return true;
+}
+
+/// One shard's smaps_rollup memory, in kB.
+struct ShardMemory {
+  const char* phase = "";
+  unsigned shard = 0;
+  std::uint64_t pss_kb = 0, private_clean_kb = 0, private_dirty_kb = 0;
+};
+
+ShardMemory read_shard_memory(const char* phase, unsigned shard, pid_t pid) {
+  ShardMemory m{phase, shard};
+  std::ifstream in("/proc/" + std::to_string(pid) + "/smaps_rollup");
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream fields(line);
+    std::string key;
+    std::uint64_t kb = 0;
+    if (!(fields >> key >> kb)) continue;
+    if (key == "Pss:") m.pss_kb = kb;
+    if (key == "Private_Clean:") m.private_clean_kb = kb;
+    if (key == "Private_Dirty:") m.private_dirty_kb = kb;
+  }
+  return m;
 }
 
 struct LoadResult {
@@ -170,6 +202,16 @@ int run(int argc, char** argv) {
   double recovery_ms = -1.0;
   LoadResult base, chaos, post;
   SupervisorStats st;
+  std::vector<ShardMemory> memory;
+  const auto sample_memory = [&](const char* phase) {
+    for (unsigned i = 0; i < sopt.shards; ++i) {
+      memory.push_back(read_shard_memory(phase, i, sup.shard_pid(i)));
+      const ShardMemory& m = memory.back();
+      std::cout << "shard " << i << " memory (" << phase << "): Pss "
+                << m.pss_kb << " kB, Private_Clean " << m.private_clean_kb
+                << " kB, Private_Dirty " << m.private_dirty_kb << " kB\n";
+    }
+  };
 
   if (!sup.wait_healthy(2, 15'000.0)) {
     std::cerr << "fleet did not become healthy\n";
@@ -194,6 +236,7 @@ int run(int argc, char** argv) {
     identity = check_identity(live, sup.port(), cases);
     std::cout << "identity (fleet vs direct session): "
               << (identity ? "byte-identical" : "MISMATCH") << "\n";
+    sample_memory("warm");
 
     // --- baseline ------------------------------------------------------
     (void)run_load(sup.port(), cases, window_ms / 4, load_threads, 77);
@@ -264,6 +307,7 @@ int run(int argc, char** argv) {
     post = run_load(sup.port(), cases, window_ms, load_threads, 200);
     std::cout << "post-recovery: " << static_cast<std::uint64_t>(post.qps)
               << " qps over " << post.completed << " requests\n";
+    sample_memory("recovered");
   }
 
   sup.stop();
@@ -299,6 +343,17 @@ int run(int argc, char** argv) {
         .field("hung_kills", st.hung_kills)
         .field("hold_downs", st.hold_downs)
         .field("drained_ok", st.drained_ok);
+    w.key("shard_memory").begin_array();
+    for (const ShardMemory& m : memory) {
+      w.begin_object()
+          .field("phase", m.phase)
+          .field("shard", m.shard)
+          .field("pss_kb", m.pss_kb)
+          .field("private_clean_kb", m.private_clean_kb)
+          .field("private_dirty_kb", m.private_dirty_kb)
+          .end_object();
+    }
+    w.end_array();
     w.end_object();
     emit_json(w.str());
   }

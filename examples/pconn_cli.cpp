@@ -1,5 +1,5 @@
 // pconn_cli — command-line journey planner over GTFS feeds, generated
-// presets, or cached binary timetables.
+// presets, or cached PCSN snapshots (timetable/snapshot.hpp).
 //
 // Usage:
 //   pconn_cli [--gtfs DIR | --preset NAME | --load FILE] [--save FILE]
@@ -12,7 +12,6 @@
 //   arrive-by FROM TO HH:MM:SS     latest departure to make a deadline
 // FROM/TO are station ids or unambiguous name substrings.
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -22,7 +21,7 @@
 #include "algo/session.hpp"
 #include "gen/generator.hpp"
 #include "timetable/gtfs.hpp"
-#include "timetable/serialize.hpp"
+#include "timetable/snapshot.hpp"
 #include "util/format.hpp"
 
 using namespace pconn;
@@ -86,8 +85,7 @@ int main(int argc, char** argv) {
       }
       if (!found) return usage();
     } else if (flag == "--load") {
-      std::ifstream in(value, std::ios::binary);
-      tt = load_timetable(in);
+      tt = MappedSnapshot(value).load_timetable();
     } else if (flag == "--save") {
       save_path = value;
     } else if (flag == "--threads") {
@@ -101,8 +99,7 @@ int main(int argc, char** argv) {
     tt = gen::make_preset(gen::Preset::kOahuLike);
   }
   if (!save_path.empty()) {
-    std::ofstream out(save_path, std::ios::binary);
-    save_timetable(*tt, out);
+    save_snapshot(*tt, nullptr, save_path);
     std::cout << "saved timetable to " << save_path << "\n";
   }
   if (i >= argc) return usage();

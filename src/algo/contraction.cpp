@@ -317,7 +317,7 @@ class ContractionBuilder {
         const std::uint32_t hops = a.hops + b.hops;
         if (hops > opt_.max_hops) return false;
         if (cands.size() >= opt_.max_new_edges) return false;
-        Ttf f = link_edge_ttfs(ttfs_, a.word, b.word);
+        Ttf f = link_edge_ttfs(ttfs_.pool(), a.word, b.word);
         if (f.empty()) continue;
         cands.push_back({u, w, a.origin, b.origin, hops, std::move(f)});
       }
@@ -370,7 +370,8 @@ class ContractionBuilder {
       const std::uint32_t origin_link =
           OverlayGraph::kShortcutBit |
           static_cast<std::uint32_t>(shortcuts_.size() - 1);
-      const auto [mn, mx] = word_cost_bounds(ttfs_, word_link, tt_.period());
+      const auto [mn, mx] =
+          word_cost_bounds(ttfs_.pool(), word_link, tt_.period());
 
       WorkEdge* existing = nullptr;
       for (WorkEdge& e : out_[c.tail]) {
@@ -384,7 +385,8 @@ class ContractionBuilder {
         // is the pointwise minimum. The merge record keeps both branches so
         // journey replay can still tell which one is ridden at a given time.
         const std::uint32_t old_origin = existing->origin;
-        const Ttf merged = merge_edge_ttfs(ttfs_, existing->word, word_link);
+        const Ttf merged =
+            merge_edge_ttfs(ttfs_.pool(), existing->word, word_link);
         const std::uint32_t word_merged = ttfs_.add_raw(merged.points());
         shortcuts_.push_back(
             {word_merged, kInvalidNode, old_origin, origin_link});
@@ -392,7 +394,7 @@ class ContractionBuilder {
             OverlayGraph::kShortcutBit |
             static_cast<std::uint32_t>(shortcuts_.size() - 1);
         const auto [mmn, mmx] =
-            word_cost_bounds(ttfs_, word_merged, tt_.period());
+            word_cost_bounds(ttfs_.pool(), word_merged, tt_.period());
         existing->word = word_merged;
         existing->origin = origin_merged;
         existing->hops = std::max(existing->hops, c.hops);
@@ -448,7 +450,7 @@ class ContractionBuilder {
     for (NodeId v = 0; v < n; ++v) {
       for (TdGraph::EdgeId e = g_.edge_begin(v); e < g_.edge_end(v); ++e) {
         const std::uint32_t w = g_.edge_word(e);
-        const auto [mn, mx] = word_cost_bounds(ttfs_, w, tt_.period());
+        const auto [mn, mx] = word_cost_bounds(ttfs_.pool(), w, tt_.period());
         const NodeId head = g_.edge_head(e);
         out_[v].push_back({head, w, e, 1, mn, mx});
         in_[head].push_back({v, w, e, 1, mn, mx});
@@ -464,33 +466,35 @@ class ContractionBuilder {
     ov.num_core_ = n - contracted_order_.size();
     ov.num_base_ttfs_ = static_cast<std::uint32_t>(g_.ttfs().size());
     ov.num_base_edges_ = static_cast<std::uint32_t>(g_.num_edges());
-    ov.rank_ = std::move(rank_);
-    ov.board_shift_.resize(tt_.num_stations());
+    std::vector<Time> board_shift(tt_.num_stations());
     for (StationId s = 0; s < tt_.num_stations(); ++s) {
-      ov.board_shift_[s] = tt_.transfer_time(s);
+      board_shift[s] = tt_.transfer_time(s);
     }
 
-    ov.edge_begin_.assign(n + 1, 0);
+    std::vector<std::uint32_t> edge_begin(n + 1, 0);
     for (NodeId v = 0; v < n; ++v) {
       const auto& edges = state_[v] == kContracted ? up_snap_[v] : out_[v];
-      ov.edge_begin_[v + 1] = static_cast<std::uint32_t>(edges.size());
+      edge_begin[v + 1] =
+          edge_begin[v] + static_cast<std::uint32_t>(edges.size());
     }
-    for (NodeId v = 0; v < n; ++v) ov.edge_begin_[v + 1] += ov.edge_begin_[v];
-    ov.heads_.reserve(ov.edge_begin_[n]);
-    ov.words_.reserve(ov.edge_begin_[n]);
-    ov.origins_.reserve(ov.edge_begin_[n]);
-    ov.ttf_out_degree_.reserve(n);
+    std::vector<NodeId> heads;
+    std::vector<std::uint32_t> words, origins;
+    std::vector<std::uint8_t> ttf_out_degree;
+    heads.reserve(edge_begin[n]);
+    words.reserve(edge_begin[n]);
+    origins.reserve(edge_begin[n]);
+    ttf_out_degree.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
       const auto& edges = state_[v] == kContracted ? up_snap_[v] : out_[v];
       std::size_t ttf_edges = 0;
       for (const WorkEdge& e : edges) {
-        ov.heads_.push_back(e.node);
-        ov.words_.push_back(e.word);
-        ov.origins_.push_back(e.origin);
+        heads.push_back(e.node);
+        words.push_back(e.word);
+        origins.push_back(e.origin);
         if (!TdGraph::word_is_const(e.word)) ++ttf_edges;
         if (OverlayGraph::origin_is_shortcut(e.origin)) ++stats_.shortcuts;
       }
-      ov.ttf_out_degree_.push_back(
+      ttf_out_degree.push_back(
           static_cast<std::uint8_t>(std::min<std::size_t>(ttf_edges, 255)));
       ov.max_out_degree_ = std::max(
           ov.max_out_degree_, static_cast<std::uint32_t>(edges.size()));
@@ -498,22 +502,35 @@ class ContractionBuilder {
 
     // Downward sweep order: descending contraction rank, so every in-edge
     // tail is finalized before its head.
-    ov.down_begin_.push_back(0);
+    std::vector<NodeId> down_node, down_tails;
+    std::vector<std::uint32_t> down_begin{0}, down_words;
+    std::vector<std::uint32_t> down_pos(n, OverlayGraph::kNoDownPos);
     for (std::size_t i = contracted_order_.size(); i-- > 0;) {
       const NodeId v = contracted_order_[i];
-      ov.down_node_.push_back(v);
+      down_pos[v] = static_cast<std::uint32_t>(down_node.size());
+      down_node.push_back(v);
       for (const WorkEdge& e : down_snap_[v]) {
-        ov.down_tails_.push_back(e.node);
-        ov.down_words_.push_back(e.word);
+        down_tails.push_back(e.node);
+        down_words.push_back(e.word);
       }
-      ov.down_begin_.push_back(
-          static_cast<std::uint32_t>(ov.down_tails_.size()));
+      down_begin.push_back(static_cast<std::uint32_t>(down_tails.size()));
     }
 
-    ov.shortcuts_ = std::move(shortcuts_);
-    ov.ttfs_ = std::move(ttfs_);
+    ov.rank_ = ConstArray(std::move(rank_));
+    ov.board_shift_ = ConstArray(std::move(board_shift));
+    ov.edge_begin_ = ConstArray(std::move(edge_begin));
+    ov.heads_ = ConstArray(std::move(heads));
+    ov.words_ = ConstArray(std::move(words));
+    ov.origins_ = ConstArray(std::move(origins));
+    ov.ttf_out_degree_ = ConstArray(std::move(ttf_out_degree));
+    ov.shortcuts_ = ConstArray(std::move(shortcuts_));
+    ov.down_node_ = ConstArray(std::move(down_node));
+    ov.down_begin_ = ConstArray(std::move(down_begin));
+    ov.down_tails_ = ConstArray(std::move(down_tails));
+    ov.down_words_ = ConstArray(std::move(down_words));
+    ov.down_pos_ = ConstArray(std::move(down_pos));
+    ov.ttfs_ = ttfs_.finish();
     ov.build_stats_ = stats_;
-    ov.build_down_pos();
     return ov;
   }
 
@@ -523,7 +540,7 @@ class ContractionBuilder {
   ThreadPool pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  TtfPool ttfs_;  // the overlay pool under construction
+  TtfPoolBuilder ttfs_;  // the overlay pool under construction
   std::vector<OverlayGraph::ShortcutRec> shortcuts_;
   std::vector<std::vector<WorkEdge>> out_, in_;          // working graph
   std::vector<std::vector<WorkEdge>> up_snap_, down_snap_;
@@ -550,34 +567,14 @@ OverlayGraph contract_graph(const Timetable& tt, const TdGraph& g,
 
 // --- incremental re-link --------------------------------------------------
 
-/// Friend of OverlayGraph: assembles the re-linked overlay by copying the
-/// old one's structure vectors verbatim and swapping in the rebuilt pool —
-/// the structural half of the exactness argument (see contraction.hpp).
+/// Friend of OverlayGraph: the re-linked overlay shares every structure
+/// array of the old one and swaps in the rebuilt pool — the structural
+/// half of the exactness argument (see contraction.hpp).
 class OverlayRelinker {
  public:
   static OverlayGraph splice(const OverlayGraph& src, TtfPool&& pool) {
-    OverlayGraph ov;
-    ov.num_stations_ = src.num_stations_;
-    ov.num_core_ = src.num_core_;
-    ov.period_ = src.period_;
-    ov.max_out_degree_ = src.max_out_degree_;
-    ov.num_base_ttfs_ = src.num_base_ttfs_;
-    ov.num_base_edges_ = src.num_base_edges_;
-    ov.rank_ = src.rank_;
-    ov.board_shift_ = src.board_shift_;
-    ov.edge_begin_ = src.edge_begin_;
-    ov.heads_ = src.heads_;
-    ov.words_ = src.words_;
-    ov.origins_ = src.origins_;
-    ov.ttf_out_degree_ = src.ttf_out_degree_;
-    ov.shortcuts_ = src.shortcuts_;
-    ov.down_node_ = src.down_node_;
-    ov.down_begin_ = src.down_begin_;
-    ov.down_tails_ = src.down_tails_;
-    ov.down_words_ = src.down_words_;
-    ov.down_pos_ = src.down_pos_;
+    OverlayGraph ov = src;
     ov.ttfs_ = std::move(pool);
-    ov.build_stats_ = src.build_stats_;
     return ov;
   }
 };
@@ -716,7 +713,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
   // functions recompute through the same link/merge kernels against the
   // partially-built pool, whose lower indices are already final (records
   // only reference earlier records).
-  TtfPool pool(tt.period(), old_pool.index_options());
+  TtfPoolBuilder pool(tt.period(), old_pool.index_options());
   std::uint32_t f = 0;
   while (f < total) {
     const bool needs =
@@ -744,8 +741,10 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
       const OverlayGraph::ShortcutRec& rec = old_ov.shortcut(f - nb_ttfs);
       const Ttf t =
           rec.mid != kInvalidNode
-              ? link_edge_ttfs(pool, origin_word(rec.a), origin_word(rec.b))
-              : merge_edge_ttfs(pool, origin_word(rec.a), origin_word(rec.b));
+              ? link_edge_ttfs(pool.pool(), origin_word(rec.a),
+                               origin_word(rec.b))
+              : merge_edge_ttfs(pool.pool(), origin_word(rec.a),
+                                origin_word(rec.b));
       // Base emptiness was checked invariant, which propagates through
       // link (empty iff a leg is empty) and merge (empty iff both are) —
       // this is defense in depth, not an expected exit.
@@ -762,7 +761,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
     ++f;
   }
 
-  res.overlay = OverlayRelinker::splice(old_ov, std::move(pool));
+  res.overlay = OverlayRelinker::splice(old_ov, pool.finish());
   res.status = RelinkStatus::kRelinked;
   res.stats.time_ms = timer.elapsed_ms();
   return res;

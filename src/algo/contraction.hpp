@@ -112,7 +112,8 @@ std::pair<Time, Time> word_cost_bounds(const TtfPool& pool, std::uint32_t w,
 // with the same link/merge kernels in record order (records only reference
 // earlier records, so record order is a topological order of the DAG), and
 // splices every unchanged function range into the new pool verbatim
-// (TtfPool::append_copy). The result is byte-identical to re-contracting
+// (TtfPoolBuilder::append_copy); every structure array is shared with the
+// old overlay, not copied. The result is byte-identical to re-contracting
 // from scratch — tests/live_test.cpp proves it at every node — at a
 // fraction of the cost (bench/bench_liveupdate.cpp gates the ratio).
 

@@ -32,7 +32,7 @@ OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
       ready_(ArenaAllocator<Time>(scratch_alloc(ws))),
       edge_path_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))) {
   // A cached overlay must match the graph it was contracted from
-  // (timetable/serialize.hpp): same node space and the base pool as the
+  // (timetable/snapshot.hpp): same node space and the base pool as the
   // overlay pool's prefix, or every origin/word reference is garbage.
   // A throw, not an assert: a stale cache bound to a regenerated dataset
   // is a runtime data error and must fail loud in Release builds too.
@@ -318,10 +318,11 @@ OverlayLcProfileQuery::OverlayLcProfileQuery(const Timetable& tt,
   // (stations + one node per route stop; per route of n stops: n alights,
   // n-1 boards, n-1 travel TTF edges), so the check loses nothing.
   std::size_t nodes = tt.num_stations(), edges = 0, funcs = 0;
-  for (const Route& r : tt.routes()) {
-    nodes += r.stops.size();
-    edges += 3 * r.stops.size() - 2;
-    funcs += r.stops.size() - 1;
+  for (RouteId r = 0; r < tt.num_routes(); ++r) {
+    const std::size_t stops = tt.route(r).stops.size();
+    nodes += stops;
+    edges += 3 * stops - 2;
+    funcs += stops - 1;
   }
   if (ov.num_stations() != tt.num_stations() || ov.period() != tt.period() ||
       ov.num_nodes() != nodes || ov.num_base_edges() != edges ||

@@ -2,13 +2,6 @@
 
 namespace pconn {
 
-void OverlayGraph::build_down_pos() {
-  down_pos_.assign(rank_.size(), kNoDownPos);
-  for (std::size_t i = 0; i < down_node_.size(); ++i) {
-    down_pos_[down_node_[i]] = static_cast<std::uint32_t>(i);
-  }
-}
-
 OverlayGraph::ProvenanceIndex OverlayGraph::build_provenance_index() const {
   ProvenanceIndex idx;
   const std::uint32_t keys = num_origin_keys();
@@ -25,6 +18,17 @@ OverlayGraph::ProvenanceIndex OverlayGraph::build_provenance_index() const {
     idx.recs[cursor[origin_key(shortcuts_[r].b)]++] = r;
   }
   return idx;
+}
+
+std::vector<std::span<const std::byte>> OverlayGraph::array_bytes() const {
+  std::vector<std::span<const std::byte>> out = {
+      rank_.bytes(),       board_shift_.bytes(), edge_begin_.bytes(),
+      heads_.bytes(),      words_.bytes(),       origins_.bytes(),
+      ttf_out_degree_.bytes(), shortcuts_.bytes(), down_node_.bytes(),
+      down_begin_.bytes(), down_tails_.bytes(),  down_words_.bytes(),
+      down_pos_.bytes()};
+  for (const auto& b : ttfs_.array_bytes()) out.push_back(b);
+  return out;
 }
 
 std::size_t OverlayGraph::memory_bytes() const {

@@ -43,8 +43,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/td_graph.hpp"
@@ -116,7 +116,7 @@ class OverlayGraph {
   /// flat edge words evaluate unchanged against this pool.
   std::uint32_t num_base_ttfs() const { return num_base_ttfs_; }
   /// Edge count of the base graph this overlay was contracted from: the
-  /// range flat-edge origins index (serialization validates against it,
+  /// range flat-edge origins index (the snapshot loader validates it,
   /// the engine constructors assert it matches the graph they are given).
   std::uint32_t num_base_edges() const { return num_base_edges_; }
 
@@ -183,13 +183,17 @@ class OverlayGraph {
   static constexpr std::uint32_t kNoDownPos =
       std::numeric_limits<std::uint32_t>::max();
   /// Inverse of down_node(): v's position in the down-sweep order, or
-  /// kNoDownPos for core nodes. Built once at finalize (contraction and
-  /// deserialization both), so every sweeping engine — the per-query
+  /// kNoDownPos for core nodes. Built once by the contraction (and stored
+  /// in snapshots), so every sweeping engine — the per-query
   /// settle_contracted, the multi-query cross-lane sweep, the partitioned
   /// SPCS sweep — shares one map instead of each building its own.
   std::uint32_t down_pos(NodeId v) const { return down_pos_[v]; }
 
   const ContractionStats& build_stats() const { return build_stats_; }
+
+  /// Every array's bytes, the pool's included (tests check where adopted
+  /// arrays live).
+  std::vector<std::span<const std::byte>> array_bytes() const;
 
   /// Overlay footprint in bytes: CSRs, provenance and the pooled TTFs.
   std::size_t memory_bytes() const;
@@ -197,15 +201,11 @@ class OverlayGraph {
   std::size_t shortcut_points() const;
 
  private:
-  friend class ContractionBuilder;           // algo/contraction.cpp
-  friend class OverlayRelinker;              // algo/contraction.cpp (re-link)
-  friend void save_overlay(const OverlayGraph&, std::ostream&);
-  friend OverlayGraph load_overlay(std::istream&);
-
-  /// Derives down_pos_ from down_node_; the two construction paths
-  /// (ContractionBuilder::assemble, load_overlay) call it after the down
-  /// arrays are final.
-  void build_down_pos();
+  friend class ContractionBuilder;  // algo/contraction.cpp
+  friend class OverlayRelinker;     // algo/contraction.cpp (re-link)
+  friend class MappedSnapshot;      // timetable/snapshot.hpp
+  friend void save_snapshot(const Timetable&, const OverlayGraph*,
+                            const std::string&);
 
   std::size_t num_stations_ = 0;
   std::size_t num_core_ = 0;
@@ -213,19 +213,19 @@ class OverlayGraph {
   std::uint32_t max_out_degree_ = 0;
   std::uint32_t num_base_ttfs_ = 0;
   std::uint32_t num_base_edges_ = 0;
-  std::vector<std::uint32_t> rank_;           // per node; kCoreRank = core
-  std::vector<Time> board_shift_;             // per station: T(S)
-  std::vector<std::uint32_t> edge_begin_;     // unified out-CSR, n+1
-  std::vector<NodeId> heads_;
-  std::vector<std::uint32_t> words_;          // packed const-or-ttf words
-  std::vector<std::uint32_t> origins_;        // flat edge id | shortcut rec
-  std::vector<std::uint8_t> ttf_out_degree_;  // per node, saturated at 255
-  std::vector<ShortcutRec> shortcuts_;
-  std::vector<NodeId> down_node_;             // contracted, descending rank
-  std::vector<std::uint32_t> down_begin_;     // |down_node_| + 1
-  std::vector<NodeId> down_tails_;
-  std::vector<std::uint32_t> down_words_;
-  std::vector<std::uint32_t> down_pos_;       // per node; kNoDownPos = core
+  ConstArray<std::uint32_t> rank_;           // per node; kCoreRank = core
+  ConstArray<Time> board_shift_;             // per station: T(S)
+  ConstArray<std::uint32_t> edge_begin_;     // unified out-CSR, n+1
+  ConstArray<NodeId> heads_;
+  ConstArray<std::uint32_t> words_;          // packed const-or-ttf words
+  ConstArray<std::uint32_t> origins_;        // flat edge id | shortcut rec
+  ConstArray<std::uint8_t> ttf_out_degree_;  // per node, saturated at 255
+  ConstArray<ShortcutRec> shortcuts_;
+  ConstArray<NodeId> down_node_;             // contracted, descending rank
+  ConstArray<std::uint32_t> down_begin_;     // |down_node_| + 1
+  ConstArray<NodeId> down_tails_;
+  ConstArray<std::uint32_t> down_words_;
+  ConstArray<std::uint32_t> down_pos_;       // per node; kNoDownPos = core
   TtfPool ttfs_;
   ContractionStats build_stats_;
 };

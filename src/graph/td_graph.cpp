@@ -15,7 +15,7 @@ TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
   TdGraph g;
   g.num_stations_ = tt.num_stations();
   g.period_ = tt.period();
-  g.ttfs_.reset(tt.period(), idx);
+  TtfPoolBuilder pool(tt.period(), idx);
 
   // Node numbering: stations first, then route nodes grouped by route.
   g.station_of_.resize(tt.num_stations());
@@ -67,8 +67,8 @@ TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
           Time dur = trip.arrivals[k + 1] - trip.departures[k];
           pts.push_back({dep, dur});
         }
-        std::uint32_t ttf_idx =
-            g.ttfs_.add(Ttf::build(std::move(pts), tt.period()));
+        const std::uint32_t ttf_idx =
+            pool.add(Ttf::build(std::move(pts), tt.period()));
         adj[rn].push_back(
             {g.route_node(r, static_cast<std::uint32_t>(k + 1)), ttf_idx});
       }
@@ -96,6 +96,7 @@ TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
     g.ttf_out_degree_.push_back(
         static_cast<std::uint8_t>(std::min<std::size_t>(ttf_edges, 255)));
   }
+  g.ttfs_ = pool.finish();
   return g;
 }
 

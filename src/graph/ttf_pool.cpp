@@ -19,15 +19,63 @@ TtfIndexOptions TtfIndexOptions::from_env() {
   return opt;
 }
 
-std::uint32_t TtfPool::add(const Ttf& f) {
-  assert(f.period() == period_ || f.empty());
+std::uint32_t TtfPool::log2_buckets(std::size_t count) const {
+  std::uint32_t buckets = 1;
+  if (count >= idx_.min_indexed_points) {
+    const double want =
+        std::max(1.0, static_cast<double>(count) * idx_.buckets_per_point);
+    buckets = static_cast<std::uint32_t>(std::min<std::size_t>(
+        std::bit_ceil(static_cast<std::size_t>(want)), std::size_t{1} << 16));
+  }
+  return static_cast<std::uint32_t>(std::countr_zero(buckets));
+}
+
+const char* TtfPool::layout_error() const {
+  // The AVX2 kernels gather metadata and points through signed 32-bit
+  // lanes (the same bound add_raw asserts).
+  if (meta_.size() >= (std::size_t{1} << 29) ||
+      points_.size() >= (std::size_t{1} << 29)) {
+    return "pool too large";
+  }
+  std::size_t first = 0, bucket0 = 0;
+  for (const TtfMeta& m : meta_) {
+    if (m.first != first || m.count > points_.size() - first) {
+      return "function points not contiguous";
+    }
+    if (m.bucket0 != bucket0 || m.log2b != log2_buckets(m.count) ||
+        (std::size_t{1} << m.log2b) > bucket_idx_.size() - bucket0) {
+      return "bucket table layout";
+    }
+    const TtfPoint* pts = points_.data() + m.first;
+    for (std::uint32_t i = 0; i < m.count; ++i) {
+      if (pts[i].dep >= period_ || (i > 0 && pts[i - 1].dep >= pts[i].dep)) {
+        return "malformed function points";
+      }
+    }
+    bool same = true;
+    const std::uint32_t* stored = bucket_idx_.data() + m.bucket0;
+    for_each_bucket_entry(pts, m, [&](std::uint32_t entry) {
+      same = same && *stored++ == entry;
+    });
+    if (!same) return "bucket index differs from its recomputation";
+    first += m.count;
+    bucket0 += std::size_t{1} << m.log2b;
+  }
+  if (first != points_.size() || bucket0 != bucket_idx_.size()) {
+    return "pool arrays longer than their functions";
+  }
+  return nullptr;
+}
+
+std::uint32_t TtfPoolBuilder::add(const Ttf& f) {
+  assert(f.period() == view_.period() || f.empty());
   return add_raw(f.points());
 }
 
-std::uint32_t TtfPool::add_raw(std::span<const TtfPoint> pts) {
+std::uint32_t TtfPoolBuilder::add_raw(std::span<const TtfPoint> pts) {
 #ifndef NDEBUG
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    assert(pts[i].dep < period_);
+    assert(pts[i].dep < view_.period());
     assert(i == 0 || pts[i - 1].dep < pts[i].dep);
   }
 #endif
@@ -36,47 +84,26 @@ std::uint32_t TtfPool::add_raw(std::span<const TtfPoint> pts) {
   assert(meta_.size() < (std::size_t{1} << 29));
   assert(points_.size() + pts.size() < (std::size_t{1} << 29));
   const std::uint32_t idx = static_cast<std::uint32_t>(meta_.size());
-  TtfMeta m;
+  TtfPool::TtfMeta m;
   m.first = static_cast<std::uint32_t>(points_.size());
   m.count = static_cast<std::uint32_t>(pts.size());
   m.bucket0 = static_cast<std::uint32_t>(bucket_idx_.size());
+  m.log2b = view_.log2_buckets(pts.size());
   points_.insert(points_.end(), pts.begin(), pts.end());
-
-  // Default density: one bucket per point (rounded to a power of two,
-  // capped at 2^16) — the expected scan past the bucket entry is then <= 1
-  // point. The index options scale the density per network and drop the
-  // index for small functions: those (and empty ones) keep a single bucket
-  // pointing at their first point, so eval's index lookup stays branchless
-  // and the scan is the plain linear lower_bound.
-  std::uint32_t buckets = 1;
-  if (pts.size() >= idx_.min_indexed_points) {
-    const double want = std::max(
-        1.0, static_cast<double>(pts.size()) * idx_.buckets_per_point);
-    buckets = static_cast<std::uint32_t>(std::min<std::size_t>(
-        std::bit_ceil(static_cast<std::size_t>(want)), std::size_t{1} << 16));
-  }
-  m.log2b = static_cast<std::uint32_t>(std::countr_zero(buckets));
-
-  // bucket_idx_[b] = first point whose departure maps to bucket b or later
-  // (two-pointer over the sorted departures; m.first + count when every
-  // point maps earlier — the scan then wraps to the function's start).
-  std::uint32_t i = 0;
-  for (std::uint32_t b = 0; b < buckets; ++b) {
-    while (i < m.count && bucket_of(pts[i].dep, m.log2b) < b) ++i;
-    bucket_idx_.push_back(m.first + i);
-  }
+  view_.for_each_bucket_entry(
+      pts.data(), m, [this](std::uint32_t e) { bucket_idx_.push_back(e); });
   meta_.push_back(m);
+  refresh_view();
   return idx;
 }
 
-void TtfPool::append_copy(const TtfPool& src, std::uint32_t begin,
-                          std::uint32_t end) {
-  assert(&src != this);
-  assert(src.period_ == period_);
+void TtfPoolBuilder::append_copy(const TtfPool& src, std::uint32_t begin,
+                                 std::uint32_t end) {
+  assert(src.period_ == view_.period_);
   assert(begin <= end && end <= src.meta_.size());
   if (begin == end) return;
-  const TtfMeta& mb = src.meta_[begin];
-  const TtfMeta& ml = src.meta_[end - 1];
+  const TtfPool::TtfMeta& mb = src.meta_[begin];
+  const TtfPool::TtfMeta& ml = src.meta_[end - 1];
   // Functions are laid out in add order, so [begin, end) occupies one
   // contiguous span in each of src's three arrays.
   const std::uint32_t pts_lo = mb.first;
@@ -99,11 +126,31 @@ void TtfPool::append_copy(const TtfPool& src, std::uint32_t begin,
   }
   meta_.reserve(meta_.size() + (end - begin));
   for (std::uint32_t f = begin; f < end; ++f) {
-    TtfMeta m = src.meta_[f];
+    TtfPool::TtfMeta m = src.meta_[f];
     m.first += point_shift;
     m.bucket0 += bucket_shift;
     meta_.push_back(m);
   }
+  refresh_view();
+}
+
+void TtfPoolBuilder::refresh_view() {
+  view_.points_ = ConstArray(points_.data(), points_.size(), nullptr);
+  view_.meta_ = ConstArray(meta_.data(), meta_.size(), nullptr);
+  view_.bucket_idx_ =
+      ConstArray(bucket_idx_.data(), bucket_idx_.size(), nullptr);
+}
+
+TtfPool TtfPoolBuilder::finish() {
+  TtfPool out(view_.period_, view_.idx_);
+  out.points_ = ConstArray(std::move(points_));
+  out.meta_ = ConstArray(std::move(meta_));
+  out.bucket_idx_ = ConstArray(std::move(bucket_idx_));
+  points_.clear();
+  meta_.clear();
+  bucket_idx_.clear();
+  refresh_view();
+  return out;
 }
 
 void TtfPool::arrival_n_scalar(const std::uint32_t* entries, std::size_t n,

@@ -36,18 +36,25 @@
 //
 // Results are bit-identical to Ttf::eval / Ttf::point_used on the same
 // points (tests/ttf_test.cpp proves it exhaustively); the pool is the
-// read side, Ttf stays the build/test-side representation.
+// read side, Ttf stays the build/test-side representation. TtfPoolBuilder
+// fills a pool once; a finished pool's arrays are ConstArrays, which a
+// mapped snapshot can supply in place (timetable/snapshot.hpp).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/ttf.hpp"
+#include "util/const_array.hpp"
 #include "util/prefetch.hpp"
 
 namespace pconn {
+
+class OverlayGraph;
+class Timetable;
 
 /// Per-network memory/speed knob for the evaluation index (ROADMAP "TTF
 /// index memory knob"). The index costs ~1 uint32 per point at the default
@@ -74,51 +81,24 @@ class TtfPool {
   /// times, not pool indices (mirrored by TdGraph's packed edge word).
   static constexpr std::uint32_t kConstFlag = 1u << 31;
 
-  explicit TtfPool(Time period = kDayseconds,
-                   TtfIndexOptions idx = TtfIndexOptions::from_env()) {
-    idx_ = idx;
-    reset(period);
-  }
+  /// Per-function metadata, 16 bytes (stored verbatim in snapshots).
+  struct TtfMeta {
+    std::uint32_t first;    // index of the first point in points_
+    std::uint32_t count;    // number of points
+    std::uint32_t bucket0;  // index of bucket 0 in bucket_idx_
+    std::uint32_t log2b;    // log2 of the function's bucket count
+  };
 
-  /// reset() with a new per-network index configuration.
-  void reset(Time period, TtfIndexOptions idx) {
-    idx_ = idx;
-    reset(period);
-  }
-
-  /// Drops all functions and re-anchors the bucket mapping on `period`.
-  void reset(Time period) {
+  /// An empty pool over `period`. Pools are filled by TtfPoolBuilder or
+  /// adopted from a snapshot; a finished pool is read-only.
+  explicit TtfPool(Time period = kDayseconds, TtfIndexOptions idx = {})
+      : period_(period), inv_period_((std::uint64_t{1} << 32) / period),
+        idx_(idx) {
     assert(period > 0);
     // The AVX2 kernels compare times in signed 32-bit lanes; every real
     // timetable period (a day, a week) is far below this.
     assert(period < (Time{1} << 30));
-    period_ = period;
-    inv_period_ = (std::uint64_t{1} << 32) / period;
-    points_.clear();
-    meta_.clear();
-    bucket_idx_.clear();
   }
-
-  /// Appends a built (sorted, pruned) function; returns its pool index.
-  std::uint32_t add(const Ttf& f);
-
-  /// Appends already-built points verbatim (sorted by departure, unique
-  /// departures, dominance-pruned — exactly what Ttf::build and points()
-  /// produce). No re-validation beyond debug asserts: this is the path the
-  /// contraction overlay and the serializer use to move functions between
-  /// pools without paying the pruning pass again.
-  std::uint32_t add_raw(std::span<const TtfPoint> pts);
-
-  /// Bulk-appends functions [begin, end) of `src` verbatim — points, bucket
-  /// tables and metadata are range-copied with the index offsets shifted,
-  /// skipping add_raw's per-function bucket construction entirely. The
-  /// appended functions keep their relative order and spacing, so function
-  /// src[begin + k] becomes this[size() before the call + k] and evaluates
-  /// bit-identically. This is the incremental re-link fast path: unchanged
-  /// runs of a stale epoch's pool splice into the new epoch's pool in one
-  /// memcpy-shaped pass (src/live/, algo/contraction re-link). Requires
-  /// matching period and index options; src must not alias this.
-  void append_copy(const TtfPool& src, std::uint32_t begin, std::uint32_t end);
 
   std::size_t size() const { return meta_.size(); }
   std::size_t num_points() const { return points_.size(); }
@@ -236,6 +216,10 @@ class TtfPool {
     return points_.size() * sizeof(TtfPoint) + meta_.size() * sizeof(TtfMeta) +
            bucket_idx_.size() * sizeof(std::uint32_t);
   }
+  /// Every array's bytes (tests check where adopted arrays live).
+  std::vector<std::span<const std::byte>> array_bytes() const {
+    return {points_.bytes(), meta_.bytes(), bucket_idx_.bytes()};
+  }
   /// Index-only share of memory_bytes() (docs/architecture.md reporting).
   std::size_t index_bytes() const {
     return meta_.size() * sizeof(TtfMeta) +
@@ -243,12 +227,10 @@ class TtfPool {
   }
 
  private:
-  struct TtfMeta {
-    std::uint32_t first;    // index of the first point in points_
-    std::uint32_t count;    // number of points
-    std::uint32_t bucket0;  // index of bucket 0 in bucket_idx_
-    std::uint32_t log2b;    // log2 of the function's bucket count
-  };
+  friend class TtfPoolBuilder;
+  friend class MappedSnapshot;  // timetable/snapshot.hpp adopts the arrays
+  friend void save_snapshot(const Timetable&, const OverlayGraph*,
+                            const std::string&);
 
   /// Bucket of a reduced time: floor(tau * B / period), computed as a
   /// multiply-shift against inv_period_. The truncated reciprocal can
@@ -288,12 +270,90 @@ class TtfPool {
                        Time* out) const;
 #endif
 
+  /// log2 of the bucket count a function of `count` points gets. Default
+  /// density: one bucket per point (rounded to a power of two, capped at
+  /// 2^16) — the expected scan past the bucket entry is then <= 1 point.
+  /// The index options scale the density per network and drop the index
+  /// for small functions: those (and empty ones) keep a single bucket
+  /// pointing at their first point, so eval's index lookup stays
+  /// branchless and the scan is the plain linear lower_bound.
+  std::uint32_t log2_buckets(std::size_t count) const;
+
+  /// Calls emit(entry) for each of function m's buckets in order, where
+  /// entry is the absolute index of the first of m's points (`pts`) whose
+  /// departure maps to that bucket or later (m.first + count when every
+  /// point maps earlier — the scan then wraps to the function's start).
+  template <typename Emit>
+  void for_each_bucket_entry(const TtfPoint* pts, const TtfMeta& m,
+                             Emit emit) const {
+    std::uint32_t i = 0;
+    for (std::uint32_t b = 0; b < (1u << m.log2b); ++b) {
+      while (i < m.count && bucket_of(pts[i].dep, m.log2b) < b) ++i;
+      emit(m.first + i);
+    }
+  }
+
+  /// What a builder would not have produced from these points and index
+  /// options, or nullptr: functions contiguous and in order, departures
+  /// strictly ascending in [0, period), each function's bucket count, and
+  /// every bucket entry recomputed and compared. The snapshot loader runs
+  /// it before adopting a pool from a file, which makes every index eval
+  /// can follow provably in range.
+  const char* layout_error() const;
+
   Time period_ = kDayseconds;
   std::uint64_t inv_period_ = 0;          // floor(2^32 / period_)
   TtfIndexOptions idx_;
-  std::vector<TtfPoint> points_;          // all functions, back to back
-  std::vector<TtfMeta> meta_;             // one per function
-  std::vector<std::uint32_t> bucket_idx_; // per-function bucket tables
+  ConstArray<TtfPoint> points_;           // all functions, back to back
+  ConstArray<TtfMeta> meta_;              // one per function
+  ConstArray<std::uint32_t> bucket_idx_;  // per-function bucket tables
+};
+
+/// The construction side of TtfPool: appends functions into vectors that
+/// finish() hands over to the read-only pool once. pool() reads the
+/// functions appended so far — the contraction and the re-linker compose
+/// new functions from earlier ones while they build.
+class TtfPoolBuilder {
+ public:
+  explicit TtfPoolBuilder(Time period = kDayseconds,
+                          TtfIndexOptions idx = TtfIndexOptions::from_env())
+      : view_(period, idx) {}
+
+  /// Appends a built (sorted, pruned) function; returns its pool index.
+  std::uint32_t add(const Ttf& f);
+
+  /// Appends already-built points verbatim (sorted by departure, unique
+  /// departures, dominance-pruned — exactly what Ttf::build and points()
+  /// produce). No re-validation beyond debug asserts: this is the path the
+  /// contraction overlay uses to move functions between pools without
+  /// paying the pruning pass again.
+  std::uint32_t add_raw(std::span<const TtfPoint> pts);
+
+  /// Bulk-appends functions [begin, end) of `src` verbatim — points, bucket
+  /// tables and metadata are range-copied with the index offsets shifted,
+  /// skipping add_raw's per-function bucket construction entirely. The
+  /// appended functions keep their relative order and spacing, so function
+  /// src[begin + k] becomes this[size() before the call + k] and evaluates
+  /// bit-identically. This is the incremental re-link fast path: unchanged
+  /// runs of a stale epoch's pool splice into the new epoch's pool in one
+  /// memcpy-shaped pass (src/live/, algo/contraction re-link). Requires
+  /// matching period and index options.
+  void append_copy(const TtfPool& src, std::uint32_t begin, std::uint32_t end);
+
+  /// The functions appended so far; valid until the next append.
+  const TtfPool& pool() const { return view_; }
+  std::size_t num_points() const { return points_.size(); }
+
+  /// Hands the arrays over to a finished pool; the builder is left empty.
+  TtfPool finish();
+
+ private:
+  void refresh_view();
+
+  std::vector<TtfPoint> points_;
+  std::vector<TtfPool::TtfMeta> meta_;
+  std::vector<std::uint32_t> bucket_idx_;
+  TtfPool view_;  // non-owning views of the three vectors
 };
 
 }  // namespace pconn

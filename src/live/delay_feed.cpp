@@ -38,7 +38,7 @@ Timetable apply_event(const Timetable& tt, const DelayEvent& ev) {
 
   TimetableBuilder b(tt.period());
   for (StationId s = 0; s < tt.num_stations(); ++s) {
-    b.add_station(tt.station_name(s), tt.transfer_time(s));
+    b.add_station(std::string(tt.station_name(s)), tt.transfer_time(s));
   }
   std::vector<TimetableBuilder::StopTime> stops;
   for (TrainId t = 0; t < tt.num_trips(); ++t) {

@@ -11,7 +11,7 @@ TimetableBuilder::TimetableBuilder(Time period) : period_(period) {
   if (period == 0) throw std::invalid_argument("timetable: period must be > 0");
   // The TTF kernels compare times in signed 32-bit lanes and the pool
   // precomputes a reciprocal of the period; keep both well away from the
-  // sign bit (mirrors the deserializer's header check).
+  // sign bit (mirrors the snapshot loader's meta check).
   if (period >= (Time{1} << 30)) {
     throw std::invalid_argument("timetable: period " + std::to_string(period) +
                                 " exceeds the supported range (< 2^30)");
@@ -95,8 +95,13 @@ bool no_later(const std::vector<Time>& a_arr, const std::vector<Time>& a_dep,
 Timetable TimetableBuilder::finalize() {
   Timetable tt;
   tt.period_ = period_;
-  tt.station_names_ = std::move(names_);
-  tt.transfer_times_ = std::move(transfer_times_);
+  std::vector<std::uint32_t> name_begin{0};
+  std::vector<char> name_bytes;
+  for (const std::string& name : names_) {
+    name_bytes.insert(name_bytes.end(), name.begin(), name.end());
+    name_begin.push_back(static_cast<std::uint32_t>(name_bytes.size()));
+  }
+  const std::size_t num_stations = names_.size();
 
   // 1. Group trips by station sequence.
   std::map<std::vector<StationId>, std::vector<TrainId>> by_sequence;
@@ -107,7 +112,10 @@ Timetable TimetableBuilder::finalize() {
   // 2. Within each group, sort by first departure and split greedily into
   //    non-overtaking chains. Each chain's last trip is its component-wise
   //    maximum, so the check against the last trip suffices.
-  tt.trips_.resize(raw_trips_.size());
+  std::vector<std::uint32_t> route_stop_begin{0}, route_trip_begin{0};
+  std::vector<StationId> route_stops;
+  std::vector<TrainId> route_trips;
+  std::vector<RouteId> trip_route(raw_trips_.size());
   for (auto& [stops, members] : by_sequence) {
     std::stable_sort(members.begin(), members.end(), [&](TrainId a, TrainId b) {
       return raw_trips_[a].departures[0] < raw_trips_[b].departures[0];
@@ -142,50 +150,68 @@ Timetable TimetableBuilder::finalize() {
               "timetable: non-FIFO trip pair survived route partitioning");
         }
       }
-      RouteId rid = static_cast<RouteId>(tt.routes_.size());
-      Route route;
-      route.stops = stops;
-      route.trips = chain;
-      tt.routes_.push_back(std::move(route));
-      for (TrainId id : chain) {
-        Trip& trip = tt.trips_[id];
-        trip.route = rid;
-        trip.arrivals = std::move(raw_trips_[id].arrivals);
-        trip.departures = std::move(raw_trips_[id].departures);
-      }
+      const RouteId rid = static_cast<RouteId>(route_stop_begin.size() - 1);
+      route_stops.insert(route_stops.end(), stops.begin(), stops.end());
+      route_trips.insert(route_trips.end(), chain.begin(), chain.end());
+      route_stop_begin.push_back(
+          static_cast<std::uint32_t>(route_stops.size()));
+      route_trip_begin.push_back(
+          static_cast<std::uint32_t>(route_trips.size()));
+      for (TrainId id : chain) trip_route[id] = rid;
     }
   }
 
-  // 3. Elementary connections, sorted by (from, dep, arr); conn(S) index.
-  tt.connections_.reserve(raw_trips_.empty() ? 0 : raw_trips_.size() * 4);
-  for (std::size_t id = 0; id < tt.trips_.size(); ++id) {
-    const Trip& trip = tt.trips_[id];
-    const Route& route = tt.routes_[trip.route];
-    for (std::size_t k = 0; k + 1 < route.stops.size(); ++k) {
+  // 3. Trip rows in trip-id order, and the elementary connections sorted
+  //    by (from, dep, arr) with the conn(S) index.
+  std::vector<std::uint32_t> trip_begin{0};
+  std::vector<Time> arrivals, departures;
+  std::vector<Connection> connections;
+  connections.reserve(raw_trips_.empty() ? 0 : raw_trips_.size() * 4);
+  for (std::size_t id = 0; id < raw_trips_.size(); ++id) {
+    const RawTrip& trip = raw_trips_[id];
+    arrivals.insert(arrivals.end(), trip.arrivals.begin(), trip.arrivals.end());
+    departures.insert(departures.end(), trip.departures.begin(),
+                      trip.departures.end());
+    trip_begin.push_back(static_cast<std::uint32_t>(arrivals.size()));
+    for (std::size_t k = 0; k + 1 < trip.stops.size(); ++k) {
       Connection c;
       c.train = static_cast<TrainId>(id);
-      c.from = route.stops[k];
-      c.to = route.stops[k + 1];
+      c.from = trip.stops[k];
+      c.to = trip.stops[k + 1];
       Time raw_dep = trip.departures[k];
       Time duration = trip.arrivals[k + 1] - raw_dep;
       c.dep = raw_dep % period_;
       c.arr = c.dep + duration;
       c.pos = static_cast<std::uint32_t>(k);
-      tt.connections_.push_back(c);
+      connections.push_back(c);
     }
   }
-  std::sort(tt.connections_.begin(), tt.connections_.end(),
+  std::sort(connections.begin(), connections.end(),
             [](const Connection& a, const Connection& b) {
               if (a.from != b.from) return a.from < b.from;
               if (a.dep != b.dep) return a.dep < b.dep;
               if (a.arr != b.arr) return a.arr < b.arr;
               return a.train < b.train;
             });
-  tt.conn_begin_.assign(tt.station_names_.size() + 1, 0);
-  for (const Connection& c : tt.connections_) tt.conn_begin_[c.from + 1]++;
-  std::partial_sum(tt.conn_begin_.begin(), tt.conn_begin_.end(),
-                   tt.conn_begin_.begin());
+  std::vector<std::uint32_t> conn_begin(num_stations + 1, 0);
+  for (const Connection& c : connections) conn_begin[c.from + 1]++;
+  std::partial_sum(conn_begin.begin(), conn_begin.end(), conn_begin.begin());
 
+  tt.name_begin_ = ConstArray(std::move(name_begin));
+  tt.name_bytes_ = ConstArray(std::move(name_bytes));
+  tt.transfer_times_ = ConstArray(std::move(transfer_times_));
+  tt.route_stop_begin_ = ConstArray(std::move(route_stop_begin));
+  tt.route_stops_ = ConstArray(std::move(route_stops));
+  tt.route_trip_begin_ = ConstArray(std::move(route_trip_begin));
+  tt.route_trips_ = ConstArray(std::move(route_trips));
+  tt.trip_route_ = ConstArray(std::move(trip_route));
+  tt.trip_begin_ = ConstArray(std::move(trip_begin));
+  tt.arrivals_ = ConstArray(std::move(arrivals));
+  tt.departures_ = ConstArray(std::move(departures));
+  tt.connections_ = ConstArray(std::move(connections));
+  tt.conn_begin_ = ConstArray(std::move(conn_begin));
+  names_.clear();
+  transfer_times_.clear();
   raw_trips_.clear();
   return tt;
 }

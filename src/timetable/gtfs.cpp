@@ -210,7 +210,8 @@ void write(const Timetable& tt, const std::filesystem::path& dir) {
     std::ofstream out(dir / "stops.txt");
     write_csv_record(out, {"stop_id", "stop_name"});
     for (StationId s = 0; s < tt.num_stations(); ++s) {
-      write_csv_record(out, {"S" + std::to_string(s), tt.station_name(s)});
+      write_csv_record(
+          out, {"S" + std::to_string(s), std::string(tt.station_name(s))});
     }
   }
   {

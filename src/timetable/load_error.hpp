@@ -1,5 +1,5 @@
 // Typed load failures shared by every data-file loader — the binary
-// PCTT/PCOV readers (timetable/serialize.hpp) and the CSV/GTFS loaders
+// PCSN snapshot reader (timetable/snapshot.hpp) and the CSV/GTFS loaders
 // (timetable/gtfs.hpp, util/csv.hpp callers).
 //
 // A server's startup path must never crash (or allocate unboundedly) on a
@@ -19,7 +19,7 @@ namespace pconn {
 class LoadError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {
-    kBadMagic = 0,      // not a PCTT/PCOV stream
+    kBadMagic = 0,      // not a PCSN file
     kBadVersion = 1,    // format version this build does not read
     kTruncated = 2,     // stream ended (or failed) mid-section
     kBadCount = 3,      // a section count contradicts loaded sections

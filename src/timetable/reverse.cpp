@@ -7,7 +7,7 @@ namespace pconn {
 Timetable make_reverse_timetable(const Timetable& tt) {
   TimetableBuilder builder(tt.period());
   for (StationId s = 0; s < tt.num_stations(); ++s) {
-    builder.add_station(tt.station_name(s), tt.transfer_time(s));
+    builder.add_station(std::string(tt.station_name(s)), tt.transfer_time(s));
   }
   // Mirror horizon: a multiple of the period at least as large as any trip
   // time, so the mirrored clock keeps the same periodic phase.

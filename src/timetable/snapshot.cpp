@@ -5,27 +5,26 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <istream>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
-
-#include "timetable/serialize.hpp"
 
 namespace pconn {
 
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 1;
+constexpr std::uint32_t kSnapVersion = 2;
 
-// Section tags. Fixed enumeration, versioned with the file: every section
-// except kOverlay is required, and each one's byte size is implied by the
-// kMeta counts — the loader refuses a section whose recorded size does not
-// match before it copies a single byte.
+// Section tags. Fixed enumeration, versioned with the file: the timetable
+// sections are required, the overlay sections come all or none, and each
+// one's byte size is implied by its meta counts — the loader refuses a
+// section whose recorded size does not match before it reads a byte.
 enum : std::uint32_t {
   kSecMeta = 1,            // u32[6]: period, stations, trips, routes,
                            //         connections, total stop-times
@@ -42,8 +41,37 @@ enum : std::uint32_t {
   kSecTripDepartures = 12, // u32[total stop-times]
   kSecConnections = 13,    // Connection[connections]
   kSecConnBegin = 14,      // u32[stations + 1]
-  kSecOverlay = 15,        // verbatim PCOV stream (optional)
+  kSecOvMeta = 20,         // OverlayMeta
+  kSecOvRank = 21,         // u32[nodes]
+  kSecOvBoardShift = 22,   // u32[stations]
+  kSecOvEdgeBegin = 23,    // u32[nodes + 1]
+  kSecOvHeads = 24,        // u32[edges]
+  kSecOvWords = 25,        // u32[edges]
+  kSecOvOrigins = 26,      // u32[edges]
+  kSecOvTtfOutDegree = 27, // u8[nodes]
+  kSecOvShortcuts = 28,    // ShortcutRec[shortcuts]
+  kSecOvDownNode = 29,     // u32[contracted]
+  kSecOvDownBegin = 30,    // u32[contracted + 1]
+  kSecOvDownTails = 31,    // u32[down edges]
+  kSecOvDownWords = 32,    // u32[down edges]
+  kSecOvDownPos = 33,      // u32[nodes]
+  kSecPoolPoints = 34,     // TtfPoint[points]
+  kSecPoolMeta = 35,       // TtfPool::TtfMeta[functions]
+  kSecPoolBuckets = 36,    // u32[buckets]
 };
+
+/// The overlay's scalars and array lengths, the index options its pool was
+/// built with, and its ContractionStats. All 8-byte fields: no padding.
+struct OverlayMeta {
+  std::uint64_t nodes, stations, core, period, max_out_degree, base_ttfs,
+      base_edges, edges, shortcuts, contracted, down_edges, funcs, points,
+      buckets, min_indexed_points;
+  double buckets_per_point;
+  std::uint64_t contracted_nodes, frozen, rounds, shortcut_edges, merges,
+      witness_dropped, witness_searches;
+  double contraction_ms;
+};
+static_assert(sizeof(OverlayMeta) == 24 * 8);
 
 struct SectionEntry {
   std::uint32_t tag = 0;
@@ -62,21 +90,11 @@ std::size_t aligned(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
   throw LoadError(kind, "snapshot: " + what);
 }
 
-/// Read-only streambuf over the mapped overlay section, so the embedded
-/// PCOV stream replays through load_overlay() — same bytes, same
-/// validation ladder as the standalone file format. setg wants char*;
-/// the const_cast is sound because a get-only streambuf never writes.
-class MemStreambuf : public std::streambuf {
- public:
-  MemStreambuf(const char* data, std::size_t size) {
-    char* p = const_cast<char*>(data);
-    setg(p, p, p + size);
-  }
-};
-
 static_assert(std::is_trivially_copyable_v<Connection> &&
                   sizeof(Connection) == 24,
               "snapshot stores Connection[] verbatim");
+static_assert(sizeof(OverlayGraph::ShortcutRec) == 16 &&
+              sizeof(TtfPool::TtfMeta) == 16 && sizeof(TtfPoint) == 8);
 
 }  // namespace
 
@@ -85,97 +103,68 @@ static_assert(std::is_trivially_copyable_v<Connection> &&
 
 void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
                    const std::string& path) {
-  const std::size_t n = tt.num_stations();
-  const std::size_t num_trips = tt.num_trips();
-  const std::size_t num_routes = tt.num_routes();
-
-  // Flatten the finalized pieces into the exact arrays the loader adopts.
-  std::vector<std::uint32_t> name_off(n + 1, 0);
-  std::string name_bytes;
-  std::vector<std::uint32_t> transfer(n);
-  for (StationId s = 0; s < n; ++s) {
-    name_bytes += tt.station_name(s);
-    name_off[s + 1] = static_cast<std::uint32_t>(name_bytes.size());
-    transfer[s] = tt.transfer_time(s);
-  }
-
-  std::vector<std::uint32_t> route_stop_begin(num_routes + 1, 0);
-  std::vector<std::uint32_t> route_stops;
-  std::vector<std::uint32_t> route_trip_begin(num_routes + 1, 0);
-  std::vector<std::uint32_t> route_trips;
-  for (RouteId r = 0; r < num_routes; ++r) {
-    const Route& route = tt.route(r);
-    route_stops.insert(route_stops.end(), route.stops.begin(),
-                       route.stops.end());
-    route_trips.insert(route_trips.end(), route.trips.begin(),
-                       route.trips.end());
-    route_stop_begin[r + 1] = static_cast<std::uint32_t>(route_stops.size());
-    route_trip_begin[r + 1] = static_cast<std::uint32_t>(route_trips.size());
-  }
-
-  std::vector<std::uint32_t> trip_route(num_trips);
-  std::vector<std::uint32_t> trip_begin(num_trips + 1, 0);
-  std::vector<std::uint32_t> arrivals;
-  std::vector<std::uint32_t> departures;
-  for (TrainId t = 0; t < num_trips; ++t) {
-    const Trip& trip = tt.trip(t);
-    trip_route[t] = trip.route;
-    arrivals.insert(arrivals.end(), trip.arrivals.begin(),
-                    trip.arrivals.end());
-    departures.insert(departures.end(), trip.departures.begin(),
-                      trip.departures.end());
-    trip_begin[t + 1] = static_cast<std::uint32_t>(arrivals.size());
-  }
-
-  std::vector<std::uint32_t> conn_begin(n + 1, 0);
-  for (StationId s = 0; s < n; ++s) conn_begin[s] = tt.outgoing_offset(s);
-  conn_begin[n] = static_cast<std::uint32_t>(tt.num_connections());
-
-  std::string overlay_bytes;
-  if (ov != nullptr) {
-    std::ostringstream os(std::ios::binary);
-    save_overlay(*ov, os);
-    overlay_bytes = std::move(os).str();
-  }
-
-  const std::uint32_t meta[6] = {
-      tt.period(),
-      static_cast<std::uint32_t>(n),
-      static_cast<std::uint32_t>(num_trips),
-      static_cast<std::uint32_t>(num_routes),
-      static_cast<std::uint32_t>(tt.num_connections()),
-      static_cast<std::uint32_t>(arrivals.size()),
-  };
-
   struct Payload {
     std::uint32_t tag;
-    const char* data;
+    const void* data;
     std::size_t size;
   };
-  const auto vec = [](const std::vector<std::uint32_t>& v) {
-    return reinterpret_cast<const char*>(v.data());
+  const auto arr = [](std::uint32_t tag, const auto& a) {
+    return Payload{tag, a.data(), a.size() * sizeof(*a.data())};
+  };
+  const std::uint32_t meta[6] = {
+      tt.period(),
+      static_cast<std::uint32_t>(tt.num_stations()),
+      static_cast<std::uint32_t>(tt.num_trips()),
+      static_cast<std::uint32_t>(tt.num_routes()),
+      static_cast<std::uint32_t>(tt.num_connections()),
+      static_cast<std::uint32_t>(tt.arrivals_.size()),
   };
   std::vector<Payload> sections = {
-      {kSecMeta, reinterpret_cast<const char*>(meta), sizeof(meta)},
-      {kSecNameOffsets, vec(name_off), name_off.size() * 4},
-      {kSecNameBytes, name_bytes.data(), name_bytes.size()},
-      {kSecTransferTimes, vec(transfer), transfer.size() * 4},
-      {kSecRouteStopBegin, vec(route_stop_begin), route_stop_begin.size() * 4},
-      {kSecRouteStops, vec(route_stops), route_stops.size() * 4},
-      {kSecRouteTripBegin, vec(route_trip_begin), route_trip_begin.size() * 4},
-      {kSecRouteTrips, vec(route_trips), route_trips.size() * 4},
-      {kSecTripRoute, vec(trip_route), trip_route.size() * 4},
-      {kSecTripBegin, vec(trip_begin), trip_begin.size() * 4},
-      {kSecTripArrivals, vec(arrivals), arrivals.size() * 4},
-      {kSecTripDepartures, vec(departures), departures.size() * 4},
-      {kSecConnections,
-       reinterpret_cast<const char*>(tt.connections().data()),
-       tt.num_connections() * sizeof(Connection)},
-      {kSecConnBegin, vec(conn_begin), conn_begin.size() * 4},
+      {kSecMeta, meta, sizeof(meta)},
+      arr(kSecNameOffsets, tt.name_begin_),
+      arr(kSecNameBytes, tt.name_bytes_),
+      arr(kSecTransferTimes, tt.transfer_times_),
+      arr(kSecRouteStopBegin, tt.route_stop_begin_),
+      arr(kSecRouteStops, tt.route_stops_),
+      arr(kSecRouteTripBegin, tt.route_trip_begin_),
+      arr(kSecRouteTrips, tt.route_trips_),
+      arr(kSecTripRoute, tt.trip_route_),
+      arr(kSecTripBegin, tt.trip_begin_),
+      arr(kSecTripArrivals, tt.arrivals_),
+      arr(kSecTripDepartures, tt.departures_),
+      arr(kSecConnections, tt.connections_),
+      arr(kSecConnBegin, tt.conn_begin_),
   };
-  if (!overlay_bytes.empty()) {
-    sections.push_back({kSecOverlay, overlay_bytes.data(),
-                        overlay_bytes.size()});
+  OverlayMeta om{};
+  if (ov != nullptr) {
+    const ContractionStats& st = ov->build_stats_;
+    om = {ov->num_nodes(), ov->num_stations_, ov->num_core_, ov->period_,
+          ov->max_out_degree_, ov->num_base_ttfs_, ov->num_base_edges_,
+          ov->num_edges(), ov->num_shortcuts(), ov->num_contracted(),
+          ov->down_tails_.size(), ov->ttfs_.size(), ov->ttfs_.num_points(),
+          ov->ttfs_.bucket_idx_.size(), ov->ttfs_.idx_.min_indexed_points,
+          ov->ttfs_.idx_.buckets_per_point, st.contracted, st.frozen,
+          st.rounds, st.shortcuts, st.merges, st.witness_dropped,
+          st.witness_searches, st.time_ms};
+    sections.insert(
+        sections.end(),
+        {{kSecOvMeta, &om, sizeof(om)},
+         arr(kSecOvRank, ov->rank_),
+         arr(kSecOvBoardShift, ov->board_shift_),
+         arr(kSecOvEdgeBegin, ov->edge_begin_),
+         arr(kSecOvHeads, ov->heads_),
+         arr(kSecOvWords, ov->words_),
+         arr(kSecOvOrigins, ov->origins_),
+         arr(kSecOvTtfOutDegree, ov->ttf_out_degree_),
+         arr(kSecOvShortcuts, ov->shortcuts_),
+         arr(kSecOvDownNode, ov->down_node_),
+         arr(kSecOvDownBegin, ov->down_begin_),
+         arr(kSecOvDownTails, ov->down_tails_),
+         arr(kSecOvDownWords, ov->down_words_),
+         arr(kSecOvDownPos, ov->down_pos_),
+         arr(kSecPoolPoints, ov->ttfs_.points_),
+         arr(kSecPoolMeta, ov->ttfs_.meta_),
+         arr(kSecPoolBuckets, ov->ttfs_.bucket_idx_)});
   }
 
   std::vector<SectionEntry> table(sections.size());
@@ -189,33 +178,47 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
   }
   const std::uint64_t file_size = offset;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("snapshot: cannot open " + path);
-  const auto put = [&out](const void* p, std::size_t bytes) {
-    out.write(static_cast<const char*>(p),
-              static_cast<std::streamsize>(bytes));
-  };
-  const auto pad_to = [&](std::size_t target) {
-    static const char zeros[kAlign] = {};
-    const auto pos = static_cast<std::size_t>(out.tellp());
-    if (pos < target) put(zeros, target - pos);
-  };
-  put(kSnapMagic, 4);
-  const std::uint32_t version = kSnapVersion;
-  put(&version, 4);
-  put(&file_size, 8);
-  const std::uint32_t count = static_cast<std::uint32_t>(sections.size());
-  put(&count, 4);
-  const std::uint32_t zero = 0;
-  put(&zero, 4);
-  put(table.data(), table.size() * sizeof(SectionEntry));
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    pad_to(table[i].offset);
-    put(sections[i].data, sections[i].size);
+  // Publish atomically: readers map the old file or the new one, never a
+  // half-written one, and a live mapping is never truncated under them.
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) throw std::runtime_error("snapshot: cannot open " + tmp);
+    const auto put = [&out](const void* p, std::size_t bytes) {
+      out.write(static_cast<const char*>(p),
+                static_cast<std::streamsize>(bytes));
+    };
+    const auto pad_to = [&](std::size_t target) {
+      static const char zeros[kAlign] = {};
+      const auto pos = static_cast<std::size_t>(out.tellp());
+      if (pos < target) put(zeros, target - pos);
+    };
+    put(kSnapMagic, 4);
+    const std::uint32_t version = kSnapVersion;
+    put(&version, 4);
+    put(&file_size, 8);
+    const std::uint32_t count = static_cast<std::uint32_t>(sections.size());
+    put(&count, 4);
+    const std::uint32_t zero = 0;
+    put(&zero, 4);
+    put(table.data(), table.size() * sizeof(SectionEntry));
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      pad_to(table[i].offset);
+      put(sections[i].data, sections[i].size);
+    }
+    pad_to(file_size);
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw std::runtime_error("snapshot: write failure on " + tmp);
+    }
   }
-  pad_to(file_size);
-  out.flush();
-  if (!out) throw std::runtime_error("snapshot: write failure on " + path);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    throw std::runtime_error("snapshot: cannot publish " + path + ": " +
+                             std::strerror(err));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -245,102 +248,88 @@ MappedSnapshot::MappedSnapshot(const std::string& path,
   if (map == MAP_FAILED) {
     fail(LoadError::Kind::kMissingFile, "mmap failed on " + path);
   }
-  base_ = static_cast<const char*>(map);
+  map_ = std::shared_ptr<const char>(
+      static_cast<const char*>(map),
+      [size = size_](const char* p) { ::munmap(const_cast<char*>(p), size); });
+  const char* base = map_.get();
 
   // Header + section table: everything below is checked before any
-  // section payload is dereferenced. A throwing constructor never runs
-  // the destructor, so unmap by hand on the reject paths.
-  try {
-    if (std::memcmp(base_, kSnapMagic, 4) != 0) {
-      fail(LoadError::Kind::kBadMagic, "bad magic");
-    }
-    std::uint32_t version;
-    std::memcpy(&version, base_ + 4, 4);
-    if (version != kSnapVersion) {
-      fail(LoadError::Kind::kBadVersion,
-           "unsupported version " + std::to_string(version));
-    }
-    std::uint64_t recorded_size;
-    std::memcpy(&recorded_size, base_ + 8, 8);
-    if (recorded_size != size_) {
-      fail(LoadError::Kind::kTruncated,
-           "recorded size " + std::to_string(recorded_size) +
-               " != file size " + std::to_string(size_));
-    }
-    std::uint32_t count;
-    std::memcpy(&count, base_ + 16, 4);
-    if (count == 0 || count > 64) {
-      fail(LoadError::Kind::kBadCount, "absurd section count");
-    }
-    if (kHeaderBytes + std::size_t{count} * sizeof(SectionEntry) > size_) {
-      fail(LoadError::Kind::kTruncated, "section table past end of file");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      SectionEntry e;
-      std::memcpy(&e, base_ + kHeaderBytes + i * sizeof(SectionEntry),
-                  sizeof(e));
-      if (e.offset % kAlign != 0 || e.offset > size_ ||
-          e.size > size_ - e.offset) {
-        fail(LoadError::Kind::kTruncated, "section bounds past end of file");
-      }
-      if (e.tag == kSecOverlay) overlay_size_ = e.size;
-    }
-  } catch (...) {
-    ::munmap(const_cast<char*>(base_), size_);
-    base_ = nullptr;
-    throw;
+  // section payload is dereferenced. A throw here unmaps through map_.
+  if (std::memcmp(base, kSnapMagic, 4) != 0) {
+    fail(LoadError::Kind::kBadMagic, "bad magic");
   }
-}
-
-MappedSnapshot::~MappedSnapshot() {
-  if (base_ != nullptr) {
-    ::munmap(const_cast<char*>(base_), size_);
+  std::uint32_t version;
+  std::memcpy(&version, base + 4, 4);
+  if (version != kSnapVersion) {
+    fail(LoadError::Kind::kBadVersion,
+         "unsupported version " + std::to_string(version));
   }
-}
-
-const char* MappedSnapshot::section(std::uint32_t tag,
-                                    std::size_t* size_out) const {
+  std::uint64_t recorded_size;
+  std::memcpy(&recorded_size, base + 8, 8);
+  if (recorded_size != size_) {
+    fail(LoadError::Kind::kTruncated,
+         "recorded size " + std::to_string(recorded_size) + " != file size " +
+             std::to_string(size_));
+  }
   std::uint32_t count;
-  std::memcpy(&count, base_ + 16, 4);
+  std::memcpy(&count, base + 16, 4);
+  if (count == 0 || count > 64) {
+    fail(LoadError::Kind::kBadCount, "absurd section count");
+  }
+  if (kHeaderBytes + std::size_t{count} * sizeof(SectionEntry) > size_) {
+    fail(LoadError::Kind::kTruncated, "section table past end of file");
+  }
   for (std::uint32_t i = 0; i < count; ++i) {
     SectionEntry e;
-    std::memcpy(&e, base_ + kHeaderBytes + i * sizeof(SectionEntry),
+    std::memcpy(&e, base + kHeaderBytes + i * sizeof(SectionEntry),
                 sizeof(e));
-    if (e.tag == tag) {
-      *size_out = e.size;
-      return base_ + e.offset;
+    // Aligned offsets make every section a valid array of its element
+    // type (all of which need at most 8-byte alignment) in place.
+    if (e.offset % kAlign != 0 || e.offset > size_ ||
+        e.size > size_ - e.offset) {
+      fail(LoadError::Kind::kTruncated, "section bounds past end of file");
     }
+    if (e.tag == kSecOvMeta) has_overlay_ = true;
   }
-  fail(LoadError::Kind::kCorrupt,
-       "missing section " + std::to_string(tag));
+}
+
+MappedSnapshot::Section MappedSnapshot::section(std::uint32_t tag) const {
+  const char* base = map_.get();
+  std::uint32_t count;
+  std::memcpy(&count, base + 16, 4);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    SectionEntry e;
+    std::memcpy(&e, base + kHeaderBytes + i * sizeof(SectionEntry),
+                sizeof(e));
+    if (e.tag == tag) return {base + e.offset, e.size};
+  }
+  fail(LoadError::Kind::kCorrupt, "missing section " + std::to_string(tag));
+}
+
+template <typename T>
+ConstArray<T> MappedSnapshot::array(std::uint32_t tag, std::size_t count,
+                                    const char* what) const {
+  static_assert(std::is_trivially_copyable_v<T> && alignof(T) <= kAlign);
+  const Section s = section(tag);
+  if (s.size != count * sizeof(T)) {
+    fail(LoadError::Kind::kBadCount,
+         std::string(what) + " section size " + std::to_string(s.size) +
+             " != expected " + std::to_string(count * sizeof(T)));
+  }
+  // Read in place as T: the mapped bytes hold no other objects, every T is
+  // trivially copyable and the offset is aligned (checked at map time).
+  return ConstArray<T>(reinterpret_cast<const T*>(s.data), count, map_);
 }
 
 Timetable MappedSnapshot::load_timetable() const {
   const auto corrupt = [](bool ok, const char* what) {
     if (!ok) fail(LoadError::Kind::kCorrupt, what);
   };
-  // Fetches a u32 section whose element count is implied by kMeta; the
-  // recorded byte size must match BEFORE anything is copied, so a lying
-  // count can never size an allocation beyond the mapped file itself.
-  const auto u32_section = [this](std::uint32_t tag, std::size_t expected,
-                                  std::vector<std::uint32_t>& out,
-                                  const char* what) {
-    std::size_t bytes = 0;
-    const char* p = section(tag, &bytes);
-    if (bytes != expected * 4) {
-      fail(LoadError::Kind::kBadCount,
-           std::string(what) + " section size " + std::to_string(bytes) +
-               " != expected " + std::to_string(expected * 4));
-    }
-    out.resize(expected);
-    std::memcpy(out.data(), p, bytes);
-  };
 
-  std::size_t meta_bytes = 0;
-  const char* meta_p = section(kSecMeta, &meta_bytes);
-  if (meta_bytes != 6 * 4) fail(LoadError::Kind::kBadCount, "meta size");
+  const Section meta_sec = section(kSecMeta);
+  if (meta_sec.size != 6 * 4) fail(LoadError::Kind::kBadCount, "meta size");
   std::uint32_t meta[6];
-  std::memcpy(meta, meta_p, sizeof(meta));
+  std::memcpy(meta, meta_sec.data, sizeof(meta));
   const Time period = meta[0];
   const std::size_t n = meta[1];
   const std::size_t num_trips = meta[2];
@@ -349,24 +338,25 @@ Timetable MappedSnapshot::load_timetable() const {
   const std::size_t total_times = meta[5];
   corrupt(period > 0 && period < (Time{1} << 30), "invalid period");
   // Dimension sanity: every per-element section size is re-derived from
-  // these, and the section-size check above bounds them by the file size —
-  // the cap here just keeps the arithmetic below overflow-free.
+  // these, and the section-size check bounds them by the file size — the
+  // cap here just keeps the arithmetic below overflow-free.
   for (int i = 1; i < 6; ++i) {
     if (meta[i] > (1u << 28)) {
       fail(LoadError::Kind::kBadCount, "absurd meta count");
     }
   }
-  corrupt(total_times >= num_trips &&
-              num_conns == total_times - num_trips,
+  corrupt(total_times >= num_trips && num_conns == total_times - num_trips,
           "connection count != stop-times - trips");
 
-  std::vector<std::uint32_t> name_off, transfer, route_stop_begin,
-      route_stops, route_trip_begin, route_trips, trip_route, trip_begin,
-      arrivals, departures, conn_begin;
-  u32_section(kSecNameOffsets, n + 1, name_off, "name offsets");
-  u32_section(kSecTransferTimes, n, transfer, "transfer times");
-  u32_section(kSecRouteStopBegin, num_routes + 1, route_stop_begin,
-              "route stop begin");
+  Timetable tt;
+  tt.period_ = period;
+  const auto& name_off = tt.name_begin_ =
+      array<std::uint32_t>(kSecNameOffsets, n + 1, "name offsets");
+  const auto& transfer = tt.transfer_times_ =
+      array<Time>(kSecTransferTimes, n, "transfer times");
+  const auto& route_stop_begin = tt.route_stop_begin_ =
+      array<std::uint32_t>(kSecRouteStopBegin, num_routes + 1,
+                           "route stop begin");
   corrupt(route_stop_begin.front() == 0, "route stop begin front");
   for (std::size_t r = 0; r < num_routes; ++r) {
     corrupt(route_stop_begin[r] <= route_stop_begin[r + 1],
@@ -374,10 +364,10 @@ Timetable MappedSnapshot::load_timetable() const {
     corrupt(route_stop_begin[r + 1] - route_stop_begin[r] >= 2,
             "route with fewer than 2 stops");
   }
-  u32_section(kSecRouteStops, route_stop_begin.back(), route_stops,
-              "route stops");
-  u32_section(kSecRouteTripBegin, num_routes + 1, route_trip_begin,
-              "route trip begin");
+  const auto& route_stops = tt.route_stops_ = array<StationId>(
+      kSecRouteStops, route_stop_begin.back(), "route stops");
+  const auto& route_trip_begin = tt.route_trip_begin_ = array<std::uint32_t>(
+      kSecRouteTripBegin, num_routes + 1, "route trip begin");
   corrupt(route_trip_begin.front() == 0 &&
               route_trip_begin.back() == num_trips,
           "route trip begin bounds");
@@ -385,19 +375,24 @@ Timetable MappedSnapshot::load_timetable() const {
     corrupt(route_trip_begin[r] <= route_trip_begin[r + 1],
             "route trip begin not monotone");
   }
-  u32_section(kSecRouteTrips, num_trips, route_trips, "route trips");
-  u32_section(kSecTripRoute, num_trips, trip_route, "trip route");
-  u32_section(kSecTripBegin, num_trips + 1, trip_begin, "trip begin");
+  const auto& route_trips = tt.route_trips_ =
+      array<TrainId>(kSecRouteTrips, num_trips, "route trips");
+  const auto& trip_route = tt.trip_route_ =
+      array<RouteId>(kSecTripRoute, num_trips, "trip route");
+  const auto& trip_begin = tt.trip_begin_ =
+      array<std::uint32_t>(kSecTripBegin, num_trips + 1, "trip begin");
   corrupt(trip_begin.front() == 0 && trip_begin.back() == total_times,
           "trip begin bounds");
-  u32_section(kSecTripArrivals, total_times, arrivals, "trip arrivals");
-  u32_section(kSecTripDepartures, total_times, departures,
-              "trip departures");
-  u32_section(kSecConnBegin, n + 1, conn_begin, "conn begin");
+  const auto& arrivals = tt.arrivals_ =
+      array<Time>(kSecTripArrivals, total_times, "trip arrivals");
+  const auto& departures = tt.departures_ =
+      array<Time>(kSecTripDepartures, total_times, "trip departures");
+  const auto& conn_begin = tt.conn_begin_ =
+      array<std::uint32_t>(kSecConnBegin, n + 1, "conn begin");
 
-  std::size_t name_bytes_size = 0;
-  const char* name_bytes = section(kSecNameBytes, &name_bytes_size);
-  corrupt(name_off.back() == name_bytes_size, "name offsets vs bytes");
+  const Section names = section(kSecNameBytes);
+  corrupt(name_off.back() == names.size, "name offsets vs bytes");
+  tt.name_bytes_ = array<char>(kSecNameBytes, names.size, "name bytes");
   for (std::size_t s = 0; s < n; ++s) {
     corrupt(name_off[s] <= name_off[s + 1], "name offsets not monotone");
     corrupt(transfer[s] < period, "transfer time >= period");
@@ -479,13 +474,8 @@ Timetable MappedSnapshot::load_timetable() const {
 
   // Connections: the sorted per-station index, cross-checked against the
   // trip that claims each one — a bit flip in either world fails here.
-  std::size_t conn_bytes = 0;
-  const char* conn_p = section(kSecConnections, &conn_bytes);
-  if (conn_bytes != num_conns * sizeof(Connection)) {
-    fail(LoadError::Kind::kBadCount, "connections section size");
-  }
-  std::vector<Connection> conns(num_conns);
-  if (num_conns > 0) std::memcpy(conns.data(), conn_p, conn_bytes);
+  const auto& conns = tt.connections_ =
+      array<Connection>(kSecConnections, num_conns, "connections");
   corrupt(conn_begin.front() == 0 && conn_begin.back() == num_conns,
           "conn begin bounds");
   std::vector<bool> conn_seen(total_times, false);
@@ -515,36 +505,8 @@ Timetable MappedSnapshot::load_timetable() const {
               "connections not sorted");
     }
   }
-
-  // Everything checked: adopt. This is the fast restart path — no route
-  // partitioning, no connection sort, just copies of validated arrays.
-  Timetable tt;
-  tt.period_ = period;
-  tt.station_names_.resize(n);
-  tt.transfer_times_.assign(transfer.begin(), transfer.end());
-  for (std::size_t s = 0; s < n; ++s) {
-    tt.station_names_[s].assign(name_bytes + name_off[s],
-                                name_off[s + 1] - name_off[s]);
-  }
-  tt.routes_.resize(num_routes);
-  for (std::size_t r = 0; r < num_routes; ++r) {
-    tt.routes_[r].stops.assign(
-        route_stops.begin() + route_stop_begin[r],
-        route_stops.begin() + route_stop_begin[r + 1]);
-    tt.routes_[r].trips.assign(
-        route_trips.begin() + route_trip_begin[r],
-        route_trips.begin() + route_trip_begin[r + 1]);
-  }
-  tt.trips_.resize(num_trips);
-  for (std::size_t t = 0; t < num_trips; ++t) {
-    tt.trips_[t].route = trip_route[t];
-    tt.trips_[t].arrivals.assign(arrivals.begin() + trip_begin[t],
-                                 arrivals.begin() + trip_begin[t + 1]);
-    tt.trips_[t].departures.assign(departures.begin() + trip_begin[t],
-                                   departures.begin() + trip_begin[t + 1]);
-  }
-  tt.connections_ = std::move(conns);
-  tt.conn_begin_.assign(conn_begin.begin(), conn_begin.end());
+  // Everything checked: the sections are the timetable. No route
+  // partitioning, no connection sort, no copy.
   return tt;
 }
 
@@ -552,11 +514,178 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   if (!has_overlay()) {
     throw std::logic_error("snapshot: no overlay section");
   }
-  std::size_t bytes = 0;
-  const char* p = section(kSecOverlay, &bytes);
-  MemStreambuf buf(p, bytes);
-  std::istream in(&buf);
-  return pconn::load_overlay(in);
+  const auto structural = [](bool ok, const char* what) {
+    if (!ok) {
+      fail(LoadError::Kind::kCorrupt,
+           std::string("overlay: inconsistent structure (") + what + ")");
+    }
+  };
+  const Section meta_sec = section(kSecOvMeta);
+  if (meta_sec.size != sizeof(OverlayMeta)) {
+    fail(LoadError::Kind::kBadCount, "overlay meta size");
+  }
+  OverlayMeta m;
+  std::memcpy(&m, meta_sec.data, sizeof(m));
+  // The pool divides by the period (reciprocal precompute) and the AVX2
+  // kernels compare times in signed 32-bit lanes; reject garbage before
+  // either sees it.
+  if (m.period == 0 || m.period >= (Time{1} << 30)) {
+    fail(LoadError::Kind::kCorrupt, "overlay: invalid period");
+  }
+  for (const std::uint64_t c :
+       {m.nodes, m.stations, m.core, m.max_out_degree, m.base_ttfs,
+        m.base_edges, m.edges, m.shortcuts, m.contracted, m.down_edges,
+        m.funcs, m.points, m.buckets}) {
+    if (c > (1u << 28)) {
+      fail(LoadError::Kind::kBadCount, "absurd overlay count");
+    }
+  }
+  if (m.funcs != m.base_ttfs + m.shortcuts) {
+    fail(LoadError::Kind::kBadCount,
+         "overlay: pool size " + std::to_string(m.funcs) +
+             " != base ttfs + shortcut records " +
+             std::to_string(m.base_ttfs + m.shortcuts));
+  }
+  // Bucket counts come from the density; a garbage (or non-finite) one
+  // would overflow the index arithmetic.
+  structural(m.buckets_per_point <= 65536.0 &&
+                 m.min_indexed_points <= 0xffffffffu,
+             "index options");
+  const std::size_t n = m.nodes;
+  structural(m.stations <= n, "stations > nodes");
+  structural(m.core <= n, "core > nodes");
+
+  OverlayGraph ov;
+  ov.num_stations_ = m.stations;
+  ov.num_core_ = m.core;
+  ov.period_ = static_cast<Time>(m.period);
+  ov.max_out_degree_ = static_cast<std::uint32_t>(m.max_out_degree);
+  ov.num_base_ttfs_ = static_cast<std::uint32_t>(m.base_ttfs);
+  ov.num_base_edges_ = static_cast<std::uint32_t>(m.base_edges);
+  ov.build_stats_ = {static_cast<std::uint32_t>(m.contracted_nodes),
+                     static_cast<std::uint32_t>(m.frozen),
+                     static_cast<std::uint32_t>(m.rounds),
+                     m.shortcut_edges,
+                     m.merges,
+                     m.witness_dropped,
+                     m.witness_searches,
+                     m.contraction_ms};
+
+  const auto& rank = ov.rank_ = array<std::uint32_t>(kSecOvRank, n, "rank");
+  ov.board_shift_ = array<Time>(kSecOvBoardShift, m.stations, "board_shift");
+  for (const Time shift : ov.board_shift_) {
+    structural(shift < ov.period_, "board shift >= period");
+  }
+  const auto& edge_begin = ov.edge_begin_ =
+      array<std::uint32_t>(kSecOvEdgeBegin, n + 1, "edge_begin");
+  structural(edge_begin.front() == 0, "edge_begin front");
+  std::uint32_t widest = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    structural(edge_begin[v] <= edge_begin[v + 1], "edge_begin not monotone");
+    widest = std::max(widest, edge_begin[v + 1] - edge_begin[v]);
+  }
+  // The engines reserve batch buffers to this; a corrupted value would
+  // turn into a surprise multi-GB allocation at bind time.
+  structural(ov.max_out_degree_ == widest, "max_out_degree mismatch");
+  structural(edge_begin.back() == m.edges, "edge_begin back");
+  const auto& heads = ov.heads_ = array<NodeId>(kSecOvHeads, m.edges, "heads");
+  const auto& words = ov.words_ =
+      array<std::uint32_t>(kSecOvWords, m.edges, "words");
+  const auto& origins = ov.origins_ =
+      array<std::uint32_t>(kSecOvOrigins, m.edges, "origins");
+  ov.ttf_out_degree_ =
+      array<std::uint8_t>(kSecOvTtfOutDegree, n, "ttf_out_degree");
+  const auto& shortcuts = ov.shortcuts_ = array<OverlayGraph::ShortcutRec>(
+      kSecOvShortcuts, m.shortcuts, "shortcuts");
+  const auto& down_node = ov.down_node_ =
+      array<NodeId>(kSecOvDownNode, m.contracted, "down_node");
+  const auto& down_begin = ov.down_begin_ =
+      array<std::uint32_t>(kSecOvDownBegin, m.contracted + 1, "down_begin");
+  structural(down_begin.front() == 0, "down_begin front");
+  for (std::size_t i = 0; i < m.contracted; ++i) {
+    structural(down_begin[i] <= down_begin[i + 1], "down_begin not monotone");
+  }
+  structural(down_begin.back() == m.down_edges, "down_begin back");
+  const auto& down_tails = ov.down_tails_ =
+      array<NodeId>(kSecOvDownTails, m.down_edges, "down_tails");
+  const auto& down_words = ov.down_words_ =
+      array<std::uint32_t>(kSecOvDownWords, m.down_edges, "down_words");
+  const auto& down_pos = ov.down_pos_ =
+      array<std::uint32_t>(kSecOvDownPos, n, "down_pos");
+
+  // Cross-array structural validation: a bit-flipped or hand-edited file
+  // must fail here with a diagnostic, not at query time with an
+  // out-of-bounds relax. Word references are checked against the pool
+  // size the meta implies, which the pool sections then must match.
+  const auto word_ok = [&](std::uint32_t w) {
+    return TdGraph::word_is_const(w) || w < m.funcs;
+  };
+  const auto origin_ok = [&](std::uint32_t o) {
+    // Shortcut origins index the record table; flat edge ids index the
+    // base graph whose edge count the meta records (the engine ctors
+    // additionally assert that count against the graph they are given).
+    return OverlayGraph::origin_is_shortcut(o)
+               ? (o & ~OverlayGraph::kShortcutBit) < m.shortcuts
+               : o < m.base_edges;
+  };
+  for (std::size_t e = 0; e < m.edges; ++e) {
+    structural(heads[e] < n, "edge head out of range");
+    structural(word_ok(words[e]), "edge word out of range");
+    structural(origin_ok(origins[e]), "edge origin out of range");
+  }
+  for (std::size_t i = 0; i < m.shortcuts; ++i) {
+    const OverlayGraph::ShortcutRec& r = shortcuts[i];
+    structural(word_ok(r.word), "record word out of range");
+    structural(r.mid == kInvalidNode || r.mid < n, "record mid out of range");
+    structural(origin_ok(r.a) && origin_ok(r.b), "record leg out of range");
+    // Records only ever reference earlier records (construction appends a
+    // merge right after the link it folds in), which is what keeps the
+    // journey replay's recursion finite — reject cycles here, not by
+    // stack overflow.
+    const auto acyclic = [&](std::uint32_t o) {
+      return !OverlayGraph::origin_is_shortcut(o) ||
+             (o & ~OverlayGraph::kShortcutBit) < i;
+    };
+    structural(acyclic(r.a) && acyclic(r.b), "record references later record");
+  }
+  for (std::size_t i = 0; i < m.contracted; ++i) {
+    structural(down_node[i] < n, "down node out of range");
+    // Strictly descending contraction rank — the order that makes the
+    // queue-less downward sweep exact; a permuted list would pass every
+    // range check and silently corrupt settle_contracted results.
+    structural(rank[down_node[i]] != kCoreRank, "core node in sweep");
+    structural(i == 0 || rank[down_node[i - 1]] > rank[down_node[i]],
+               "down sweep not rank-descending");
+  }
+  for (std::size_t e = 0; e < m.down_edges; ++e) {
+    structural(down_tails[e] < n, "down tail out of range");
+    structural(word_ok(down_words[e]), "down word out of range");
+  }
+  // down_pos must be exactly the inverse of down_node (whose entries are
+  // distinct: their ranks strictly descend).
+  std::size_t swept = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (down_pos[v] == OverlayGraph::kNoDownPos) continue;
+    structural(down_pos[v] < m.contracted && down_node[down_pos[v]] == v,
+               "down_pos not the inverse of the sweep order");
+    ++swept;
+  }
+  structural(swept == m.contracted, "down_pos misses swept nodes");
+
+  // The pool: points, metadata and bucket index as built, re-derived and
+  // compared before any eval can follow an index out of range.
+  TtfPool& pool = ov.ttfs_;
+  pool = TtfPool(ov.period_,
+                 {m.buckets_per_point,
+                  static_cast<std::uint32_t>(m.min_indexed_points)});
+  pool.points_ = array<TtfPoint>(kSecPoolPoints, m.points, "pool points");
+  pool.meta_ = array<TtfPool::TtfMeta>(kSecPoolMeta, m.funcs, "pool meta");
+  pool.bucket_idx_ =
+      array<std::uint32_t>(kSecPoolBuckets, m.buckets, "pool buckets");
+  if (const char* what = pool.layout_error()) {
+    fail(LoadError::Kind::kCorrupt, std::string("overlay: pool ") + what);
+  }
+  return ov;
 }
 
 }  // namespace pconn

@@ -4,7 +4,7 @@
 // Parsing is bounded: CsvLimits caps the field size, column count and row
 // count BEFORE the corresponding storage grows, so a corrupt or adversarial
 // file fails with a diagnostic instead of an unbounded allocation — the
-// same discipline as the binary PCTT/PCOV loaders (timetable/serialize.hpp).
+// same discipline as the snapshot loader (timetable/snapshot.hpp).
 #pragma once
 
 #include <cstddef>

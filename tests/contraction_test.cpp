@@ -12,6 +12,11 @@
 //  * journey extraction through shortcut expansion.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "algo/contraction.hpp"
@@ -20,7 +25,7 @@
 #include "algo/overlay_query.hpp"
 #include "algo/time_query.hpp"
 #include "test_util.hpp"
-#include "timetable/serialize.hpp"
+#include "timetable/snapshot.hpp"
 
 namespace pconn {
 namespace {
@@ -41,11 +46,12 @@ TEST(ContractionTtf, LinkMatchesDirectCompositionPerSecond) {
   const Time period = 600;  // small enough for exhaustive sweeps
   Rng rng(42);
   for (int iter = 0; iter < 20; ++iter) {
-    TtfPool pool(period);
+    TtfPoolBuilder builder(period);
     const Ttf a = random_ttf(rng, period, 6);
     const Ttf b = random_ttf(rng, period, 6);
-    const std::uint32_t fa = pool.add(a);
-    const std::uint32_t fb = pool.add(b);
+    const std::uint32_t fa = builder.add(a);
+    const std::uint32_t fb = builder.add(b);
+    const TtfPool pool = builder.finish();
     const Time c = static_cast<Time>(rng.next_below(period));
     const std::uint32_t cw = TdGraph::kConstFlag | c;
 
@@ -72,11 +78,12 @@ TEST(ContractionTtf, MergeIsPointwiseMin) {
   const Time period = 500;
   Rng rng(7);
   for (int iter = 0; iter < 20; ++iter) {
-    TtfPool pool(period);
+    TtfPoolBuilder builder(period);
     const Ttf a = random_ttf(rng, period, 5);
     const Ttf b = random_ttf(rng, period, 5);
-    const std::uint32_t fa = pool.add(a);
-    const std::uint32_t fb = pool.add(b);
+    const std::uint32_t fa = builder.add(a);
+    const std::uint32_t fb = builder.add(b);
+    const TtfPool pool = builder.finish();
     const Ttf m = merge_edge_ttfs(pool, fa, fb);
     EXPECT_TRUE(m.is_fifo());
     for (Time t = 0; t < period; ++t) {
@@ -89,9 +96,10 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
   const Time period = 400;
   Rng rng(99);
   for (int iter = 0; iter < 20; ++iter) {
-    TtfPool pool(period);
+    TtfPoolBuilder builder(period);
     const Ttf f = random_ttf(rng, period, 5);
-    const std::uint32_t fw = pool.add(f);
+    const std::uint32_t fw = builder.add(f);
+    const TtfPool pool = builder.finish();
     const auto [mn, mx] = word_cost_bounds(pool, fw, period);
     Time seen_min = kInfTime, seen_max = 0;
     for (Time t = 0; t < period; ++t) {
@@ -346,9 +354,10 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
 
-  std::stringstream buf;
-  save_overlay(ov, buf);
-  const OverlayGraph back = load_overlay(buf);
+  const std::string path =
+      "contraction_snap_" + std::to_string(::getpid()) + ".pcsn";
+  save_snapshot(tt, &ov, path);
+  const OverlayGraph back = MappedSnapshot(path).load_overlay();
 
   ASSERT_EQ(back.num_nodes(), ov.num_nodes());
   ASSERT_EQ(back.num_stations(), ov.num_stations());
@@ -389,18 +398,33 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   // cross-validation), never surface as an out-of-bounds relax. Flip one
   // byte in the CSR region and expect the loader to throw.
   {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
     std::string bytes = buf.str();
-    // Low byte of edge_begin_[2]: 32-byte header (magic + version + six
-    // scalars), then the rank and board_shift arrays (u32 count + payload
-    // each), the edge_begin count, two entries. A +-128 nudge breaks the
-    // CSR's monotonicity.
-    const std::size_t victim = 32 + (4 + 4 * ov.num_nodes()) +
-                               (4 + 4 * ov.num_stations()) + 4 + 2 * 4;
+    // Low byte of edge_begin_[2]: the edge_begin section (tag 23) holds
+    // the offsets verbatim. A +-128 nudge breaks the CSR's monotonicity.
+    std::uint32_t count;
+    std::memcpy(&count, bytes.data() + 16, 4);
+    std::size_t victim = bytes.size();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t tag;
+      std::uint64_t offset;
+      std::memcpy(&tag, bytes.data() + 24 + 24 * i, 4);
+      std::memcpy(&offset, bytes.data() + 24 + 24 * i + 8, 8);
+      if (tag == 23) victim = offset + 2 * 4;
+    }
     ASSERT_LT(victim, bytes.size());
     bytes[victim] = static_cast<char>(bytes[victim] ^ 0x80);
-    std::stringstream corrupt(bytes);
-    EXPECT_THROW((void)load_overlay(corrupt), std::runtime_error);
+    // A separate file: rewriting `path` in place would change the pages
+    // `back` is adopted from.
+    const std::string corrupt_path = path + ".corrupt";
+    std::ofstream(corrupt_path, std::ios::binary | std::ios::trunc) << bytes;
+    EXPECT_THROW((void)MappedSnapshot(corrupt_path).load_overlay(),
+                 std::runtime_error);
+    std::remove(corrupt_path.c_str());
   }
+  std::remove(path.c_str());
 
   // The loaded overlay answers queries byte-identically.
   OverlayTimeQuery qa(tt, g, ov), qb(tt, g, back);

@@ -44,6 +44,16 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them):
+// left to the runtime, their blocks would reach the free() below from a
+// foreign allocator, which ASan reports as an alloc/dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
 void* operator new(std::size_t size, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   const std::size_t align = static_cast<std::size_t>(al);

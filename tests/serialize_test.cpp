@@ -1,18 +1,25 @@
+// The persisted formats: PCSN snapshots (timetable/snapshot.hpp) — round
+// trips, in-place adoption, the typed-error ladder, truncation and
+// bit-flip sweeps, atomic republish — and the distance-table stream.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "algo/contraction.hpp"
+#include "algo/overlay_query.hpp"
 #include "graph/station_graph.hpp"
+#include "live/live_overlay.hpp"
+#include "live/live_session.hpp"
 #include "s2s/distance_table.hpp"
 #include "s2s/transfer_selection.hpp"
 #include "test_util.hpp"
-#include "timetable/serialize.hpp"
 #include "timetable/snapshot.hpp"
 #include "timetable/validation.hpp"
 #include "util/fault_injector.hpp"
@@ -20,14 +27,91 @@
 namespace pconn {
 namespace {
 
+// Section tags and OverlayMeta field offsets of the v2 layout
+// (timetable/snapshot.cpp), for the tests that corrupt a chosen field.
+constexpr std::uint32_t kTagOvMeta = 20;
+constexpr std::uint32_t kTagOvHeads = 24;
+constexpr std::size_t kOvMetaFuncs = 88;
+constexpr std::size_t kOvMetaPoints = 96;
+
+/// A snapshot written to a unique temp file, removed on destruction.
+struct SnapshotTempFile {
+  SnapshotTempFile(const Timetable& tt, const OverlayGraph* ov) {
+    static std::atomic<int> counter{0};
+    path = "serialize_snap_" + std::to_string(::getpid()) + "_" +
+           std::to_string(counter.fetch_add(1)) + ".pcsn";
+    save_snapshot(tt, ov, path);
+  }
+  ~SnapshotTempFile() { std::remove(path.c_str()); }
+
+  std::string read_bytes() const {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+  }
+  void write_bytes(const std::string& bytes) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  std::string path;
+};
+
+/// {offset, size} of section `tag` in a snapshot's bytes.
+std::pair<std::uint64_t, std::uint64_t> find_section(const std::string& data,
+                                                     std::uint32_t tag) {
+  std::uint32_t count;
+  std::memcpy(&count, data.data() + 16, 4);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const char* e = data.data() + 24 + 24 * i;
+    std::uint32_t t;
+    std::uint64_t off, size;
+    std::memcpy(&t, e, 4);
+    std::memcpy(&off, e + 8, 8);
+    std::memcpy(&size, e + 16, 8);
+    if (t == tag) return {off, size};
+  }
+  ADD_FAILURE() << "no section " << tag;
+  return {0, 0};
+}
+
+/// End of the last section's payload (trailing alignment padding excluded).
+std::size_t payload_end(const std::string& data) {
+  std::uint32_t count;
+  std::memcpy(&count, data.data() + 16, 4);
+  std::size_t end = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint64_t off, size;
+    std::memcpy(&off, data.data() + 24 + 24 * i + 8, 8);
+    std::memcpy(&size, data.data() + 24 + 24 * i + 16, 8);
+    end = std::max<std::size_t>(end, off + size);
+  }
+  return end;
+}
+
+void put_u64(std::string& data, std::size_t at, std::uint64_t v) {
+  std::memcpy(data.data() + at, &v, 8);
+}
+
+/// Timetable + overlay of a fixture, as a snapshot would be written.
+struct World {
+  explicit World(Timetable t)
+      : tt(std::move(t)), g(TdGraph::build(tt)), ov(contract_graph(tt, g)) {}
+  Timetable tt;
+  TdGraph g;
+  OverlayGraph ov;
+};
+
+// ---------------------------------------------------- timetable sections ---
+
 TEST(SerializeTimetable, RoundTripPreservesEverything) {
   for (auto make : {+[] { return test::small_city(91); },
                     +[] { return test::small_railway(92); },
                     +[] { return test::tiny_line(); }}) {
     Timetable tt = make();
-    std::stringstream buf;
-    save_timetable(tt, buf);
-    Timetable back = load_timetable(buf);
+    SnapshotTempFile snap(tt, nullptr);
+    Timetable back = MappedSnapshot(snap.path).load_timetable();
     ASSERT_EQ(back.num_stations(), tt.num_stations());
     ASSERT_EQ(back.num_trips(), tt.num_trips());
     ASSERT_EQ(back.num_routes(), tt.num_routes());
@@ -37,24 +121,25 @@ TEST(SerializeTimetable, RoundTripPreservesEverything) {
       EXPECT_EQ(back.station_name(s), tt.station_name(s));
       EXPECT_EQ(back.transfer_time(s), tt.transfer_time(s));
     }
-    EXPECT_EQ(back.connections(), tt.connections());
+    EXPECT_TRUE(std::ranges::equal(back.connections(), tt.connections()));
     EXPECT_TRUE(validate(back).ok());
   }
 }
 
 TEST(SerializeTimetable, BadMagicRejected) {
-  std::stringstream buf("NOPExxxxxxxxxxxxxxxx");
-  EXPECT_THROW(load_timetable(buf), std::runtime_error);
+  SnapshotTempFile snap(test::tiny_line(), nullptr);
+  snap.write_bytes("NOPExxxxxxxxxxxxxxxxxxxxxxxxxxxx");
+  EXPECT_THROW(MappedSnapshot{snap.path}, std::runtime_error);
 }
 
 TEST(SerializeTimetable, TruncationRejected) {
-  Timetable tt = test::tiny_line();
-  std::stringstream buf;
-  save_timetable(tt, buf);
-  std::string data = buf.str();
+  SnapshotTempFile snap(test::tiny_line(), nullptr);
+  const std::string data = snap.read_bytes();
   for (std::size_t cut : {5ul, data.size() / 2, data.size() - 1}) {
-    std::stringstream cut_buf(data.substr(0, cut));
-    EXPECT_THROW(load_timetable(cut_buf), std::runtime_error) << cut;
+    snap.write_bytes(data.substr(0, cut));
+    EXPECT_THROW((void)MappedSnapshot(snap.path).load_timetable(),
+                 std::runtime_error)
+        << cut;
   }
 }
 
@@ -62,10 +147,10 @@ TEST(SerializeTimetable, EmptyTimetable) {
   TimetableBuilder b;
   b.add_station("Lonely", 0);
   Timetable tt = b.finalize();
-  std::stringstream buf;
-  save_timetable(tt, buf);
-  Timetable back = load_timetable(buf);
+  SnapshotTempFile snap(tt, nullptr);
+  Timetable back = MappedSnapshot(snap.path).load_timetable();
   EXPECT_EQ(back.num_stations(), 1u);
+  EXPECT_EQ(back.station_name(0), "Lonely");
   EXPECT_EQ(back.num_trips(), 0u);
 }
 
@@ -99,49 +184,75 @@ TEST(SerializeDistanceTable, BadStreamRejected) {
   EXPECT_THROW(DistanceTable::load(buf), std::runtime_error);
 }
 
-// ---------------------------------------------- overlay load hardening ---
+// ------------------------------------------------------ overlay sections ---
 
 TEST(SerializeOverlay, TypedErrorKinds) {
-  {
-    std::stringstream buf("NOPExxxxxxxxxxxxxxxx");
+  const World w(test::tiny_line());
+  SnapshotTempFile snap(w.tt, &w.ov);
+  const std::string data = snap.read_bytes();
+  const auto expect_kind = [&](const std::string& bytes, LoadError::Kind kind,
+                               const char* what) {
+    snap.write_bytes(bytes);
     try {
-      (void)load_overlay(buf);
-      FAIL() << "bad magic accepted";
+      MappedSnapshot m(snap.path);
+      (void)m.load_overlay();
+      ADD_FAILURE() << what << " accepted";
     } catch (const LoadError& e) {
-      EXPECT_EQ(e.kind(), LoadError::Kind::kBadMagic);
+      EXPECT_EQ(e.kind(), kind) << what;
     }
+  };
+  {
+    std::string bad = data;
+    std::memcpy(bad.data(), "NOPE", 4);
+    expect_kind(bad, LoadError::Kind::kBadMagic, "bad magic");
   }
   {
-    std::stringstream buf(std::string("PCOV") + std::string(16, '\x7f'));
-    try {
-      (void)load_overlay(buf);
-      FAIL() << "bad version accepted";
-    } catch (const LoadError& e) {
-      EXPECT_EQ(e.kind(), LoadError::Kind::kBadVersion);
-    }
+    std::string bad = data;
+    const std::uint32_t v1 = 1;
+    std::memcpy(bad.data() + 4, &v1, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-1 file");
+    bad[4] = '\x7f';
+    expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
+  }
+  {  // the pool's function count disagrees with base + shortcut records
+    std::string bad = data;
+    const std::uint64_t at = find_section(data, kTagOvMeta).first;
+    put_u64(bad, at + kOvMetaFuncs, w.ov.ttfs().size() + 1);
+    expect_kind(bad, LoadError::Kind::kBadCount, "pool size");
+  }
+  {  // an edge head past the node range
+    std::string bad = data;
+    const std::uint64_t at = find_section(data, kTagOvHeads).first;
+    const std::uint32_t head = w.ov.num_nodes();
+    std::memcpy(bad.data() + at, &head, 4);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "edge head");
   }
   // A LoadError still IS a std::runtime_error: pre-existing catch sites
   // keep working.
-  std::stringstream buf("NOPE");
-  EXPECT_THROW((void)load_overlay(buf), std::runtime_error);
+  snap.write_bytes("NOPE");
+  EXPECT_THROW(MappedSnapshot{snap.path}, std::runtime_error);
 }
 
 TEST(SerializeOverlay, EveryTruncationPointRejectedCleanly) {
-  const Timetable tt = test::tiny_line();
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  std::stringstream buf;
-  save_overlay(ov, buf);
-  const std::string data = buf.str();
-  ASSERT_GT(data.size(), 64u);
+  const World w(test::tiny_line());
+  SnapshotTempFile snap(w.tt, &w.ov);
+  const std::string data = snap.read_bytes();
+  const std::size_t end = payload_end(data);
+  ASSERT_GT(end, 64u);
   // Every prefix must fail with a typed LoadError — never crash, never
-  // return a partially-initialized overlay. Sweep densely at the front
-  // (header + counts) and stride through the payload.
-  for (std::size_t cut = 0; cut < data.size();
-       cut += (cut < 256 ? 1 : 97)) {
-    std::stringstream cut_buf(data.substr(0, cut));
+  // return a partially-adopted overlay. Each prefix records its own length
+  // as the file size, so the rejection has to come from the section table
+  // and the section bounds, not from the size check. Sweep densely at the
+  // front (header + table) and stride through the payload; past its end
+  // only alignment padding is cut, which leaves every section whole.
+  for (std::size_t cut = 0; cut < end; cut += (cut < 256 ? 1 : 97)) {
+    std::string prefix = data.substr(0, cut);
+    if (cut >= 16) put_u64(prefix, 8, cut);
+    snap.write_bytes(prefix);
     try {
-      (void)load_overlay(cut_buf);
+      MappedSnapshot m(snap.path);
+      (void)m.load_timetable();
+      if (m.has_overlay()) (void)m.load_overlay();
       FAIL() << "accepted a prefix of " << cut << " bytes";
     } catch (const LoadError&) {
       // expected
@@ -150,22 +261,17 @@ TEST(SerializeOverlay, EveryTruncationPointRejectedCleanly) {
 }
 
 TEST(SerializeOverlay, LyingSectionCountFailsBeforeAllocating) {
-  const Timetable tt = test::tiny_line();
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  std::stringstream buf;
-  save_overlay(ov, buf);
-  std::string data = buf.str();
-  // board_shift's count field sits right after the rank array (32-byte
-  // header, u32 count + payload). Claim 2^27 entries: the loader must
-  // reject the count against the header's station count before resizing,
-  // so this runs instantly instead of allocating half a gigabyte.
-  const std::size_t count_at = 32 + 4 + 4 * ov.num_nodes();
-  const std::uint32_t lie = 1u << 27;
-  std::memcpy(data.data() + count_at, &lie, 4);
-  std::stringstream lied(data);
+  const World w(test::tiny_line());
+  SnapshotTempFile snap(w.tt, &w.ov);
+  std::string data = snap.read_bytes();
+  // Claim 2^27 pool points in the overlay meta: the points section's size
+  // must be checked against the count before anything is sized from it,
+  // so this fails instantly with a count error.
+  put_u64(data, find_section(data, kTagOvMeta).first + kOvMetaPoints,
+          std::uint64_t{1} << 27);
+  snap.write_bytes(data);
   try {
-    (void)load_overlay(lied);
+    (void)MappedSnapshot(snap.path).load_overlay();
     FAIL() << "lying count accepted";
   } catch (const LoadError& e) {
     EXPECT_EQ(e.kind(), LoadError::Kind::kBadCount);
@@ -173,31 +279,42 @@ TEST(SerializeOverlay, LyingSectionCountFailsBeforeAllocating) {
 }
 
 TEST(SerializeOverlay, BitFlipSweepNeverCrashes) {
-  const Timetable tt = test::tiny_line();
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  std::stringstream buf;
-  save_overlay(ov, buf);
-  const std::string data = buf.str();
+  const World w(test::tiny_line());
+  SnapshotTempFile snap(w.tt, &w.ov);
+  const std::string data = snap.read_bytes();
   // Flip one bit at a stride of offsets across the whole file. Each load
   // must either throw a typed LoadError or produce a structurally valid
   // overlay (flips inside TTF durations can survive every structural
   // check — they change answers, not validity). What must never happen:
-  // a crash, a sanitizer report, or an uncaught foreign exception.
+  // a crash, a sanitizer report, or an uncaught foreign exception. A
+  // surviving overlay also runs a query, so every array it adopted is
+  // read in place.
   std::size_t rejected = 0, survived = 0;
   for (std::size_t byte = 0; byte < data.size();
        byte += (byte < 128 ? 1 : 41)) {
     for (const unsigned bit : {0u, 7u}) {
       std::string flipped = data;
       flipped[byte] = static_cast<char>(flipped[byte] ^ (1u << bit));
-      std::stringstream in(flipped);
+      snap.write_bytes(flipped);
+      std::optional<OverlayGraph> back;
       try {
-        const OverlayGraph back = load_overlay(in);
+        back = MappedSnapshot(snap.path).load_overlay();
         ++survived;
-        EXPECT_EQ(back.num_nodes(), ov.num_nodes());
+        EXPECT_EQ(back->num_nodes(), w.ov.num_nodes());
       } catch (const LoadError&) {
         ++rejected;
+        continue;
       }
+      // Binding re-checks the counts against the graph (a flipped base
+      // edge count passes the file's own checks and fails here, loudly).
+      std::optional<OverlayTimeQuery> q;
+      try {
+        q.emplace(w.tt, w.g, *back);
+      } catch (const std::runtime_error&) {
+        continue;
+      }
+      q->run(0, 8 * 3600);
+      q->settle_contracted();
     }
   }
   // The sweep must have exercised both outcomes (sanity: the corruption
@@ -206,39 +323,16 @@ TEST(SerializeOverlay, BitFlipSweepNeverCrashes) {
   EXPECT_GT(survived, 0u);
 }
 
-// ------------------------- PCSN mmap snapshot (timetable/snapshot.hpp) ---
-
-/// A snapshot written to a unique temp file, removed on destruction.
-struct SnapshotTempFile {
-  SnapshotTempFile(const Timetable& tt, const OverlayGraph* ov) {
-    static std::atomic<int> counter{0};
-    path = "serialize_snap_" + std::to_string(::getpid()) + "_" +
-           std::to_string(counter.fetch_add(1)) + ".pcsn";
-    save_snapshot(tt, ov, path);
-  }
-  ~SnapshotTempFile() { std::remove(path.c_str()); }
-
-  std::string read_bytes() const {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-  }
-  void write_bytes(const std::string& bytes) const {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  std::string path;
-};
+// ------------------------------------------------ whole-file snapshots ---
 
 TEST(Snapshot, RoundTripBitExactAgainstInMemoryBuild) {
-  for (auto make : {+[] { return test::tiny_line(); },
-                    +[] { return test::small_city(95); }}) {
-    const Timetable tt = make();
-    TdGraph g = TdGraph::build(tt);
-    const OverlayGraph ov = contract_graph(tt, g);
-    SnapshotTempFile snap(tt, &ov);
+  std::vector<Timetable> nets = {test::tiny_line(), test::small_city(95)};
+  for (const gen::Preset p : gen::kAllPresets) {
+    nets.push_back(gen::make_preset(p, 0.05));
+  }
+  for (const Timetable& tt : nets) {
+    const World w(tt);
+    SnapshotTempFile snap(w.tt, &w.ov);
 
     MappedSnapshot mapped(snap.path);
     ASSERT_TRUE(mapped.has_overlay());
@@ -246,17 +340,107 @@ TEST(Snapshot, RoundTripBitExactAgainstInMemoryBuild) {
     const OverlayGraph ov_back = mapped.load_overlay();
     EXPECT_TRUE(validate(tt_back).ok());
 
-    // Bit-exactness through the canonical serializers: a snapshot-loaded
-    // timetable/overlay must re-serialize to exactly the bytes of the
-    // in-memory original — adoption lost and invented nothing.
-    std::stringstream a, b;
-    save_timetable(tt, a);
-    save_timetable(tt_back, b);
-    EXPECT_EQ(a.str(), b.str());
-    std::stringstream c, d;
-    save_overlay(ov, c);
-    save_overlay(ov_back, d);
-    EXPECT_EQ(c.str(), d.str());
+    // Bit-exactness: the adopted timetable and overlay must re-save to
+    // exactly the bytes of the in-memory original — adoption lost and
+    // invented nothing.
+    SnapshotTempFile again(tt_back, &ov_back);
+    EXPECT_EQ(snap.read_bytes(), again.read_bytes())
+        << tt.num_stations() << " stations";
+  }
+}
+
+TEST(Snapshot, AdoptedArraysAliasTheMappingAndOutliveIt) {
+  const World w(test::small_city(96));
+  std::optional<SnapshotTempFile> snap(std::in_place, w.tt, &w.ov);
+  std::optional<Timetable> tt;
+  std::optional<OverlayGraph> ov;
+  {
+    MappedSnapshot mapped(snap->path);
+    tt = mapped.load_timetable();
+    ov = mapped.load_overlay();
+    const std::span<const char> file = mapped.bytes();
+    const auto inside = [&](std::span<const std::byte> a) {
+      const auto* lo = reinterpret_cast<const std::byte*>(file.data());
+      return a.data() >= lo && a.data() + a.size() <= lo + file.size();
+    };
+    std::size_t arrays = 0;
+    for (const auto& a : tt->array_bytes()) {
+      if (a.empty()) continue;
+      EXPECT_TRUE(inside(a)) << "timetable array " << arrays;
+      ++arrays;
+    }
+    for (const auto& a : ov->array_bytes()) {
+      if (a.empty()) continue;
+      EXPECT_TRUE(inside(a)) << "overlay array " << arrays;
+      ++arrays;
+    }
+    EXPECT_EQ(arrays, 13u + 16u);
+  }
+  // The MappedSnapshot is gone and the file unlinked; the arrays keep the
+  // mapping alive. A live overlay over them answers byte-identically to
+  // one over the in-memory build.
+  snap.reset();
+  LiveOverlay adopted(*tt, *ov);
+  LiveOverlay built(w.tt, w.ov);
+  LiveQuerySession a(adopted), b(built);
+  Rng rng(97);
+  for (int i = 0; i < 24; ++i) {
+    const auto s = static_cast<StationId>(rng.next_below(w.tt.num_stations()));
+    const auto t = static_cast<StationId>(rng.next_below(w.tt.num_stations()));
+    const auto dep = static_cast<Time>(rng.next_below(w.tt.period()));
+    EXPECT_EQ(a.earliest_arrival(s, dep, t), b.earliest_arrival(s, dep, t));
+    if (i % 4 == 0) {
+      EXPECT_EQ(a.station_to_station(s, t).profile,
+                b.station_to_station(s, t).profile);
+    }
+  }
+}
+
+TEST(Snapshot, RepublishIsAtomicAndLeavesAdoptedObjectsServing) {
+  const World first(test::small_city(98));
+  const World second(test::small_railway(99));
+  SnapshotTempFile snap(first.tt, &first.ov);
+  MappedSnapshot old_map(snap.path);
+  LiveOverlay old_live(old_map.load_timetable(), old_map.load_overlay());
+  LiveQuerySession old_session(old_live);
+
+  struct Case {
+    StationId s, t;
+    Time dep, arr;
+  };
+  std::vector<Case> cases;
+  Rng rng(100);
+  for (int i = 0; i < 32; ++i) {
+    Case c;
+    c.s = static_cast<StationId>(rng.next_below(first.tt.num_stations()));
+    c.t = static_cast<StationId>(rng.next_below(first.tt.num_stations()));
+    c.dep = static_cast<Time>(rng.next_below(first.tt.period()));
+    c.arr = old_session.earliest_arrival(c.s, c.dep, c.t);
+    cases.push_back(c);
+  }
+
+  // Re-save a different network to the same path: a new file is renamed
+  // over the old one, which the live mapping keeps reading unchanged.
+  save_snapshot(second.tt, &second.ov, snap.path);
+  EXPECT_FALSE(std::ifstream(snap.path + ".tmp." + std::to_string(::getpid())))
+      << "temporary file left behind";
+  for (const Case& c : cases) {
+    EXPECT_EQ(old_session.earliest_arrival(c.s, c.dep, c.t), c.arr);
+  }
+
+  MappedSnapshot new_map(snap.path);
+  const Timetable tt = new_map.load_timetable();
+  EXPECT_EQ(tt.num_stations(), second.tt.num_stations());
+  EXPECT_EQ(tt.num_connections(), second.tt.num_connections());
+  LiveOverlay new_live(tt, new_map.load_overlay());
+  LiveOverlay built(second.tt, second.ov);
+  LiveQuerySession fresh(new_live), reference(built);
+  for (int i = 0; i < 16; ++i) {
+    const auto s = static_cast<StationId>(rng.next_below(tt.num_stations()));
+    const auto t = static_cast<StationId>(rng.next_below(tt.num_stations()));
+    const auto dep = static_cast<Time>(rng.next_below(tt.period()));
+    EXPECT_EQ(fresh.earliest_arrival(s, dep, t),
+              reference.earliest_arrival(s, dep, t));
   }
 }
 

@@ -84,7 +84,8 @@ TEST(Builder, RoutePartitionBySequence) {
     if (tt.route(r).trips.size() == 2) {
       found = true;
       const Route& route = tt.route(r);
-      EXPECT_EQ(route.stops, (std::vector<StationId>{a, s2, c}));
+      EXPECT_EQ(std::vector<StationId>(route.stops.begin(), route.stops.end()),
+                (std::vector<StationId>{a, s2, c}));
       EXPECT_LE(tt.trip(route.trips[0]).departures[0],
                 tt.trip(route.trips[1]).departures[0]);
     }

@@ -114,18 +114,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TtfRandomTest,
 // ------------------------------------------------------------------ pool ---
 
 TEST(TtfPool, EmptyFunctionStaysInfinite) {
-  TtfPool pool(kP);
-  std::uint32_t f = pool.add(Ttf::build({}, kP));
+  TtfPoolBuilder builder(kP);
+  std::uint32_t f = builder.add(Ttf::build({}, kP));
+  const TtfPool pool = builder.finish();
   EXPECT_TRUE(pool.empty_at(f));
   EXPECT_EQ(pool.eval(f, 123), kInfTime);
   EXPECT_EQ(pool.arrival(f, 123), kInfTime);
 }
 
 TEST(TtfPool, MatchesTtfOnHandCases) {
-  TtfPool pool(kP);
+  TtfPoolBuilder builder(kP);
   Ttf a = Ttf::build({{1000, 600}, {2000, 500}, {3000, 400}}, kP);
   Ttf b = Ttf::build({{600, 1800}, {23 * 3600 + 59 * 60, 36000}}, kP);
-  std::uint32_t ia = pool.add(a), ib = pool.add(b);
+  std::uint32_t ia = builder.add(a), ib = builder.add(b);
+  const TtfPool pool = builder.finish();
   for (Time t : {0u, 999u, 1000u, 1500u, 2999u, 3000u, 4000u, kP - 1,
                  kP + 777u, 3 * kP + 12345u}) {
     EXPECT_EQ(pool.eval(ia, t), a.eval(t)) << "t=" << t;
@@ -144,7 +146,7 @@ class TtfPoolRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
   Rng rng(GetParam() * 977 + 5);
   const Time period = 2000 + static_cast<Time>(rng.next_below(20000));
-  TtfPool pool(period);
+  TtfPoolBuilder builder(period);
   std::vector<Ttf> ttfs;
   // A mixed bag of sizes, including 1-point functions (the constant-ish
   // case) and sizes around the bucket-count power-of-two boundaries.
@@ -155,8 +157,9 @@ TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
                      static_cast<Time>(1 + rng.next_below(3 * period))});
     }
     ttfs.push_back(Ttf::build(std::move(pts), period));
-    ASSERT_EQ(pool.add(ttfs.back()), ttfs.size() - 1);
+    ASSERT_EQ(builder.add(ttfs.back()), ttfs.size() - 1);
   }
+  const TtfPool pool = builder.finish();
   for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
     const Ttf& ref = ttfs[f];
     ASSERT_EQ(pool.points(f).size(), ref.size());
@@ -192,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TtfPoolRandomTest,
 TEST(TtfPool, VectorArrivalNMatchesScalarPerSecond) {
   Rng rng(321);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPool pool(period);
+  TtfPoolBuilder builder(period);
   std::vector<std::uint32_t> entries;
   for (int f = 0; f < 24; ++f) {
     std::vector<TtfPoint> pts;
@@ -201,11 +204,12 @@ TEST(TtfPool, VectorArrivalNMatchesScalarPerSecond) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(1 + rng.next_below(3 * period))});
     }
-    entries.push_back(pool.add(Ttf::build(std::move(pts), period)));
+    entries.push_back(builder.add(Ttf::build(std::move(pts), period)));
     // Interleave inline constant words (the TdGraph packed encoding).
     entries.push_back(TtfPool::kConstFlag |
                       static_cast<std::uint32_t>(rng.next_below(7200)));
   }
+  const TtfPool pool = builder.finish();
   std::vector<Time> batch(entries.size());
   for (Time t = 0; t < 2 * period; ++t) {
     pool.arrival_n(entries.data(), entries.size(), t, batch.data());
@@ -219,7 +223,7 @@ TEST(TtfPool, VectorArrivalNMatchesScalarPerSecond) {
 TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   Rng rng(654);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPool pool(period);
+  TtfPoolBuilder builder(period);
   std::vector<std::uint32_t> fs;
   for (std::size_t n : {1u, 3u, 9u, 40u}) {
     std::vector<TtfPoint> pts;
@@ -227,8 +231,9 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(1 + rng.next_below(period))});
     }
-    fs.push_back(pool.add(Ttf::build(std::move(pts), period)));
+    fs.push_back(builder.add(Ttf::build(std::move(pts), period)));
   }
+  const TtfPool pool = builder.finish();
   // Every second of two periods in one call per function: the batch spans
   // the wrap, exercising both the reciprocal modulo of the gather kernel
   // and the re-anchor path of the sorted merge.
@@ -284,12 +289,14 @@ TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {
       {.buckets_per_point = 0.25, .min_indexed_points = 5},  // low density
       {.buckets_per_point = 1.0, .min_indexed_points = 1000},  // index-free
   };
-  TtfPool reference(period, configs[0]);
-  for (const Ttf& f : ttfs) reference.add(f);
+  TtfPoolBuilder reference_builder(period, configs[0]);
+  for (const Ttf& f : ttfs) reference_builder.add(f);
+  const TtfPool reference = reference_builder.finish();
   std::size_t prev_bytes = reference.memory_bytes();
   for (std::size_t c = 1; c < std::size(configs); ++c) {
-    TtfPool pool(period, configs[c]);
-    for (const Ttf& f : ttfs) pool.add(f);
+    TtfPoolBuilder builder(period, configs[c]);
+    for (const Ttf& f : ttfs) builder.add(f);
+    const TtfPool pool = builder.finish();
     EXPECT_LE(pool.index_bytes(), reference.index_bytes()) << "config " << c;
     EXPECT_LE(pool.memory_bytes(), prev_bytes) << "config " << c;
     prev_bytes = pool.memory_bytes();
@@ -307,7 +314,7 @@ TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {
 TEST(TtfPool, BatchArrivalMatchesScalar) {
   Rng rng(123);
   const Time period = kP;
-  TtfPool pool(period);
+  TtfPoolBuilder builder(period);
   std::vector<std::uint32_t> idx;
   for (int f = 0; f < 40; ++f) {
     std::vector<TtfPoint> pts;
@@ -316,8 +323,9 @@ TEST(TtfPool, BatchArrivalMatchesScalar) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(1 + rng.next_below(7200))});
     }
-    idx.push_back(pool.add(Ttf::build(std::move(pts), period)));
+    idx.push_back(builder.add(Ttf::build(std::move(pts), period)));
   }
+  const TtfPool pool = builder.finish();
   std::vector<Time> batch(idx.size());
   for (Time t : {0u, 4321u, 43199u, 86399u, 100000u}) {
     pool.arrival_n(idx.data(), idx.size(), t, batch.data());
