@@ -21,11 +21,16 @@
 // reported ungated: shards adopt the mapped snapshot in place, so its
 // pages are shared (Pss splits them across every process mapping the
 // file, this one's oracle included) and the private share stays what one
-// shard needs on its own.
+// shard needs on its own. A final sweep starts fresh fleets of 1, 2 and 4
+// shards over the same file and samples each shard after a short load of
+// two client threads per shard: Pss falls with N, Private_Dirty should
+// stay flat in N (a one-shard fleet maps the file alone, so its clean file
+// pages show up as Private_Clean).
 //
 // Emits BENCH_shard.json (--json=FILE); CI gates on identity_match,
 // recovery_ms <= recovery_deadline_ms, corrupt_responses == 0, and
 // throughput_ratio >= 0.9 (--smoke).
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -87,15 +92,17 @@ bool check_identity(const LiveOverlay& live, std::uint16_t port,
   return true;
 }
 
-/// One shard's smaps_rollup memory, in kB.
+/// One shard's smaps_rollup memory, in kB, in a fleet of `shards`.
 struct ShardMemory {
   const char* phase = "";
+  unsigned shards = 0;
   unsigned shard = 0;
   std::uint64_t pss_kb = 0, private_clean_kb = 0, private_dirty_kb = 0;
 };
 
-ShardMemory read_shard_memory(const char* phase, unsigned shard, pid_t pid) {
-  ShardMemory m{phase, shard};
+ShardMemory read_shard_memory(const char* phase, unsigned shards,
+                              unsigned shard, pid_t pid) {
+  ShardMemory m{phase, shards, shard};
   std::ifstream in("/proc/" + std::to_string(pid) + "/smaps_rollup");
   std::string line;
   while (std::getline(in, line)) {
@@ -178,6 +185,14 @@ int run(int argc, char** argv) {
   {
     const OverlayGraph ov = contract_graph(net.tt, net.graph);
     save_snapshot(net.tt, &ov, snapshot_path);
+    // Write the file back before any shard maps it: page-cache pages that
+    // are still dirty count as Private_Dirty of a shard that maps them
+    // alone, which would charge the whole file to a one-shard fleet.
+    const int fd = ::open(snapshot_path.c_str(), O_RDONLY);
+    if (fd >= 0) {
+      ::fsync(fd);
+      ::close(fd);
+    }
   }
 
   const unsigned shard_workers =
@@ -202,16 +217,20 @@ int run(int argc, char** argv) {
   double recovery_ms = -1.0;
   LoadResult base, chaos, post;
   SupervisorStats st;
-  std::vector<ShardMemory> memory;
-  const auto sample_memory = [&](const char* phase) {
-    for (unsigned i = 0; i < sopt.shards; ++i) {
-      memory.push_back(read_shard_memory(phase, i, sup.shard_pid(i)));
-      const ShardMemory& m = memory.back();
-      std::cout << "shard " << i << " memory (" << phase << "): Pss "
-                << m.pss_kb << " kB, Private_Clean " << m.private_clean_kb
-                << " kB, Private_Dirty " << m.private_dirty_kb << " kB\n";
+  std::vector<ShardMemory> memory, sweep;
+  const auto sample_memory = [&](const char* phase, ShardSupervisor& fleet,
+                                 unsigned shards,
+                                 std::vector<ShardMemory>& into) {
+    for (unsigned i = 0; i < shards; ++i) {
+      into.push_back(read_shard_memory(phase, shards, i, fleet.shard_pid(i)));
+      const ShardMemory& m = into.back();
+      std::cout << "shard " << i << "/" << shards << " memory (" << phase
+                << "): Pss " << m.pss_kb << " kB, Private_Clean "
+                << m.private_clean_kb << " kB, Private_Dirty "
+                << m.private_dirty_kb << " kB\n";
     }
   };
+  std::vector<Case> cases;
 
   if (!sup.wait_healthy(2, 15'000.0)) {
     std::cerr << "fleet did not become healthy\n";
@@ -221,7 +240,6 @@ int run(int argc, char** argv) {
     MappedSnapshot mapped(snapshot_path);
     LiveOverlay live(mapped.load_timetable(), mapped.load_overlay());
     LiveQuerySession direct(live);
-    std::vector<Case> cases;
     Rng rng(4242);
     const int num_cases = std::max(16, num_queries());
     for (int i = 0; i < num_cases; ++i) {
@@ -236,7 +254,7 @@ int run(int argc, char** argv) {
     identity = check_identity(live, sup.port(), cases);
     std::cout << "identity (fleet vs direct session): "
               << (identity ? "byte-identical" : "MISMATCH") << "\n";
-    sample_memory("warm");
+    sample_memory("warm", sup, sopt.shards, memory);
 
     // --- baseline ------------------------------------------------------
     (void)run_load(sup.port(), cases, window_ms / 4, load_threads, 77);
@@ -307,11 +325,30 @@ int run(int argc, char** argv) {
     post = run_load(sup.port(), cases, window_ms, load_threads, 200);
     std::cout << "post-recovery: " << static_cast<std::uint64_t>(post.qps)
               << " qps over " << post.completed << " requests\n";
-    sample_memory("recovered");
+    sample_memory("recovered", sup, sopt.shards, memory);
   }
 
   sup.stop();
   st = sup.stats();
+
+  // --- per-shard memory across fleet sizes (ungated) -------------------
+  if (exit_code == 0) {
+    for (const unsigned shards : {1u, 2u, 4u}) {
+      SupervisorOptions fopt = sopt;
+      fopt.shards = shards;
+      ShardSupervisor fleet(fopt);
+      fleet.start();
+      if (!fleet.wait_healthy(shards, 15'000.0)) {
+        std::cerr << "sweep fleet of " << shards
+                  << " did not become healthy; not sampled\n";
+      } else {
+        (void)run_load(fleet.port(), cases, window_ms / 4,
+                       2 * shards, 300 + shards);
+        sample_memory("sweep", fleet, shards, sweep);
+      }
+      fleet.stop();
+    }
+  }
   std::remove(snapshot_path.c_str());
 
   const double ratio = base.qps > 0 ? post.qps / base.qps : 0.0;
@@ -343,17 +380,21 @@ int run(int argc, char** argv) {
         .field("hung_kills", st.hung_kills)
         .field("hold_downs", st.hold_downs)
         .field("drained_ok", st.drained_ok);
-    w.key("shard_memory").begin_array();
-    for (const ShardMemory& m : memory) {
-      w.begin_object()
-          .field("phase", m.phase)
-          .field("shard", m.shard)
-          .field("pss_kb", m.pss_kb)
-          .field("private_clean_kb", m.private_clean_kb)
-          .field("private_dirty_kb", m.private_dirty_kb)
-          .end_object();
+    for (const auto& [key, samples] :
+         {std::pair{"shard_memory", &memory}, std::pair{"memory_sweep", &sweep}}) {
+      w.key(key).begin_array();
+      for (const ShardMemory& m : *samples) {
+        w.begin_object()
+            .field("phase", m.phase)
+            .field("shards", m.shards)
+            .field("shard", m.shard)
+            .field("pss_kb", m.pss_kb)
+            .field("private_clean_kb", m.private_clean_kb)
+            .field("private_dirty_kb", m.private_dirty_kb)
+            .end_object();
+      }
+      w.end_array();
     }
-    w.end_array();
     w.end_object();
     emit_json(w.str());
   }

@@ -1,36 +1,114 @@
 #include "graph/td_graph.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "graph/overlay_graph.hpp"
+#include "timetable/load_error.hpp"
 
 namespace pconn {
 
-TdGraph TdGraph::build(const Timetable& tt) {
-  return build(tt, TtfIndexOptions::from_env());
+TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
+  TtfPoolBuilder pool(tt.period(), idx);
+  TdGraph g = walk(tt, [&pool](std::span<const TtfPoint> pts) {
+    return pool.add_raw(pts);
+  });
+  g.ttfs_ = pool.finish();
+  return g;
 }
 
-TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
+TdGraph TdGraph::adopt(const Timetable& tt, const OverlayGraph& ov) {
+  const auto bad_count = [](const std::string& what) {
+    return LoadError(LoadError::Kind::kBadCount,
+                     "adopted overlay does not match the timetable: " + what);
+  };
+  const TtfPool& pool = ov.ttfs();
+  const std::uint32_t base = ov.num_base_ttfs();
+  if (ov.period() != tt.period() || pool.period() != tt.period()) {
+    throw bad_count("period");
+  }
+  if (ov.num_stations() != tt.num_stations()) throw bad_count("stations");
+  for (StationId s = 0; s < tt.num_stations(); ++s) {
+    if (ov.board_shift(s) != tt.transfer_time(s)) {
+      throw bad_count("transfer time of station " + std::to_string(s));
+    }
+  }
+  if (base > pool.size()) throw bad_count("base functions");
+
+  std::uint32_t next = 0;
+  TdGraph g = walk(tt, [&](std::span<const TtfPoint> pts) {
+    if (next >= base) throw bad_count("base functions");
+    if (!std::ranges::equal(pts, pool.points(next))) {
+      throw LoadError(LoadError::Kind::kCorrupt,
+                      "adopted overlay does not match the timetable: base "
+                      "function " + std::to_string(next) + " differs");
+    }
+    return next++;
+  });
+  if (next != base) throw bad_count("base functions");
+  if (g.num_nodes() != ov.num_nodes()) throw bad_count("nodes");
+  if (g.num_edges() != ov.num_base_edges()) throw bad_count("base edges");
+  g.ttfs_ = pool.prefix(base);
+  return g;
+}
+
+TdGraph TdGraph::rebased(const OverlayGraph& ov) const {
+  const auto differs = [] {
+    return std::logic_error(
+        "td_graph: overlay base functions differ from the graph's pool");
+  };
+  const auto n = static_cast<std::uint32_t>(ttfs_.size());
+  if (ov.num_base_ttfs() != n || ov.period() != period_) throw differs();
+  TdGraph g = *this;
+  g.ttfs_ = ov.ttfs().prefix(n);
+  const auto same = [](std::span<const std::byte> a,
+                       std::span<const std::byte> b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+  };
+  if (!std::ranges::equal(ttfs_.array_bytes(), g.ttfs_.array_bytes(), same)) {
+    throw differs();
+  }
+  return g;
+}
+
+TdGraph TdGraph::walk(const Timetable& tt,
+                      FunctionRef<std::uint32_t(std::span<const TtfPoint>)> ttf) {
   TdGraph g;
   g.num_stations_ = tt.num_stations();
   g.period_ = tt.period();
-  TtfPoolBuilder pool(tt.period(), idx);
 
   // Node numbering: stations first, then route nodes grouped by route.
-  g.station_of_.resize(tt.num_stations());
-  for (StationId s = 0; s < tt.num_stations(); ++s) g.station_of_[s] = s;
-  g.route_node_begin_.resize(tt.num_routes());
+  std::vector<StationId> station_of(tt.num_stations());
+  std::iota(station_of.begin(), station_of.end(), StationId{0});
+  std::vector<NodeId> route_node_begin(tt.num_routes());
   for (RouteId r = 0; r < tt.num_routes(); ++r) {
-    g.route_node_begin_[r] = static_cast<NodeId>(g.station_of_.size());
-    for (StationId s : tt.route(r).stops) g.station_of_.push_back(s);
+    route_node_begin[r] = static_cast<NodeId>(station_of.size());
+    for (StationId s : tt.route(r).stops) station_of.push_back(s);
   }
+  const std::size_t n = station_of.size();
 
-  // Collect edges per node, already in the packed SoA encoding.
-  struct RawEdge {
-    NodeId head;
-    std::uint32_t word;
-  };
+  // Out-degrees, then CSR offsets. A route node has its alight edge and,
+  // unless it is the terminus, a travel edge; a station has one board
+  // edge per non-terminal stop of a route at it.
+  std::vector<std::uint32_t> edge_begin(n + 1, 0);
+  for (RouteId r = 0; r < tt.num_routes(); ++r) {
+    const auto stops = tt.route(r).stops;
+    for (std::size_t k = 0; k < stops.size(); ++k) {
+      const bool travels = k + 1 < stops.size();
+      edge_begin[route_node_begin[r] + k + 1] = travels ? 2 : 1;
+      if (travels) ++edge_begin[stops[k] + 1];
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    g.max_out_degree_ = std::max(g.max_out_degree_, edge_begin[v + 1]);
+  }
+  std::partial_sum(edge_begin.begin(), edge_begin.end(), edge_begin.begin());
+
   // The packed word encoding steals the top bit for the const flag; a
   // weight that collides with it would silently alias a TTF index in
   // Release builds, so reject it loudly (a transfer time this large is a
@@ -43,60 +121,50 @@ TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
     }
     return kConstFlag | static_cast<std::uint32_t>(weight);
   };
-  std::vector<std::vector<RawEdge>> adj(g.station_of_.size());
-
+  // Fill each node's block in (route, position) order, the order edges
+  // and functions are numbered in.
+  std::vector<std::uint32_t> cursor(edge_begin.begin(), edge_begin.end() - 1);
+  std::vector<NodeId> heads(edge_begin.back());
+  std::vector<std::uint32_t> words(edge_begin.back());
+  const auto add_edge = [&](NodeId tail, NodeId head, std::uint32_t word) {
+    heads[cursor[tail]] = head;
+    words[cursor[tail]++] = word;
+  };
+  // Only a route node's travel edge is time-dependent.
+  std::vector<std::uint8_t> ttf_out_degree(n, 0);
+  std::vector<TtfPoint> pts;
+  std::vector<std::uint8_t> keep;
   for (RouteId r = 0; r < tt.num_routes(); ++r) {
-    const Route& route = tt.route(r);
-    const std::size_t n = route.stops.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      NodeId rn = g.route_node(r, static_cast<std::uint32_t>(k));
-      StationId s = route.stops[k];
+    const Route route = tt.route(r);
+    const std::size_t len = route.stops.size();
+    for (std::size_t k = 0; k < len; ++k) {
+      const NodeId rn = route_node_begin[r] + static_cast<NodeId>(k);
+      const StationId s = route.stops[k];
       // Alighting is free.
-      adj[rn].push_back({g.station_node(s), const_word(0)});
-      // Boarding pays the transfer time; boarding at the terminus is useless.
-      if (k + 1 < n) {
-        adj[g.station_node(s)].push_back({rn, const_word(tt.transfer_time(s))});
-      }
-      // Travel edge with one connection point per trip.
-      if (k + 1 < n) {
-        std::vector<TtfPoint> pts;
-        pts.reserve(route.trips.size());
+      add_edge(rn, s, const_word(0));
+      // Boarding pays the transfer time; boarding at the terminus is
+      // useless. The travel edge carries one connection point per trip.
+      if (k + 1 < len) {
+        add_edge(s, rn, const_word(tt.transfer_time(s)));
+        pts.clear();
         for (TrainId t : route.trips) {
           const Trip& trip = tt.trip(t);
-          Time dep = trip.departures[k] % tt.period();
-          Time dur = trip.arrivals[k + 1] - trip.departures[k];
-          pts.push_back({dep, dur});
+          pts.push_back({trip.departures[k] % tt.period(),
+                         trip.arrivals[k + 1] - trip.departures[k]});
         }
-        const std::uint32_t ttf_idx =
-            pool.add(Ttf::build(std::move(pts), tt.period()));
-        adj[rn].push_back(
-            {g.route_node(r, static_cast<std::uint32_t>(k + 1)), ttf_idx});
+        Ttf::normalize(pts, tt.period(), keep);
+        add_edge(rn, rn + 1, ttf(pts));
+        ttf_out_degree[rn] = 1;
       }
     }
   }
 
-  g.edge_begin_.assign(g.station_of_.size() + 1, 0);
-  for (std::size_t v = 0; v < adj.size(); ++v) {
-    g.edge_begin_[v + 1] = static_cast<std::uint32_t>(adj[v].size());
-    g.max_out_degree_ =
-        std::max(g.max_out_degree_, static_cast<std::uint32_t>(adj[v].size()));
-  }
-  std::partial_sum(g.edge_begin_.begin(), g.edge_begin_.end(),
-                   g.edge_begin_.begin());
-  g.heads_.reserve(g.edge_begin_.back());
-  g.ttf_or_weight_.reserve(g.edge_begin_.back());
-  g.ttf_out_degree_.reserve(adj.size());
-  for (auto& out : adj) {
-    std::size_t ttf_edges = 0;
-    for (const RawEdge& e : out) {
-      g.heads_.push_back(e.head);
-      g.ttf_or_weight_.push_back(e.word);
-      if (!word_is_const(e.word)) ++ttf_edges;
-    }
-    g.ttf_out_degree_.push_back(
-        static_cast<std::uint8_t>(std::min<std::size_t>(ttf_edges, 255)));
-  }
-  g.ttfs_ = pool.finish();
+  g.station_of_ = ConstArray(std::move(station_of));
+  g.route_node_begin_ = ConstArray(std::move(route_node_begin));
+  g.edge_begin_ = ConstArray(std::move(edge_begin));
+  g.heads_ = ConstArray(std::move(heads));
+  g.ttf_or_weight_ = ConstArray(std::move(words));
+  g.ttf_out_degree_ = ConstArray(std::move(ttf_out_degree));
   return g;
 }
 

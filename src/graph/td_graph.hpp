@@ -20,16 +20,24 @@
 // bucket-indexed eval that replaces the per-relax binary search. The
 // `Edge` struct survives as a decoded per-edge view so non-hot callers and
 // tests keep the familiar `for (const TdGraph::Edge& e : g.out_edges(v))`.
+//
+// Every array is a ConstArray, so copies share them. A graph that serves
+// beside a contraction overlay owns no pool: the overlay's pool starts
+// with this graph's functions verbatim (OverlayGraph::num_base_ttfs), and
+// the graph reads that prefix in place (adopt(), rebased()).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/ttf_pool.hpp"
 #include "timetable/timetable.hpp"
+#include "util/const_array.hpp"
+#include "util/function_ref.hpp"
 
 namespace pconn {
+
+class OverlayGraph;
 
 constexpr std::uint32_t kNoTtf = std::numeric_limits<std::uint32_t>::max();
 
@@ -57,11 +65,26 @@ class TdGraph {
   }
   static std::uint32_t word_ttf(std::uint32_t w) { return w; }
 
-  static TdGraph build(const Timetable& tt);
-  /// Build with an explicit per-network TTF-index configuration (memory /
+  /// The graph of `tt` with a pool of its own, indexed per `idx` (memory /
   /// eval-speed knob, see TtfIndexOptions). Results are bit-identical for
   /// any configuration; only index memory and scan lengths change.
-  static TdGraph build(const Timetable& tt, const TtfIndexOptions& idx);
+  static TdGraph build(const Timetable& tt, const TtfIndexOptions& idx = {});
+
+  /// The graph of `tt` reading `ov`'s base functions in place: a shard
+  /// adopting a mapped snapshot allocates no pool. The structure walk is
+  /// build()'s; it recomputes every travel function from `tt` and compares
+  /// it point for point with the overlay's, so an overlay contracted from
+  /// another timetable (or another epoch of this one) is refused. Throws
+  /// LoadError: kBadCount when the counts, period or transfer times
+  /// disagree, kCorrupt on the first function that differs.
+  static TdGraph adopt(const Timetable& tt, const OverlayGraph& ov);
+
+  /// This graph reading `ov`'s base functions in place of its own pool,
+  /// which the result drops. `ov` must have been contracted or re-linked
+  /// from this graph: its base prefix is checked byte for byte against the
+  /// own pool (std::logic_error otherwise). The structure arrays are
+  /// shared with this graph.
+  TdGraph rebased(const OverlayGraph& ov) const;
 
   NodeId num_nodes() const { return static_cast<NodeId>(station_of_.size()); }
   std::size_t num_edges() const { return heads_.size(); }
@@ -160,15 +183,22 @@ class TdGraph {
   std::size_t memory_bytes() const;
 
  private:
+  /// The structure walk build() and adopt() share: node numbering, the
+  /// CSR in edge order, and each travel edge's normalized function handed
+  /// to `ttf`, which returns its pool index. Functions come in (route,
+  /// position) order — the numbering every overlay's base prefix keeps.
+  static TdGraph walk(const Timetable& tt,
+                      FunctionRef<std::uint32_t(std::span<const TtfPoint>)> ttf);
+
   std::size_t num_stations_ = 0;
   Time period_ = kDayseconds;
   std::uint32_t max_out_degree_ = 0;
-  std::vector<StationId> station_of_;       // per node
-  std::vector<NodeId> route_node_begin_;    // per route
-  std::vector<std::uint32_t> edge_begin_;   // CSR offsets, num_nodes()+1
-  std::vector<NodeId> heads_;               // per edge
-  std::vector<std::uint32_t> ttf_or_weight_;  // per edge, packed (see top)
-  std::vector<std::uint8_t> ttf_out_degree_;  // per node, saturated at 255
+  ConstArray<StationId> station_of_;          // per node
+  ConstArray<NodeId> route_node_begin_;       // per route
+  ConstArray<std::uint32_t> edge_begin_;      // CSR offsets, num_nodes()+1
+  ConstArray<NodeId> heads_;                  // per edge
+  ConstArray<std::uint32_t> ttf_or_weight_;   // per edge, packed (see top)
+  ConstArray<std::uint8_t> ttf_out_degree_;   // per node, saturated at 255
   TtfPool ttfs_;
 };
 

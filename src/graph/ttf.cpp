@@ -8,7 +8,15 @@ namespace pconn {
 Ttf Ttf::build(std::vector<TtfPoint> points, Time period) {
   Ttf f;
   f.period_ = period;
-  if (points.empty()) return f;
+  std::vector<std::uint8_t> keep;
+  normalize(points, period, keep);
+  f.points_ = std::move(points);
+  return f;
+}
+
+void Ttf::normalize(std::vector<TtfPoint>& points, Time period,
+                    std::vector<std::uint8_t>& keep) {
+  if (points.empty()) return;
   for ([[maybe_unused]] const TtfPoint& p : points) assert(p.dep < period);
 
   std::sort(points.begin(), points.end(),
@@ -17,47 +25,46 @@ Ttf Ttf::build(std::vector<TtfPoint> points, Time period) {
             });
   // Unique departures: the fastest ride wins (sort order guarantees it
   // comes first).
-  std::vector<TtfPoint> uniq;
-  uniq.reserve(points.size());
-  for (const TtfPoint& p : points) {
-    if (!uniq.empty() && uniq.back().dep == p.dep) continue;
-    uniq.push_back(p);
-  }
+  points.erase(std::unique(points.begin(), points.end(),
+                           [](const TtfPoint& a, const TtfPoint& b) {
+                             return a.dep == b.dep;
+                           }),
+               points.end());
 
   // Cyclic domination pruning: drop point i when waiting for the next kept
   // point j (possibly wrapping) arrives no later: Delta(dep_i, dep_j) +
   // dur_j <= dur_i. Backward circular sweeps until a fixpoint; each kept
   // point then transitively beats waiting for any later one, which makes
   // "take the next departure" the optimal policy and eval() O(log n).
-  std::vector<bool> keep(uniq.size(), true);
-  std::size_t kept = uniq.size();
+  keep.assign(points.size(), 1);
+  std::size_t kept = points.size();
   bool changed = true;
   while (changed && kept > 1) {
     changed = false;
     // next_kept[i]: first kept index cyclically after i.
     std::size_t next = std::size_t(-1);
-    for (std::size_t i = 0; i < uniq.size(); ++i) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
       if (keep[i]) {
         next = i;
         break;
       }
     }
-    for (std::size_t step = uniq.size(); step-- > 0 && kept > 1;) {
+    for (std::size_t step = points.size(); step-- > 0 && kept > 1;) {
       std::size_t i = step;
       if (!keep[i]) continue;
       // Find the kept successor of i (cyclically). `next` tracks the first
       // kept point after the current one in this backward sweep.
       if (next == i) {
         // recompute: first kept after i
-        std::size_t j = (i + 1) % uniq.size();
-        while (!keep[j]) j = (j + 1) % uniq.size();
+        std::size_t j = (i + 1) % points.size();
+        while (!keep[j]) j = (j + 1) % points.size();
         next = j;
       }
       std::size_t j = next;
       if (j != i) {
-        Time wait = delta(uniq[i].dep, uniq[j].dep, period);
-        if (wait + uniq[j].dur <= uniq[i].dur) {
-          keep[i] = false;
+        Time wait = delta(points[i].dep, points[j].dep, period);
+        if (wait + points[j].dur <= points[i].dur) {
+          keep[i] = 0;
           --kept;
           changed = true;
         }
@@ -66,11 +73,11 @@ Ttf Ttf::build(std::vector<TtfPoint> points, Time period) {
     }
   }
 
-  f.points_.reserve(kept);
-  for (std::size_t i = 0; i < uniq.size(); ++i) {
-    if (keep[i]) f.points_.push_back(uniq[i]);
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (keep[i]) points[out++] = points[i];
   }
-  return f;
+  points.resize(out);
 }
 
 std::size_t Ttf::point_used(Time t) const {

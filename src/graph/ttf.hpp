@@ -34,6 +34,11 @@ class Ttf {
   /// ride per departure time, prunes dominated points (cyclically).
   /// Departures must already lie in [0, period).
   static Ttf build(std::vector<TtfPoint> points, Time period);
+  /// build()'s normalization in place: `points` ends up holding exactly
+  /// the points build() keeps. `keep` is scratch, so a caller walking
+  /// many functions reuses both buffers and allocates nothing once warm.
+  static void normalize(std::vector<TtfPoint>& points, Time period,
+                        std::vector<std::uint8_t>& keep);
 
   bool empty() const { return points_.empty(); }
   std::size_t size() const { return points_.size(); }

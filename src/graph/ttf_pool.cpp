@@ -2,21 +2,26 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "util/simd.hpp"
 
 namespace pconn {
 
-TtfIndexOptions TtfIndexOptions::from_env() {
-  TtfIndexOptions opt;
-  if (const char* v = std::getenv("PCONN_TTF_BUCKET_DENSITY")) {
-    opt.buckets_per_point = std::atof(v);
+TtfPool TtfPool::prefix(std::uint32_t n) const {
+  assert(n <= meta_.size());
+  // Functions are laid out in add order, so [0, n) is a prefix of each of
+  // the three arrays.
+  std::size_t points = 0, buckets = 0;
+  if (n > 0) {
+    const TtfMeta& last = meta_[n - 1];
+    points = std::size_t{last.first} + last.count;
+    buckets = std::size_t{last.bucket0} + (std::size_t{1} << last.log2b);
   }
-  if (const char* v = std::getenv("PCONN_TTF_MIN_INDEXED")) {
-    opt.min_indexed_points = static_cast<std::uint32_t>(std::atoi(v));
-  }
-  return opt;
+  TtfPool out(period_, idx_);
+  out.points_ = points_.prefix(points);
+  out.meta_ = meta_.prefix(n);
+  out.bucket_idx_ = bucket_idx_.prefix(buckets);
+  return out;
 }
 
 std::uint32_t TtfPool::log2_buckets(std::size_t count) const {

@@ -69,10 +69,6 @@ struct TtfIndexOptions {
   /// Functions with fewer points keep a single bucket — no index, linear
   /// lower_bound scan from the first point. 5 is free (see above).
   std::uint32_t min_indexed_points = 5;
-
-  /// Defaults overridable via PCONN_TTF_BUCKET_DENSITY and
-  /// PCONN_TTF_MIN_INDEXED (per-network tuning without a rebuild).
-  static TtfIndexOptions from_env();
 };
 
 class TtfPool {
@@ -220,6 +216,11 @@ class TtfPool {
   std::vector<std::span<const std::byte>> array_bytes() const {
     return {points_.bytes(), meta_.bytes(), bucket_idx_.bytes()};
   }
+  /// Functions [0, n) as a pool of their own: prefix views of this pool's
+  /// three arrays that share its storage and keep it alive. Evaluates
+  /// bit-identically to this pool for every f < n (a TdGraph reads its
+  /// overlay's base functions this way, see OverlayGraph::num_base_ttfs).
+  TtfPool prefix(std::uint32_t n) const;
   /// Index-only share of memory_bytes() (docs/architecture.md reporting).
   std::size_t index_bytes() const {
     return meta_.size() * sizeof(TtfMeta) +
@@ -315,8 +316,7 @@ class TtfPool {
 /// new functions from earlier ones while they build.
 class TtfPoolBuilder {
  public:
-  explicit TtfPoolBuilder(Time period = kDayseconds,
-                          TtfIndexOptions idx = TtfIndexOptions::from_env())
+  explicit TtfPoolBuilder(Time period = kDayseconds, TtfIndexOptions idx = {})
       : view_(period, idx) {}
 
   /// Appends a built (sorted, pruned) function; returns its pool index.

@@ -16,17 +16,19 @@ LiveOverlay::LiveOverlay(Timetable tt, LiveOverlayOptions opt)
   opt_.contraction.faults = opt_.faults;
 
   auto tt_ptr = std::make_shared<const Timetable>(std::move(tt));
-  auto g_ptr = std::make_shared<const TdGraph>(TdGraph::build(*tt_ptr));
+  TdGraph g = TdGraph::build(*tt_ptr);
   auto snap = std::make_shared<LiveSnapshot>();
   snap->epoch = 0;
   snap->tt = tt_ptr;
-  snap->graph = g_ptr;
   try {
-    snap->overlay = std::make_shared<const OverlayGraph>(
-        contract(*tt_ptr, *g_ptr));
+    snap->overlay =
+        std::make_shared<const OverlayGraph>(contract(*tt_ptr, g));
+    snap->graph = std::make_shared<const TdGraph>(g.rebased(*snap->overlay));
   } catch (const std::exception&) {
     // Injected fault / allocation failure during the initial build: start
     // degraded — flat engines are exact, retry() restores the overlay.
+    snap->overlay = nullptr;
+    snap->graph = std::make_shared<const TdGraph>(std::move(g));
     snap->degraded = true;
     snap->bypassed_stations = all_stations(*tt_ptr);
     ++stats_.degradations;
@@ -42,18 +44,10 @@ LiveOverlay::LiveOverlay(Timetable tt, OverlayGraph overlay,
   opt_.contraction.faults = opt_.faults;
 
   auto tt_ptr = std::make_shared<const Timetable>(std::move(tt));
-  auto g_ptr = std::make_shared<const TdGraph>(TdGraph::build(*tt_ptr));
-  // The engine constructors re-validate these counts at bind time; check
-  // here too so a stale snapshot fails at adoption, before the first
-  // query pins the epoch.
-  if (overlay.num_nodes() != g_ptr->num_nodes() ||
-      overlay.num_stations() != tt_ptr->num_stations() ||
-      overlay.num_base_ttfs() != g_ptr->ttfs().size() ||
-      overlay.num_base_edges() != g_ptr->num_edges()) {
-    throw std::runtime_error(
-        "live: adopted overlay does not match the timetable "
-        "(snapshot from a different dataset?)");
-  }
+  // Checks the overlay's base functions against the timetable, so a stale
+  // snapshot fails here, before the first query pins the epoch.
+  auto g_ptr =
+      std::make_shared<const TdGraph>(TdGraph::adopt(*tt_ptr, overlay));
   auto snap = std::make_shared<LiveSnapshot>();
   snap->epoch = 0;
   snap->tt = tt_ptr;
@@ -122,10 +116,12 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
   // in. A malformed event dies here — nothing published, serving state
   // untouched (the "malformed event" degradation path is a rejection).
   std::shared_ptr<const Timetable> tt_new;
-  std::shared_ptr<const TdGraph> g_new;
+  TdGraph g_new;
   try {
     tt_new = std::make_shared<const Timetable>(apply_event(*cur->tt, ev));
-    g_new = std::make_shared<const TdGraph>(TdGraph::build(*tt_new));
+    // Same index options as the serving pool, so the next overlay's base
+    // prefix is byte-identical to this graph's pool.
+    g_new = TdGraph::build(*tt_new, cur->graph->ttfs().index_options());
   } catch (const std::exception& e) {
     ++stats_.events_rejected;
     res.status = ApplyStatus::kRejected;
@@ -138,14 +134,13 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
   auto next = std::make_shared<LiveSnapshot>();
   next->epoch = cur->epoch + 1;
   next->tt = tt_new;
-  next->graph = g_new;
   res.epoch = next->epoch;
 
   // 1. Incremental re-link off the healthy overlay.
   if (cur->overlay != nullptr && !cur->degraded) {
     try {
       RelinkResult r =
-          relink_overlay(*tt_new, *g_new, *cur->graph, *cur->overlay,
+          relink_overlay(*tt_new, g_new, *cur->graph, *cur->overlay,
                          opt_.relink);
       res.relink_status = r.status;
       res.relink = r.stats;
@@ -153,6 +148,8 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
       if (r.status == RelinkStatus::kRelinked) {
         next->overlay =
             std::make_shared<const OverlayGraph>(std::move(r.overlay));
+        next->graph =
+            std::make_shared<const TdGraph>(g_new.rebased(*next->overlay));
         ++stats_.relinks;
         failed_attempts_ = 0;
         prev_backoff_ms_ = 0.0;
@@ -164,7 +161,9 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
         // 2. The perturbation changed the graph's structure (route split,
         // cancelled/extra trip): re-contract from scratch.
         next->overlay = std::make_shared<const OverlayGraph>(
-            contract(*tt_new, *g_new));
+            contract(*tt_new, g_new));
+        next->graph =
+            std::make_shared<const TdGraph>(g_new.rebased(*next->overlay));
         ++stats_.recontractions;
         failed_attempts_ = 0;
         prev_backoff_ms_ = 0.0;
@@ -184,7 +183,9 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
 
   // 3. Degrade: publish the new timetable WITHOUT an overlay. The flat
   // engines serve every station exactly; retry() rebuilds in background.
+  // The graph keeps its own pool.
   next->overlay = nullptr;
+  next->graph = std::make_shared<const TdGraph>(std::move(g_new));
   next->degraded = true;
   next->bypassed_stations = all_stations(*tt_new);
   ++stats_.degradations;
@@ -216,10 +217,13 @@ ApplyResult LiveOverlay::retry() {
   try {
     auto next = std::make_shared<LiveSnapshot>();
     next->epoch = cur->epoch + 1;
-    next->tt = cur->tt;        // recovery reuses the degraded epoch's world
-    next->graph = cur->graph;  // — only the overlay is new
+    // Recovery reuses the degraded epoch's timetable and graph structure;
+    // the graph now reads the new overlay's base prefix.
+    next->tt = cur->tt;
     next->overlay = std::make_shared<const OverlayGraph>(
         contract(*cur->tt, *cur->graph));
+    next->graph =
+        std::make_shared<const TdGraph>(cur->graph->rebased(*next->overlay));
     ++stats_.recoveries;
     failed_attempts_ = 0;
     prev_backoff_ms_ = 0.0;

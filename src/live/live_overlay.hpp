@@ -50,10 +50,12 @@ namespace pconn {
 /// Readers hold the snapshot (and thus all three worlds) via shared_ptr
 /// for the duration of a query; the inner shared_ptrs let consecutive
 /// snapshots share unchanged pieces (a retry() reuses the degraded
-/// epoch's timetable and graph, only the overlay is new).
+/// epoch's timetable and graph structure, only the overlay is new).
 struct LiveSnapshot {
   std::uint64_t epoch = 0;
   std::shared_ptr<const Timetable> tt;
+  /// With an overlay, the graph owns no pool: it reads the overlay pool's
+  /// base prefix (TdGraph::adopt / rebased). Degraded, it owns its pool.
   std::shared_ptr<const TdGraph> graph;
   /// Null while degraded (or when overlays are disabled): queries route
   /// through the flat engines — slower, still exact.
@@ -131,10 +133,11 @@ class LiveOverlay {
 
   /// Adopts a pre-built overlay (a MappedSnapshot load) as epoch 0,
   /// skipping the initial contraction entirely — the fast path a restarted
-  /// shard takes to be serving warm in milliseconds. The overlay must
-  /// match `tt` (same dataset); counts are validated eagerly and a
-  /// mismatch throws std::runtime_error — a stale snapshot must fail at
-  /// startup, not at query time.
+  /// shard takes to be serving warm in milliseconds. The graph reads the
+  /// overlay's base functions in place, so no pool is allocated. The
+  /// overlay must match `tt`: TdGraph::adopt recomputes every base
+  /// function from `tt` and throws LoadError on any difference — a stale
+  /// snapshot must fail at startup, not at query time.
   LiveOverlay(Timetable tt, OverlayGraph overlay, LiveOverlayOptions opt = {});
 
   /// The current epoch; copy the returned pointer ONCE per query and read

@@ -38,7 +38,13 @@
 //   - overlay: CSR monotonicity, head/word/origin/record ranges, record
 //     acyclicity, rank-descending down order, down positions the exact
 //     inverse of it; the pool's functions contiguous with sorted points,
-//     and its bucket index recomputed from the points and compared.
+//     and its bucket index recomputed from the points and compared;
+//   - base functions, when a LiveOverlay adopts the pair: the flat graph
+//     reads the overlay pool's first num_base_ttfs() functions instead of
+//     building its own, so TdGraph::adopt recomputes each of them from
+//     the adopted timetable and compares them point for point (an overlay
+//     contracted from another timetable is kCorrupt, a count or transfer
+//     time that disagrees is kBadCount).
 // The contract is valid-or-thrown: any truncation or bit flip yields a
 // typed LoadError, never a crash — tests/serialize_test.cpp sweeps both.
 #pragma once
@@ -58,8 +64,8 @@ namespace pconn {
 
 /// Writes `tt` (+ `ov`, when non-null) as one snapshot file at `path`,
 /// published atomically (temp file + rename). Throws std::runtime_error on
-/// IO failure. The overlay must have been built from `tt` — load-time
-/// engine binding validates the counts.
+/// IO failure. The overlay must have been built from `tt` — adoption
+/// (TdGraph::adopt) checks its base functions against the timetable.
 void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
                    const std::string& path);
 

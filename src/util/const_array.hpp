@@ -6,7 +6,8 @@
 // or a section of a mapped snapshot file (timetable/snapshot.hpp), whose
 // owner unmaps the file when the last array viewing it goes away. Readers
 // never see the difference, so no engine carries a mapped-versus-owned
-// code path. Copies share the storage; nothing is ever written through it.
+// code path. Copies and prefix views share the storage; nothing is ever
+// written through it.
 #pragma once
 
 #include <cassert>
@@ -54,6 +55,12 @@ class ConstArray {
     return {data_ + first, last - first};
   }
   std::span<const std::byte> bytes() const { return std::as_bytes(span()); }
+  /// The first n elements as an array of their own, sharing this one's
+  /// storage and keeping its owner alive.
+  ConstArray prefix(std::size_t n) const {
+    assert(n <= size_);
+    return ConstArray(data_, n, owner_);
+  }
 
  private:
   const T* data_ = nullptr;

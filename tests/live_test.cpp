@@ -18,6 +18,7 @@
 //    (global operator new/delete counters — this TU owns them).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -624,6 +625,122 @@ TEST(LiveOverlay, EventStreamKeepsServingExactly) {
     }
   }
   EXPECT_EQ(live.epoch(), stream.size());
+}
+
+// ------------------------------------------------ shared base-TTF pool ---
+
+/// True when the epoch's graph reads its overlay's base prefix in place:
+/// the same three pool arrays, starting at the same addresses.
+bool graph_pool_aliases_overlay(const LiveSnapshot& snap) {
+  if (snap.overlay == nullptr) return false;
+  if (snap.graph->ttfs().size() != snap.overlay->num_base_ttfs()) return false;
+  const auto g = snap.graph->ttfs().array_bytes();
+  const auto o = snap.overlay->ttfs().array_bytes();
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    if (g[i].empty() || g[i].data() != o[i].data() ||
+        g[i].size() > o[i].size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The epoch's flat engines answer exactly like ones over a fresh build of
+/// its timetable, whose pool the epoch's graph pool equals byte for byte.
+void expect_flat_graph_matches_fresh_build(const LiveSnapshot& snap) {
+  const TdGraph fresh = TdGraph::build(*snap.tt);
+  const TdGraph& g = *snap.graph;
+  ASSERT_EQ(g.num_nodes(), fresh.num_nodes());
+  ASSERT_EQ(g.num_edges(), fresh.num_edges());
+  for (TdGraph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(g.edge_head(e), fresh.edge_head(e)) << "edge " << e;
+    ASSERT_EQ(g.edge_word(e), fresh.edge_word(e)) << "edge " << e;
+  }
+  const auto mine = g.ttfs().array_bytes();
+  const auto want = fresh.ttfs().array_bytes();
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(mine[i], want[i])) << "pool array " << i;
+  }
+  TimeQuery a(*snap.tt, g), b(*snap.tt, fresh);
+  Rng rng(snap.epoch * 31 + 7);
+  for (int q = 0; q < 6; ++q) {
+    const auto s =
+        static_cast<StationId>(rng.next_below(snap.tt->num_stations()));
+    const auto dep = static_cast<Time>(rng.next_below(snap.tt->period()));
+    a.run(s, dep);
+    b.run(s, dep);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(a.arrival_at_node(v), b.arrival_at_node(v))
+          << "s " << s << " v " << v;
+    }
+  }
+}
+
+TEST(LiveOverlay, EveryEpochWithAnOverlayReadsItsBasePrefix) {
+  FaultInjector faults;
+  LiveOverlayOptions opt;
+  opt.faults = &faults;
+  opt.relink.faults = &faults;
+  LiveOverlay live(test::tiny_line(), opt);
+  const auto epoch0 = live.snapshot();
+  EXPECT_TRUE(graph_pool_aliases_overlay(*epoch0));
+  expect_flat_graph_matches_fresh_build(*epoch0);
+
+  ASSERT_EQ(live.apply(DelayEvent::delayed(0, 1, 300)).status,
+            ApplyStatus::kRelinked);
+  const auto relinked = live.snapshot();
+  EXPECT_TRUE(graph_pool_aliases_overlay(*relinked));
+  expect_flat_graph_matches_fresh_build(*relinked);
+
+  using St = TimetableBuilder::StopTime;
+  ASSERT_EQ(live.apply(DelayEvent::extra_trip({St{2, 10 * 3600, 10 * 3600},
+                                               St{0, 10 * 3600 + 900, 0}}))
+                .status,
+            ApplyStatus::kRecontracted);
+  const auto recontracted = live.snapshot();
+  EXPECT_TRUE(graph_pool_aliases_overlay(*recontracted));
+  expect_flat_graph_matches_fresh_build(*recontracted);
+
+  // A degraded epoch has no overlay to share with: its graph owns a pool
+  // of its own, apart from every overlay published before it.
+  faults.arm(FaultInjector::Site::kRelinkShortcut);
+  ASSERT_EQ(live.apply(DelayEvent::delayed(0, 1, 120)).status,
+            ApplyStatus::kDegraded);
+  const auto degraded = live.snapshot();
+  ASSERT_EQ(degraded->overlay, nullptr);
+  const auto own = degraded->graph->ttfs().array_bytes();
+  for (const auto& prev : {epoch0, relinked, recontracted}) {
+    const auto theirs = prev->overlay->ttfs().array_bytes();
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      EXPECT_NE(own[i].data(), theirs[i].data()) << "pool array " << i;
+    }
+  }
+  expect_flat_graph_matches_fresh_build(*degraded);
+
+  // Recovery shares the degraded graph's structure and moves its pool
+  // onto the new overlay's prefix.
+  ASSERT_EQ(live.retry().status, ApplyStatus::kRecontracted);
+  const auto recovered = live.snapshot();
+  EXPECT_TRUE(graph_pool_aliases_overlay(*recovered));
+  EXPECT_EQ(recovered->graph->heads_data(), degraded->graph->heads_data());
+  expect_flat_graph_matches_fresh_build(*recovered);
+}
+
+TEST(LiveOverlay, SharedPoolAnswersMatchAFreshBuildOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    SCOPED_TRACE(gen::preset_name(p));
+    LiveOverlay live(gen::make_preset(p, 0.05));
+    const auto snap = live.snapshot();
+    ASSERT_TRUE(graph_pool_aliases_overlay(*snap));
+    expect_flat_graph_matches_fresh_build(*snap);
+    // Adoption derives the same graph from the overlay alone.
+    LiveOverlay adopted(*snap->tt, *snap->overlay);
+    const auto a = adopted.snapshot();
+    EXPECT_TRUE(graph_pool_aliases_overlay(*a));
+    EXPECT_EQ(a->graph->ttfs().array_bytes()[0].data(),
+              snap->overlay->ttfs().array_bytes()[0].data());
+    expect_flat_graph_matches_fresh_build(*a);
+  }
 }
 
 // -------------------------------------------- warm allocation behaviour ---

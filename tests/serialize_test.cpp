@@ -354,15 +354,18 @@ TEST(Snapshot, AdoptedArraysAliasTheMappingAndOutliveIt) {
   std::optional<SnapshotTempFile> snap(std::in_place, w.tt, &w.ov);
   std::optional<Timetable> tt;
   std::optional<OverlayGraph> ov;
+  // The arrays keep the mapping alive, so its address range stays valid
+  // after the MappedSnapshot is gone.
+  std::span<const char> file;
+  const auto inside = [&](std::span<const std::byte> a) {
+    const auto* lo = reinterpret_cast<const std::byte*>(file.data());
+    return a.data() >= lo && a.data() + a.size() <= lo + file.size();
+  };
   {
     MappedSnapshot mapped(snap->path);
     tt = mapped.load_timetable();
     ov = mapped.load_overlay();
-    const std::span<const char> file = mapped.bytes();
-    const auto inside = [&](std::span<const std::byte> a) {
-      const auto* lo = reinterpret_cast<const std::byte*>(file.data());
-      return a.data() >= lo && a.data() + a.size() <= lo + file.size();
-    };
+    file = mapped.bytes();
     std::size_t arrays = 0;
     for (const auto& a : tt->array_bytes()) {
       if (a.empty()) continue;
@@ -382,6 +385,19 @@ TEST(Snapshot, AdoptedArraysAliasTheMappingAndOutliveIt) {
   snap.reset();
   LiveOverlay adopted(*tt, *ov);
   LiveOverlay built(w.tt, w.ov);
+  // The adopted graph allocates no pool: its pool arrays are the overlay
+  // pool's base prefix, in place in the mapping.
+  const auto epoch0 = adopted.snapshot();
+  const auto graph_pool = epoch0->graph->ttfs().array_bytes();
+  const auto overlay_pool = epoch0->overlay->ttfs().array_bytes();
+  ASSERT_EQ(epoch0->graph->ttfs().size(), epoch0->overlay->num_base_ttfs());
+  ASSERT_EQ(graph_pool.size(), overlay_pool.size());
+  for (std::size_t i = 0; i < graph_pool.size(); ++i) {
+    ASSERT_FALSE(graph_pool[i].empty()) << "graph pool array " << i;
+    EXPECT_TRUE(inside(graph_pool[i])) << "graph pool array " << i;
+    EXPECT_EQ(graph_pool[i].data(), overlay_pool[i].data()) << "array " << i;
+    EXPECT_LE(graph_pool[i].size(), overlay_pool[i].size()) << "array " << i;
+  }
   LiveQuerySession a(adopted), b(built);
   Rng rng(97);
   for (int i = 0; i < 24; ++i) {
@@ -394,6 +410,43 @@ TEST(Snapshot, AdoptedArraysAliasTheMappingAndOutliveIt) {
                 b.station_to_station(s, t).profile);
     }
   }
+}
+
+// A snapshot whose overlay was contracted from another epoch of the same
+// timetable has every count right; only its base functions disagree with
+// the timetable it ships with. Adoption recomputes them and refuses it.
+TEST(Snapshot, OverlayFromAnotherTimetableIsRejectedAtAdoption) {
+  const Timetable tt = gen::make_preset(gen::Preset::kOahuLike, 0.3);
+  const Timetable delayed = apply_event(
+      apply_event(tt, DelayEvent::delayed(0, 0, 240)),
+      DelayEvent::delayed(static_cast<TrainId>(tt.num_trips() / 2), 0, 420));
+  const TdGraph g = TdGraph::build(tt);
+  const TdGraph g_delayed = TdGraph::build(delayed);
+  const OverlayGraph ov_delayed = contract_graph(delayed, g_delayed);
+  // Precondition: the counts match, so only the functions can tell.
+  ASSERT_EQ(ov_delayed.num_nodes(), g.num_nodes());
+  ASSERT_EQ(ov_delayed.num_base_edges(), g.num_edges());
+  ASSERT_EQ(ov_delayed.num_base_ttfs(), g.ttfs().size());
+  bool differs = false;
+  for (std::uint32_t f = 0; f < g.ttfs().size() && !differs; ++f) {
+    differs = !std::ranges::equal(g.ttfs().points(f),
+                                  g_delayed.ttfs().points(f));
+  }
+  ASSERT_TRUE(differs);
+
+  SnapshotTempFile snap(tt, &ov_delayed);
+  MappedSnapshot mapped(snap.path);
+  try {
+    LiveOverlay live(mapped.load_timetable(), mapped.load_overlay());
+    FAIL() << "adopted an overlay contracted from another timetable";
+  } catch (const LoadError& e) {
+    EXPECT_EQ(e.kind(), LoadError::Kind::kCorrupt) << e.what();
+  }
+  // The matching pair is still adopted.
+  const OverlayGraph ov = contract_graph(tt, g);
+  SnapshotTempFile good(tt, &ov);
+  MappedSnapshot good_map(good.path);
+  EXPECT_NO_THROW(LiveOverlay(good_map.load_timetable(), good_map.load_overlay()));
 }
 
 TEST(Snapshot, RepublishIsAtomicAndLeavesAdoptedObjectsServing) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "graph/ttf.hpp"
 #include "graph/ttf_pool.hpp"
 #include "util/rng.hpp"
@@ -333,6 +335,79 @@ TEST(TtfPool, BatchArrivalMatchesScalar) {
       EXPECT_EQ(batch[i], pool.arrival(idx[i], t)) << "i=" << i << " t=" << t;
     }
   }
+}
+
+// A prefix view is the pool a TdGraph reads when it shares its overlay's
+// base functions: it must evaluate bit-identically to the full pool for
+// every function below n, its arrays must be prefixes of the full pool's
+// arrays (same storage), and it must keep that storage alive on its own.
+TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
+  Rng rng(2468);
+  const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
+  TtfPoolBuilder builder(period, {.buckets_per_point = 0.5,
+                                  .min_indexed_points = 3});
+  for (int f = 0; f < 30; ++f) {
+    std::vector<TtfPoint> pts;
+    const std::size_t n = rng.next_below(40);  // 0 = empty function
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({static_cast<Time>(rng.next_below(period)),
+                     static_cast<Time>(1 + rng.next_below(3 * period))});
+    }
+    builder.add(Ttf::build(std::move(pts), period));
+  }
+  std::optional<TtfPool> full(builder.finish());
+  std::vector<Time> ts;
+  for (Time t = 0; t < 2 * period; t += 3) ts.push_back(t);
+
+  for (const std::uint32_t n : {0u, 1u, 17u, 30u}) {
+    const TtfPool view = full->prefix(n);
+    ASSERT_EQ(view.size(), n);
+    EXPECT_EQ(view.period(), full->period());
+    const auto mine = view.array_bytes();
+    const auto theirs = full->array_bytes();
+    ASSERT_EQ(mine.size(), theirs.size());
+    for (std::size_t a = 0; a < mine.size(); ++a) {
+      EXPECT_LE(mine[a].size(), theirs[a].size()) << "array " << a;
+      if (n > 0) EXPECT_EQ(mine[a].data(), theirs[a].data()) << "array " << a;
+    }
+    if (n == full->size()) {
+      for (std::size_t a = 0; a < mine.size(); ++a) {
+        EXPECT_EQ(mine[a].size(), theirs[a].size()) << "array " << a;
+      }
+    }
+
+    std::vector<std::uint32_t> entries;
+    for (std::uint32_t f = 0; f < n; ++f) {
+      entries.push_back(f);
+      entries.push_back(TtfPool::kConstFlag | f);
+    }
+    std::vector<Time> got(std::max(entries.size(), ts.size()));
+    std::vector<Time> want(got.size());
+    for (Time t = 0; t < 2 * period; t += 7) {
+      view.arrival_n(entries.data(), entries.size(), t, got.data());
+      full->arrival_n(entries.data(), entries.size(), t, want.data());
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "n=" << n << " entry " << i;
+      }
+    }
+    for (std::uint32_t f = 0; f < n; ++f) {
+      for (Time t = 0; t < period; ++t) {
+        ASSERT_EQ(view.eval(f, t), full->eval(f, t)) << "f=" << f;
+      }
+      view.arrival_tn_sorted(f, ts.data(), ts.size(), got.data());
+      full->arrival_tn_sorted(f, ts.data(), ts.size(), want.data());
+      for (std::size_t i = 0; i < ts.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "f=" << f << " t=" << ts[i];
+      }
+    }
+  }
+
+  // The view owns a share of the storage: it outlives the full pool.
+  const TtfPool view = full->prefix(17);
+  std::vector<Time> before;
+  for (std::uint32_t f = 0; f < 17; ++f) before.push_back(full->eval(f, 123));
+  full.reset();
+  for (std::uint32_t f = 0; f < 17; ++f) EXPECT_EQ(view.eval(f, 123), before[f]);
 }
 
 }  // namespace
