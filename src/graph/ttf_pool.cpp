@@ -139,6 +139,16 @@ void TtfPoolBuilder::append_copy(const TtfPool& src, std::uint32_t begin,
   refresh_view();
 }
 
+void TtfPoolBuilder::reserve_like(const TtfPool& like, double factor) {
+  const auto scaled = [factor](std::size_t n) {
+    return static_cast<std::size_t>(static_cast<double>(n) * factor);
+  };
+  points_.reserve(scaled(like.points_.size()));
+  meta_.reserve(scaled(like.meta_.size()));
+  bucket_idx_.reserve(scaled(like.bucket_idx_.size()));
+  refresh_view();
+}
+
 void TtfPoolBuilder::refresh_view() {
   view_.points_ = ConstArray(points_.data(), points_.size(), nullptr);
   view_.meta_ = ConstArray(meta_.data(), meta_.size(), nullptr);
@@ -147,6 +157,9 @@ void TtfPoolBuilder::refresh_view() {
 }
 
 TtfPool TtfPoolBuilder::finish() {
+  points_.shrink_to_fit();
+  meta_.shrink_to_fit();
+  bucket_idx_.shrink_to_fit();
   TtfPool out(view_.period_, view_.idx_);
   out.points_ = ConstArray(std::move(points_));
   out.meta_ = ConstArray(std::move(meta_));

@@ -340,11 +340,17 @@ class TtfPoolBuilder {
   /// matching period and index options.
   void append_copy(const TtfPool& src, std::uint32_t begin, std::uint32_t end);
 
+  /// Reserves room for `factor` times `like`'s functions, points and
+  /// bucket entries, so appends up to that size never regrow the arrays
+  /// (the contraction sizes its overlay pool from the base pool this way).
+  void reserve_like(const TtfPool& like, double factor = 1.0);
+
   /// The functions appended so far; valid until the next append.
   const TtfPool& pool() const { return view_; }
   std::size_t num_points() const { return points_.size(); }
 
-  /// Hands the arrays over to a finished pool; the builder is left empty.
+  /// Hands the arrays over to a finished pool, each trimmed to its size so
+  /// no reserved or grown capacity stays behind; the builder is left empty.
   TtfPool finish();
 
  private:

@@ -145,14 +145,23 @@ void QueryServer::start() {
   if (running_.load(std::memory_order_acquire)) return;
 
   // Measure, don't guess: one probe session warmed through both engine
-  // families tells us the steady-state per-worker scratch footprint that
-  // the admission plan must reserve before it budgets queue slots.
+  // families from station 0 tells us the per-worker scratch footprint of
+  // that source's shape, which the admission plan reserves before it
+  // budgets queue slots. A profile search keeps |V| x |conn(S)| labels
+  // whatever the target, so the probe aims at the head of station 0's
+  // first outgoing connection — the search ends almost at once and
+  // reserves exactly what a far target would (tests/server_test.cpp).
   {
     LiveQuerySession probe(live_, session_opt_);
-    const std::size_t n = probe.pinned().tt->num_stations();
+    const Timetable& tt = *probe.pinned().tt;
+    const std::size_t n = tt.num_stations();
     if (n >= 2) {
-      (void)probe.earliest_arrival(0, 0, static_cast<StationId>(n - 1));
-      (void)probe.station_to_station(0, static_cast<StationId>(n - 1));
+      // No outgoing connection: both searches end at once for any target.
+      const auto out = tt.outgoing(0);
+      const StationId target =
+          out.empty() ? static_cast<StationId>(n - 1) : out.front().to;
+      (void)probe.earliest_arrival(0, 0, target);
+      (void)probe.station_to_station(0, target);
     }
     plan_ = plan_admission(opt_.memory_budget_bytes, opt_.workers,
                            probe.session().scratch_bytes_reserved(),

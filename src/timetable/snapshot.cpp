@@ -62,6 +62,8 @@ enum : std::uint32_t {
 
 /// The overlay's scalars and array lengths, the index options its pool was
 /// built with, and its ContractionStats. All 8-byte fields: no padding.
+/// contraction_ms is always written as 0: a wall-clock reading would make
+/// two saves of one overlay differ, so a loaded overlay reports none.
 struct OverlayMeta {
   std::uint64_t nodes, stations, core, period, max_out_degree, base_ttfs,
       base_edges, edges, shortcuts, contracted, down_edges, funcs, points,
@@ -145,7 +147,7 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
           ov->ttfs_.bucket_idx_.size(), ov->ttfs_.idx_.min_indexed_points,
           ov->ttfs_.idx_.buckets_per_point, st.contracted, st.frozen,
           st.rounds, st.shortcuts, st.merges, st.witness_dropped,
-          st.witness_searches, st.time_ms};
+          st.witness_searches, 0.0};
     sections.insert(
         sections.end(),
         {{kSecOvMeta, &om, sizeof(om)},
@@ -569,7 +571,7 @@ OverlayGraph MappedSnapshot::load_overlay() const {
                      m.merges,
                      m.witness_dropped,
                      m.witness_searches,
-                     m.contraction_ms};
+                     0.0};  // contraction time is not persisted
 
   const auto& rank = ov.rank_ = array<std::uint32_t>(kSecOvRank, n, "rank");
   ov.board_shift_ = array<Time>(kSecOvBoardShift, m.stations, "board_shift");

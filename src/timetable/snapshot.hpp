@@ -11,7 +11,8 @@
 //     and departure rows), the sorted connections and their per-station
 //     offsets — exactly the arrays Timetable reads;
 //   - overlay (all or none): meta (scalars, counts, the TtfIndexOptions
-//     the pool was built with, the ContractionStats), rank, board shifts,
+//     the pool was built with, the ContractionStats with its time as 0 so
+//     a file's bytes never depend on the clock), rank, board shifts,
 //     the upward CSR (offsets, heads, words, origins, TTF out-degrees),
 //     shortcut records, the down-sweep arrays (order, offsets, tails,
 //     words, positions) and the TtfPool's points, metadata and bucket

@@ -115,6 +115,65 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
   }
 }
 
+/// word_cost_bounds in its modulo form — the next point as
+/// pts[(i + 1) % n], its gap through delta() — the reference the
+/// division-free form must match bit for bit.
+std::pair<Time, Time> modulo_cost_bounds(const TtfPool& pool, std::uint32_t w,
+                                         Time period) {
+  if (TdGraph::word_is_const(w)) {
+    const Time c = TdGraph::word_weight(w);
+    return {c, c};
+  }
+  const auto pts = pool.points(TdGraph::word_ttf(w));
+  if (pts.empty()) return {kInfTime, kInfTime};
+  Time mn = kInfTime, mx = 0;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    mn = std::min(mn, pts[i].dur);
+    const TtfPoint& nxt = pts[(i + 1) % pts.size()];
+    const Time gap =
+        pts.size() == 1 ? period : delta(pts[i].dep, nxt.dep, period);
+    mx = std::max(mx, gap - 1 + nxt.dur);
+  }
+  return {mn, mx};
+}
+
+TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
+  Rng rng(4242);
+  for (const Time period : {Time{400}, Time{kDayseconds}}) {
+    TtfPoolBuilder builder(period);
+    std::vector<std::uint32_t> words;
+    words.push_back(builder.add(Ttf{}));  // empty
+    for (int iter = 0; iter < 300; ++iter) {
+      std::vector<TtfPoint> pts;
+      const std::size_t n = iter % 3 == 0 ? 1 : 1 + rng.next_below(40);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Every third function crowds the period's ends, so its last gap
+        // wraps past the period and rides overnight.
+        const Time dep = static_cast<Time>(
+            iter % 3 == 2 ? (rng.next_below(2) ? period - 1 - rng.next_below(8)
+                                               : rng.next_below(8))
+                          : rng.next_below(period));
+        pts.push_back({dep, static_cast<Time>(1 + rng.next_below(2 * period))});
+      }
+      words.push_back(builder.add(Ttf::build(std::move(pts), period)));
+    }
+    const TtfPool pool = builder.finish();
+    std::size_t one_point = 0;
+    for (const std::uint32_t w : words) {
+      if (pool.points(w).size() == 1) ++one_point;
+      EXPECT_EQ(word_cost_bounds(pool, w, period),
+                modulo_cost_bounds(pool, w, period))
+          << "function " << w << " of period " << period;
+    }
+    EXPECT_GE(one_point, 100u);
+    for (const std::uint32_t c : {0u, 1u, 123u, 86399u}) {
+      const std::uint32_t w = TdGraph::kConstFlag | c;
+      EXPECT_EQ(word_cost_bounds(pool, w, period),
+                modulo_cost_bounds(pool, w, period));
+    }
+  }
+}
+
 // ----------------------------------------------------------- differential ---
 
 /// Full-node differential: one-to-all time queries on the overlay (core
@@ -233,25 +292,38 @@ TEST(ContractionOverlay, TightCapsStillExact) {
 }
 
 TEST(ContractionOverlay, DeterministicAcrossThreadCounts) {
-  const Timetable tt = test::small_city(34);
-  const TdGraph g = TdGraph::build(tt);
-  OverlayContractionOptions one, four;
-  one.threads = 1;
-  four.threads = 4;
-  const OverlayGraph a = contract_graph(tt, g, one);
-  const OverlayGraph b = contract_graph(tt, g, four);
-  ASSERT_EQ(a.num_edges(), b.num_edges());
-  ASSERT_EQ(a.num_shortcuts(), b.num_shortcuts());
-  ASSERT_EQ(a.ttfs().size(), b.ttfs().size());
-  ASSERT_EQ(a.ttfs().num_points(), b.ttfs().num_points());
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    ASSERT_EQ(a.rank(v), b.rank(v)) << "rank diverges at " << v;
-    ASSERT_EQ(a.edge_begin(v), b.edge_begin(v));
-  }
-  for (std::uint32_t e = 0; e < a.num_edges(); ++e) {
-    ASSERT_EQ(a.edge_head(e), b.edge_head(e));
-    ASSERT_EQ(a.edge_word(e), b.edge_word(e));
-    ASSERT_EQ(a.edge_origin(e), b.edge_origin(e));
+  // The whole saved file — structure, shortcut records, down-sweep arrays,
+  // pool and stats — must not depend on the thread count (nor, through the
+  // stats, on the clock).
+  const auto saved_bytes = [](const Timetable& tt, const OverlayGraph& ov) {
+    const std::string path =
+        "contraction_det_" + std::to_string(::getpid()) + ".pcsn";
+    save_snapshot(tt, &ov, path);
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::remove(path.c_str());
+    return buf.str();
+  };
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 0.3);
+    const TdGraph g = TdGraph::build(tt);
+    for (const std::uint32_t settles : {48u, 0u}) {
+      std::string reference;
+      for (const unsigned threads : {1u, 2u, 4u}) {
+        OverlayContractionOptions o;
+        o.threads = threads;
+        o.witness_settles = settles;
+        const std::string bytes = saved_bytes(tt, contract_graph(tt, g, o));
+        if (threads == 1) {
+          reference = bytes;
+          continue;
+        }
+        EXPECT_TRUE(bytes == reference)
+            << gen::preset_name(p) << ", witness_settles " << settles
+            << ": " << threads << " threads save different bytes than 1";
+      }
+    }
   }
 }
 
@@ -368,6 +440,8 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   ASSERT_EQ(back.num_base_ttfs(), ov.num_base_ttfs());
   ASSERT_EQ(back.num_base_edges(), ov.num_base_edges());
   ASSERT_EQ(back.period(), ov.period());
+  // The file holds no wall-clock reading: a loaded overlay reports none.
+  EXPECT_EQ(back.build_stats().time_ms, 0.0);
   for (NodeId v = 0; v < ov.num_nodes(); ++v) {
     ASSERT_EQ(back.rank(v), ov.rank(v));
     ASSERT_EQ(back.edge_begin(v), ov.edge_begin(v));

@@ -8,7 +8,9 @@
 //    accept failures, slow-client output caps, idle reaping;
 //  * drain: in-flight work finishes, late requests get kShuttingDown or a
 //    clean close, SIGTERM-installed drain shuts the listener;
-//  * plan_admission() math.
+//  * plan_admission() math, and a started server's plan equal to one sized
+//    by the far-target probe it replaced (every preset, and a station 0
+//    without departures).
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <unistd.h>
@@ -73,6 +75,69 @@ TEST(ServerProtocol, AdmissionPlanMath) {
   p = plan_admission(std::size_t{1} << 40, 1, 0, std::size_t{64} << 10);
   EXPECT_EQ(p.queue_capacity, 4096u);
   EXPECT_EQ(p.max_connections, 4096u);
+}
+
+/// The plan a server sized from a probe session that searches from station
+/// 0 all the way to station n - 1: the long probe the server replaced.
+AdmissionPlan far_target_plan(const LiveOverlay& live,
+                              const ServerOptions& o) {
+  LiveQuerySession probe(live);
+  const auto n = static_cast<StationId>(probe.pinned().tt->num_stations());
+  (void)probe.earliest_arrival(0, 0, n - 1);
+  (void)probe.station_to_station(0, n - 1);
+  return plan_admission(o.memory_budget_bytes, o.workers,
+                        probe.session().scratch_bytes_reserved(),
+                        o.max_request_bytes);
+}
+
+void expect_same_plan(const AdmissionPlan& got, const AdmissionPlan& want) {
+  EXPECT_EQ(got.per_worker_scratch_bytes, want.per_worker_scratch_bytes);
+  EXPECT_EQ(got.per_request_bytes, want.per_request_bytes);
+  EXPECT_EQ(got.per_connection_bytes, want.per_connection_bytes);
+  EXPECT_EQ(got.queue_capacity, want.queue_capacity);
+  EXPECT_EQ(got.max_connections, want.max_connections);
+}
+
+TEST(ServerAdmission, PlanEqualsAFarTargetProbeOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    SCOPED_TRACE(gen::preset_name(p));
+    LiveOverlay live(gen::make_preset(p, 0.3));
+    ServerOptions o = fast_opts();
+    o.workers = 2;
+    QueryServer server(live, o);
+    server.start();
+    const AdmissionPlan got = server.admission();
+    server.stop();
+    EXPECT_GT(got.per_worker_scratch_bytes, 0u);
+    expect_same_plan(got, far_target_plan(live, o));
+  }
+}
+
+TEST(ServerAdmission, PlanEqualsAFarTargetProbeWhenStationZeroHasNoDeparture) {
+  // Station 0 is only ever arrived at: its profile search has no
+  // connection to start from, whatever the target.
+  TimetableBuilder b;
+  const StationId sink = b.add_station("sink", 60);
+  const StationId a = b.add_station("A", 60);
+  const StationId c = b.add_station("C", 60);
+  using St = TimetableBuilder::StopTime;
+  for (Time t = 8 * 3600; t <= 10 * 3600; t += 1800) {
+    b.add_trip(std::vector<St>{{a, t, t}, {c, t + 600, t + 660},
+                               {sink, t + 1200, t + 1200}});
+    b.add_trip(std::vector<St>{{c, t, t}, {a, t + 600, t + 600}});
+  }
+  LiveOverlay live(b.finalize());
+  ASSERT_EQ(sink, 0u);
+  ASSERT_TRUE(live.snapshot()->tt->outgoing(sink).empty());
+  QueryServer server(live, fast_opts());
+  server.start();
+  const AdmissionPlan got = server.admission();
+  // The fallback probe leaves a server that answers.
+  BlockingClient client(kHost, server.port(), 5'000.0);
+  ASSERT_TRUE(client.send_raw(encode_earliest_arrival(1, a, 8 * 3600, sink)));
+  ASSERT_TRUE(client.recv_frame().has_value());
+  server.stop();
+  expect_same_plan(got, far_target_plan(live, fast_opts()));
 }
 
 TEST(Server, BinaryResponsesByteIdenticalToDirectSession) {
