@@ -199,17 +199,19 @@ void OverlayParallelSpcsT<Queue>::station_to_station_into(
   full_run_ = false;
   swept_ = false;
 
+  const auto conns = tt_.outgoing(s);
+  raw_scratch_.resize(conns.size());
   run_partitioned(s, [&](std::size_t th, std::uint32_t lo, std::uint32_t hi) {
-    NoHook hook;
     SpcsOptions o{.self_pruning = opt_.self_pruning,
                   .stopping_criterion = opt_.stopping_criterion,
                   .prune_on_relax = opt_.prune_on_relax,
                   .relax = opt_.relax,
                   .batch_min_edges = opt_.batch_min_edges};
-    states_[th].run_on(ov_, g_, tt_, tt_.outgoing(s), lo, hi, t, o, hook);
+    states_[th].run_chunked_on(ov_, g_, tt_, conns, lo, hi, t, o,
+                               raw_scratch_.data());
   });
 
-  assemble_profile_into(s, t, out.profile);
+  reduce_profile_into(raw_scratch_, tt_.period(), out.profile);
   for (const auto& st : states_) out.stats += st.stats();
   out.stats.time_ms = total.elapsed_ms();
 }

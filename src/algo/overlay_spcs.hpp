@@ -79,8 +79,9 @@ class OverlayParallelSpcsT {
   /// Allocation-free variant: reuses `out`'s profile buffers.
   void one_to_all_into(StationId s, OneToAllResult& out);
 
-  /// Station-to-station profile query with the per-thread stopping
-  /// criterion (targets are stations, hence core — no sweep involved).
+  /// Station-to-station profile query with the stopping criterion, run in
+  /// kSpcsChunk-wide chunks like the flat driver's (targets are stations,
+  /// hence core — no sweep involved).
   StationQueryResult station_to_station(StationId s, StationId t);
   void station_to_station_into(StationId s, StationId t,
                                StationQueryResult& out);

@@ -72,9 +72,13 @@ class ParallelSpcsT {
   /// Allocation-free variant: reuses `out`'s profile buffers.
   void one_to_all_into(StationId s, OneToAllResult& out);
 
-  /// Station-to-station profile query with the per-thread stopping
-  /// criterion. (Distance-table pruning lives in s2s::S2sQueryEngine, which
-  /// drives the same thread states with a settle hook.)
+  /// Station-to-station profile query with the stopping criterion. Each
+  /// thread walks its range in chunks of kSpcsChunk connections
+  /// (SpcsThreadStateT::run_chunked_on), so the thread states hold only the
+  /// last chunk's labels afterwards: assemble_profile / node_profile read
+  /// one_to_all runs only. (Distance-table pruning lives in
+  /// s2s::S2sQueryEngine, which drives the same thread states with a
+  /// settle hook over whole ranges.)
   StationQueryResult station_to_station(StationId s, StationId t);
   /// Allocation-free variant: reuses `out`'s profile buffer.
   void station_to_station_into(StationId s, StationId t,

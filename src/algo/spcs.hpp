@@ -5,7 +5,11 @@
 // [lo, hi) of conn(S). Running it with the full range reproduces the
 // sequential algorithm; the parallel driver (parallel_spcs.hpp) gives each
 // thread its own state and partition range, which keeps self-pruning and
-// all labels thread-local exactly as in the paper.
+// all labels thread-local exactly as in the paper. The served
+// station-to-station path cuts each thread's range further, in time: it
+// runs chunks of at most kSpcsChunk connections one after another through
+// the same warm state (run_chunked_on), so a state's scratch is bounded by
+// |V| x kSpcsChunk slots instead of |V| x |conn(S)|.
 //
 // Queue items are (node, connection) pairs keyed by *arrival time*; for
 // every connection index the search is label-setting ("connection-setting").
@@ -24,6 +28,7 @@
 // this differentially); only pushed/decreased/stale_popped counts differ.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -34,11 +39,18 @@
 #include "algo/queue_policy.hpp"
 #include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
+#include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
 #include "util/epoch_array.hpp"
 
 namespace pconn {
+
+/// Connections per run on the served station-to-station path
+/// (SpcsThreadStateT::run_chunked_on); the width every thread state's
+/// scratch is sized for, so one worker's SPCS scratch is |V| x kSpcsChunk
+/// slots. bench_partition's chunk sweep measures the choice.
+inline constexpr std::uint32_t kSpcsChunk = 32;
 
 struct SpcsOptions {
   bool self_pruning = true;
@@ -135,6 +147,39 @@ class SpcsThreadStateT {
     run_on(g, g, tt, conns, lo, hi, target, opt, hook);
   }
 
+  /// The served station-to-station form of run_on(): walks [lo, hi) in
+  /// chunks of at most `chunk` connections through this one warm state and,
+  /// after each chunk, writes (dep, arrival at `target`) into raw[i] for
+  /// every global connection index i of the chunk. This is the paper's
+  /// partition (Section 3.2) applied in time: a chunk is a range with its
+  /// own labels, self-pruning and stopping criterion (Theorems 1-2 hold per
+  /// range), so reducing raw yields the unchunked profile byte for byte.
+  /// Scratch stays |V| x max(chunk, kSpcsChunk) whatever |conn(S)| is;
+  /// stats() is summed over the chunks.
+  template <typename GraphT>
+  void run_chunked_on(const GraphT& g, const TdGraph& flat,
+                      const Timetable& tt, std::span<const Connection> conns,
+                      std::uint32_t lo, std::uint32_t hi, StationId target,
+                      const SpcsOptions& opt, ProfilePoint* raw,
+                      std::uint32_t chunk = kSpcsChunk) {
+    assert(chunk > 0 && target != kInvalidStation);
+    const NodeId tn = g.station_node(target);
+    QueryStats total{};
+    NoHook hook;
+    // At least one run, so an empty range still sizes the scratch.
+    std::uint32_t c = lo;
+    do {
+      const std::uint32_t e = hi - c > chunk ? c + chunk : hi;
+      run_on(g, flat, tt, conns, c, e, target, opt, hook);
+      for (std::uint32_t i = c; i < e; ++i) {
+        raw[i] = {conns[i].dep, arrival(tn, i - c)};
+      }
+      total += stats_;
+      c = e;
+    } while (c < hi);
+    stats_ = total;
+  }
+
   /// Graph-generalized body of run(): the settle loop streams `g` (TdGraph
   /// or OverlayGraph — same SoA shape), while `flat` resolves the pieces
   /// only the flat graph knows: a connection's departure route node (the
@@ -151,13 +196,18 @@ class SpcsThreadStateT {
     stats_ = QueryStats{};
     const std::uint32_t W = hi - lo;
     width_ = W;
-    const std::size_t slots = static_cast<std::size_t>(g.num_nodes()) * W;
+    // Width-dependent scratch is sized for at least kSpcsChunk lanes, so
+    // every chunked run (run_chunked_on) fits the first sizing exactly and
+    // a mix of narrow and wide sources never regrows the arena.
+    const std::uint32_t lanes = std::max(W, kSpcsChunk);
+    const std::size_t slots = static_cast<std::size_t>(g.num_nodes()) * lanes;
     if (heap_.capacity() < slots) heap_.reset_capacity(slots);
     batch_.reserve(g.max_out_degree());
     arr_.ensure_and_clear(slots, kInfTime);
     if (opt.self_pruning) maxconn_.ensure_and_clear(g.num_nodes(), -1);
     if constexpr (Hook::kWantsAncestors) {
       anc_.ensure_and_clear(slots, 0);
+      noanc_.reserve(lanes);
       noanc_.assign(W, 0);
       // Without an addressable queue, ancestor accounting needs to know
       // whether a push improves the item's best queued key; track it here.
@@ -165,6 +215,7 @@ class SpcsThreadStateT {
         best_.ensure_and_clear(slots, kInfKey);
       }
     }
+    done_.reserve(lanes);
     done_.assign(W, 0);
 
     const NodeId target_node =

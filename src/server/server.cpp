@@ -145,12 +145,13 @@ void QueryServer::start() {
   if (running_.load(std::memory_order_acquire)) return;
 
   // Measure, don't guess: one probe session warmed through both engine
-  // families from station 0 tells us the per-worker scratch footprint of
-  // that source's shape, which the admission plan reserves before it
-  // budgets queue slots. A profile search keeps |V| x |conn(S)| labels
-  // whatever the target, so the probe aims at the head of station 0's
-  // first outgoing connection — the search ends almost at once and
-  // reserves exactly what a far target would (tests/server_test.cpp).
+  // families tells us the per-worker scratch bound, which the admission
+  // plan reserves before it budgets queue slots. Profile searches run in
+  // kSpcsChunk-wide chunks through thread states sized once for
+  // |V| x kSpcsChunk labels, so any source reserves the same and no later
+  // source grows a worker past it (tests/server_test.cpp). The probe aims
+  // at the head of station 0's first outgoing connection, so the search
+  // ends almost at once.
   {
     LiveQuerySession probe(live_, session_opt_);
     const Timetable& tt = *probe.pinned().tt;

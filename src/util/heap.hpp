@@ -41,14 +41,12 @@ class DAryHeap {
         slots_(ArenaAllocator<Slot>(alloc)) {}
   explicit DAryHeap(std::size_t capacity) { reset_capacity(capacity); }
 
-  /// Grows the id space to at least `capacity` (amortized doubling, so a
-  /// query sequence with creeping widths does not pay O(capacity) per
-  /// query; shrink requests keep the allocation). Clears the heap.
+  /// Grows the id space to exactly `capacity` (no doubling: an arena-backed
+  /// map must not outgrow what its owner sized it for; shrink requests keep
+  /// the allocation). Clears the heap.
   void reset_capacity(std::size_t capacity) {
     clear();
-    if (capacity > pos_.size()) {
-      pos_.resize(std::max(capacity, 2 * pos_.size()), kInvalidPos);
-    }
+    if (capacity > pos_.size()) pos_.assign(capacity, kInvalidPos);
   }
 
   std::size_t capacity() const { return pos_.size(); }

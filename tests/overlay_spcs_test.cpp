@@ -8,10 +8,15 @@
 //    (including the scalar-vs-batched sweep), settled/pruned/relaxed
 //    identical across queue policies, sweep idempotency;
 //  * thread-count determinism of the overlay profiles;
-//  * station-to-station with the stopping criterion.
+//  * station-to-station with the stopping criterion;
+//  * chunk boundaries: the served kSpcsChunk-wide station-to-station query
+//    equals the unchunked one_to_all on sources with |conn(S)| at and
+//    around the chunk width, and on every preset's busiest station.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "algo/contraction.hpp"
 #include "algo/overlay_spcs.hpp"
@@ -273,6 +278,70 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
       ASSERT_EQ(ro.profile, rf.profile)
           << s << " -> " << t << " threads " << threads;
     }
+  }
+}
+
+// -------------------------------------------------------- chunk boundaries
+
+/// Overlay half of the chunk-boundary identity (the flat half is in
+/// tests/spcs_edge_test.cpp): the served overlay station-to-station query
+/// runs conn(S) in kSpcsChunk-wide chunks, and must equal the unchunked
+/// flat one_to_all at every target, for every thread count, queue policy
+/// and relax mode.
+template <typename Queue>
+void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
+                                      const OverlayGraph& ov, StationId s,
+                                      std::span<const StationId> targets,
+                                      const OneToAllResult& want) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const RelaxMode relax : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
+      OverlayParallelSpcsT<Queue> over(tt, g, ov,
+                                       spcs_opts(threads, {.mode = relax}));
+      for (const StationId t : targets) {
+        ASSERT_EQ(over.station_to_station(s, t).profile, want.profiles[t])
+            << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
+            << " threads " << threads << " " << relax_mode_name(relax);
+      }
+    }
+  }
+}
+
+void expect_chunked_identity(const Timetable& tt, StationId s,
+                             std::span<const StationId> targets) {
+  const TdGraph g = TdGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g);
+  const OneToAllResult want = ParallelSpcs(tt, g, {}).one_to_all(s);
+  expect_chunked_equals_one_to_all<SpcsBinaryQueue>(tt, g, ov, s, targets,
+                                                    want);
+  expect_chunked_equals_one_to_all<SpcsBucketQueue>(tt, g, ov, s, targets,
+                                                    want);
+}
+
+TEST(OverlaySpcs, ChunkBoundariesOnRandomNetwork) {
+  for (const std::uint64_t seed : {51u, 52u}) {
+    const Timetable tt = test::chunk_boundary_network(seed);
+    std::vector<StationId> all(tt.num_stations());
+    for (StationId t = 0; t < all.size(); ++t) all[t] = t;
+    for (StationId s = 0; s < std::size(test::kChunkBoundaryCounts); ++s) {
+      ASSERT_EQ(tt.outgoing(s).size(), test::kChunkBoundaryCounts[s]);
+      expect_chunked_identity(tt, s, all);
+    }
+  }
+}
+
+TEST(OverlaySpcs, ChunkedBusiestStationOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    SCOPED_TRACE(gen::preset_name(p));
+    const Timetable tt = gen::make_preset(p, 0.3);
+    const StationId s = test::busiest_station(tt);
+    ASSERT_GT(tt.outgoing(s).size(), 2 * kSpcsChunk);
+    Rng rng(70 + static_cast<std::uint64_t>(p));
+    std::vector<StationId> targets;
+    for (int i = 0; i < 4; ++i) {
+      targets.push_back(
+          static_cast<StationId>(rng.next_below(tt.num_stations())));
+    }
+    expect_chunked_identity(tt, s, targets);
   }
 }
 

@@ -8,13 +8,15 @@
 //    accept failures, slow-client output caps, idle reaping;
 //  * drain: in-flight work finishes, late requests get kShuttingDown or a
 //    clean close, SIGTERM-installed drain shuts the listener;
-//  * plan_admission() math, and a started server's plan equal to one sized
-//    by the far-target probe it replaced (every preset, and a station 0
-//    without departures).
+//  * plan_admission() math, a started server's plan equal to one sized by
+//    a far-target probe (every preset, and a station 0 without
+//    departures), and that plan bounding a session's scratch after the
+//    busiest station and a mix of narrow and wide sources (every preset).
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -138,6 +140,47 @@ TEST(ServerAdmission, PlanEqualsAFarTargetProbeWhenStationZeroHasNoDeparture) {
   ASSERT_TRUE(client.recv_frame().has_value());
   server.stop();
   expect_same_plan(got, far_target_plan(live, fast_opts()));
+}
+
+TEST(ServerAdmission, PlanBoundsAWorkersScratchOnEveryPreset) {
+  // The plan's per-worker figure is an upper bound, not a sample: profile
+  // searches run in kSpcsChunk-wide chunks, so no source — not even the
+  // busiest station — grows a session past what the probe reserved.
+  for (const gen::Preset p : gen::kAllPresets) {
+    SCOPED_TRACE(gen::preset_name(p));
+    LiveOverlay live(gen::make_preset(p, 0.3));
+    QueryServer server(live, fast_opts());
+    server.start();
+    const std::size_t plan = server.admission().per_worker_scratch_bytes;
+    server.stop();
+
+    LiveQuerySession session(live);
+    const Timetable& tt = *session.pinned().tt;
+    const auto n = static_cast<StationId>(tt.num_stations());
+    const StationId busiest = test::busiest_station(tt);
+    ASSERT_GT(tt.outgoing(busiest).size(), 2 * kSpcsChunk);
+    (void)session.station_to_station(busiest, n - 1);
+    EXPECT_LE(session.session().scratch_bytes_reserved(), plan)
+        << "busiest station " << busiest;
+
+    // Alternate sources from the narrower and the wider half of stations.
+    std::vector<StationId> by_width(n);
+    for (StationId s = 0; s < n; ++s) by_width[s] = s;
+    std::sort(by_width.begin(), by_width.end(), [&](StationId a, StationId b) {
+      return tt.outgoing(a).size() < tt.outgoing(b).size();
+    });
+    Rng rng(900 + static_cast<std::uint64_t>(p));
+    for (int i = 0; i < 24; ++i) {
+      const std::size_t half = n / 2;
+      const StationId s =
+          by_width[(i % 2 == 0 ? 0 : half) + rng.next_below(half)];
+      const auto t = static_cast<StationId>(rng.next_below(n));
+      (void)session.station_to_station(s, t);
+      (void)session.earliest_arrival(
+          s, static_cast<Time>(rng.next_below(tt.period())), t);
+    }
+    EXPECT_LE(session.session().scratch_bytes_reserved(), plan);
+  }
 }
 
 TEST(Server, BinaryResponsesByteIdenticalToDirectSession) {

@@ -1,6 +1,9 @@
 // Edge cases and stress properties for SPCS and the parallel driver.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "algo/lc_profile.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
@@ -156,6 +159,68 @@ TEST(SpcsEdge, StoppingCriterionWithUnreachableTarget) {
   ParallelSpcs spcs(tt, g, o);
   StationQueryResult res = spcs.station_to_station(a, iso);
   EXPECT_TRUE(res.profile.empty());
+}
+
+// ---------------------------------------------------------- chunk boundaries
+
+/// The served station-to-station query walks conn(S) in kSpcsChunk-wide
+/// chunks; each chunk's profile at T must merge into exactly what the
+/// unchunked one-to-all search reduces at T, for every thread count, queue
+/// policy and relax mode.
+template <typename Queue>
+void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
+                                      StationId s,
+                                      std::span<const StationId> targets,
+                                      const OneToAllResult& want) {
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    for (const RelaxMode relax : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
+      ParallelSpcsOptions o;
+      o.threads = threads;
+      o.relax = relax;
+      ParallelSpcsT<Queue> spcs(tt, g, o);
+      for (const StationId t : targets) {
+        ASSERT_EQ(spcs.station_to_station(s, t).profile, want.profiles[t])
+            << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
+            << " threads " << threads << " " << relax_mode_name(relax);
+      }
+    }
+  }
+}
+
+void expect_chunked_identity(const Timetable& tt, StationId s,
+                             std::span<const StationId> targets) {
+  const TdGraph g = TdGraph::build(tt);
+  const OneToAllResult want = ParallelSpcs(tt, g, {}).one_to_all(s);
+  expect_chunked_equals_one_to_all<SpcsBinaryQueue>(tt, g, s, targets, want);
+  expect_chunked_equals_one_to_all<SpcsBucketQueue>(tt, g, s, targets, want);
+}
+
+TEST(SpcsEdge, ChunkBoundariesOnRandomNetwork) {
+  for (const std::uint64_t seed : {51u, 52u}) {
+    const Timetable tt = test::chunk_boundary_network(seed);
+    std::vector<StationId> all(tt.num_stations());
+    for (StationId t = 0; t < all.size(); ++t) all[t] = t;
+    for (StationId s = 0; s < std::size(test::kChunkBoundaryCounts); ++s) {
+      ASSERT_EQ(tt.outgoing(s).size(), test::kChunkBoundaryCounts[s]);
+      expect_chunked_identity(tt, s, all);
+    }
+  }
+}
+
+TEST(SpcsEdge, ChunkedBusiestStationOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    SCOPED_TRACE(gen::preset_name(p));
+    const Timetable tt = gen::make_preset(p, 0.3);
+    const StationId s = test::busiest_station(tt);
+    ASSERT_GT(tt.outgoing(s).size(), 2 * kSpcsChunk);
+    Rng rng(60 + static_cast<std::uint64_t>(p));
+    std::vector<StationId> targets;
+    for (int i = 0; i < 4; ++i) {
+      targets.push_back(
+          static_cast<StationId>(rng.next_below(tt.num_stations())));
+    }
+    expect_chunked_identity(tt, s, targets);
+  }
 }
 
 }  // namespace

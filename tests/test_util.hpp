@@ -73,6 +73,84 @@ inline Timetable random_timetable(Rng& rng, std::uint32_t stations,
   return b.finalize();
 }
 
+/// |conn(S)| of the sources of chunk_boundary_network: empty, one, and each
+/// side of one and two 32-connection chunks (kSpcsChunk, algo/spcs.hpp).
+inline constexpr std::uint32_t kChunkBoundaryCounts[] = {0,  1,  31, 32,
+                                                         33, 64, 65};
+
+/// Seeded random network whose station i (i < 7) has exactly
+/// kChunkBoundaryCounts[i] departures. Source trips leave on three lines per
+/// source into a random hub network and may end at another source; about
+/// one trip in six leaves in the last 25 minutes of the period, so its
+/// later hops wrap past midnight.
+inline Timetable chunk_boundary_network(std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr std::uint32_t kSources = std::size(kChunkBoundaryCounts);
+  constexpr std::uint32_t kHubs = 10;
+  TimetableBuilder b;
+  for (std::uint32_t s = 0; s < kSources + kHubs; ++s) {
+    b.add_station("S" + std::to_string(s),
+                  static_cast<Time>(rng.next_in(0, 180)));
+  }
+  const auto hub = [&] {
+    return static_cast<StationId>(kSources + rng.next_below(kHubs));
+  };
+  const auto departure = [&] {
+    return rng.next_below(6) == 0
+               ? static_cast<Time>(kDayseconds - 1 - rng.next_below(1500))
+               : static_cast<Time>(rng.next_below(kDayseconds));
+  };
+  using St = TimetableBuilder::StopTime;
+  // Adds `trips` trips along `path` (fixed hop times, so no overtaking);
+  // the first stop departs, the last only arrives.
+  const auto add_line = [&](const std::vector<StationId>& path,
+                            std::uint32_t trips) {
+    std::vector<Time> hop(path.size() - 1);
+    for (Time& h : hop) h = static_cast<Time>(120 + rng.next_below(1500));
+    for (std::uint32_t k = 0; k < trips; ++k) {
+      Time t = departure();
+      std::vector<St> stops;
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        const Time dwell = i + 1 < path.size() ? 30 : 0;
+        stops.push_back({path[i], t, t + dwell});
+        if (i + 1 < path.size()) t += dwell + hop[i];
+      }
+      b.add_trip(stops);
+    }
+  };
+  for (std::uint32_t l = 0; l < 14; ++l) {
+    std::vector<StationId> path{hub()};
+    while (path.size() < 4) {
+      const StationId h = hub();
+      if (h != path.back()) path.push_back(h);
+    }
+    // Some hub lines end at a source: sources are targets too.
+    if (l % 3 == 0) path.push_back(static_cast<StationId>(l % kSources));
+    add_line(path, 6 + static_cast<std::uint32_t>(rng.next_below(10)));
+  }
+  for (std::uint32_t s = 0; s < kSources; ++s) {
+    const std::uint32_t count = kChunkBoundaryCounts[s];
+    for (std::uint32_t line = 0; line < 3; ++line) {
+      std::vector<StationId> path{static_cast<StationId>(s), hub()};
+      path.push_back(path.back() == kSources ? kSources + 1 : kSources);
+      if (line == 2) {
+        path.push_back(static_cast<StationId>((s + 1) % kSources));
+      }
+      add_line(path, count / 3 + (line < count % 3 ? 1 : 0));
+    }
+  }
+  return b.finalize();
+}
+
+/// The station with the most departures: the widest conn(S).
+inline StationId busiest_station(const Timetable& tt) {
+  StationId best = 0;
+  for (StationId s = 1; s < tt.num_stations(); ++s) {
+    if (tt.outgoing(s).size() > tt.outgoing(best).size()) best = s;
+  }
+  return best;
+}
+
 /// Small bus city used across algorithm tests.
 inline Timetable small_city(std::uint64_t seed = 7) {
   gen::BusCityConfig cfg;
