@@ -1,21 +1,22 @@
 // Batch vs interleaved relaxation — the gather -> eval -> commit bench
 // (docs/architecture.md "Batch relaxation").
 //
-// Every engine can run its settle loop in two modes (RelaxMode): the seed
-// interleaved per-edge form and the batched form that gathers a node's
-// surviving edges and evaluates them with the vectorized TtfPool kernels.
-// This bench runs the one-to-all workloads in both modes over identical
-// query streams, enforces bit-identical results AND settled/pushed
-// accounting (aborting otherwise), and reports the speedups:
+// The engines with two relax bodies (RelaxMode) run their settle loop
+// either in the interleaved per-edge form or in the batched form that
+// gathers a node's surviving edges and evaluates them with the vectorized
+// TtfPool kernels. This bench runs each workload in both modes over
+// identical query streams, enforces bit-identical results AND
+// settled/pushed/relaxed accounting (aborting otherwise), and reports the
+// speedups:
 //   * lc   — the label-correcting one-to-all profile search, the headline
 //     number: its batch dimension is the whole label profile per linked
 //     edge (tens to hundreds of points through one function), exactly the
 //     shape the arrival_tn gather kernel wants. CI gates `batch_speedup`
 //     (geomean over networks) >= 1.1 on this workload.
-//   * spcs / time — reported, not gated: their per-settle batches are the
-//     node's out-degree (2-3 edges on route nodes), so batching buys
-//     little there by construction — the value of the restructure is that
-//     every engine shares one relax discipline with identical results.
+//   * overlay ea / overlay spcs s2s — reported, not gated: the served
+//     earliest-arrival and station-to-station profile engines over the
+//     contraction overlay, whose core fans are wide enough to clear
+//     kBatchRelaxMinEdges (the flat graph's route nodes never do).
 //   * micro — the kernels in isolation: batched arrival_n / arrival_tn vs
 //     the per-edge scalar eval at several batch widths.
 //
@@ -25,9 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
-#include "algo/parallel_spcs.hpp"
-#include "algo/time_query.hpp"
+#include "algo/overlay_query.hpp"
+#include "algo/overlay_spcs.hpp"
 #include "bench_common.hpp"
 #include "graph/ttf_pool.hpp"
 #include "util/format.hpp"
@@ -47,7 +49,7 @@ struct ModePair {
 
 struct BatchRow {
   std::string name;
-  ModePair lc, spcs, time;
+  ModePair lc, ea, s2s;
   bool accounting_match = true;
 };
 
@@ -56,7 +58,34 @@ struct BatchRow {
 struct Fingerprint {
   std::uint64_t settled = 0, pushed = 0, relaxed = 0, result = 0;
   bool operator==(const Fingerprint&) const = default;
+  void add_work(const QueryStats& st) {
+    settled += st.settled;
+    pushed += st.pushed;
+    relaxed += st.relaxed;
+  }
 };
+
+/// Alternates kBlocks timed passes of each side, `reps` runs of `per_rep`
+/// queries per pass, and keeps each side's best: ms per query.
+template <typename Inter, typename Batch>
+ModePair time_modes(std::size_t per_rep, int reps, Inter&& inter,
+                    Batch&& batch) {
+  double ims = 1e100, bms = 1e100;
+  for (int b = 0; b < kBlocks; ++b) {
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) inter();
+      ims = std::min(ims, t.elapsed_ms());
+    }
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) batch();
+      bms = std::min(bms, t.elapsed_ms());
+    }
+  }
+  const double n = static_cast<double>(reps) * static_cast<double>(per_rep);
+  return {ims / n, bms / n};
+}
 
 /// Records the comparison in the row's accounting flag, then aborts the
 /// bench on divergence (a speedup over wrong answers is meaningless).
@@ -84,8 +113,13 @@ BatchRow run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
   const TdGraph& g = net.graph;
+  OverlayContractionOptions copt;
+  copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
+  const OverlayGraph ov = contract_graph(net.tt, g, copt);
   const std::vector<StationId> sources =
       random_stations(net.tt, num_queries(), 20260727);
+  const std::vector<StationId> targets =
+      random_stations(net.tt, num_queries(), 727202);
   const Time dep = 8 * 3600;
 
   BatchRow row;
@@ -100,129 +134,80 @@ BatchRow run_network(gen::Preset preset) {
     Fingerprint fi, fb;
     for (StationId s : sources) {
       inter.run(s);
-      fi.settled += inter.stats().settled;
-      fi.pushed += inter.stats().pushed;
-      fi.relaxed += inter.stats().relaxed;
+      fi.add_work(inter.stats());
       batch.run(s);
-      fb.settled += batch.stats().settled;
-      fb.pushed += batch.stats().pushed;
-      fb.relaxed += batch.stats().relaxed;
+      fb.add_work(batch.stats());
       for (StationId v = 0; v < net.tt.num_stations(); ++v) {
         fi.result += profile_checksum(inter.profile(v));
         fb.result += profile_checksum(batch.profile(v));
       }
     }
     require_match("lc one-to-all", fi, fb, row);
-    const int reps = std::max(1, 24 / static_cast<int>(sources.size()));
-    double ims = 1e100, bms = 1e100;
-    for (int b = 0; b < kBlocks; ++b) {
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) inter.run(s);
-        }
-        ims = std::min(ims, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) batch.run(s);
-        }
-        bms = std::min(bms, t.elapsed_ms());
-      }
-    }
-    row.lc = {ims / (reps * sources.size()), bms / (reps * sources.size())};
+    row.lc = time_modes(
+        sources.size(), std::max(1, 24 / static_cast<int>(sources.size())),
+        [&] { for (StationId s : sources) inter.run(s); },
+        [&] { for (StationId s : sources) batch.run(s); });
   }
 
-  // --- SPCS one-to-all profile (reported) -------------------------------
+  // --- overlay earliest arrival, one-to-all (reported) ------------------
+  {
+    OverlayTimeQuery inter(net.tt, g, ov), batch(net.tt, g, ov);
+    inter.set_relax_mode(RelaxMode::kInterleaved);
+    batch.set_relax_mode(RelaxMode::kBatch);
+    const auto fold = [&](const OverlayTimeQuery& q, Fingerprint& f) {
+      f.add_work(q.stats());
+      for (StationId v = 0; v < net.tt.num_stations(); ++v) {
+        if (q.arrival_at(v) != kInfTime) f.result += q.arrival_at(v);
+      }
+    };
+    Fingerprint fi, fb;
+    for (StationId s : sources) {
+      inter.run(s, dep);
+      fold(inter, fi);
+      batch.run(s, dep);
+      fold(batch, fb);
+    }
+    require_match("overlay ea one-to-all", fi, fb, row);
+    row.ea = time_modes(
+        sources.size(), std::max(1, 512 / static_cast<int>(sources.size())),
+        [&] { for (StationId s : sources) inter.run(s, dep); },
+        [&] { for (StationId s : sources) batch.run(s, dep); });
+  }
+
+  // --- overlay SPCS station-to-station, the served profile (reported) ----
   {
     ParallelSpcsOptions oi, ob;
     oi.relax = RelaxMode::kInterleaved;
     ob.relax = RelaxMode::kBatch;
-    ParallelSpcs inter(net.tt, g, oi), batch(net.tt, g, ob);
-    OneToAllResult ri, rb;
+    OverlayParallelSpcs inter(net.tt, g, ov, oi), batch(net.tt, g, ov, ob);
+    StationQueryResult ri, rb;
     Fingerprint fi, fb;
-    for (StationId s : sources) {
-      inter.one_to_all_into(s, ri);
-      fi.settled += ri.stats.settled;
-      fi.pushed += ri.stats.pushed;
-      fi.relaxed += ri.stats.relaxed;
-      batch.one_to_all_into(s, rb);
-      fb.settled += rb.stats.settled;
-      fb.pushed += rb.stats.pushed;
-      fb.relaxed += rb.stats.relaxed;
-      for (StationId v = 0; v < net.tt.num_stations(); ++v) {
-        fi.result += profile_checksum(ri.profiles[v]);
-        fb.result += profile_checksum(rb.profiles[v]);
-      }
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      inter.station_to_station_into(sources[i], targets[i], ri);
+      fi.add_work(ri.stats);
+      fi.result += profile_checksum(ri.profile);
+      batch.station_to_station_into(sources[i], targets[i], rb);
+      fb.add_work(rb.stats);
+      fb.result += profile_checksum(rb.profile);
     }
-    require_match("spcs one-to-all", fi, fb, row);
-    double ims = 1e100, bms = 1e100;
-    for (int b = 0; b < kBlocks; ++b) {
-      {
-        Timer t;
-        for (StationId s : sources) inter.one_to_all_into(s, ri);
-        ims = std::min(ims, t.elapsed_ms());
+    require_match("overlay spcs station-to-station", fi, fb, row);
+    const auto run_all = [&](OverlayParallelSpcs& e, StationQueryResult& r) {
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        e.station_to_station_into(sources[i], targets[i], r);
       }
-      {
-        Timer t;
-        for (StationId s : sources) batch.one_to_all_into(s, rb);
-        bms = std::min(bms, t.elapsed_ms());
-      }
-    }
-    row.spcs = {ims / sources.size(), bms / sources.size()};
-  }
-
-  // --- time-query one-to-all (reported) ---------------------------------
-  {
-    TimeQuery inter(net.tt, g), batch(net.tt, g);
-    inter.set_relax_mode(RelaxMode::kInterleaved);
-    batch.set_relax_mode(RelaxMode::kBatch);
-    Fingerprint fi, fb;
-    for (StationId s : sources) {
-      inter.run(s, dep);
-      fi.settled += inter.stats().settled;
-      fi.pushed += inter.stats().pushed;
-      fi.relaxed += inter.stats().relaxed;
-      batch.run(s, dep);
-      fb.settled += batch.stats().settled;
-      fb.pushed += batch.stats().pushed;
-      fb.relaxed += batch.stats().relaxed;
-      for (StationId v = 0; v < net.tt.num_stations(); ++v) {
-        const Time a = inter.arrival_at(v), b2 = batch.arrival_at(v);
-        if (a != kInfTime) fi.result += a;
-        if (b2 != kInfTime) fb.result += b2;
-      }
-    }
-    require_match("time one-to-all", fi, fb, row);
-    const int reps = std::max(1, 512 / static_cast<int>(sources.size()));
-    double ims = 1e100, bms = 1e100;
-    for (int b = 0; b < kBlocks; ++b) {
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) inter.run(s, dep);
-        }
-        ims = std::min(ims, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) batch.run(s, dep);
-        }
-        bms = std::min(bms, t.elapsed_ms());
-      }
-    }
-    row.time = {ims / (reps * sources.size()), bms / (reps * sources.size())};
+    };
+    row.s2s = time_modes(
+        sources.size(), std::max(1, 24 / static_cast<int>(sources.size())),
+        [&] { run_all(inter, ri); }, [&] { run_all(batch, rb); });
   }
 
   TablePrinter table({"workload", "interleaved [ms]", "batch [ms]", "spd-up"});
   table.add_row({"lc one-to-all", fixed(row.lc.interleaved_ms, 3),
                  fixed(row.lc.batch_ms, 3), fixed(row.lc.speedup(), 2)});
-  table.add_row({"spcs one-to-all", fixed(row.spcs.interleaved_ms, 3),
-                 fixed(row.spcs.batch_ms, 3), fixed(row.spcs.speedup(), 2)});
-  table.add_row({"time one-to-all", fixed(row.time.interleaved_ms, 4),
-                 fixed(row.time.batch_ms, 4), fixed(row.time.speedup(), 2)});
+  table.add_row({"overlay ea one-to-all", fixed(row.ea.interleaved_ms, 4),
+                 fixed(row.ea.batch_ms, 4), fixed(row.ea.speedup(), 2)});
+  table.add_row({"overlay spcs s2s", fixed(row.s2s.interleaved_ms, 3),
+                 fixed(row.s2s.batch_ms, 3), fixed(row.s2s.speedup(), 2)});
   table.print();
   return row;
 }
@@ -338,11 +323,11 @@ std::vector<MicroRow> run_micro() {
 
 std::string to_json(const std::vector<BatchRow>& rows,
                     const std::vector<MicroRow>& micro) {
-  std::vector<double> lc, spcs, time;
+  std::vector<double> lc, ea, s2s;
   for (const BatchRow& r : rows) {
     lc.push_back(r.lc.speedup());
-    spcs.push_back(r.spcs.speedup());
-    time.push_back(r.time.speedup());
+    ea.push_back(r.ea.speedup());
+    s2s.push_back(r.s2s.speedup());
   }
   JsonWriter w = bench_json_doc(
       "bench_batchrelax", "gather->eval->commit batch relax vs interleaved");
@@ -353,12 +338,12 @@ std::string to_json(const std::vector<BatchRow>& rows,
         .field("lc_interleaved_ms", r.lc.interleaved_ms, 4)
         .field("lc_batch_ms", r.lc.batch_ms, 4)
         .field("lc_speedup", r.lc.speedup(), 3)
-        .field("spcs_interleaved_ms", r.spcs.interleaved_ms, 4)
-        .field("spcs_batch_ms", r.spcs.batch_ms, 4)
-        .field("spcs_speedup", r.spcs.speedup(), 3)
-        .field("time_interleaved_ms", r.time.interleaved_ms, 4)
-        .field("time_batch_ms", r.time.batch_ms, 4)
-        .field("time_speedup", r.time.speedup(), 3)
+        .field("overlay_ea_interleaved_ms", r.ea.interleaved_ms, 4)
+        .field("overlay_ea_batch_ms", r.ea.batch_ms, 4)
+        .field("overlay_ea_speedup", r.ea.speedup(), 3)
+        .field("overlay_s2s_interleaved_ms", r.s2s.interleaved_ms, 4)
+        .field("overlay_s2s_batch_ms", r.s2s.batch_ms, 4)
+        .field("overlay_s2s_speedup", r.s2s.speedup(), 3)
         .field("accounting_match", r.accounting_match)
         .end_object();
   }
@@ -377,8 +362,8 @@ std::string to_json(const std::vector<BatchRow>& rows,
   // The gated headline: the one-to-all workload whose batch dimension is
   // real (LC links whole label profiles through one function per edge).
   w.field("batch_speedup", geomean(lc), 3);
-  w.field("spcs_speedup_geomean", geomean(spcs), 3);
-  w.field("time_speedup_geomean", geomean(time), 3);
+  w.field("overlay_ea_speedup_geomean", geomean(ea), 3);
+  w.field("overlay_s2s_speedup_geomean", geomean(s2s), 3);
   // Scalar/vector crossover: the smallest swept lane count at which the
   // batched kernel stops losing to the per-edge scalar loop (0 = never
   // within the sweep). This is the number the throughput engine's lane

@@ -2,20 +2,15 @@
 // (docs/architecture.md "Throughput execution").
 //
 // The paper's timed workloads are streams and matrices of queries, not
-// single shots. Per network this bench times two matrix workloads both
-// ways, per-query loop vs the multi-query engines (algo/multi_query.hpp):
-//   * one-to-all matrix (the gated headline) — node-level earliest
-//     arrivals from S sources: a warm OverlayTimeQuery loop
-//     (run + settle_contracted per source) vs one overlay run_batch
-//     followed by settle_contracted_batch — the cross-lane down-sweep
-//     whose fixed rank-descending order lets every down-edge feed
-//     arrival_tn with all S lanes at once;
-//   * station table (reported) — the S x T station matrix via
-//     QuerySession::distance_table_batch / overlay_distance_table_batch
-//     against per-query one-to-all loops, flat and overlay-routed.
-// Every entry of every workload is enforced identical BEFORE any timing.
+// single shots. Per network this bench times the one-to-all matrix —
+// node-level earliest arrivals from S sources — both ways: a warm
+// OverlayTimeQuery loop (run + settle_contracted per source) vs one
+// overlay_run_batch (algo/multi_query.hpp) followed by
+// settle_contracted_batch — the cross-lane down-sweep whose fixed
+// rank-descending order lets every down-edge feed arrival_tn with all S
+// lanes at once. Every entry is enforced identical BEFORE any timing.
 // The lane-occupancy report (mean eval lane count + log2 width histogram)
-// comes from the engines' BatchStats — one record per kernel call, its
+// comes from the engine's BatchStats — one record per kernel call, its
 // width as the size.
 //
 // JSON (--json) is archived by CI as BENCH_multiquery.json; CI gates
@@ -32,7 +27,6 @@
 #include "algo/multi_query.hpp"
 #include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
-#include "algo/time_query.hpp"
 #include "bench_common.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -42,10 +36,8 @@ namespace pconn::bench {
 namespace {
 
 constexpr int kBlocks = 5;
-/// Matrix shape: every source row is one query lane, so S is also the
-/// wave width the multi-query engines run (one wave of 64 lanes).
+/// Matrix shape: every source row is one query lane (one wave of 64).
 constexpr std::size_t kSources = 64;
-constexpr std::size_t kTargets = 32;
 
 /// Throughput batching amortizes per-edge metadata work over the matrix, so
 /// the effect grows with network size; the generic smoke cap (scale 0.3)
@@ -57,14 +49,10 @@ double matrix_scale() { return options().smoke ? 1.0 : scale(); }
 
 struct MultiRow {
   std::string name;
-  std::size_t sources = 0, targets = 0;
+  std::size_t sources = 0;
   // one-to-all node matrix (the gated workload), ms per matrix
   double onetoall_perquery_ms = 0.0, onetoall_batched_ms = 0.0;
-  // station tables (reported), ms per matrix
-  double flat_perquery_ms = 0.0, flat_batched_ms = 0.0;
-  double table_perquery_ms = 0.0, table_batched_ms = 0.0;
   // lane occupancy of the batched eval stages (whole matrix)
-  double flat_mean_lanes = 0.0;
   double over_mean_lanes = 0.0;
   std::array<std::uint64_t, 16> over_lane_hist{};
   std::uint64_t over_gathers = 0, over_gathered = 0;
@@ -73,8 +61,6 @@ struct MultiRow {
   double onetoall_speedup() const {
     return onetoall_perquery_ms / onetoall_batched_ms;
   }
-  double flat_speedup() const { return flat_perquery_ms / flat_batched_ms; }
-  double table_speedup() const { return table_perquery_ms / table_batched_ms; }
 };
 
 void require(bool ok, const char* what, MultiRow& row) {
@@ -93,7 +79,6 @@ MultiRow run_network(gen::Preset preset) {
   MultiRow row;
   row.name = gen::preset_name(preset);
   row.sources = kSources;
-  row.targets = kTargets;
 
   OverlayContractionOptions copt;
   copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
@@ -101,8 +86,6 @@ MultiRow run_network(gen::Preset preset) {
 
   const std::vector<StationId> sources =
       random_stations(net.tt, static_cast<int>(kSources), 20260808);
-  const std::vector<StationId> targets =
-      random_stations(net.tt, static_cast<int>(kTargets), 808202);
   const Time dep = 8 * 3600;
 
   std::vector<BatchQuery> onetoall(kSources);
@@ -112,12 +95,11 @@ MultiRow run_network(gen::Preset preset) {
 
   QuerySession session(net.tt, g);
   session.multi_overlay_engine(ov);
-  TimeQuery flat(net.tt, g);
   OverlayTimeQuery over(net.tt, g, ov);
 
   // --- enforced identity (also the warm-up pass) ------------------------
   {
-    // One-to-all node matrix: run_batch + the cross-lane down-sweep vs
+    // One-to-all node matrix: overlay_run_batch + the cross-lane sweep vs
     // run + settle_contracted per source, compared at EVERY node.
     auto& eng = session.overlay_run_batch(onetoall);
     eng.settle_contracted_batch();
@@ -135,34 +117,10 @@ MultiRow run_network(gen::Preset preset) {
       }
     }
   }
-  {
-    const std::span<const Time> batched =
-        session.distance_table_batch(sources, targets, dep, kSources);
-    row.flat_mean_lanes = session.multi_engine().batch_stats().mean_gather();
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      flat.run(sources[i], dep);
-      for (std::size_t j = 0; j < targets.size(); ++j) {
-        require(batched[i * targets.size() + j] == flat.arrival_at(targets[j]),
-                "flat table entry", row);
-      }
-    }
-  }
-  {
-    const std::span<const Time> batched =
-        session.overlay_distance_table_batch(sources, targets, dep, kSources);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      over.run(sources[i], dep);
-      for (std::size_t j = 0; j < targets.size(); ++j) {
-        require(batched[i * targets.size() + j] == over.arrival_at(targets[j]),
-                "overlay table entry", row);
-      }
-    }
-  }
 
   // --- timings ----------------------------------------------------------
   std::uint64_t sink = 0;
   double oaq = 1e100, oab = 1e100;
-  double fp = 1e100, fb = 1e100, tp = 1e100, tb = 1e100;
   for (int b = 0; b < kBlocks; ++b) {
     {
       Timer t;
@@ -180,69 +138,27 @@ MultiRow run_network(gen::Preset preset) {
       sink += eng.arrival_at_node(0, static_cast<NodeId>(b));
       oab = std::min(oab, t.elapsed_ms());
     }
-    {
-      Timer t;
-      for (StationId s : sources) {
-        flat.run(s, dep);
-        for (StationId v : targets) sink += flat.arrival_at(v);
-      }
-      fp = std::min(fp, t.elapsed_ms());
-    }
-    {
-      Timer t;
-      const std::span<const Time> out =
-          session.distance_table_batch(sources, targets, dep, kSources);
-      sink += out[b % out.size()];
-      fb = std::min(fb, t.elapsed_ms());
-    }
-    {
-      Timer t;
-      for (StationId s : sources) {
-        over.run(s, dep);
-        for (StationId v : targets) sink += over.arrival_at(v);
-      }
-      tp = std::min(tp, t.elapsed_ms());
-    }
-    {
-      Timer t;
-      const std::span<const Time> out =
-          session.overlay_distance_table_batch(sources, targets, dep, kSources);
-      sink += out[b % out.size()];
-      tb = std::min(tb, t.elapsed_ms());
-    }
   }
   if (sink == 0) std::cout << "";  // keep the reads observable
   row.onetoall_perquery_ms = oaq;
   row.onetoall_batched_ms = oab;
-  row.flat_perquery_ms = fp;
-  row.flat_batched_ms = fb;
-  row.table_perquery_ms = tp;
-  row.table_batched_ms = tb;
 
   TablePrinter table(
       {"matrix 64 lanes", "per-query [ms]", "batched [ms]", "spd-up"});
   table.add_row({"one-to-all nodes", fixed(row.onetoall_perquery_ms, 2),
                  fixed(row.onetoall_batched_ms, 2),
                  fixed(row.onetoall_speedup(), 2)});
-  table.add_row({"station table (flat)", fixed(row.flat_perquery_ms, 2),
-                 fixed(row.flat_batched_ms, 2), fixed(row.flat_speedup(), 2)});
-  table.add_row({"station table (overlay)", fixed(row.table_perquery_ms, 2),
-                 fixed(row.table_batched_ms, 2),
-                 fixed(row.table_speedup(), 2)});
   table.print();
   std::cout << "  lane occupancy: overlay mean " << fixed(row.over_mean_lanes, 1)
-            << " lanes/call, flat table mean " << fixed(row.flat_mean_lanes, 1)
-            << "\n";
+            << " lanes/call\n";
   return row;
 }
 
 std::string to_json(const std::vector<MultiRow>& rows) {
-  std::vector<double> gated, flat_tbl, over_tbl;
+  std::vector<double> gated;
   std::uint64_t gathers = 0, gathered = 0;
   for (const MultiRow& r : rows) {
     gated.push_back(r.onetoall_speedup());
-    flat_tbl.push_back(r.flat_speedup());
-    over_tbl.push_back(r.table_speedup());
     gathers += r.over_gathers;
     gathered += r.over_gathered;
   }
@@ -258,17 +174,9 @@ std::string to_json(const std::vector<MultiRow>& rows) {
     w.begin_object()
         .field("name", r.name)
         .field("sources", r.sources)
-        .field("targets", r.targets)
         .field("onetoall_perquery_ms", r.onetoall_perquery_ms, 3)
         .field("onetoall_batched_ms", r.onetoall_batched_ms, 3)
         .field("onetoall_speedup", r.onetoall_speedup(), 3)
-        .field("flat_table_perquery_ms", r.flat_perquery_ms, 3)
-        .field("flat_table_batched_ms", r.flat_batched_ms, 3)
-        .field("flat_table_speedup", r.flat_speedup(), 3)
-        .field("overlay_table_perquery_ms", r.table_perquery_ms, 3)
-        .field("overlay_table_batched_ms", r.table_batched_ms, 3)
-        .field("overlay_table_speedup", r.table_speedup(), 3)
-        .field("flat_mean_lanes", r.flat_mean_lanes, 2)
         .field("overlay_mean_lanes", r.over_mean_lanes, 2)
         .field("identity_match", r.identity_match);
     w.key("lane_hist_log2").begin_array();
@@ -280,8 +188,6 @@ std::string to_json(const std::vector<MultiRow>& rows) {
   // The gated headline: the one-to-all node matrix across networks, and
   // the overlay engines' accumulated mean eval lane width.
   w.field("multiquery_speedup", geomean(gated), 3);
-  w.field("flat_table_speedup_geomean", geomean(flat_tbl), 3);
-  w.field("overlay_table_speedup_geomean", geomean(over_tbl), 3);
   w.field("mean_lane_count",
           gathers == 0 ? 0.0
                        : static_cast<double>(gathered) /

@@ -21,13 +21,11 @@ McTimeQueryT<Queue>::McTimeQueryT(const Timetable& tt, const TdGraph& g,
       queue_(scratch_alloc(ws)),
       fronts_(ArenaAllocator<Front>(scratch_alloc(ws))),
       min_boards_(scratch_alloc(ws)),
-      batch_(scratch_alloc(ws)),
       touched_(ArenaAllocator<NodeId>(scratch_alloc(ws))) {
   fronts_.resize(g.num_nodes(), Front(ArenaAllocator<McLabel>(scratch_alloc(ws))));
   min_boards_.assign(g.num_nodes(),
                      std::numeric_limits<std::uint32_t>::max());
   queue_.reset_capacity(g.num_nodes());
-  batch_.reserve(g.max_out_degree());
 }
 
 template <typename Queue>
@@ -58,63 +56,33 @@ void McTimeQueryT<Queue>::run(StationId source, Time departure,
     fronts_[node].push_back({arr, boards});
 
     // SoA relax: the domination test runs on the streamed head before the
-    // TTF evaluation. Batch mode phases the loop as gather -> eval ->
-    // commit; the pre-tests read only settle-time state (min_boards_ is
-    // written at pops, never during relax), so gathering them all before
-    // any commit is exact and both modes push identical labels.
+    // TTF evaluation. One body: a node carries at most one travel function
+    // (see time_query.cpp), so there is no batch to phase.
     const std::uint32_t eb = g_.edge_begin(node);
     const std::uint32_t ee = g_.edge_end(node);
     const NodeId* const heads = g_.heads_data();
     const std::uint32_t* const words = g_.words_data();
     const bool from_station = g_.is_station_node(node);
-
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        g_.ttf_out_degree(node) >= relax_.batch_min_edges) {
-      batch_.clear();
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) min_boards_.prefetch(heads[ei + 1]);
-        const NodeId head = heads[ei];
-        std::uint32_t w = words[ei];
-        const bool boarding = from_station && TdGraph::word_is_const(w);
-        const std::uint32_t next_boards = boards + (boarding ? 1 : 0);
-        if (next_boards > max_boards) continue;
-        if (next_boards >= min_boards_.get(head)) continue;  // dominated
-        // Boarding at the source itself is free of the transfer time but
-        // still counts as boarding a vehicle: zero-weight constant word.
-        if (node == src && TdGraph::word_is_const(w)) w = TdGraph::kConstFlag;
-        batch_.push2(w, head, next_boards);
+    for (std::uint32_t ei = eb; ei < ee; ++ei) {
+      if (ei + 1 < ee) {
+        min_boards_.prefetch(heads[ei + 1]);
+        g_.prefetch_edge_ttf(ei + 1);
       }
-      Time* const out = batch_.prepare_out();
-      g_.arrivals_by_words(batch_.words(), batch_.size(), arr, out);
-      for (std::size_t i = 0; i < batch_.size(); ++i) {
-        const Time t = out[i];
-        if (t == kInfTime) continue;
-        stats_.relaxed++;
-        queue_.push(batch_.aux(i), mc_key(t, batch_.aux2(i)));
-        stats_.pushed++;
-      }
-    } else {
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) {
-          min_boards_.prefetch(heads[ei + 1]);
-          g_.prefetch_edge_ttf(ei + 1);
-        }
-        const NodeId head = heads[ei];
-        const std::uint32_t w = words[ei];
-        const bool boarding = from_station && TdGraph::word_is_const(w);
-        std::uint32_t next_boards = boards + (boarding ? 1 : 0);
-        if (next_boards > max_boards) continue;
-        if (next_boards >= min_boards_.get(head)) continue;  // dominated
-        // Boarding at the source itself is free of the transfer time but
-        // still counts as boarding a vehicle.
-        Time t = (node == src && TdGraph::word_is_const(w))
-                     ? arr
-                     : g_.arrival_by_word(w, arr);
-        if (t == kInfTime) continue;
-        stats_.relaxed++;
-        queue_.push(head, mc_key(t, next_boards));
-        stats_.pushed++;
-      }
+      const NodeId head = heads[ei];
+      const std::uint32_t w = words[ei];
+      const bool boarding = from_station && TdGraph::word_is_const(w);
+      std::uint32_t next_boards = boards + (boarding ? 1 : 0);
+      if (next_boards > max_boards) continue;
+      if (next_boards >= min_boards_.get(head)) continue;  // dominated
+      // Boarding at the source itself is free of the transfer time but
+      // still counts as boarding a vehicle.
+      Time t = (node == src && TdGraph::word_is_const(w))
+                   ? arr
+                   : g_.arrival_by_word(w, arr);
+      if (t == kInfTime) continue;
+      stats_.relaxed++;
+      queue_.push(head, mc_key(t, next_boards));
+      stats_.pushed++;
     }
   }
 }

@@ -24,7 +24,6 @@
 
 #include "algo/counters.hpp"
 #include "algo/queue_policy.hpp"
-#include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
@@ -67,13 +66,6 @@ class McTimeQueryT {
 
   const QueryStats& stats() const { return stats_; }
 
-  /// Relax-loop phasing (algo/relax_batch.hpp); bit-identical results and
-  /// accounting in both modes.
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
-
  private:
   using Front = std::vector<McLabel, ArenaAllocator<McLabel>>;
 
@@ -84,8 +76,6 @@ class McTimeQueryT {
   // vectors keep their capacity across queries).
   std::vector<Front, ArenaAllocator<Front>> fronts_;
   EpochArray<std::uint32_t> min_boards_;
-  RelaxBatch batch_;  // gather/eval scratch of the batch relax mode
-  RelaxOptions relax_;
   QueryStats stats_;
   std::vector<NodeId, ArenaAllocator<NodeId>> touched_;
 };

@@ -1,26 +1,24 @@
-// Throughput-mode multi-query engines: K time queries over one graph per
-// run() call (docs/architecture.md "Throughput execution").
+// Throughput-mode multi-query engine: K overlay time queries per run()
+// call, extended to every node by one cross-lane down-sweep
+// (docs/architecture.md "Throughput execution").
 //
-// Each lane is exactly its per-query engine over lane-sharded label state:
-// lanes share only read-only graph state, so a lane runs to completion with
-// the per-query settle loop (same stale-pop protocol, same target stop,
-// same accounting). Wide fans reach the batch kernels through the per-lane
-// single-entry-time path (one arrivals_by_words call at the lane's pop
-// key — byte-identical to the per-query engines' batch relax); narrow fans
-// run inline. Every lane's results AND QueryStats therefore equal a
-// standalone run of the same query, in every RelaxMode and queue policy
-// (tests/multi_query_test.cpp proves this differentially).
+// Each lane IS a per-query OverlayTimeQueryT over its own workspace-
+// resident label state: run() runs the lanes' core ascents one after the
+// other, so every lane's results AND QueryStats equal a standalone run of
+// the same query, in every RelaxMode and queue policy
+// (tests/multi_query_test.cpp proves this differentially). Lanes add
+// nothing to the ascent: a shortcut fan shares its lane's pop key, and one
+// fan at one entry time is cheaper to evaluate than the same edges
+// regrouped across lanes with mixed entry times (measured).
 //
 // Cross-lane batching pays where entry times are unavoidably mixed and the
-// order is queue-less: the overlay engine's settle_contracted_batch
-// down-sweep (one arrival_tn call per down-edge spanning the whole batch).
-// On the core search it was measured to lose — a fan at one entry time is
-// cheaper to evaluate than the same edges regrouped across lanes with mixed
-// entry times — so the ascent stays per lane.
+// order is queue-less: settle_contracted_batch, the down-sweep, answers
+// every down-edge for all K lanes with one arrival_tn call.
 //
-// All lane state (per-lane epoch arrays, queues) is workspace-resident: a
-// warm run_batch() of the same shape allocates nothing (the session test's
-// operator-new guard covers it).
+// All lane state (the lanes' epoch arrays and queues, the sweep's matrix)
+// is workspace-resident: a warm run() + settle_contracted_batch() of the
+// same shape allocates nothing (multi_query_test's operator-new guard
+// covers it).
 #pragma once
 
 #include <memory>
@@ -28,13 +26,13 @@
 #include <vector>
 
 #include "algo/counters.hpp"
+#include "algo/overlay_query.hpp"
 #include "algo/queue_policy.hpp"
 #include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/overlay_graph.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
-#include "util/epoch_array.hpp"
 
 namespace pconn {
 
@@ -45,106 +43,8 @@ struct BatchQuery {
   StationId target = kInvalidStation;
 };
 
-/// Flat-graph multi-query engine; definitions in multi_query.cpp
-/// instantiate the two shipped queue policies.
-template <typename Queue = TimeBinaryQueue>
-class MultiQueryTimeEngineT {
- public:
-  MultiQueryTimeEngineT(const Timetable& tt, const TdGraph& g,
-                        QueryWorkspace* ws = nullptr);
-
-  /// Runs all queries to completion. Results stay valid until the next
-  /// run; lane q of the accessors below corresponds to queries[q].
-  void run(std::span<const BatchQuery> queries);
-
-  std::size_t num_queries() const { return num_queries_; }
-  Time arrival_at(std::size_t q, StationId s) const {
-    return lanes_[q]->dist.get(g_.station_node(s));
-  }
-  Time arrival_at_node(std::size_t q, NodeId v) const {
-    return lanes_[q]->dist.get(v);
-  }
-  NodeId parent(std::size_t q, NodeId v) const {
-    return lanes_[q]->parent.get(v);
-  }
-  const QueryStats& stats(std::size_t q) const { return lanes_[q]->stats; }
-
-  /// Gather-size accounting of the per-lane batch relax: one record per
-  /// phased settle, its surviving fan as the size (empty when no settle
-  /// clears batch_min_edges).
-  const BatchStats& batch_stats() const { return batch_stats_; }
-
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
-
-  /// Arrival-only mode: skips the per-improvement parent writes (a second
-  /// EpochArray store per label). parent(q, v) is meaningless after a run
-  /// with tracking off. Distances, stats, and determinism are unchanged —
-  /// the parent array is write-only during a run. The session's
-  /// distance_table_batch waves run with tracking off (the matrix API
-  /// returns only times); run_batch always re-enables it.
-  void set_track_parents(bool on) { track_parents_ = on; }
-  bool track_parents() const { return track_parents_; }
-
-  /// Multi-target stop for table workloads: each lane stops as soon as
-  /// every station in `targets` is settled (their distances are final at
-  /// that point; the tail of the search can only touch other nodes). The
-  /// single-target BatchQuery stop generalizes, but only the table API
-  /// knows ALL its read-back columns up front — per-query engines can
-  /// stop at one target at most. Arrivals at the stop targets (and at
-  /// every node settled before the last of them) are unchanged; arrivals
-  /// elsewhere are unspecified after an early stop. Cleared by
-  /// clear_stop_targets(); a BatchQuery target still stops its lane first
-  /// if it settles earlier.
-  void set_stop_targets(std::span<const StationId> targets);
-  void clear_stop_targets();
-
- private:
-  struct Lane {
-    explicit Lane(ScratchAlloc alloc)
-        : heap(alloc), dist(alloc), parent(alloc) {}
-    Queue heap;
-    EpochArray<Time> dist;
-    EpochArray<NodeId> parent;
-    QueryStats stats;
-    NodeId src = kInvalidNode;
-    NodeId target_node = kInvalidNode;
-    std::uint32_t targets_left = 0;  // stop-set stations not yet settled
-  };
-
-  void ensure_lanes(std::size_t k);
-  /// Runs one lane to completion with the per-query engine's fused
-  /// pop/relax loop: each lane is exactly a TimeQueryT run over
-  /// lane-sharded label state (outlining the per-settle steps measurably
-  /// cost ~6-10% on the flat station-table workload vs the per-query
-  /// loop).
-  void run_lane(Lane& lane);
-
-  const Timetable& tt_;
-  const TdGraph& g_;
-  QueryWorkspace* ws_;
-  std::vector<std::unique_ptr<Lane>> lanes_;  // grown to the max K seen
-  RelaxBatch batch_;  // per-lane wide-fan gather/eval scratch
-  RelaxOptions relax_;
-  BatchStats batch_stats_;
-  std::size_t num_queries_ = 0;
-  bool track_parents_ = true;
-  // Multi-target stop set: per-node flags (only stop-target nodes set),
-  // kept empty outside set_stop_targets()/clear_stop_targets() brackets.
-  std::vector<std::uint8_t, ArenaAllocator<std::uint8_t>> stop_flags_;
-  std::uint32_t stop_count_ = 0;
-};
-
-using MultiQueryTimeEngine = MultiQueryTimeEngineT<>;
-
-/// Overlay-routed variant over the contraction overlay's core
-/// (algo/overlay_query.hpp). Each lane replicates OverlayTimeQueryT
-/// exactly — the dedicated board-discounted source loop, then core settles
-/// through the per-lane batch relax. After full runs, the cross-lane
-/// settle_contracted_batch down-sweep extends every lane to all nodes at
-/// once; that is where cross-query batching pays.
+/// Template over the scalar-time queue policy; definitions in
+/// multi_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
 class MultiQueryOverlayTimeEngineT {
  public:
@@ -152,10 +52,12 @@ class MultiQueryOverlayTimeEngineT {
                                const OverlayGraph& ov,
                                QueryWorkspace* ws = nullptr);
 
+  /// Runs all queries to completion. Results stay valid until the next
+  /// run; lane q of the accessors below corresponds to queries[q].
   void run(std::span<const BatchQuery> queries);
 
   /// Extends lane q's full (no-target) run to every contracted node — the
-  /// per-query rank-descending down-sweep, per lane. After it,
+  /// lane engine's own rank-descending down-sweep. After it,
   /// arrival_at_node(q, v) matches the flat engine at ALL nodes.
   void settle_contracted(std::size_t q);
 
@@ -170,15 +72,17 @@ class MultiQueryOverlayTimeEngineT {
   /// same strict-min tie-breaking, bit-identical kernels. After the
   /// sweep, the accessors below serve labels straight from the node-major
   /// matrix (no scatter back into the lanes' arrays) until the next run.
+  /// Idempotent, and settle_contracted(q) is a no-op after it; call it
+  /// instead of, not after, per-lane settle_contracted(q) calls.
   void settle_contracted_batch();
 
-  std::size_t num_queries() const { return num_queries_; }
+  std::size_t num_queries() const { return queries_.size(); }
   Time arrival_at(std::size_t q, StationId s) const {
     return arrival_at_node(q, ov_.station_node(s));
   }
   Time arrival_at_node(std::size_t q, NodeId v) const {
     if (swept_) return trans_dist_[std::size_t{v} * kp_ + q];
-    return lanes_[q]->dist.get(v);
+    return lanes_[q]->arrival_at_node(v);
   }
   NodeId parent(std::size_t q, NodeId v) const {
     if (swept_) {
@@ -189,57 +93,35 @@ class MultiQueryOverlayTimeEngineT {
         if (p != kInvalidNode) return p;
       }
     }
-    return lanes_[q]->parent.get(v);
+    return lanes_[q]->parent(v);
   }
   std::uint32_t parent_edge(std::size_t q, NodeId v) const {
-    return lanes_[q]->parent_edge.get(v);
+    return lanes_[q]->parent_edge(v);
   }
-  const QueryStats& stats(std::size_t q) const { return lanes_[q]->stats; }
+  const QueryStats& stats(std::size_t q) const { return stats_[q]; }
+  /// The lanes' ascent gathers plus the batched sweep's kernel calls.
   const BatchStats& batch_stats() const { return batch_stats_; }
 
+  /// Applied to every lane at the next run().
   void set_relax_mode(RelaxMode m) { relax_.mode = m; }
   RelaxMode relax_mode() const { return relax_.mode; }
   void set_relax_options(RelaxOptions r) { relax_ = r; }
   const RelaxOptions& relax_options() const { return relax_; }
 
  private:
-  struct Lane {
-    explicit Lane(ScratchAlloc alloc)
-        : heap(alloc), dist(alloc), parent(alloc), parent_edge(alloc) {}
-    Queue heap;
-    EpochArray<Time> dist;
-    EpochArray<NodeId> parent;
-    EpochArray<std::uint32_t> parent_edge;
-    QueryStats stats;
-    StationId source = kInvalidStation;
-    NodeId src = kInvalidNode;
-    NodeId target_node = kInvalidNode;
-    NodeId settled_node = kInvalidNode;  // node of the current settle
-    Time key = 0;                        // its pop key
-    bool done = false;
-  };
-
-  void ensure_lanes(std::size_t k);
-  Time source_arrival(const Lane& lane, std::uint32_t w, Time t) const;
-  void pop_step(Lane& lane);
-  void settle_source(Lane& lane);
-  void settle_interleaved(Lane& lane);
-  /// Wide-fan settle through the per-query batch relax path (see the flat
-  /// engine): the kBatch default on the overlay core.
-  void settle_batched(Lane& lane);
-  /// Accounting + label/parent/parent-edge update for one surviving
-  /// evaluation (shared by every settle body).
-  void commit_one(Lane& lane, NodeId head, Time t, std::uint32_t ei);
+  using Lane = OverlayTimeQueryT<Queue>;
 
   const Timetable& tt_;
   const TdGraph& g_;
   const OverlayGraph& ov_;
   QueryWorkspace* ws_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  RelaxBatch batch_;  // per-lane wide-fan gather/eval scratch
+  std::vector<std::unique_ptr<Lane>> lanes_;  // grown to the max K seen
+  // Per lane: its query, and its stats (the lane engine's, plus the
+  // batched sweep's relaxations, which never touch the lane engine).
+  std::vector<BatchQuery, ArenaAllocator<BatchQuery>> queries_;
+  std::vector<QueryStats, ArenaAllocator<QueryStats>> stats_;
   RelaxOptions relax_;
   BatchStats batch_stats_;
-  std::size_t num_queries_ = 0;
 
   // settle_contracted_batch state: node-major transposed labels
   // (lane-padded rows of kp_ = K rounded up to 8), per-edge row buffers,

@@ -12,6 +12,17 @@ constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
+void require_overlay_matches(const Timetable& tt, const TdGraph& g,
+                             const OverlayGraph& ov) {
+  if (ov.num_nodes() != g.num_nodes() ||
+      ov.num_stations() != tt.num_stations() ||
+      ov.num_base_ttfs() != g.ttfs().size() ||
+      ov.num_base_edges() != g.num_edges()) {
+    throw std::runtime_error(
+        "overlay: graph mismatch (contracted from a different dataset?)");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // OverlayTimeQueryT
 
@@ -32,17 +43,8 @@ OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
       ready_(ArenaAllocator<Time>(scratch_alloc(ws))),
       edge_path_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))) {
   // A cached overlay must match the graph it was contracted from
-  // (timetable/snapshot.hpp): same node space and the base pool as the
-  // overlay pool's prefix, or every origin/word reference is garbage.
-  // A throw, not an assert: a stale cache bound to a regenerated dataset
-  // is a runtime data error and must fail loud in Release builds too.
-  if (ov.num_nodes() != g.num_nodes() ||
-      ov.num_stations() != tt.num_stations() ||
-      ov.num_base_ttfs() != g.ttfs().size() ||
-      ov.num_base_edges() != g.num_edges()) {
-    throw std::runtime_error(
-        "overlay: graph mismatch (contracted from a different dataset?)");
-  }
+  // (timetable/snapshot.hpp).
+  require_overlay_matches(tt, g, ov);
   heap_.reset_capacity(ov.num_nodes());
   dist_.assign(ov.num_nodes(), kInfTime);
   parent_.assign(ov.num_nodes(), kInvalidNode);
@@ -78,6 +80,7 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
   source_ = source;
   departure_ = departure;
   full_run_ = target == kInvalidStation;
+  swept_ = false;
 
   const NodeId src = ov_.station_node(source);
   dist_.set(src, departure);
@@ -138,11 +141,19 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
       continue;
     }
 
-    // Same phased discipline as the flat TimeQueryT (see time_query.cpp
-    // for the pre-test/commit reasoning): gather survivors, evaluate the
-    // whole block with one arrival_n call, commit in edge order with the
-    // dist bound re-tested. On the overlay core the TTF fan-out is the
-    // node's shortcut fan — this is where the batch kernels saturate.
+    // Before any TTF evaluation the streamed head is tested against
+    // `dist <= key`: an edge arrival can never precede the entry time, so
+    // such a head cannot improve. Batch mode phases a wide block as gather
+    // (the survivors of that pre-test) -> eval (one arrival_n call for the
+    // whole block at the pop key) -> commit (in edge order). Unlike a
+    // settle-only bound, the dist bound advances during the commits, so the
+    // commit pass re-runs the pre-test: a head whose label dropped to
+    // <= key by an earlier commit of this very batch is dropped exactly
+    // where the interleaved loop would have skipped its eval. Results and
+    // accounting stay bit-identical; the batch only evaluates a few
+    // arrivals the interleaved loop would not have, which is invisible in
+    // both. On the overlay core the TTF fan-out is the node's shortcut fan,
+    // so this is where the batch kernels saturate.
     if (relax_.mode != RelaxMode::kInterleaved &&
         ov_.ttf_out_degree(v) >= relax_.batch_min_edges) {
       batch_.clear();
@@ -181,6 +192,8 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
 template <typename Queue>
 void OverlayTimeQueryT<Queue>::settle_contracted() {
   assert(full_run_ && "settle_contracted needs a full (no-target) run");
+  if (swept_) return;  // labels final; a second pass would only re-count
+  swept_ = true;
   const NodeId src = ov_.station_node(source_);
   // Descending contraction rank: every down-edge tail — core or higher
   // ranked — is final before its head, so one min-pass per node suffices

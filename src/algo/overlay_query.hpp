@@ -39,6 +39,14 @@
 
 namespace pconn {
 
+/// Throws std::runtime_error unless `ov` was contracted from (tt, g): same
+/// node space and the base pool as the overlay pool's prefix, or every
+/// origin/word reference is garbage. A throw, not an assert: a stale cache
+/// bound to a regenerated dataset is a runtime data error and must fail
+/// loud in Release builds too.
+void require_overlay_matches(const Timetable& tt, const TdGraph& g,
+                             const OverlayGraph& ov);
+
 /// Template over the scalar-time queue policy; definitions in
 /// overlay_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
@@ -57,11 +65,15 @@ class OverlayTimeQueryT {
 
   /// Extends the last full run (no target stop) to every contracted node:
   /// one rank-descending pass over the downward CSR, no queue. After it,
-  /// arrival_at_node matches the flat TimeQueryT at ALL nodes.
+  /// arrival_at_node matches the flat TimeQueryT at ALL nodes. Idempotent:
+  /// a second call before the next run() changes neither labels nor stats.
   void settle_contracted();
 
   Time arrival_at(StationId s) const { return dist_.get(ov_.station_node(s)); }
   Time arrival_at_node(NodeId v) const { return dist_.get(v); }
+  /// The label array itself, read-only — the multi-query engine transposes
+  /// it through the EpochArray raw views.
+  const EpochArray<Time>& labels() const { return dist_; }
   /// Predecessor node / overlay edge of the last relax that set v's label
   /// (the multi-query differential tests compare these lane by lane).
   NodeId parent(NodeId v) const { return parent_.get(v); }
@@ -85,10 +97,11 @@ class OverlayTimeQueryT {
   void set_relax_options(RelaxOptions r) { relax_ = r; }
   const RelaxOptions& relax_options() const { return relax_; }
 
- private:
-  /// Arrival via an overlay word entered at `t`, undoing the folded board
-  /// cost when the tail is the query source (see header note).
+  /// Arrival via an overlay word entered at `t` at the last run's source,
+  /// undoing the folded board cost (see header note).
   Time source_arrival(std::uint32_t w, Time t) const;
+
+ private:
   /// Arrival via an origin (flat edge or shortcut record) — merge-branch
   /// evaluation during journey replay.
   Time origin_arrival(std::uint32_t origin, Time t, bool at_source) const;
@@ -110,6 +123,7 @@ class OverlayTimeQueryT {
   StationId source_ = kInvalidStation;
   Time departure_ = 0;
   bool full_run_ = false;  // last run had no target stop
+  bool swept_ = false;     // settle_contracted() ran since the last run
   QueryStats stats_;
   BatchStats batch_stats_;
   // Journey replay scratch (arena-backed; grows to a high-water mark).

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
+#include "algo/overlay_query.hpp"
 #include "util/timer.hpp"
 
 namespace pconn {
@@ -48,16 +48,7 @@ OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
       workspaces_(make_workspaces(opt.threads)),
       states_(make_states<Queue>(workspaces_, pool_)),
       thread_ms_(opt.threads, 0.0) {
-  // Same loud dataset-mismatch rejection as the other overlay engines
-  // (overlay_query.cpp): a stale cached overlay bound to a regenerated
-  // dataset must fail in Release builds too.
-  if (ov.num_nodes() != g.num_nodes() ||
-      ov.num_stations() != tt.num_stations() ||
-      ov.num_base_ttfs() != g.ttfs().size() ||
-      ov.num_base_edges() != g.num_edges()) {
-    throw std::runtime_error(
-        "overlay: graph mismatch (contracted from a different dataset?)");
-  }
+  require_overlay_matches(tt, g, ov);
   sweep_.reserve(opt.threads);
   for (unsigned i = 0; i < opt.threads; ++i) {
     sweep_.push_back(

@@ -1,9 +1,9 @@
 // Batched gather -> eval -> commit edge relaxation
 // (docs/architecture.md "Batch relaxation").
 //
-// The settle loops used to interleave the (expensive) travel-time-function
-// evaluation with the queue push logic, edge by edge. Every engine now
-// splits a settle into three phases:
+// An interleaved settle loop evaluates each edge's (expensive) travel-time
+// function right before its queue push logic, edge by edge. The batched
+// form splits a settle into three phases:
 //   1. gather — stream the SoA head/word arrays, run the cheap pre-tests
 //      (settled / self-pruning / domination) on the streamed heads, and
 //      append the surviving edges' packed words to a batch buffer;
@@ -13,14 +13,22 @@
 //   3. commit — walk the batch *in edge order* and run the queue
 //      push/decrease logic against the evaluated arrivals.
 // Committing in edge order, and re-running any pre-test whose state the
-// commits themselves advance (TimeQuery's dist bound), keeps results AND
-// settled/pushed accounting bit-identical to the interleaved loop —
-// tests/batch_relax_test.cpp proves this differentially for every engine
-// and queue policy.
+// commits themselves advance (the overlay time query's dist bound), keeps
+// results AND settled/pushed accounting bit-identical to the interleaved
+// loop — tests/batch_relax_test.cpp, contraction_test.cpp and
+// overlay_spcs_test.cpp prove this differentially for every engine and
+// queue policy.
 //
-// The interleaved loop survives behind RelaxMode::kInterleaved as the
-// measurement baseline (bench_batchrelax) and the differential tests'
-// oracle.
+// Only engines with a batch dimension have both bodies: SPCS (one settle
+// template over both graphs; on the overlay core it batches the shortcut
+// fan), flat and overlay LC (the label profile) and the overlay time query
+// (the shortcut fan). The flat scalar
+// engines (TimeQueryT, McTimeQueryT, TeTimeQueryT) have one interleaved
+// body: a flat node carries at most one travel function
+// (TdGraph::ttf_out_degree <= 1, graph_test asserts it) and TE weights are
+// constants, so there is nothing to batch. The interleaved loop survives
+// behind RelaxMode::kInterleaved as the measurement baseline
+// (bench_batchrelax) and the differential tests' oracle.
 //
 // RelaxBatch is the workspace-resident buffer of phase 1/2: engines own
 // one, placed in their QueryWorkspace's arena, and reserve() it to the
@@ -46,13 +54,12 @@ enum class RelaxMode : std::uint8_t {
 };
 
 /// Fan-out threshold of the batch mode: a settled node whose block holds
-/// fewer time-dependent edges (TdGraph::ttf_out_degree; plain out-degree
-/// for the all-constant TE graph) runs the interleaved body even under
-/// RelaxMode::kBatch. The three-phase structure (buffer writes, a kernel
-/// call, a second pass) only pays for itself once TTF evaluations can fill
-/// vector lanes: constant words cost a single add either way, and forcing
-/// the model's 2-3-edge route nodes through the phases costs ~20%
-/// (bench_batchrelax). LC is exempt — its batch dimension is the label
+/// fewer time-dependent edges (TdGraph / OverlayGraph::ttf_out_degree)
+/// runs the interleaved body even under RelaxMode::kBatch. The three-phase
+/// structure (buffer writes, a kernel call, a second pass) only pays for
+/// itself once TTF evaluations can fill vector lanes: constant words cost
+/// a single add either way, and forcing the flat model's 2-3-edge route
+/// nodes through the phases costs ~20%. LC is exempt — its batch dimension is the label
 /// profile, profitable at any size. Results are identical on both sides
 /// of the threshold by construction. This is the compiled default; the
 /// effective per-engine value is RelaxOptions::batch_min_edges (0 forces
@@ -97,6 +104,15 @@ struct BatchStats {
                               static_cast<double>(gathers);
   }
   void reset() { *this = BatchStats{}; }
+  /// Accumulates another engine's records (the multi-query engine sums
+  /// its lanes').
+  void add(const BatchStats& o) {
+    gathers += o.gathers;
+    gathered_edges += o.gathered_edges;
+    for (std::size_t b = 0; b < fanout_hist.size(); ++b) {
+      fanout_hist[b] += o.fanout_hist[b];
+    }
+  }
 };
 
 /// The gather/eval scratch of one engine: parallel arrays of packed

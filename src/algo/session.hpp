@@ -22,7 +22,6 @@
 // query of that kind — copy results out before re-querying the same kind.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <span>
@@ -126,7 +125,6 @@ class QuerySessionT {
     s2s_sg_ = nullptr;
     s2s_dt_ = nullptr;
     all_to_one_.reset();
-    multi_.reset();
     multi_ov_.reset();
     multi_ov_graph_ = nullptr;
     // All engine scratch above lived in ws_ (or in per-engine workspaces
@@ -147,7 +145,6 @@ class QuerySessionT {
   TimeQueryT<TimeQueue>& time_engine() {
     if (!time_) {
       time_ = std::make_unique<TimeQueryT<TimeQueue>>(*tt_, *g_, &ws_);
-      time_->set_relax_options(opt_.relax_options());
     }
     return *time_;
   }
@@ -163,7 +160,6 @@ class QuerySessionT {
   McTimeQueryT<McQueue>& mc_engine() {
     if (!mc_) {
       mc_ = std::make_unique<McTimeQueryT<McQueue>>(*tt_, *g_, &ws_);
-      mc_->set_relax_options(opt_.relax_options());
     }
     return *mc_;
   }
@@ -176,7 +172,6 @@ class QuerySessionT {
   TeTimeQueryT<TimeQueue>& te_engine(const TeGraph& te) {
     if (!te_ || te_graph_ != &te) {
       te_ = std::make_unique<TeTimeQueryT<TimeQueue>>(te, &ws_);
-      te_->set_relax_options(opt_.relax_options());
       te_graph_ = &te;
     }
     return *te_;
@@ -242,21 +237,11 @@ class QuerySessionT {
     return *all_to_one_;
   }
 
-  /// Throughput-mode engines (docs/architecture.md "Throughput execution"):
-  /// K time queries per call over lane-sharded label state. Per-lane
-  /// results and accounting stay byte-identical to the per-query engines
-  /// above.
-  MultiQueryTimeEngineT<TimeQueue>& multi_engine() {
-    if (!multi_) {
-      multi_ =
-          std::make_unique<MultiQueryTimeEngineT<TimeQueue>>(*tt_, *g_, &ws_);
-      multi_->set_relax_options(opt_.relax_options());
-    }
-    return *multi_;
-  }
-
-  /// Overlay-routed throughput engine; binds to the overlay passed first
-  /// like overlay_time_engine().
+  /// Throughput-mode engine (docs/architecture.md "Throughput execution"):
+  /// K overlay time queries per call plus the cross-lane down-sweep.
+  /// Per-lane results and accounting stay byte-identical to
+  /// overlay_time_engine(). Binds to the overlay passed first like
+  /// overlay_time_engine().
   MultiQueryOverlayTimeEngineT<TimeQueue>& multi_overlay_engine(
       const OverlayGraph& ov) {
     if (!multi_ov_ || multi_ov_graph_ != &ov) {
@@ -381,56 +366,14 @@ class QuerySessionT {
 
   /// Runs all `queries` as one batch; read results off the returned engine
   /// (arrival_at(q, s), stats(q), ...) — they hold until the next batch.
-  /// Allocation-free once warm at a given batch shape.
-  MultiQueryTimeEngineT<TimeQueue>& run_batch(
-      std::span<const BatchQuery> queries) {
-    multi_engine().set_track_parents(true);  // full API incl. parent(q, v)
-    multi_->run(queries);
-    return *multi_;
-  }
-
-  /// Overlay-routed run_batch; requires a prior multi_overlay_engine(ov)
-  /// call to bind the overlay.
+  /// Allocation-free once warm at a given batch shape. Requires a prior
+  /// multi_overlay_engine(ov) call to bind the overlay.
   MultiQueryOverlayTimeEngineT<TimeQueue>& overlay_run_batch(
       std::span<const BatchQuery> queries) {
     assert(multi_ov_ &&
            "bind the overlay with multi_overlay_engine(ov) first");
     multi_ov_->run(queries);
     return *multi_ov_;
-  }
-
-  /// Matrix workload: earliest arrival for every (source, target) pair at
-  /// one departure, returned row-major (|sources| x |targets|, buffer
-  /// overwritten by the next call). Sources advance in waves of `lanes`
-  /// one-to-all searches; every lane of a wave keeps its own label pool
-  /// until the wave's arrivals are read out.
-  std::span<const Time> distance_table_batch(
-      std::span<const StationId> sources, std::span<const StationId> targets,
-      Time departure, std::size_t lanes = 64) {
-    multi_engine();
-    table_buf_.resize(sources.size() * targets.size());
-    // The matrix API returns only times at the listed targets: run the
-    // waves arrival-only (no per-improvement parent stores) and stop each
-    // lane once its last target station settles. run_batch() re-enables
-    // full tracking.
-    multi_->set_track_parents(false);
-    multi_->set_stop_targets(targets);
-    run_table_waves(*multi_, sources, targets, departure, lanes);
-    multi_->clear_stop_targets();
-    multi_->set_track_parents(true);
-    return table_buf_;
-  }
-
-  /// Overlay-routed matrix workload (station arrivals are exact after the
-  /// core run — no down-sweep needed); requires a bound overlay.
-  std::span<const Time> overlay_distance_table_batch(
-      std::span<const StationId> sources, std::span<const StationId> targets,
-      Time departure, std::size_t lanes = 64) {
-    assert(multi_ov_ &&
-           "bind the overlay with multi_overlay_engine(ov) first");
-    table_buf_.resize(sources.size() * targets.size());
-    run_table_waves(*multi_ov_, sources, targets, departure, lanes);
-    return table_buf_;
   }
 
   // --- memory accounting ---
@@ -448,30 +391,6 @@ class QuerySessionT {
   }
 
  private:
-  /// Shared body of the two matrix workloads: waves of `lanes` one-to-all
-  /// batch queries, arrivals scattered into table_buf_ row-major.
-  template <typename Engine>
-  void run_table_waves(Engine& eng, std::span<const StationId> sources,
-                       std::span<const StationId> targets, Time departure,
-                       std::size_t lanes) {
-    if (lanes == 0) lanes = 1;
-    for (std::size_t w0 = 0; w0 < sources.size(); w0 += lanes) {
-      const std::size_t k = std::min(lanes, sources.size() - w0);
-      batch_queries_buf_.resize(k);
-      for (std::size_t q = 0; q < k; ++q) {
-        batch_queries_buf_[q] = {.source = sources[w0 + q],
-                                 .departure = departure};
-      }
-      eng.run(batch_queries_buf_);
-      for (std::size_t q = 0; q < k; ++q) {
-        Time* const row = table_buf_.data() + (w0 + q) * targets.size();
-        for (std::size_t j = 0; j < targets.size(); ++j) {
-          row[j] = eng.arrival_at(q, targets[j]);
-        }
-      }
-    }
-  }
-
   const Timetable* tt_;
   const TdGraph* g_;
   QuerySessionOptions opt_;
@@ -496,7 +415,6 @@ class QuerySessionT {
   const StationGraph* s2s_sg_ = nullptr;
   const DistanceTable* s2s_dt_ = nullptr;
   std::unique_ptr<AllToOneProfilesT<SpcsQueue>> all_to_one_;
-  std::unique_ptr<MultiQueryTimeEngineT<TimeQueue>> multi_;
   std::unique_ptr<MultiQueryOverlayTimeEngineT<TimeQueue>> multi_ov_;
   const OverlayGraph* multi_ov_graph_ = nullptr;
 
@@ -509,8 +427,6 @@ class QuerySessionT {
   StationQueryResult s2s_buf_;
   Journey journey_buf_;
   std::vector<NodeId> path_scratch_;
-  std::vector<BatchQuery> batch_queries_buf_;
-  std::vector<Time> table_buf_;
 };
 
 /// The paper's configuration: binary heaps everywhere.

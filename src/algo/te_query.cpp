@@ -1,5 +1,7 @@
 #include "algo/te_query.hpp"
 
+#include <algorithm>
+
 namespace pconn {
 
 template <typename Queue>
@@ -7,15 +9,9 @@ TeTimeQueryT<Queue>::TeTimeQueryT(const TeGraph& g, QueryWorkspace* ws)
     : g_(g),
       heap_(scratch_alloc(ws)),
       dist_(scratch_alloc(ws)),
-      best_arrival_(scratch_alloc(ws)),
-      batch_(scratch_alloc(ws)) {
+      best_arrival_(scratch_alloc(ws)) {
   heap_.reset_capacity(g.num_nodes());
   dist_.assign(g.num_nodes(), kInfTime);
-  std::size_t max_deg = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    max_deg = std::max(max_deg, g.out_edges(v).size());
-  }
-  batch_.reserve(max_deg);
   // Station count is not stored in TeGraph; size lazily on first run.
 }
 
@@ -68,13 +64,13 @@ void TeTimeQueryT<Queue>::run(StationId source, Time departure,
     }
     // The TE edge records are already dense 8-byte (head, weight) pairs;
     // the win here is prefetching the next head's distance slot while the
-    // current edge relaxes. Batch mode splits gather (copy the block into
-    // SoA arrays, prefetching ahead) from the arithmetic — a plain vector
-    // add over the weights — and the in-order commit; TE has no pre-eval
-    // test, so the phases are trivially identical to the interleaved loop.
+    // current edge relaxes. Every weight is a constant, so there is no
+    // evaluation a gather -> eval -> commit phasing could batch.
     const std::span<const TeGraph::Edge> edges = g_.out_edges(v);
-
-    const auto commit = [&](NodeId head, Time t) {
+    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+      if (ei + 1 < edges.size()) dist_.prefetch(edges[ei + 1].head);
+      const NodeId head = edges[ei].head;
+      const Time t = key + edges[ei].weight;
       stats_.relaxed++;
       if (t < dist_.get(head)) {
         if constexpr (Queue::kAddressable) {
@@ -88,27 +84,6 @@ void TeTimeQueryT<Queue>::run(StationId source, Time departure,
           stats_.pushed++;
         }
         dist_.set(head, t);
-      }
-    };
-
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        edges.size() >= relax_.batch_min_edges) {
-      batch_.clear();
-      for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-        if (ei + 1 < edges.size()) dist_.prefetch(edges[ei + 1].head);
-        batch_.push(edges[ei].weight, edges[ei].head);
-      }
-      Time* const out = batch_.prepare_out();
-      const std::uint32_t* const weights = batch_.words();
-      for (std::size_t i = 0; i < batch_.size(); ++i) out[i] = key + weights[i];
-      for (std::size_t i = 0; i < batch_.size(); ++i) {
-        commit(batch_.aux(i), out[i]);
-      }
-    } else {
-      for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-        if (ei + 1 < edges.size()) dist_.prefetch(edges[ei + 1].head);
-        const TeGraph::Edge& e = edges[ei];
-        commit(e.head, key + e.weight);
       }
     }
   }

@@ -6,7 +6,6 @@
 
 #include "algo/counters.hpp"
 #include "algo/queue_policy.hpp"
-#include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/te_graph.hpp"
 #include "timetable/timetable.hpp"
@@ -35,20 +34,11 @@ class TeTimeQueryT {
 
   const QueryStats& stats() const { return stats_; }
 
-  /// Relax-loop phasing (algo/relax_batch.hpp). TE edges are all constant,
-  /// so the "eval" phase is a vector add; bit-identical either way.
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
-
  private:
   const TeGraph& g_;
   Queue heap_;
   EpochArray<Time> dist_;
   EpochArray<Time> best_arrival_;  // per station, over settled arrival events
-  RelaxBatch batch_;  // gather/eval scratch of the batch relax mode
-  RelaxOptions relax_;
   StationId source_ = kInvalidStation;
   Time departure_ = 0;
   QueryStats stats_;

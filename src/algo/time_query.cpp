@@ -9,12 +9,10 @@ TimeQueryT<Queue>::TimeQueryT(const Timetable& tt, const TdGraph& g,
       g_(g),
       heap_(scratch_alloc(ws)),
       dist_(scratch_alloc(ws)),
-      parent_(scratch_alloc(ws)),
-      batch_(scratch_alloc(ws)) {
+      parent_(scratch_alloc(ws)) {
   heap_.reset_capacity(g.num_nodes());
   dist_.assign(g.num_nodes(), kInfTime);
   parent_.assign(g.num_nodes(), kInvalidNode);
-  batch_.reserve(g.max_out_degree());
 }
 
 template <typename Queue>
@@ -50,20 +48,27 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
     // settled-array test (a settled head's final distance is <= the
     // monotone pop key) and prunes more.
     //
-    // Batch mode phases the loop as gather -> eval -> commit. The dist
-    // bound the pre-test reads DOES advance during the commits (unlike
-    // SPCS's settle-only state), so the commit pass re-runs it: a head
-    // whose distance dropped to <= key by an earlier commit of this very
-    // batch is dropped there, exactly where the interleaved loop would
-    // have skipped its eval — results and accounting stay bit-identical
-    // (the batch only evaluates a few arrivals the interleaved loop would
-    // not have, which is invisible in both).
+    // One body, no gather -> eval -> commit phasing (algo/relax_batch.hpp):
+    // in this graph model a node carries at most one travel function
+    // (TdGraph::ttf_out_degree <= 1, asserted by graph_test), so there is
+    // never a batch to evaluate.
     const std::uint32_t eb = g_.edge_begin(v);
     const std::uint32_t ee = g_.edge_end(v);
     const NodeId* const heads = g_.heads_data();
     const std::uint32_t* const words = g_.words_data();
-
-    const auto commit = [&](NodeId head, Time t) {
+    for (std::uint32_t ei = eb; ei < ee; ++ei) {
+      if (ei + 1 < ee) {
+        dist_.prefetch(heads[ei + 1]);
+        g_.prefetch_edge_ttf(ei + 1);
+      }
+      const NodeId head = heads[ei];
+      if (dist_.get(head) <= key) continue;  // t >= key >= dist: hopeless
+      const std::uint32_t w = words[ei];
+      // No transfer penalty for the very first boarding at the source.
+      const Time t = (v == src && TdGraph::word_is_const(w))
+                         ? key
+                         : g_.arrival_by_word(w, key);
+      if (t == kInfTime) continue;
       stats_.relaxed++;
       if (t < dist_.get(head)) {
         if constexpr (Queue::kAddressable) {
@@ -78,45 +83,6 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
         }
         dist_.set(head, t);
         parent_.set(head, v);
-      }
-    };
-
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        g_.ttf_out_degree(v) >= relax_.batch_min_edges) {
-      batch_.clear();
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) dist_.prefetch(heads[ei + 1]);
-        const NodeId head = heads[ei];
-        if (dist_.get(head) <= key) continue;  // t >= key >= dist: hopeless
-        std::uint32_t w = words[ei];
-        // No transfer penalty for the very first boarding at the source:
-        // rewrite to a zero-weight constant word before evaluation.
-        if (v == src && TdGraph::word_is_const(w)) w = TdGraph::kConstFlag;
-        batch_.push(w, head);
-      }
-      Time* const out = batch_.prepare_out();
-      g_.arrivals_by_words(batch_.words(), batch_.size(), key, out);
-      for (std::size_t i = 0; i < batch_.size(); ++i) {
-        const NodeId head = batch_.aux(i);
-        if (dist_.get(head) <= key) continue;  // dropped by this batch
-        if (out[i] == kInfTime) continue;
-        commit(head, out[i]);
-      }
-    } else {
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) {
-          dist_.prefetch(heads[ei + 1]);
-          g_.prefetch_edge_ttf(ei + 1);
-        }
-        const NodeId head = heads[ei];
-        if (dist_.get(head) <= key) continue;  // t >= key >= dist: hopeless
-        const std::uint32_t w = words[ei];
-        // No transfer penalty for the very first boarding at the source.
-        Time t = (v == src && TdGraph::word_is_const(w))
-                     ? key
-                     : g_.arrival_by_word(w, key);
-        if (t == kInfTime) continue;
-        commit(head, t);
       }
     }
   }

@@ -15,7 +15,6 @@
 
 #include "algo/counters.hpp"
 #include "algo/queue_policy.hpp"
-#include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
@@ -50,15 +49,6 @@ class TimeQueryT {
 
   const QueryStats& stats() const { return stats_; }
 
-  /// Relax-loop phasing (algo/relax_batch.hpp); results and accounting are
-  /// bit-identical in both modes. Defaults to batch; the setter exists for
-  /// A/B measurement.
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  /// Full relax configuration incl. the batch_min_edges runtime knob.
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
-
  private:
   const Timetable& tt_;
   const TdGraph& g_;
@@ -70,8 +60,6 @@ class TimeQueryT {
   // TeTimeQueryT relies on).
   EpochArray<Time> dist_;
   EpochArray<NodeId> parent_;
-  RelaxBatch batch_;  // gather/eval scratch of the batch relax mode
-  RelaxOptions relax_;
   QueryStats stats_;
 };
 

@@ -1,26 +1,26 @@
 // Differential tests for the batched gather -> eval -> commit relaxation
-// (algo/relax_batch.hpp): for EVERY engine and EVERY applicable queue
-// policy, the batch modes must produce byte-identical results AND
-// byte-identical work accounting (settled, pushed, decreased, stale pops,
-// relaxed, pruning counters) to the interleaved seed loop.
+// (algo/relax_batch.hpp): for EVERY engine that has two relax bodies and
+// EVERY applicable queue policy, the batch modes must produce
+// byte-identical results AND byte-identical work accounting (settled,
+// pushed, decreased, stale pops, relaxed, pruning counters) to the
+// interleaved loop. The overlay engines' own differentials live in
+// contraction_test and overlay_spcs_test.
 //
 // kBatch runs at two thresholds: the compiled kBatchRelaxMinEdges (the
 // shipped adaptive mode, phased only where the TTF fan-out clears it) and
 // batch_min_edges = 0 (the phased body on every settle — in the Pyrga
 // graph model route nodes carry a single travel function, so without
-// forcing, the SPCS/time/mc batch bodies would go untested).
+// forcing, the flat SPCS batch body would go untested).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
-#include "algo/mc_query.hpp"
+#include "algo/overlay_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/session.hpp"
-#include "algo/te_query.hpp"
-#include "algo/time_query.hpp"
-#include "graph/te_graph.hpp"
 #include "s2s/distance_table.hpp"
 #include "s2s/s2s_query.hpp"
 #include "s2s/transfer_selection.hpp"
@@ -57,31 +57,36 @@ std::string mode_tag(QueueKind q, const RelaxOptions& r) {
 
 // ------------------------------------------------------------- session ---
 
-// QuerySessionOptions::relax must reach every engine the session builds —
-// results are mode-identical by design, so this checks the plumbing
-// directly instead of the output.
+// QuerySessionOptions::relax must reach every engine the session builds
+// that still has two relax bodies — results are mode-identical by design,
+// so this checks the plumbing directly instead of the output.
 TEST(BatchRelax, SessionAppliesRelaxOptionToEveryEngine) {
   Timetable tt = test::tiny_line();
   TdGraph g = TdGraph::build(tt);
-  TeGraph te = TeGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g);
   QuerySessionOptions opt;
   opt.relax = RelaxMode::kInterleaved;
   QuerySession session(tt, g, opt);
-  EXPECT_EQ(session.time_engine().relax_mode(), RelaxMode::kInterleaved);
   EXPECT_EQ(session.lc_engine().relax_mode(), RelaxMode::kInterleaved);
-  EXPECT_EQ(session.mc_engine().relax_mode(), RelaxMode::kInterleaved);
-  EXPECT_EQ(session.te_engine(te).relax_mode(), RelaxMode::kInterleaved);
+  EXPECT_EQ(session.overlay_time_engine(ov).relax_mode(),
+            RelaxMode::kInterleaved);
+  EXPECT_EQ(session.overlay_lc_engine(ov).relax_mode(),
+            RelaxMode::kInterleaved);
   EXPECT_EQ(session.profile_engine().options().relax, RelaxMode::kInterleaved);
+  EXPECT_EQ(session.overlay_spcs_engine(ov).options().relax,
+            RelaxMode::kInterleaved);
 }
 
 // ------------------------------------------------ batch_min_edges knob ---
 
 // The threshold only picks which of the two equivalent loop bodies runs:
 // any value — 0 (always phased), mid, huge (never phased) — must keep
-// results AND accounting bit-identical to the default adaptive mode.
+// results AND accounting bit-identical to the default adaptive mode. On the
+// overlay core, where shortcut fans straddle the compiled threshold.
 TEST(BatchRelax, BatchMinEdgesKnobKeepsBothPathsBitIdentical) {
   Timetable tt = test::small_city(35);
   TdGraph g = TdGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g);
   Rng rng(63);
   std::vector<std::pair<StationId, Time>> queries;
   for (int i = 0; i < 8; ++i) {
@@ -89,10 +94,10 @@ TEST(BatchRelax, BatchMinEdgesKnobKeepsBothPathsBitIdentical) {
         {static_cast<StationId>(rng.next_below(tt.num_stations())),
          static_cast<Time>(rng.next_below(kDayseconds))});
   }
-  TimeQuery ref(tt, g);
+  OverlayTimeQuery ref(tt, g, ov);
   ref.set_relax_options({.mode = RelaxMode::kBatch});
   for (std::uint32_t edges : {0u, 1u, 3u, 1u << 20}) {
-    TimeQuery knob(tt, g);
+    OverlayTimeQuery knob(tt, g, ov);
     knob.set_relax_options(
         {.mode = RelaxMode::kBatch, .batch_min_edges = edges});
     for (auto [s, dep] : queries) {
@@ -100,10 +105,12 @@ TEST(BatchRelax, BatchMinEdgesKnobKeepsBothPathsBitIdentical) {
       knob.run(s, dep);
       const std::string what = "batch_min_edges=" + std::to_string(edges);
       expect_stats_eq(ref.stats(), knob.stats(), what);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      for (NodeId v = 0; v < ov.num_nodes(); ++v) {
         ASSERT_EQ(ref.arrival_at_node(v), knob.arrival_at_node(v))
             << what << " node " << v;
         ASSERT_EQ(ref.parent(v), knob.parent(v)) << what << " node " << v;
+        ASSERT_EQ(ref.parent_edge(v), knob.parent_edge(v))
+            << what << " node " << v;
       }
     }
   }
@@ -114,13 +121,16 @@ TEST(BatchRelax, BatchMinEdgesKnobKeepsBothPathsBitIdentical) {
 TEST(BatchRelax, SessionAppliesBatchMinEdgesKnob) {
   Timetable tt = test::tiny_line();
   TdGraph g = TdGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g);
   QuerySessionOptions opt;
   opt.batch_min_edges = 3;
   QuerySession session(tt, g, opt);
-  EXPECT_EQ(session.time_engine().relax_options().batch_min_edges, 3u);
-  EXPECT_EQ(session.mc_engine().relax_options().batch_min_edges, 3u);
-  EXPECT_EQ(session.multi_engine().relax_options().batch_min_edges, 3u);
+  EXPECT_EQ(session.overlay_time_engine(ov).relax_options().batch_min_edges,
+            3u);
+  EXPECT_EQ(session.multi_overlay_engine(ov).relax_options().batch_min_edges,
+            3u);
   EXPECT_EQ(session.profile_engine().options().batch_min_edges, 3u);
+  EXPECT_EQ(session.overlay_spcs_engine(ov).options().batch_min_edges, 3u);
 }
 
 // --------------------------------------------------------------- SPCS ---
@@ -224,109 +234,6 @@ TEST(BatchRelax, S2sTablePruningEveryPolicy) {
                                    std::to_string(t);
           expect_stats_eq(ri.stats, rb.stats, what);
           EXPECT_EQ(ri.profile, rb.profile) << what;
-        }
-      }
-    });
-  }
-}
-
-// --------------------------------------------------------- time query ---
-
-TEST(BatchRelax, TimeQueryEveryPolicy) {
-  Rng rng(62);
-  Timetable tt = test::small_city(34);
-  TdGraph g = TdGraph::build(tt);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto qs) {
-      using Queue = typename decltype(qs)::Time;
-      TimeQueryT<Queue> inter(tt, g), batch(tt, g);
-      inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (const RelaxOptions& r : kBatchConfigs) {
-        batch.set_relax_options(r);
-        for (int i = 0; i < 10; ++i) {
-          StationId s =
-              static_cast<StationId>(rng.next_below(tt.num_stations()));
-          Time dep = static_cast<Time>(rng.next_below(kDayseconds));
-          // Mix one-to-all and targeted (early-stop) runs.
-          StationId t = i % 2 == 0 ? kInvalidStation
-                                   : static_cast<StationId>(
-                                         rng.next_below(tt.num_stations()));
-          inter.run(s, dep, t);
-          batch.run(s, dep, t);
-          const std::string what = "time " + mode_tag(qk, r);
-          expect_stats_eq(inter.stats(), batch.stats(), what);
-          for (NodeId v = 0; v < g.num_nodes(); ++v) {
-            ASSERT_EQ(inter.arrival_at_node(v), batch.arrival_at_node(v))
-                << what << " node " << v;
-            ASSERT_EQ(inter.parent(v), batch.parent(v)) << what << " node "
-                                                        << v;
-          }
-        }
-      }
-    });
-  }
-}
-
-// ----------------------------------------------------------- te query ---
-
-TEST(BatchRelax, TeQueryEveryPolicy) {
-  Rng rng(63);
-  Timetable tt = test::small_city(35);
-  TeGraph te = TeGraph::build(tt);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto qs) {
-      using Queue = typename decltype(qs)::Time;
-      TeTimeQueryT<Queue> inter(te), batch(te);
-      inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (const RelaxOptions& r : kBatchConfigs) {
-        batch.set_relax_options(r);
-        for (int i = 0; i < 8; ++i) {
-          StationId s =
-              static_cast<StationId>(rng.next_below(tt.num_stations()));
-          Time dep = static_cast<Time>(rng.next_below(kDayseconds));
-          inter.run(s, dep);
-          batch.run(s, dep);
-          const std::string what = "te " + mode_tag(qk, r);
-          expect_stats_eq(inter.stats(), batch.stats(), what);
-          for (StationId v = 0; v < tt.num_stations(); ++v) {
-            ASSERT_EQ(inter.arrival_at(v), batch.arrival_at(v))
-                << what << " station " << v;
-          }
-        }
-      }
-    });
-  }
-}
-
-// ------------------------------------------------------ multi-criteria ---
-
-TEST(BatchRelax, McQueryEveryPolicy) {
-  Rng rng(64);
-  Timetable tt = test::small_city(36);
-  TdGraph g = TdGraph::build(tt);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto qs) {
-      using Queue = typename decltype(qs)::Mc;
-      McTimeQueryT<Queue> inter(tt, g), batch(tt, g);
-      inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (const RelaxOptions& r : kBatchConfigs) {
-        batch.set_relax_options(r);
-        for (int i = 0; i < 6; ++i) {
-          StationId s =
-              static_cast<StationId>(rng.next_below(tt.num_stations()));
-          Time dep = static_cast<Time>(rng.next_below(kDayseconds));
-          inter.run(s, dep);
-          batch.run(s, dep);
-          const std::string what = "mc " + mode_tag(qk, r);
-          expect_stats_eq(inter.stats(), batch.stats(), what);
-          for (StationId v = 0; v < tt.num_stations(); ++v) {
-            auto fi = inter.pareto(v);
-            auto fb = batch.pareto(v);
-            ASSERT_EQ(fi.size(), fb.size()) << what << " station " << v;
-            for (std::size_t l = 0; l < fi.size(); ++l) {
-              EXPECT_EQ(fi[l], fb[l]) << what << " station " << v;
-            }
-          }
         }
       }
     });

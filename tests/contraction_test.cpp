@@ -177,14 +177,14 @@ TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
 // ----------------------------------------------------------- differential ---
 
 /// Full-node differential: one-to-all time queries on the overlay (core
-/// Dijkstra + downward sweep) must equal the flat engine at EVERY node.
+/// Dijkstra + downward sweep), in the given relax configuration, must equal
+/// the flat engine — the single fixed oracle — at EVERY node.
 template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, RelaxOptions relax,
                           std::uint64_t seed, int queries) {
   TimeQueryT<Queue> flat(tt, g);
   OverlayTimeQueryT<Queue> over(tt, g, ov);
-  flat.set_relax_options(relax);
   over.set_relax_options(relax);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
@@ -361,6 +361,37 @@ TEST(ContractionOverlay, BatchModeAccountingMatchesInterleaved) {
     std::uint64_t hist_sum = 0;
     for (std::uint64_t h : always.batch_stats().fanout_hist) hist_sum += h;
     EXPECT_EQ(hist_sum, always.batch_stats().gathers);
+  }
+}
+
+// A second down-sweep before the next run changes nothing: not the labels,
+// not the parents, not the relax accounting.
+TEST(ContractionOverlay, SettleContractedIsIdempotent) {
+  const Timetable tt = test::small_city(37);
+  const TdGraph g = TdGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g);
+  OverlayTimeQuery over(tt, g, ov);
+  Rng rng(89);
+  for (int i = 0; i < 4; ++i) {
+    const StationId s =
+        static_cast<StationId>(rng.next_below(tt.num_stations()));
+    over.run(s, static_cast<Time>(rng.next_below(tt.period())));
+    over.settle_contracted();
+    const QueryStats first = over.stats();
+    std::vector<Time> arrivals(ov.num_nodes());
+    std::vector<NodeId> parents(ov.num_nodes());
+    for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+      arrivals[v] = over.arrival_at_node(v);
+      parents[v] = over.parent(v);
+    }
+    over.settle_contracted();
+    EXPECT_EQ(over.stats().settled, first.settled);
+    EXPECT_EQ(over.stats().pushed, first.pushed);
+    EXPECT_EQ(over.stats().relaxed, first.relaxed);
+    for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+      ASSERT_EQ(over.arrival_at_node(v), arrivals[v]) << "node " << v;
+      ASSERT_EQ(over.parent(v), parents[v]) << "node " << v;
+    }
   }
 }
 

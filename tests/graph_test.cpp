@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "gen/generator.hpp"
 #include "graph/station_graph.hpp"
 #include "graph/td_graph.hpp"
 #include "test_util.hpp"
 #include "timetable/validation.hpp"
+#include "util/rng.hpp"
 
 namespace pconn {
 namespace {
@@ -143,6 +146,32 @@ TEST(StationGraph, MinRideAndCounts) {
       EXPECT_EQ(e.min_ride, 2100u);  // the direct line
       EXPECT_EQ(e.num_conns, 4u);
     }
+  }
+}
+
+/// The largest number of travel functions on one node's out-edges.
+std::uint32_t max_ttf_out_degree(const TdGraph& g) {
+  std::uint32_t widest = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    widest = std::max(widest, g.ttf_out_degree(v));
+  }
+  return widest;
+}
+
+// The premise of the flat scalar engines' single relax body (TimeQueryT,
+// McTimeQueryT; see time_query.cpp): in this graph model a node carries at
+// most one travel function, so a flat settle never has a batch of TTF
+// evaluations to phase. If the model changes, this fails first — and the
+// flat engines need a batched body again.
+TEST(TdGraph, EveryNodeCarriesAtMostOneTravelFunction) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const TdGraph g = TdGraph::build(gen::make_preset(p, 0.3));
+    EXPECT_LE(max_ttf_out_degree(g), 1u) << gen::preset_name(p);
+  }
+  Rng rng(5);
+  for (int net = 0; net < 8; ++net) {
+    const TdGraph g = TdGraph::build(test::random_timetable(rng, 14, 8, 6));
+    EXPECT_LE(max_ttf_out_degree(g), 1u) << "random network " << net;
   }
 }
 

@@ -1,12 +1,13 @@
-// Differential tests for the throughput-mode multi-query engines
-// (algo/multi_query.hpp): a batch of K searches must be byte-identical —
-// every lane's distances, parents and work accounting — to a loop of warm
-// per-query engines over the same query stream, for every queue policy,
-// interleaved and batch relax (the latter at the default threshold and at
-// batch_min_edges = 0), K in {1, 4, 32}, on the flat graph AND the
-// contraction overlay. Plus the workspace guarantee: a warm run_batch() of the same
-// batch shape performs zero heap allocations (this TU replaces the global
-// operator new/delete with counters, like tests/session_test.cpp).
+// Differential tests for the throughput-mode multi-query engine
+// (algo/multi_query.hpp): a batch of K overlay searches must be
+// byte-identical — every lane's distances, parents and work accounting — to
+// a loop of warm per-query engines over the same query stream, for every
+// queue policy, interleaved and batch relax (the latter at the default
+// threshold and at batch_min_edges = 0), K in {1, 4, 32}, and so must the
+// cross-lane down-sweep. Plus the workspace guarantee: a warm
+// overlay_run_batch() of the same batch shape performs zero heap
+// allocations (this TU replaces the global operator new/delete with
+// counters, like tests/session_test.cpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +20,6 @@
 #include "algo/multi_query.hpp"
 #include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
-#include "algo/time_query.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -119,43 +119,6 @@ std::vector<BatchQuery> make_queries(const Timetable& tt, Rng& rng,
   return qs;
 }
 
-// ------------------------------------------------------------- flat ---
-
-TEST(MultiQuery, FlatMatchesPerQueryEveryPolicyModeAndBatchSize) {
-  Timetable tt = test::small_city(41);
-  TdGraph g = TdGraph::build(tt);
-  Rng rng(71);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto set) {
-      using Queue = typename decltype(set)::Time;
-      MultiQueryTimeEngineT<Queue> multi(tt, g);
-      TimeQueryT<Queue> per(tt, g);  // warm across the whole stream
-      for (const RelaxOptions& r : kAllConfigs) {
-        multi.set_relax_options(r);
-        per.set_relax_options(r);
-        for (std::size_t k : kBatchSizes) {
-          const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
-          multi.run(qs);
-          ASSERT_EQ(multi.num_queries(), k);
-          for (std::size_t q = 0; q < k; ++q) {
-            per.run(qs[q].source, qs[q].departure, qs[q].target);
-            const std::string what = "flat " + config_tag(qk, r) +
-                                     " K=" + std::to_string(k) + " lane " +
-                                     std::to_string(q);
-            expect_stats_eq(per.stats(), multi.stats(q), what);
-            for (NodeId v = 0; v < g.num_nodes(); ++v) {
-              ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
-                  << what << " node " << v;
-              ASSERT_EQ(multi.parent(q, v), per.parent(v))
-                  << what << " node " << v;
-            }
-          }
-        }
-      }
-    });
-  }
-}
-
 // ---------------------------------------------------------- overlay ---
 
 TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
@@ -246,22 +209,41 @@ TEST(MultiQuery, SettleContractedBatchMatchesPerQuery) {
   }
 }
 
-// The flat graph's route nodes carry one travel function each, so at the
-// default threshold no settle clears batch_min_edges (bench_multiquery's
-// flat_mean_lanes is 0); at threshold 0 every settle runs the phased body,
-// which the identity test above therefore really covers.
-TEST(MultiQuery, FlatPhasedBodyEngagesOnlyAtThresholdZero) {
-  Timetable tt = test::small_city(41);
+// A second sweep before the next run changes nothing: not the labels, not
+// the parents, not the relax accounting. Per-lane settle_contracted after
+// the batched sweep is a no-op too.
+TEST(MultiQuery, SettleContractedBatchIsIdempotent) {
+  Timetable tt = test::small_city(47);
   TdGraph g = TdGraph::build(tt);
-  Rng rng(76);
-  const std::vector<BatchQuery> qs = make_queries(tt, rng, 4);
-  MultiQueryTimeEngine multi(tt, g);
-  multi.set_relax_options({.mode = RelaxMode::kBatch, .batch_min_edges = 0});
+  const OverlayGraph ov = contract_graph(tt, g, {});
+  Rng rng(77);
+  std::vector<BatchQuery> qs = make_queries(tt, rng, 4);
+  for (BatchQuery& q : qs) q.target = kInvalidStation;
+  MultiQueryOverlayTimeEngine multi(tt, g, ov);
   multi.run(qs);
-  EXPECT_GT(multi.batch_stats().gathers, 0u);
-  multi.set_relax_options({});
-  multi.run(qs);
-  EXPECT_EQ(multi.batch_stats().gathers, 0u);
+  multi.settle_contracted_batch();
+  std::vector<QueryStats> stats;
+  std::vector<Time> arrivals;
+  std::vector<NodeId> parents;
+  for (std::size_t q = 0; q < qs.size(); ++q) {
+    stats.push_back(multi.stats(q));
+    for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+      arrivals.push_back(multi.arrival_at_node(q, v));
+      parents.push_back(multi.parent(q, v));
+    }
+  }
+  const std::uint64_t gathers = multi.batch_stats().gathers;
+  multi.settle_contracted_batch();
+  for (std::size_t q = 0; q < qs.size(); ++q) multi.settle_contracted(q);
+  EXPECT_EQ(multi.batch_stats().gathers, gathers);
+  std::size_t i = 0;
+  for (std::size_t q = 0; q < qs.size(); ++q) {
+    expect_stats_eq(stats[q], multi.stats(q), "lane " + std::to_string(q));
+    for (NodeId v = 0; v < ov.num_nodes(); ++v, ++i) {
+      ASSERT_EQ(multi.arrival_at_node(q, v), arrivals[i]) << "node " << v;
+      ASSERT_EQ(multi.parent(q, v), parents[i]) << "node " << v;
+    }
+  }
 }
 
 // Binding an overlay contracted from a different dataset must fail loudly,
@@ -278,111 +260,15 @@ TEST(MultiQuery, OverlayGraphMismatchThrows) {
 
 // ------------------------------------------------- session + workspace ---
 
-// The session's matrix workload must agree with per-query earliest-arrival
-// loops, flat and overlay-routed, at a lane width that spans several waves.
-TEST(MultiQuery, DistanceTableBatchMatchesPerQueryLoops) {
-  Timetable tt = test::small_city(44);
-  TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g, {});
-  Rng rng(73);
-  std::vector<StationId> sources, targets;
-  for (int i = 0; i < 9; ++i) {
-    sources.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  for (int i = 0; i < 7; ++i) {
-    targets.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  const Time dep = 8 * 3600;
-
-  QuerySession session(tt, g);
-  session.multi_overlay_engine(ov);
-  // lanes = 4 forces several waves over the 9 sources.
-  const std::span<const Time> flat =
-      session.distance_table_batch(sources, targets, dep, 4);
-  ASSERT_EQ(flat.size(), sources.size() * targets.size());
-  TimeQuery per(tt, g);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    per.run(sources[i], dep);
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(flat[i * targets.size() + j], per.arrival_at(targets[j]))
-          << sources[i] << "->" << targets[j];
-    }
-  }
-
-  const std::span<const Time> routed =
-      session.overlay_distance_table_batch(sources, targets, dep, 4);
-  OverlayTimeQuery over(tt, g, ov);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    over.run(sources[i], dep);
-    for (std::size_t j = 0; j < targets.size(); ++j) {
-      EXPECT_EQ(routed[i * targets.size() + j], over.arrival_at(targets[j]))
-          << sources[i] << "->" << targets[j];
-    }
-  }
-}
-
-// The table waves run arrival-only with a multi-target stop (the matrix
-// API returns only times at its listed targets); run_batch through the
-// same engine must still hand back full per-query results — parents
-// included — no matter how the two workloads interleave.
-TEST(MultiQuery, TableModeRestoresFullTracking) {
-  Timetable tt = test::small_city(46);
-  TdGraph g = TdGraph::build(tt);
-  Rng rng(75);
-  std::vector<StationId> sources, targets;
-  for (int i = 0; i < 6; ++i) {
-    sources.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  for (int i = 0; i < 5; ++i) {
-    targets.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  const Time dep = 7 * 3600;
-  std::vector<BatchQuery> qs;
-  for (const StationId s : sources) {
-    qs.push_back({.source = s, .departure = dep});
-  }
-
-  QuerySession session(tt, g);
-  TimeQuery per(tt, g);
-  for (int round = 0; round < 2; ++round) {
-    // Table call first: arrival-only waves with the stop set armed ...
-    const std::span<const Time> table =
-        session.distance_table_batch(sources, targets, dep, 4);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      per.run(sources[i], dep);
-      for (std::size_t j = 0; j < targets.size(); ++j) {
-        EXPECT_EQ(table[i * targets.size() + j], per.arrival_at(targets[j]));
-      }
-    }
-    // ... then run_batch must be back to the full per-query contract:
-    // every node's distance AND parent, full (unstopped) searches.
-    auto& eng = session.run_batch(qs);
-    for (std::size_t q = 0; q < qs.size(); ++q) {
-      per.run(sources[q], dep);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        ASSERT_EQ(eng.arrival_at_node(q, v), per.arrival_at_node(v));
-        ASSERT_EQ(eng.parent(q, v), per.parent(v));
-      }
-      ASSERT_EQ(eng.stats(q).settled, per.stats().settled);
-    }
-  }
-}
-
-// Zero-allocation guarantee: after warm-up, run_batch / the matrix
-// workloads of the same batch shape allocate nothing — all lane state
-// lives in the session workspace.
+// Zero-allocation guarantee: after warm-up, overlay_run_batch and the
+// batched down-sweep of the same batch shape allocate nothing — all lane
+// state lives in the session workspace.
 TEST(MultiQuery, WarmRunBatchDoesNotAllocate) {
   Timetable tt = test::small_city(45);
   TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g, {});
   Rng rng(74);
   const std::vector<BatchQuery> qs = make_queries(tt, rng, 8);
-  std::vector<StationId> sources, targets;
-  for (int i = 0; i < 6; ++i) {
-    sources.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-    targets.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  const Time dep = 9 * 3600;
 
   // The batched down-sweep needs full lanes; it rides along to pin its
   // transpose/row buffers (and the lazy down-index) to the workspace too.
@@ -393,14 +279,10 @@ TEST(MultiQuery, WarmRunBatchDoesNotAllocate) {
   session.multi_overlay_engine(ov);
   std::uint64_t sink = 0;
   const auto exercise = [&] {
-    sink += session.run_batch(qs).stats(0).settled;
     sink += session.overlay_run_batch(qs).stats(0).settled;
     auto& eng = session.overlay_run_batch(qs_full);
     eng.settle_contracted_batch();
     sink += eng.arrival_at_node(0, 0);
-    sink += session.distance_table_batch(sources, targets, dep, 4).size();
-    sink += session.overlay_distance_table_batch(sources, targets, dep, 4)
-                .size();
   };
   exercise();  // engine construction + capacity growth
   exercise();  // second pass: every buffer at steady-state capacity
