@@ -113,9 +113,7 @@ BatchRow run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
   const TdGraph& g = net.graph;
-  OverlayContractionOptions copt;
-  copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
-  const OverlayGraph ov = contract_graph(net.tt, g, copt);
+  const OverlayGraph ov = contract_graph(net.tt, g);
   const std::vector<StationId> sources =
       random_stations(net.tt, num_queries(), 20260727);
   const std::vector<StationId> targets =

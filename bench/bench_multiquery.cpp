@@ -80,9 +80,7 @@ MultiRow run_network(gen::Preset preset) {
   row.name = gen::preset_name(preset);
   row.sources = kSources;
 
-  OverlayContractionOptions copt;
-  copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
-  const OverlayGraph ov = contract_graph(net.tt, g, copt);
+  const OverlayGraph ov = contract_graph(net.tt, g);
 
   const std::vector<StationId> sources =
       random_stations(net.tt, static_cast<int>(kSources), 20260808);

@@ -1,8 +1,10 @@
 // Contraction overlay vs flat graph — the core-routed query bench
 // (docs/architecture.md "Contraction overlay").
 //
-// Per network: contract the time-dependent graph (preprocessing time,
-// shortcut/TTF-point counts and memory before/after are reported), then
+// Per network: contract the time-dependent graph twice, at 1 thread and
+// at the default thread count (both times, and whether the two overlays'
+// arrays are byte-identical, are reported; shortcut/TTF-point counts and
+// memory before/after too), then
 // run identical query streams on the flat engines and the overlay engines
 // with results enforced identical BEFORE any timing (a speedup over wrong
 // answers is meaningless; the full-node differential uses the downward
@@ -17,13 +19,17 @@
 //
 // JSON (--json) is archived by CI as BENCH_overlay.json; CI gates
 // overlay_speedup (geomean of the one-to-all and p2p speedups across
-// networks) >= 1.5, the identity flags, and batch engagement (the widest
+// networks) >= 1.5, the identity flags (contraction_identity among them;
+// no contraction time is gated), and batch engagement (the widest
 // network's mean gather >= kBatchRelaxMinEdges). The smoke preset pair is
 // the two dense-bus networks — the shape the overlay targets; sparse
 // railways sit near 1.0-1.3x (frozen hubs keep their core big) and are
 // reported by full runs, same split bench_batchrelax uses.
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,8 +49,11 @@ constexpr int kBlocks = 5;
 
 struct OverlayRow {
   std::string name;
-  // preprocessing
-  double contraction_ms = 0.0;
+  // preprocessing: one contraction at 1 thread, one at the default
+  double contraction_ms_t1 = 0.0;
+  double contraction_ms_default = 0.0;
+  unsigned default_threads = 0;
+  bool contraction_identity = false;  // both overlays' arrays byte-equal
   std::uint64_t shortcuts = 0;
   std::uint64_t shortcut_points = 0;
   std::uint64_t contracted = 0;
@@ -89,11 +98,23 @@ OverlayRow run_network(gen::Preset preset) {
   OverlayRow row;
   row.name = gen::preset_name(preset);
 
-  OverlayContractionOptions copt;
-  copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
+  OverlayContractionOptions serial;
+  serial.threads = 1;
   Timer ct;
+  const OverlayGraph ov_t1 = contract_graph(net.tt, g, serial);
+  row.contraction_ms_t1 = ct.elapsed_ms();
+  const OverlayContractionOptions copt;
+  row.default_threads = copt.threads;
+  ct.restart();
   const OverlayGraph ov = contract_graph(net.tt, g, copt);
-  row.contraction_ms = ct.elapsed_ms();
+  row.contraction_ms_default = ct.elapsed_ms();
+  const auto same = [](std::span<const std::byte> a,
+                       std::span<const std::byte> b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+  };
+  row.contraction_identity =
+      std::ranges::equal(ov_t1.array_bytes(), ov.array_bytes(), same);
   row.shortcuts = ov.num_shortcuts();
   row.shortcut_points = ov.shortcut_points();
   row.contracted = ov.build_stats().contracted;
@@ -103,7 +124,11 @@ OverlayRow run_network(gen::Preset preset) {
   row.flat_bytes = g.memory_bytes();
   row.overlay_bytes = ov.memory_bytes();
 
-  std::cout << "  contraction: " << fixed(row.contraction_ms, 0) << " ms, "
+  std::cout << "  contraction: " << fixed(row.contraction_ms_t1, 0)
+            << " ms at 1 thread, " << fixed(row.contraction_ms_default, 0)
+            << " ms at " << row.default_threads << " ("
+            << (row.contraction_identity ? "identical" : "DIFFERENT")
+            << " overlays), "
             << format_count(row.contracted) << " contracted + "
             << format_count(row.frozen) << " frozen, core "
             << format_count(row.core_nodes) << "/"
@@ -236,7 +261,9 @@ OverlayRow run_network(gen::Preset preset) {
 std::string to_json(const std::vector<OverlayRow>& rows) {
   std::vector<double> gated, lc;
   double mean_gather_min = 1e100, mean_gather_max = 0.0;
+  bool contraction_identity = true;
   for (const OverlayRow& r : rows) {
+    contraction_identity = contraction_identity && r.contraction_identity;
     gated.push_back(r.onetoall_speedup());
     gated.push_back(r.p2p_speedup());
     lc.push_back(r.lc_speedup());
@@ -249,7 +276,10 @@ std::string to_json(const std::vector<OverlayRow>& rows) {
   for (const OverlayRow& r : rows) {
     w.begin_object()
         .field("name", r.name)
-        .field("contraction_ms", r.contraction_ms, 1)
+        .field("contraction_ms_t1", r.contraction_ms_t1, 1)
+        .field("contraction_ms_default", r.contraction_ms_default, 1)
+        .field("contraction_default_threads", r.default_threads)
+        .field("contraction_identity", r.contraction_identity)
         .field("contracted", r.contracted)
         .field("frozen", r.frozen)
         .field("flat_nodes", r.flat_nodes)
@@ -281,6 +311,8 @@ std::string to_json(const std::vector<OverlayRow>& rows) {
   w.field("mean_gather_min", mean_gather_min, 2);
   w.field("mean_gather_max", mean_gather_max, 2);
   w.field("batch_relax_min_edges", kBatchRelaxMinEdges);
+  // Every network's default-thread overlay matches its 1-thread one.
+  w.field("contraction_identity", contraction_identity);
   w.end_object();
   return w.str();
 }

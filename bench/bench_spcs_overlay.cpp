@@ -84,10 +84,8 @@ NetworkRows run_network(gen::Preset preset) {
   out.name = gen::preset_name(preset);
   out.flat_nodes = g.num_nodes();
 
-  OverlayContractionOptions copt;
-  copt.threads = std::max(1, env_int("PCONN_THREADS", 1));
   Timer ct;
-  const OverlayGraph ov = contract_graph(net.tt, g, copt);
+  const OverlayGraph ov = contract_graph(net.tt, g);
   out.contraction_ms = ct.elapsed_ms();
   out.core_nodes = ov.num_core_nodes();
   std::cout << "  contraction: " << fixed(out.contraction_ms, 0)

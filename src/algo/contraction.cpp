@@ -1,8 +1,10 @@
 #include "algo/contraction.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -162,8 +164,8 @@ class ContractionBuilder {
     // edge words keep their numeric value and shortcut TTFs append behind.
     // Reserved once: the overlay pool measured 3.2-4.4x the base pool's
     // functions, points and buckets on every generator preset, and
-    // regrowing it was most of the serial commit phase. finish() trims the
-    // slack.
+    // regrowing it was most of the serial commit phase. finish() returns
+    // the slack's pages to the kernel without copying the arrays.
     const TtfPool& base = g_.ttfs();
     ttfs_.reserve_like(base, kOverlayPoolGrowth);
     ttfs_.append_copy(base, 0, static_cast<std::uint32_t>(base.size()));
@@ -239,10 +241,18 @@ class ContractionBuilder {
 
   // --- simulation (parallel, read-only on the working graph) ------------
 
+  /// Workers claim batch slots from an atomic cursor: a strided split
+  /// leaves the round waiting on whichever worker drew the expensive hubs.
+  /// Each slot's result lands in its own cand_lists_/capped_ entry and the
+  /// witness counters are summed at the end, so who simulated a node never
+  /// shows in the overlay.
   void simulate_batch() {
+    std::atomic<std::size_t> next{0};
     pool_.run([&](std::size_t t) {
       Worker& wk = *workers_[t];
-      for (std::size_t i = t; i < batch_.size(); i += pool_.num_threads()) {
+      while (true) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= batch_.size()) break;
         if (opt_.faults) {
           opt_.faults->check(FaultInjector::Site::kContractionWorker);
         }
@@ -567,6 +577,14 @@ class ContractionBuilder {
   ContractionStats stats_;
 };
 
+unsigned default_contraction_threads() {
+  // threads is given here, so this does not re-enter its own initializer.
+  static const unsigned threads =
+      std::clamp(std::thread::hardware_concurrency(), 1u,
+                 OverlayContractionOptions{.threads = 1}.batch_size);
+  return threads;
+}
+
 OverlayGraph contract_graph(const Timetable& tt, const TdGraph& g,
                             const OverlayContractionOptions& opt) {
   return ContractionBuilder(tt, g, opt).build();
@@ -722,7 +740,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
   // only reference earlier records).
   TtfPoolBuilder pool(tt.period(), old_pool.index_options());
   // A delay rarely changes a function's point count: sized like the old
-  // pool, the rebuild usually never regrows and finish() never trims.
+  // pool, the rebuild usually never regrows.
   pool.reserve_like(old_pool);
   std::uint32_t f = 0;
   while (f < total) {

@@ -13,8 +13,11 @@
 //   * parallel rounds — an independent batch (no two selected nodes
 //     adjacent) is drawn from the queue and simulated concurrently on the
 //     ThreadPool, one arena-backed scratch workspace per worker (pinned to
-//     the worker's NUMA node); commits stay serial, so the result is
-//     byte-identical for every thread count;
+//     the worker's NUMA node). Workers claim the batch's nodes from an
+//     atomic cursor, and the pool's workers spin between rounds instead of
+//     parking (util/thread_pool.hpp): a round's serial phase is shorter
+//     than a wake-up. Commits stay serial, so the result is byte-identical
+//     for every thread count;
 //   * witness-bounded shortcuts — each neighbor pair (u, v, w) first runs
 //     a settle-capped upper-bound Dijkstra (per-edge maximum travel times)
 //     from u avoiding v: when that bound is <= the pair's minimum linked
@@ -39,10 +42,17 @@
 
 namespace pconn {
 
+/// min(std::thread::hardware_concurrency(), the default batch_size), and
+/// at least 1: the default of OverlayContractionOptions::threads.
+unsigned default_contraction_threads();
+
 struct OverlayContractionOptions {
   /// Worker threads for the simulation phase (commits are serial; the
-  /// overlay is identical for every value).
-  unsigned threads = 1;
+  /// overlay is identical for every value). Defaults to the machine's
+  /// cores, capped at the default batch_size: a round has no more nodes
+  /// to hand out. More threads than nodes is allowed; the extra workers
+  /// claim nothing that round.
+  unsigned threads = default_contraction_threads();
   /// Independent nodes ordered per parallel round. Fixed (not scaled by
   /// `threads`) so the contraction order — and thus the overlay — does not
   /// depend on the thread count.

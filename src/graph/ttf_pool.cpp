@@ -1,7 +1,11 @@
 #include "graph/ttf_pool.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "util/simd.hpp"
 
@@ -156,10 +160,29 @@ void TtfPoolBuilder::refresh_view() {
       ConstArray(bucket_idx_.data(), bucket_idx_.size(), nullptr);
 }
 
+namespace {
+
+/// Hands the whole pages of v's unused capacity back to the kernel. The
+/// finished pool never writes past size(), and the allocation stays v's:
+/// a released page reads as zeros if it is ever touched again. Advisory:
+/// if madvise fails, the pages merely stay resident.
+template <typename T>
+void release_slack(const std::vector<T>& v) {
+  static const auto page =
+      static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto used = reinterpret_cast<std::uintptr_t>(v.data() + v.size());
+  const auto end = reinterpret_cast<std::uintptr_t>(v.data() + v.capacity());
+  const std::uintptr_t lo = (used + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = end & ~(page - 1);
+  if (lo < hi) ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+}
+
+}  // namespace
+
 TtfPool TtfPoolBuilder::finish() {
-  points_.shrink_to_fit();
-  meta_.shrink_to_fit();
-  bucket_idx_.shrink_to_fit();
+  release_slack(points_);
+  release_slack(meta_);
+  release_slack(bucket_idx_);
   TtfPool out(view_.period_, view_.idx_);
   out.points_ = ConstArray(std::move(points_));
   out.meta_ = ConstArray(std::move(meta_));

@@ -349,8 +349,10 @@ class TtfPoolBuilder {
   const TtfPool& pool() const { return view_; }
   std::size_t num_points() const { return points_.size(); }
 
-  /// Hands the arrays over to a finished pool, each trimmed to its size so
-  /// no reserved or grown capacity stays behind; the builder is left empty.
+  /// Hands the arrays over to a finished pool as they are, without a copy,
+  /// and returns the whole pages of their reserved or grown capacity to
+  /// the kernel, so what stays resident is each array's size. The builder
+  /// is left empty.
   TtfPool finish();
 
  private:

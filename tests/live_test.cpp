@@ -475,30 +475,38 @@ TEST(LiveOverlay, InjectedRelinkFaultDegradesThenRecovers) {
 }
 
 TEST(LiveOverlay, ContractionWorkerFaultAndBadAllocDegrade) {
-  for (const auto kind :
-       {FaultInjector::Kind::kError, FaultInjector::Kind::kBadAlloc}) {
-    FaultInjector faults;
-    LiveOverlayOptions opt;
-    opt.faults = &faults;
-    opt.relink.faults = &faults;
-    opt.contraction.threads = 2;  // the fault unwinds out of a pool worker
-    LiveOverlay live(test::tiny_line(), opt);
+  // 2 threads: the fault unwinds out of a pool worker. The default (the
+  // machine's cores) is what production contracts with.
+  const unsigned thread_counts[] = {2, OverlayContractionOptions{}.threads};
+  for (const unsigned threads : thread_counts) {
+    for (const auto kind :
+         {FaultInjector::Kind::kError, FaultInjector::Kind::kBadAlloc}) {
+      FaultInjector faults;
+      LiveOverlayOptions opt;
+      opt.faults = &faults;
+      opt.relink.faults = &faults;
+      opt.contraction.threads = threads;
+      LiveOverlay live(test::tiny_line(), opt);
 
-    // A structure-changing event forces the full re-contraction path;
-    // the armed worker fault fails it.
-    using St = TimetableBuilder::StopTime;
-    faults.arm(FaultInjector::Site::kContractionWorker, 0, kind);
-    const ApplyResult r = live.apply(DelayEvent::extra_trip(
-        {St{2, 10 * 3600, 10 * 3600}, St{0, 10 * 3600 + 900, 0}}));
-    EXPECT_EQ(r.status, ApplyStatus::kDegraded);
-    EXPECT_TRUE(live.degraded());
+      // A structure-changing event forces the full re-contraction path;
+      // the armed worker fault fails it, exactly once.
+      using St = TimetableBuilder::StopTime;
+      faults.arm(FaultInjector::Site::kContractionWorker, 0, kind);
+      const ApplyResult r = live.apply(DelayEvent::extra_trip(
+          {St{2, 10 * 3600, 10 * 3600}, St{0, 10 * 3600 + 900, 0}}));
+      EXPECT_EQ(r.status, ApplyStatus::kDegraded) << threads << " threads";
+      EXPECT_TRUE(live.degraded());
+      EXPECT_EQ(faults.fired(), 1u);
+      EXPECT_EQ(live.failed_attempts(), 1u);
 
-    // First retry still fails (re-armed), second succeeds.
-    faults.arm(FaultInjector::Site::kContractionWorker, 0, kind);
-    EXPECT_EQ(live.retry().status, ApplyStatus::kDegraded);
-    EXPECT_EQ(live.failed_attempts(), 2u);
-    EXPECT_EQ(live.retry().status, ApplyStatus::kRecontracted);
-    EXPECT_FALSE(live.degraded());
+      // First retry still fails (re-armed), second succeeds.
+      faults.arm(FaultInjector::Site::kContractionWorker, 0, kind);
+      EXPECT_EQ(live.retry().status, ApplyStatus::kDegraded);
+      EXPECT_EQ(faults.fired(), 2u);
+      EXPECT_EQ(live.failed_attempts(), 2u);
+      EXPECT_EQ(live.retry().status, ApplyStatus::kRecontracted);
+      EXPECT_FALSE(live.degraded());
+    }
   }
 }
 

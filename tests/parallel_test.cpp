@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "algo/parallel_spcs.hpp"
 #include "algo/partition.hpp"
@@ -250,6 +256,135 @@ TEST(ThreadPool, BadAllocKindPropagatesAsBadAlloc) {
     faults.check(FaultInjector::Site::kPoolAppend);
   }),
                std::bad_alloc);
+}
+
+// --- spin-then-park -------------------------------------------------------
+//
+// Idle workers spin for a short window (0.5 ms) before they park on the
+// condition variable, and run() spins on the unfinished lanes the same way
+// before it waits. Back-to-back runs stay on the spinning path; sleeps of
+// kPastSpin put every thread on the parked path.
+
+constexpr auto kPastSpin = std::chrono::milliseconds(5);
+
+TEST(ThreadPool, BackToBackRunsCountEveryTaskOnce) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<std::uint64_t>> per_lane(pool.num_threads());
+  std::uint64_t short_runs = 0;
+  for (int r = 0; r < 10000; ++r) {
+    std::atomic<std::size_t> ran{0};
+    pool.run([&](std::size_t t) {
+      per_lane[t].fetch_add(1, std::memory_order_relaxed);
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    if (ran.load() != pool.num_threads()) ++short_runs;
+  }
+  EXPECT_EQ(short_runs, 0u);
+  for (std::size_t t = 0; t < pool.num_threads(); ++t) {
+    EXPECT_EQ(per_lane[t].load(), 10000u) << "lane " << t;
+  }
+}
+
+TEST(ThreadPool, RunsAfterIdleSleepsUseTheParkedPath) {
+  ThreadPool pool(3);
+  std::vector<std::uint64_t> per_lane(pool.num_threads(), 0);
+  for (std::size_t r = 0; r < 8; ++r) {
+    std::this_thread::sleep_for(kPastSpin);  // every worker parks
+    // One worker outlasts the spin window, so run() parks on it too.
+    const std::size_t slow = 1 + r % (pool.num_threads() - 1);
+    pool.run([&](std::size_t t) {
+      if (t == slow) std::this_thread::sleep_for(kPastSpin);
+      ++per_lane[t];  // each lane writes only its own slot
+    });
+  }
+  for (std::size_t t = 0; t < pool.num_threads(); ++t) {
+    EXPECT_EQ(per_lane[t], 8u) << "lane " << t;
+  }
+}
+
+TEST(ThreadPool, ExceptionRethrownOnSpinningAndParkedPaths) {
+  ThreadPool pool(4);
+  const auto throw_from = [&](std::size_t lane, bool park) {
+    if (park) std::this_thread::sleep_for(kPastSpin);
+    try {
+      pool.run([&](std::size_t t) {
+        if (t != lane) return;
+        if (park) std::this_thread::sleep_for(kPastSpin);
+        throw std::runtime_error("lane " + std::to_string(t));
+      });
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("nothing thrown");
+  };
+  for (const bool park : {false, true}) {
+    for (std::size_t lane = 0; lane < pool.num_threads(); ++lane) {
+      EXPECT_EQ(throw_from(lane, park), "lane " + std::to_string(lane))
+          << (park ? "parked" : "spinning") << " path";
+      std::atomic<std::size_t> ran{0};
+      pool.run([&](std::size_t) { ran.fetch_add(1); });
+      EXPECT_EQ(ran.load(), pool.num_threads());
+    }
+  }
+}
+
+TEST(ThreadPool, DestroyedWhileWorkersSpinOrPark) {
+  for (int i = 0; i < 50; ++i) {
+    ThreadPool fresh(4);  // destroyed in its workers' first spin
+  }
+  for (int i = 0; i < 50; ++i) {
+    ThreadPool pool(4);
+    std::atomic<std::size_t> ran{0};
+    pool.run([&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 4u);
+  }  // destroyed while the workers spin after the run
+  for (int i = 0; i < 3; ++i) {
+    ThreadPool pool(4);
+    pool.run([](std::size_t) {});
+    std::this_thread::sleep_for(kPastSpin);
+  }  // destroyed while the workers are parked
+}
+
+TEST(ThreadPool, EveryThreadOnOneCpu) {
+  // Workers created on the caller's CPU and unable to leave it: they park
+  // instead of spinning beside the caller, and every run still completes.
+  cpu_set_t saved;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(::sched_getcpu(), &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  {
+    ThreadPool pool(4);  // workers inherit the one-CPU mask
+    std::vector<std::uint64_t> per_lane(pool.num_threads(), 0);
+    for (int r = 0; r < 500; ++r) {
+      pool.run([&](std::size_t t) { ++per_lane[t]; });
+    }
+    for (std::size_t t = 0; t < pool.num_threads(); ++t) {
+      EXPECT_EQ(per_lane[t], 500u) << "lane " << t;
+    }
+  }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof saved, &saved), 0);
+}
+
+TEST(ThreadPool, MoreThreadsThanClaimedItems) {
+  // The contraction's claim loop with fewer work items than threads: the
+  // extra lanes claim nothing and the round still completes.
+  ThreadPool pool(8);
+  for (std::size_t items = 0; items < 12; ++items) {
+    std::vector<std::atomic<int>> done(items);
+    std::atomic<std::size_t> next{0};
+    pool.run([&](std::size_t) {
+      while (true) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= items) break;
+        done[i].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::size_t i = 0; i < items; ++i) {
+      EXPECT_EQ(done[i].load(), 1) << items << " items, item " << i;
+    }
+  }
 }
 
 }  // namespace
