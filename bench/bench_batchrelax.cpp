@@ -1,24 +1,18 @@
-// Batch vs interleaved relaxation — the gather -> eval -> commit bench
-// (docs/architecture.md "Batch relaxation").
+// Batch vs interleaved relaxation (docs/architecture.md "Batch
+// relaxation").
 //
-// The engines with two relax bodies (RelaxMode) run their settle loop
-// either in the interleaved per-edge form or in the batched form that
-// gathers a node's surviving edges and evaluates them with the vectorized
-// TtfPool kernels. This bench runs each workload in both modes over
-// identical query streams, enforces bit-identical results AND
-// settled/pushed/relaxed accounting (aborting otherwise), and reports the
-// speedups:
-//   * lc   — the label-correcting one-to-all profile search, the headline
-//     number: its batch dimension is the whole label profile per linked
-//     edge (tens to hundreds of points through one function), exactly the
-//     shape the arrival_tn gather kernel wants. CI gates `batch_speedup`
-//     (geomean over networks) >= 1.1 on this workload.
-//   * overlay ea / overlay spcs s2s — reported, not gated: the served
-//     earliest-arrival and station-to-station profile engines over the
-//     contraction overlay, whose core fans are wide enough to clear
-//     kBatchRelaxMinEdges (the flat graph's route nodes never do).
-//   * micro — the kernels in isolation: batched arrival_n / arrival_tn vs
-//     the per-edge scalar eval at several batch widths.
+// The label-correcting profile search is the one engine with two relax
+// bodies (RelaxMode): the interleaved per-point form, or the batched form
+// that links the whole label profile through an edge function in one
+// sorted kernel call. This bench runs LC in both modes over identical
+// query streams, enforces bit-identical results AND settled/pushed/relaxed
+// accounting (aborting otherwise), and reports:
+//   * lc — the one-to-all profile search: its batch dimension is the whole
+//     label profile per linked edge (tens to hundreds of points through
+//     one function). CI gates `batch_speedup` (geomean over networks)
+//     >= 1.1 on this workload.
+//   * micro — the arrival_tn kernel the down-sweeps feed, in isolation:
+//     one batched call vs the per-entry scalar eval at several widths.
 //
 // JSON (--json) is archived by CI as BENCH_batch.json.
 #include <cstdint>
@@ -26,10 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
-#include "algo/overlay_query.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "bench_common.hpp"
 #include "graph/ttf_pool.hpp"
 #include "util/format.hpp"
@@ -49,7 +40,7 @@ struct ModePair {
 
 struct BatchRow {
   std::string name;
-  ModePair lc, ea, s2s;
+  ModePair lc;
   bool accounting_match = true;
 };
 
@@ -113,12 +104,8 @@ BatchRow run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
   const TdGraph& g = net.graph;
-  const OverlayGraph ov = contract_graph(net.tt, g);
   const std::vector<StationId> sources =
       random_stations(net.tt, num_queries(), 20260727);
-  const std::vector<StationId> targets =
-      random_stations(net.tt, num_queries(), 727202);
-  const Time dep = 8 * 3600;
 
   BatchRow row;
   row.name = gen::preset_name(preset);
@@ -147,76 +134,19 @@ BatchRow run_network(gen::Preset preset) {
         [&] { for (StationId s : sources) batch.run(s); });
   }
 
-  // --- overlay earliest arrival, one-to-all (reported) ------------------
-  {
-    OverlayTimeQuery inter(net.tt, g, ov), batch(net.tt, g, ov);
-    inter.set_relax_mode(RelaxMode::kInterleaved);
-    batch.set_relax_mode(RelaxMode::kBatch);
-    const auto fold = [&](const OverlayTimeQuery& q, Fingerprint& f) {
-      f.add_work(q.stats());
-      for (StationId v = 0; v < net.tt.num_stations(); ++v) {
-        if (q.arrival_at(v) != kInfTime) f.result += q.arrival_at(v);
-      }
-    };
-    Fingerprint fi, fb;
-    for (StationId s : sources) {
-      inter.run(s, dep);
-      fold(inter, fi);
-      batch.run(s, dep);
-      fold(batch, fb);
-    }
-    require_match("overlay ea one-to-all", fi, fb, row);
-    row.ea = time_modes(
-        sources.size(), std::max(1, 512 / static_cast<int>(sources.size())),
-        [&] { for (StationId s : sources) inter.run(s, dep); },
-        [&] { for (StationId s : sources) batch.run(s, dep); });
-  }
-
-  // --- overlay SPCS station-to-station, the served profile (reported) ----
-  {
-    ParallelSpcsOptions oi, ob;
-    oi.relax = RelaxMode::kInterleaved;
-    ob.relax = RelaxMode::kBatch;
-    OverlayParallelSpcs inter(net.tt, g, ov, oi), batch(net.tt, g, ov, ob);
-    StationQueryResult ri, rb;
-    Fingerprint fi, fb;
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      inter.station_to_station_into(sources[i], targets[i], ri);
-      fi.add_work(ri.stats);
-      fi.result += profile_checksum(ri.profile);
-      batch.station_to_station_into(sources[i], targets[i], rb);
-      fb.add_work(rb.stats);
-      fb.result += profile_checksum(rb.profile);
-    }
-    require_match("overlay spcs station-to-station", fi, fb, row);
-    const auto run_all = [&](OverlayParallelSpcs& e, StationQueryResult& r) {
-      for (std::size_t i = 0; i < sources.size(); ++i) {
-        e.station_to_station_into(sources[i], targets[i], r);
-      }
-    };
-    row.s2s = time_modes(
-        sources.size(), std::max(1, 24 / static_cast<int>(sources.size())),
-        [&] { run_all(inter, ri); }, [&] { run_all(batch, rb); });
-  }
-
   TablePrinter table({"workload", "interleaved [ms]", "batch [ms]", "spd-up"});
   table.add_row({"lc one-to-all", fixed(row.lc.interleaved_ms, 3),
                  fixed(row.lc.batch_ms, 3), fixed(row.lc.speedup(), 2)});
-  table.add_row({"overlay ea one-to-all", fixed(row.ea.interleaved_ms, 4),
-                 fixed(row.ea.batch_ms, 4), fixed(row.ea.speedup(), 2)});
-  table.add_row({"overlay spcs s2s", fixed(row.s2s.interleaved_ms, 3),
-                 fixed(row.s2s.batch_ms, 3), fixed(row.s2s.speedup(), 2)});
   table.print();
   return row;
 }
 
-// --- kernel micro: batched eval vs the per-edge scalar loop --------------
+// --- kernel micro: one arrival_tn call vs the per-entry scalar loop ------
 
 struct MicroRow {
-  std::string kind;
   std::size_t batch = 0;
-  double scalar_ns = 0.0;  // per eval, edge-by-edge arrival()
-  double batch_ns = 0.0;   // per eval, one arrival_n / arrival_tn call
+  double scalar_ns = 0.0;  // per eval, entry-by-entry arrival()
+  double batch_ns = 0.0;   // per eval, one arrival_tn call
   double speedup() const { return scalar_ns / batch_ns; }
 };
 
@@ -242,46 +172,19 @@ std::vector<MicroRow> run_micro() {
   std::vector<MicroRow> rows;
   const int sweeps = options().smoke ? 400 : 2000;
   for (std::size_t batch : {8u, 32u, 64u, 128u}) {
-    // Random function subsets per sweep; both sides share them.
-    std::vector<std::uint32_t> idx(batch);
-    std::vector<Time> out(batch);
-    MicroRow arr_row{"arrival_n", batch, 1e100, 1e100};
-    MicroRow tn_row{"arrival_tn", batch, 1e100, 1e100};
-    std::vector<Time> ts(batch);
+    // One random function and random entry times per block; both sides
+    // share them.
+    std::vector<Time> ts(batch), out(batch);
+    MicroRow row{batch, 1e100, 1e100};
     for (int b = 0; b < kBlocks; ++b) {
       Rng mix(7 + b);
-      std::uint64_t sink_s = 0, sink_b = 0;
+      std::uint32_t f0 = 0;
       for (std::size_t i = 0; i < batch; ++i) {
-        idx[i] = fs[mix.next_below(fs.size())];
+        const std::uint32_t f = fs[mix.next_below(fs.size())];
+        if (i == 0) f0 = f;
         ts[i] = static_cast<Time>(mix.next_below(3 * period));
       }
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          const Time at = static_cast<Time>(s * 997 % period);
-          for (std::size_t i = 0; i < batch; ++i) {
-            sink_s += pool.arrival(idx[i], at);
-          }
-        }
-        arr_row.scalar_ns =
-            std::min(arr_row.scalar_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          const Time at = static_cast<Time>(s * 997 % period);
-          pool.arrival_n(idx.data(), batch, at, out.data());
-          for (std::size_t i = 0; i < batch; ++i) sink_b += out[i];
-        }
-        arr_row.batch_ns =
-            std::min(arr_row.batch_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      if (sink_s != sink_b) {
-        std::cerr << "FATAL: arrival_n micro checksum diverges\n";
-        std::exit(1);
-      }
-      sink_s = sink_b = 0;
-      const std::uint32_t f0 = idx[0];
+      std::uint64_t sink_s = 0, sink_b = 0;
       {
         Timer t;
         for (int s = 0; s < sweeps; ++s) {
@@ -289,8 +192,8 @@ std::vector<MicroRow> run_micro() {
             sink_s += pool.arrival(f0, ts[i]);
           }
         }
-        tn_row.scalar_ns =
-            std::min(tn_row.scalar_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
+        row.scalar_ns =
+            std::min(row.scalar_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
       }
       {
         Timer t;
@@ -298,22 +201,22 @@ std::vector<MicroRow> run_micro() {
           pool.arrival_tn(f0, ts.data(), batch, out.data());
           for (std::size_t i = 0; i < batch; ++i) sink_b += out[i];
         }
-        tn_row.batch_ns =
-            std::min(tn_row.batch_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
+        row.batch_ns =
+            std::min(row.batch_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
       }
       if (sink_s != sink_b) {
         std::cerr << "FATAL: arrival_tn micro checksum diverges\n";
         std::exit(1);
       }
     }
-    rows.push_back(arr_row);
-    rows.push_back(tn_row);
+    rows.push_back(row);
   }
 
   TablePrinter table({"kernel", "batch", "scalar [ns]", "batch [ns]", "spd-up"});
   for (const MicroRow& r : rows) {
-    table.add_row({r.kind, std::to_string(r.batch), fixed(r.scalar_ns, 2),
-                   fixed(r.batch_ns, 2), fixed(r.speedup(), 2)});
+    table.add_row({"arrival_tn", std::to_string(r.batch),
+                   fixed(r.scalar_ns, 2), fixed(r.batch_ns, 2),
+                   fixed(r.speedup(), 2)});
   }
   table.print();
   return rows;
@@ -321,14 +224,10 @@ std::vector<MicroRow> run_micro() {
 
 std::string to_json(const std::vector<BatchRow>& rows,
                     const std::vector<MicroRow>& micro) {
-  std::vector<double> lc, ea, s2s;
-  for (const BatchRow& r : rows) {
-    lc.push_back(r.lc.speedup());
-    ea.push_back(r.ea.speedup());
-    s2s.push_back(r.s2s.speedup());
-  }
-  JsonWriter w = bench_json_doc(
-      "bench_batchrelax", "gather->eval->commit batch relax vs interleaved");
+  std::vector<double> lc;
+  for (const BatchRow& r : rows) lc.push_back(r.lc.speedup());
+  JsonWriter w = bench_json_doc("bench_batchrelax",
+                                "lc batch relax vs interleaved");
   w.key("networks").begin_array();
   for (const BatchRow& r : rows) {
     w.begin_object()
@@ -336,12 +235,6 @@ std::string to_json(const std::vector<BatchRow>& rows,
         .field("lc_interleaved_ms", r.lc.interleaved_ms, 4)
         .field("lc_batch_ms", r.lc.batch_ms, 4)
         .field("lc_speedup", r.lc.speedup(), 3)
-        .field("overlay_ea_interleaved_ms", r.ea.interleaved_ms, 4)
-        .field("overlay_ea_batch_ms", r.ea.batch_ms, 4)
-        .field("overlay_ea_speedup", r.ea.speedup(), 3)
-        .field("overlay_s2s_interleaved_ms", r.s2s.interleaved_ms, 4)
-        .field("overlay_s2s_batch_ms", r.s2s.batch_ms, 4)
-        .field("overlay_s2s_speedup", r.s2s.speedup(), 3)
         .field("accounting_match", r.accounting_match)
         .end_object();
   }
@@ -349,7 +242,7 @@ std::string to_json(const std::vector<BatchRow>& rows,
   w.key("micro").begin_array();
   for (const MicroRow& r : micro) {
     w.begin_object()
-        .field("kernel", r.kind)
+        .field("kernel", "arrival_tn")
         .field("batch", r.batch)
         .field("scalar_ns_per_eval", r.scalar_ns, 2)
         .field("batch_ns_per_eval", r.batch_ns, 2)
@@ -357,25 +250,20 @@ std::string to_json(const std::vector<BatchRow>& rows,
         .end_object();
   }
   w.end_array();
-  // The gated headline: the one-to-all workload whose batch dimension is
-  // real (LC links whole label profiles through one function per edge).
+  // The gated headline: LC links whole label profiles through one
+  // function per edge.
   w.field("batch_speedup", geomean(lc), 3);
-  w.field("overlay_ea_speedup_geomean", geomean(ea), 3);
-  w.field("overlay_s2s_speedup_geomean", geomean(s2s), 3);
   // Scalar/vector crossover: the smallest swept lane count at which the
-  // batched kernel stops losing to the per-edge scalar loop (0 = never
+  // batched kernel stops losing to the per-entry scalar loop (0 = never
   // within the sweep). This is the number the throughput engine's lane
   // targets are sized against (docs/architecture.md).
-  for (const char* kind : {"arrival_n", "arrival_tn"}) {
-    std::size_t crossover = 0;
-    for (const MicroRow& r : micro) {
-      if (r.kind == kind && r.speedup() >= 1.0 &&
-          (crossover == 0 || r.batch < crossover)) {
-        crossover = r.batch;
-      }
+  std::size_t crossover = 0;
+  for (const MicroRow& r : micro) {
+    if (r.speedup() >= 1.0 && (crossover == 0 || r.batch < crossover)) {
+      crossover = r.batch;
     }
-    w.field((std::string(kind) + "_crossover_lanes").c_str(), crossover);
   }
+  w.field("arrival_tn_crossover_lanes", crossover);
   w.end_object();
   return w.str();
 }
@@ -388,8 +276,8 @@ int main(int argc, char** argv) {
   using namespace pconn::bench;
   parse_bench_args(argc, argv);
 
-  std::cout << "Batch relaxation: gather -> eval -> commit vs interleaved "
-               "settle loops\n(identical results and accounting enforced; "
+  std::cout << "Batch relaxation: LC's batched vs interleaved relax "
+               "bodies\n(identical results and accounting enforced; "
                "lc one-to-all is the gated workload)\n";
 
   std::vector<gen::Preset> presets;
@@ -405,7 +293,7 @@ int main(int argc, char** argv) {
 
   std::vector<BatchRow> rows;
   for (gen::Preset p : presets) rows.push_back(run_network(p));
-  std::cout << "\n== kernel micro: batched vs per-edge evaluation ==\n";
+  std::cout << "\n== kernel micro: arrival_tn vs per-entry evaluation ==\n";
   std::vector<MicroRow> micro = run_micro();
 
   if (options().json) emit_json(to_json(rows, micro));

@@ -16,8 +16,9 @@
 // JSON (--json) is archived by CI as BENCH_multiquery.json; CI gates
 //   * multiquery_speedup >= 1.3 — geomean of the one-to-all matrix
 //     speedups (batched vs per-query loop) across networks;
-//   * mean_lane_count >= 32 — the overlay engines' accumulated mean eval
-//     width over the whole matrix (gathered lanes / kernel calls).
+//   * mean_lane_count >= 32 — the cross-lane sweep's mean eval width over
+//     the whole matrix (gathered lanes / kernel calls; the lanes' ascents
+//     make no kernel calls).
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -210,8 +211,8 @@ int main(int argc, char** argv) {
   std::vector<gen::Preset> presets;
   if (options().smoke) {
     // The three dense-bus presets: the overlay core is the shape the
-    // throughput engines target (the rail presets' narrow fans sit at the
-    // break-even the batch_min_edges knob guards).
+    // throughput engines target (the rail presets' narrow fans sit at
+    // break-even).
     presets = {gen::Preset::kOahuLike, gen::Preset::kLosAngelesLike,
                gen::Preset::kWashingtonLike};
   } else {

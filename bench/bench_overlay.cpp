@@ -13,15 +13,11 @@
 //     settles the core only; this plus p2p is the gated headline);
 //   * time p2p         — station-to-station earliest arrival, target stop;
 //   * lc one-to-all    — the label-correcting profile baseline (reported).
-// The batch-engagement report (mean gather size, log2 fan-out histogram)
-// shows the overlay feeding the AVX2 arrival_n kernel with wide batches —
-// the ROADMAP "wider batch surfaces" item this subsystem lands.
 //
 // JSON (--json) is archived by CI as BENCH_overlay.json; CI gates
 // overlay_speedup (geomean of the one-to-all and p2p speedups across
-// networks) >= 1.5, the identity flags (contraction_identity among them;
-// no contraction time is gated), and batch engagement (the widest
-// network's mean gather >= kBatchRelaxMinEdges). The smoke preset pair is
+// networks) >= 1.5 and the identity flags (contraction_identity among
+// them; no contraction time is gated). The smoke preset pair is
 // the two dense-bus networks — the shape the overlay targets; sparse
 // railways sit near 1.0-1.3x (frozen hubs keep their core big) and are
 // reported by full runs, same split bench_batchrelax uses.
@@ -66,9 +62,6 @@ struct OverlayRow {
   double flat_onetoall_ms = 0.0, over_onetoall_ms = 0.0;
   double flat_p2p_ms = 0.0, over_p2p_ms = 0.0;
   double flat_lc_ms = 0.0, over_lc_ms = 0.0;
-  // batch engagement on the overlay core
-  double mean_gather = 0.0;
-  std::array<std::uint64_t, 16> fanout_hist{};
   bool identity_match = true;
 
   double onetoall_speedup() const { return flat_onetoall_ms / over_onetoall_ms; }
@@ -148,7 +141,6 @@ OverlayRow run_network(gen::Preset preset) {
   OverlayTimeQuery over(net.tt, g, ov);
 
   // --- enforced identity (also the warm-up pass) ------------------------
-  BatchStats engagement;  // accumulated over the whole query stream
   for (std::size_t i = 0; i < sources.size(); ++i) {
     const StationId s = sources[i];
     flat.run(s, dep);
@@ -158,11 +150,6 @@ OverlayRow run_network(gen::Preset preset) {
       require(over.arrival_at_node(v) == flat.arrival_at_node(v),
               "one-to-all arrival", row);
     }
-    engagement.gathers += over.batch_stats().gathers;
-    engagement.gathered_edges += over.batch_stats().gathered_edges;
-    for (std::size_t b = 0; b < engagement.fanout_hist.size(); ++b) {
-      engagement.fanout_hist[b] += over.batch_stats().fanout_hist[b];
-    }
     // The timed p2p workload takes the early-target-stop branch; check it
     // against the flat engine on the same pairs before timing it.
     flat.run(s, dep, targets[i]);
@@ -170,8 +157,6 @@ OverlayRow run_network(gen::Preset preset) {
     require(over.arrival_at(targets[i]) == flat.arrival_at(targets[i]),
             "p2p arrival", row);
   }
-  row.mean_gather = engagement.mean_gather();
-  row.fanout_hist = engagement.fanout_hist;
   {
     LcProfileQuery flat_lc(net.tt, g);
     OverlayLcProfileQuery over_lc(net.tt, ov);
@@ -252,23 +237,17 @@ OverlayRow run_network(gen::Preset preset) {
   table.add_row({"lc one-to-all", fixed(row.flat_lc_ms, 3),
                  fixed(row.over_lc_ms, 3), fixed(row.lc_speedup(), 2)});
   table.print();
-  std::cout << "  batch engagement on the core: mean gather "
-            << fixed(row.mean_gather, 1) << " edges (threshold "
-            << kBatchRelaxMinEdges << ")\n";
   return row;
 }
 
 std::string to_json(const std::vector<OverlayRow>& rows) {
   std::vector<double> gated, lc;
-  double mean_gather_min = 1e100, mean_gather_max = 0.0;
   bool contraction_identity = true;
   for (const OverlayRow& r : rows) {
     contraction_identity = contraction_identity && r.contraction_identity;
     gated.push_back(r.onetoall_speedup());
     gated.push_back(r.p2p_speedup());
     lc.push_back(r.lc_speedup());
-    mean_gather_min = std::min(mean_gather_min, r.mean_gather);
-    mean_gather_max = std::max(mean_gather_max, r.mean_gather);
   }
   JsonWriter w = bench_json_doc(
       "bench_overlay", "core-contraction overlay vs flat time-dependent graph");
@@ -297,20 +276,13 @@ std::string to_json(const std::vector<OverlayRow>& rows) {
         .field("lc_flat_ms", r.flat_lc_ms, 4)
         .field("lc_overlay_ms", r.over_lc_ms, 4)
         .field("lc_speedup", r.lc_speedup(), 3)
-        .field("mean_gather", r.mean_gather, 2)
-        .field("identity_match", r.identity_match);
-    w.key("fanout_hist_log2").begin_array();
-    for (std::uint64_t h : r.fanout_hist) w.value(h);
-    w.end_array();
-    w.end_object();
+        .field("identity_match", r.identity_match)
+        .end_object();
   }
   w.end_array();
   // The gated headline: one-to-all + p2p time queries across networks.
   w.field("overlay_speedup", geomean(gated), 3);
   w.field("lc_speedup_geomean", geomean(lc), 3);
-  w.field("mean_gather_min", mean_gather_min, 2);
-  w.field("mean_gather_max", mean_gather_max, 2);
-  w.field("batch_relax_min_edges", kBatchRelaxMinEdges);
   // Every network's default-thread overlay matches its 1-thread one.
   w.field("contraction_identity", contraction_identity);
   w.end_object();

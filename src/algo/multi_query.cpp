@@ -41,10 +41,8 @@ void MultiQueryOverlayTimeEngineT<Queue>::run(
     Lane& lane = *lanes_[qi];
     const BatchQuery& q = queries[qi];
     assert(q.source < tt_.num_stations());
-    lane.set_relax_options(relax_);
     lane.run(q.source, q.departure, q.target);
     stats_[qi] = lane.stats();
-    batch_stats_.add(lane.batch_stats());
   }
 }
 

@@ -5,11 +5,11 @@
 // Each lane IS a per-query OverlayTimeQueryT over its own workspace-
 // resident label state: run() runs the lanes' core ascents one after the
 // other, so every lane's results AND QueryStats equal a standalone run of
-// the same query, in every RelaxMode and queue policy
-// (tests/multi_query_test.cpp proves this differentially). Lanes add
-// nothing to the ascent: a shortcut fan shares its lane's pop key, and one
-// fan at one entry time is cheaper to evaluate than the same edges
-// regrouped across lanes with mixed entry times (measured).
+// the same query, in every queue policy (tests/multi_query_test.cpp proves
+// this differentially). Lanes add nothing to the ascent: a shortcut fan
+// shares its lane's pop key, and one fan at one entry time is cheaper to
+// evaluate than the same edges regrouped across lanes with mixed entry
+// times (measured).
 //
 // Cross-lane batching pays where entry times are unavoidably mixed and the
 // order is queue-less: settle_contracted_batch, the down-sweep, answers
@@ -99,14 +99,8 @@ class MultiQueryOverlayTimeEngineT {
     return lanes_[q]->parent_edge(v);
   }
   const QueryStats& stats(std::size_t q) const { return stats_[q]; }
-  /// The lanes' ascent gathers plus the batched sweep's kernel calls.
+  /// Lane counts of the batched sweep's arrival_tn calls (zeroed by run()).
   const BatchStats& batch_stats() const { return batch_stats_; }
-
-  /// Applied to every lane at the next run().
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
 
  private:
   using Lane = OverlayTimeQueryT<Queue>;
@@ -120,7 +114,6 @@ class MultiQueryOverlayTimeEngineT {
   // batched sweep's relaxations, which never touch the lane engine).
   std::vector<BatchQuery, ArenaAllocator<BatchQuery>> queries_;
   std::vector<QueryStats, ArenaAllocator<QueryStats>> stats_;
-  RelaxOptions relax_;
   BatchStats batch_stats_;
 
   // settle_contracted_batch state: node-major transposed labels

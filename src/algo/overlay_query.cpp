@@ -38,7 +38,6 @@ OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
       dist_(scratch_alloc(ws)),
       parent_(scratch_alloc(ws)),
       parent_edge_(scratch_alloc(ws)),
-      batch_(scratch_alloc(ws)),
       path_(ArenaAllocator<NodeId>(scratch_alloc(ws))),
       ready_(ArenaAllocator<Time>(scratch_alloc(ws))),
       edge_path_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))) {
@@ -49,10 +48,6 @@ OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
   dist_.assign(ov.num_nodes(), kInfTime);
   parent_.assign(ov.num_nodes(), kInvalidNode);
   parent_edge_.assign(ov.num_nodes(), kNoEdge);
-  // Sized for whichever graph the engine touches: overlay blocks in the
-  // settle loop, flat blocks during journey replay (the RelaxBatch sizing
-  // fix — an overlay core fan-out routinely exceeds the flat maximum).
-  batch_.reserve(std::max(g.max_out_degree(), ov.max_out_degree()));
 }
 
 template <typename Queue>
@@ -72,7 +67,6 @@ template <typename Queue>
 void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
                                    StationId target) {
   stats_ = QueryStats{};
-  batch_stats_.reset();
   heap_.clear();
   dist_.clear();
   parent_.clear();
@@ -103,7 +97,21 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
     const NodeId* const heads = ov_.heads_data();
     const std::uint32_t* const words = ov_.words_data();
 
-    const auto commit = [&](NodeId head, Time t, std::uint32_t ei) {
+    // Before any TTF evaluation the streamed head is tested against
+    // `dist <= key`: an edge arrival can never precede the entry time, so
+    // such a head cannot improve. Out of the source, constant boards are
+    // free and shortcut TTFs evaluate board-discounted (source_arrival).
+    const bool at_src = v == src;
+    for (std::uint32_t ei = eb; ei < ee; ++ei) {
+      if (ei + 1 < ee) {
+        dist_.prefetch(heads[ei + 1]);
+        ov_.prefetch_edge_ttf(ei + 1);
+      }
+      const NodeId head = heads[ei];
+      if (dist_.get(head) <= key) continue;
+      const Time t = at_src ? source_arrival(words[ei], key)
+                            : ov_.arrival_by_word(words[ei], key);
+      if (t == kInfTime) continue;
       stats_.relaxed++;
       if (t < dist_.get(head)) {
         if constexpr (Queue::kAddressable) {
@@ -119,70 +127,6 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
         dist_.set(head, t);
         parent_.set(head, v);
         parent_edge_.set(head, ei);
-      }
-    };
-
-    if (v == src) {
-      // Dedicated source loop, identical in every RelaxMode: constant
-      // boards are free, shortcut TTFs evaluate board-discounted — a
-      // different entry time than the rest of the batch, so phasing it
-      // with arrival_n would change nothing but the bookkeeping.
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) {
-          dist_.prefetch(heads[ei + 1]);
-          ov_.prefetch_edge_ttf(ei + 1);
-        }
-        const NodeId head = heads[ei];
-        if (dist_.get(head) <= key) continue;
-        const Time t = source_arrival(words[ei], key);
-        if (t == kInfTime) continue;
-        commit(head, t, ei);
-      }
-      continue;
-    }
-
-    // Before any TTF evaluation the streamed head is tested against
-    // `dist <= key`: an edge arrival can never precede the entry time, so
-    // such a head cannot improve. Batch mode phases a wide block as gather
-    // (the survivors of that pre-test) -> eval (one arrival_n call for the
-    // whole block at the pop key) -> commit (in edge order). Unlike a
-    // settle-only bound, the dist bound advances during the commits, so the
-    // commit pass re-runs the pre-test: a head whose label dropped to
-    // <= key by an earlier commit of this very batch is dropped exactly
-    // where the interleaved loop would have skipped its eval. Results and
-    // accounting stay bit-identical; the batch only evaluates a few
-    // arrivals the interleaved loop would not have, which is invisible in
-    // both. On the overlay core the TTF fan-out is the node's shortcut fan,
-    // so this is where the batch kernels saturate.
-    if (relax_.mode != RelaxMode::kInterleaved &&
-        ov_.ttf_out_degree(v) >= relax_.batch_min_edges) {
-      batch_.clear();
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) dist_.prefetch(heads[ei + 1]);
-        const NodeId head = heads[ei];
-        if (dist_.get(head) <= key) continue;  // t >= key >= dist: hopeless
-        batch_.push2(words[ei], head, ei);
-      }
-      batch_stats_.record(batch_.size());
-      Time* const out = batch_.prepare_out();
-      ov_.arrivals_by_words(batch_.words(), batch_.size(), key, out);
-      for (std::size_t i = 0; i < batch_.size(); ++i) {
-        const NodeId head = batch_.aux(i);
-        if (dist_.get(head) <= key) continue;  // dropped by this batch
-        if (out[i] == kInfTime) continue;
-        commit(head, out[i], batch_.aux2(i));
-      }
-    } else {
-      for (std::uint32_t ei = eb; ei < ee; ++ei) {
-        if (ei + 1 < ee) {
-          dist_.prefetch(heads[ei + 1]);
-          ov_.prefetch_edge_ttf(ei + 1);
-        }
-        const NodeId head = heads[ei];
-        if (dist_.get(head) <= key) continue;
-        const Time t = ov_.arrival_by_word(words[ei], key);
-        if (t == kInfTime) continue;
-        commit(head, t, ei);
       }
     }
   }
@@ -352,7 +296,6 @@ OverlayLcProfileQuery::OverlayLcProfileQuery(const Timetable& tt,
 
 void OverlayLcProfileQuery::run(StationId s) {
   stats_ = QueryStats{};
-  batch_stats_.reset();
   heap_.clear();
   for (NodeId v : touched_) {
     labels_[v].clear();
@@ -452,7 +395,6 @@ void OverlayLcProfileQuery::run(StationId s) {
           // source the shortcut's folded board cost is undone by entering
           // one period late and landing one period early — a constant
           // offset keeps the entry times ascending for the sorted kernel.
-          batch_stats_.record(tail.size());
           if (at_src && shift > 0) {
             const Time up = period - shift;
             ov_.ttfs().arrival_tn_sorted_fused(

@@ -1,11 +1,11 @@
 // Core-routed query engines over the contraction overlay
 // (graph/overlay_graph.hpp): ports of TimeQueryT and LcProfileQuery whose
 // settle loops run on the overlay's station-centric core. Same queue
-// policies, same RelaxMode phasing (algo/relax_batch.hpp), same arena-
-// backed workspace discipline — but since a core station's out-block is a
-// fan of shortcut TTFs (not the flat model's 1-TTF route nodes), the
-// adaptive batch mode engages on nearly every settle and the gather ->
-// eval -> commit phases finally run the AVX2 arrival_n kernel at width.
+// policies, same arena-backed workspace discipline. OverlayTimeQueryT has
+// one relax body, the interleaved per-edge loop: a phased gather -> eval ->
+// commit body over the shortcut fan measured slower on every preset and
+// was deleted (docs/architecture.md "Batch relaxation"). The LC port keeps
+// both RelaxMode bodies (algo/relax_batch.hpp).
 //
 // Exactness: stations are never contracted, so core distances equal flat
 // distances at every departure time. OverlayTimeQueryT reports arrivals at
@@ -19,9 +19,7 @@
 // Source convention: the model's first boarding is free. Flat engines
 // rewrite the source's constant board words to zero; shortcut TTFs out of
 // a station have T(S) folded in ("shifted" form), so the overlay engines
-// evaluate them at t - T(S) — same function, board discounted. Both source
-// treatments live in a dedicated source loop shared by every RelaxMode, so
-// results and accounting stay bit-identical across modes.
+// evaluate them at t - T(S) — same function, board discounted.
 #pragma once
 
 #include <vector>
@@ -88,14 +86,11 @@ class OverlayTimeQueryT {
                             Journey& out);
 
   const QueryStats& stats() const { return stats_; }
-  /// Gather-size accounting of the batch mode (bench_overlay's engagement
-  /// report); zeroed per run, empty under RelaxMode::kInterleaved.
-  const BatchStats& batch_stats() const { return batch_stats_; }
 
-  void set_relax_mode(RelaxMode m) { relax_.mode = m; }
-  RelaxMode relax_mode() const { return relax_.mode; }
-  void set_relax_options(RelaxOptions r) { relax_ = r; }
-  const RelaxOptions& relax_options() const { return relax_; }
+  /// No-op: the engine has one relax body, so a session's RelaxMode (which
+  /// only the LC engines read) changes nothing here. Kept so callers that
+  /// forward QuerySessionOptions::relax_options() still compile.
+  void set_relax_options(RelaxMode) {}
 
   /// Arrival via an overlay word entered at `t` at the last run's source,
   /// undoing the folded board cost (see header note).
@@ -118,14 +113,11 @@ class OverlayTimeQueryT {
   EpochArray<Time> dist_;
   EpochArray<NodeId> parent_;
   EpochArray<std::uint32_t> parent_edge_;  // overlay EdgeId of the relax
-  RelaxBatch batch_;
-  RelaxOptions relax_;
   StationId source_ = kInvalidStation;
   Time departure_ = 0;
   bool full_run_ = false;  // last run had no target stop
   bool swept_ = false;     // settle_contracted() ran since the last run
   QueryStats stats_;
-  BatchStats batch_stats_;
   // Journey replay scratch (arena-backed; grows to a high-water mark).
   std::vector<NodeId, ArenaAllocator<NodeId>> path_;
   std::vector<Time, ArenaAllocator<Time>> ready_;
@@ -141,9 +133,8 @@ using OverlayTimeQuery = OverlayTimeQueryT<>;
 ///
 /// Deliberately a sibling implementation of LcProfileQuery, not a shared
 /// template over the graph type: the overlay loop carries the source
-/// board-shift through the link kernel and its own engagement accounting,
-/// and templating the flat engine's hot loop for that would perturb
-/// measured code the benches gate.
+/// board-shift through the link kernel, and templating the flat engine's
+/// hot loop for that would perturb measured code the benches gate.
 ///
 /// Merge scheduling diverges from the flat engine on purpose: a core
 /// station's in-fan is many tiny shortcut candidate profiles, and reducing
@@ -176,7 +167,6 @@ class OverlayLcProfileQuery {
   }
 
   const QueryStats& stats() const { return stats_; }
-  const BatchStats& batch_stats() const { return batch_stats_; }
 
   void set_relax_mode(RelaxMode m) { relax_mode_ = m; }
   RelaxMode relax_mode() const { return relax_mode_; }
@@ -199,7 +189,6 @@ class OverlayLcProfileQuery {
   ScratchProfile init_, cand_, union_, merged_;
   RelaxMode relax_mode_ = RelaxMode::kBatch;
   QueryStats stats_;
-  BatchStats batch_stats_;
 };
 
 }  // namespace pconn

@@ -145,9 +145,7 @@ void OverlayParallelSpcsT<Queue>::one_to_all_into(StationId s,
     NoHook hook;
     SpcsOptions o{.self_pruning = opt_.self_pruning,
                   .stopping_criterion = false,
-                  .prune_on_relax = opt_.prune_on_relax,
-                  .relax = opt_.relax,
-                  .batch_min_edges = opt_.batch_min_edges};
+                  .prune_on_relax = opt_.prune_on_relax};
     states_[t].run_on(ov_, g_, tt_, tt_.outgoing(s), lo, hi, kInvalidStation,
                       o, hook);
     thread_ms_[t] = timer.elapsed_ms();
@@ -195,9 +193,7 @@ void OverlayParallelSpcsT<Queue>::station_to_station_into(
   run_partitioned(s, [&](std::size_t th, std::uint32_t lo, std::uint32_t hi) {
     SpcsOptions o{.self_pruning = opt_.self_pruning,
                   .stopping_criterion = opt_.stopping_criterion,
-                  .prune_on_relax = opt_.prune_on_relax,
-                  .relax = opt_.relax,
-                  .batch_min_edges = opt_.batch_min_edges};
+                  .prune_on_relax = opt_.prune_on_relax};
     states_[th].run_chunked_on(ov_, g_, tt_, conns, lo, hi, t, o,
                                raw_scratch_.data());
   });
@@ -253,12 +249,6 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
   std::uint32_t* const __restrict rcnt = sc.rcnt.data();
 
   const TtfPool& pool = ov_.ttfs();
-  // Mirrors the relax loop's mode split: interleaved evaluates surviving
-  // lanes one by one, batch feeds the whole row to one pooled arrival_tn
-  // call. The kernels are bit-identical and both paths test/count the same
-  // live lanes in the same edge order, so results AND accounting match.
-  const bool batched = opt_.relax != RelaxMode::kInterleaved;
-
   for (std::size_t i = 0; i < ov_.num_contracted(); ++i) {
     const NodeId v = ov_.down_node(i);
     for (std::size_t j = 0; j < W; ++j) best[j] = kInfTime;
@@ -280,17 +270,11 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
       }
       if (cnt == 0) continue;
       const std::uint32_t w = ov_.down_word(e);
-      if (batched) {
-        if (w & TtfPool::kConstFlag) {
-          const Time c = w & ~TtfPool::kConstFlag;
-          for (std::size_t j = 0; j < W; ++j) out_buf[j] = ts_buf[j] + c;
-        } else {
-          pool.arrival_tn(w, ts_buf, W, out_buf);
-        }
+      if (w & TtfPool::kConstFlag) {
+        const Time c = w & ~TtfPool::kConstFlag;
+        for (std::size_t j = 0; j < W; ++j) out_buf[j] = ts_buf[j] + c;
       } else {
-        for (std::size_t j = 0; j < W; ++j) {
-          if (raw[j] != kInfTime) out_buf[j] = ov_.arrival_by_word(w, raw[j]);
-        }
+        pool.arrival_tn(w, ts_buf, W, out_buf);
       }
       // No source fix-up, unlike the station-sourced engines: SPCS sources
       // are route nodes, whose down-edge TTFs carry no folded board cost.

@@ -22,8 +22,9 @@
 // connection j > i that pruned it (dep_j >= dep_i, arrival no later), so
 // flat and overlay label matrices may differ slot by slot while the
 // connection reduction converges to byte-identical profiles — at every
-// station, across thread counts, queue policies and RelaxModes
-// (tests/overlay_spcs_test.cpp proves this differentially).
+// station, across thread counts and queue policies
+// (tests/overlay_spcs_test.cpp proves this differentially). The ascent is
+// SPCS's one relax body (algo/spcs.hpp).
 //
 // Contracted nodes are recovered on demand by settle_contracted(): one
 // batched per-partition downward sweep over the overlay's down-CSR. The
@@ -34,7 +35,10 @@
 // lanes to a partition's connection fan, writing back in place instead of
 // keeping a transposed copy. Unlike the station-sourced engines' sweep,
 // the SPCS ascent can settle contracted nodes on its way up (sources are
-// contracted), so the sweep folds with min() rather than overwriting.
+// contracted), so the sweep folds with min() rather than overwriting. The
+// row call is the sweep's only body: a per-lane scalar variant measured
+// slower on three of five presets and was deleted (docs/architecture.md
+// "Batch relaxation").
 // After it, node_profile() is exact at EVERY flat node by the same
 // domination argument, transitively through the FIFO down TTFs.
 #pragma once
@@ -89,8 +93,6 @@ class OverlayParallelSpcsT {
   /// Extends the last full (no-target) run to every contracted node: each
   /// pool thread runs one batched rank-descending sweep over its own
   /// partition's label rows (header note). Idempotent until the next run.
-  /// Under RelaxMode::kInterleaved the sweep evaluates per lane instead of
-  /// per row — results and accounting are bit-identical either way.
   void settle_contracted();
 
   /// Reduced profile dist(S, v, ·) at ANY flat node of the last full run

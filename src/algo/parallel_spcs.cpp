@@ -117,9 +117,7 @@ void ParallelSpcsT<Queue>::one_to_all_into(StationId s, OneToAllResult& out) {
     NoHook hook;
     SpcsOptions o{.self_pruning = opt_.self_pruning,
                   .stopping_criterion = false,
-                  .prune_on_relax = opt_.prune_on_relax,
-                  .relax = opt_.relax,
-                  .batch_min_edges = opt_.batch_min_edges};
+                  .prune_on_relax = opt_.prune_on_relax};
     states_[t].run(g_, tt_, tt_.outgoing(s), lo, hi, kInvalidStation, o, hook);
     thread_ms_[t] = timer.elapsed_ms();
   });
@@ -161,9 +159,7 @@ void ParallelSpcsT<Queue>::station_to_station_into(StationId s, StationId t,
   run_partitioned(s, [&](std::size_t th, std::uint32_t lo, std::uint32_t hi) {
     SpcsOptions o{.self_pruning = opt_.self_pruning,
                   .stopping_criterion = opt_.stopping_criterion,
-                  .prune_on_relax = opt_.prune_on_relax,
-                  .relax = opt_.relax,
-                  .batch_min_edges = opt_.batch_min_edges};
+                  .prune_on_relax = opt_.prune_on_relax};
     states_[th].run_chunked_on(g_, g_, tt_, conns, lo, hi, t, o,
                                raw_scratch_.data());
   });

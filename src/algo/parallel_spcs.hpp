@@ -29,8 +29,6 @@ struct ParallelSpcsOptions {
   bool self_pruning = true;
   bool stopping_criterion = true;  // station-to-station queries only
   bool prune_on_relax = false;     // see SpcsOptions::prune_on_relax
-  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
-  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 struct OneToAllResult {

@@ -49,21 +49,19 @@ struct QuerySessionOptions {
   bool prune_on_relax = false;
   bool table_pruning = true;   // s2s engine only
   bool target_pruning = true;  // s2s engine only
-  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
-  // Adaptive-batch engagement threshold (see RelaxOptions::batch_min_edges).
-  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
+  // Relax body of the two LC engines (lc_engine, overlay_lc_engine), the
+  // only engines with two (algo/relax_batch.hpp).
+  RelaxMode relax = RelaxMode::kBatch;
 
-  RelaxOptions relax_options() const {
-    return {.mode = relax, .batch_min_edges = batch_min_edges};
-  }
+  /// `relax`, for callers that hand it to OverlayTimeQueryT's no-op
+  /// set_relax_options.
+  RelaxMode relax_options() const { return relax; }
   ParallelSpcsOptions spcs() const {
     return {.threads = threads,
             .partition = partition,
             .self_pruning = self_pruning,
             .stopping_criterion = stopping_criterion,
-            .prune_on_relax = prune_on_relax,
-            .relax = relax,
-            .batch_min_edges = batch_min_edges};
+            .prune_on_relax = prune_on_relax};
   }
   S2sOptions s2s() const {
     return {.threads = threads,
@@ -72,9 +70,7 @@ struct QuerySessionOptions {
             .stopping_criterion = stopping_criterion,
             .table_pruning = table_pruning,
             .target_pruning = target_pruning,
-            .prune_on_relax = prune_on_relax,
-            .relax = relax,
-            .batch_min_edges = batch_min_edges};
+            .prune_on_relax = prune_on_relax};
   }
 };
 
@@ -185,7 +181,6 @@ class QuerySessionT {
     if (!ov_time_ || ov_time_graph_ != &ov) {
       ov_time_ =
           std::make_unique<OverlayTimeQueryT<TimeQueue>>(*tt_, *g_, ov, &ws_);
-      ov_time_->set_relax_options(opt_.relax_options());
       ov_time_graph_ = &ov;
     }
     return *ov_time_;
@@ -247,7 +242,6 @@ class QuerySessionT {
     if (!multi_ov_ || multi_ov_graph_ != &ov) {
       multi_ov_ = std::make_unique<MultiQueryOverlayTimeEngineT<TimeQueue>>(
           *tt_, *g_, ov, &ws_);
-      multi_ov_->set_relax_options(opt_.relax_options());
       multi_ov_graph_ = &ov;
     }
     return *multi_ov_;

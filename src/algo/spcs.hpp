@@ -18,6 +18,11 @@
 // no later while leaving later. The stopping criterion (Theorem 2) and the
 // distance-table rules (Theorems 3/4) plug in through a SettleHook.
 //
+// A settled item relaxes its edges one at a time, each TTF evaluated right
+// before its queue update, on the flat graph and the overlay alike. This is
+// the only relax body: a phased gather -> eval -> commit body measured
+// slower on the overlay core (docs/architecture.md "Batch relaxation").
+//
 // The priority queue is a compile-time policy (queue_policy.hpp): the
 // paper's binary heap or a two-level monotone bucket queue. The
 // non-addressable bucket policy pushes one entry per improvement; the
@@ -37,7 +42,6 @@
 
 #include "algo/counters.hpp"
 #include "algo/queue_policy.hpp"
-#include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
@@ -64,13 +68,6 @@ struct SpcsOptions {
   /// operations entirely. Results are unchanged; Table 1 runs with this
   /// OFF to match the paper's settled-connection accounting.
   bool prune_on_relax = false;
-  /// Relax-loop phasing (algo/relax_batch.hpp): batch gathers a settled
-  /// node's surviving edges and evaluates them with one vectorized
-  /// arrival_n call; interleaved is the per-edge seed behaviour. Results
-  /// and accounting are bit-identical either way.
-  RelaxMode relax = RelaxMode::kBatch;
-  /// Batch profitability threshold (RelaxOptions::batch_min_edges).
-  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 /// Verdict of a SettleHook for a popped-and-settled queue item.
@@ -109,8 +106,7 @@ class SpcsThreadStateT {
         anc_(scratch_alloc(ws)),
         best_(scratch_alloc(ws)),
         noanc_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))),
-        done_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))),
-        batch_(scratch_alloc(ws)) {}
+        done_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))) {}
 
   /// Queue keys are composite: (arrival << kKeyShift) | (W - 1 - li).
   /// Arrival-time ties are broken towards the HIGHER connection index —
@@ -202,7 +198,6 @@ class SpcsThreadStateT {
     const std::uint32_t lanes = std::max(W, kSpcsChunk);
     const std::size_t slots = static_cast<std::size_t>(g.num_nodes()) * lanes;
     if (heap_.capacity() < slots) heap_.reset_capacity(slots);
-    batch_.reserve(g.max_out_degree());
     arr_.ensure_and_clear(slots, kInfTime);
     if (opt.self_pruning) maxconn_.ensure_and_clear(g.num_nodes(), -1);
     if constexpr (Hook::kWantsAncestors) {
@@ -306,11 +301,6 @@ class SpcsThreadStateT {
       // Relax over the SoA edge block of v: heads stream independently of
       // the packed ttf-or-weight words and the settled/self-pruning tests
       // run on the streamed head before the (expensive) TTF evaluation.
-      // Batch mode (the default) phases the loop as gather -> eval ->
-      // commit (algo/relax_batch.hpp): the pre-tests only read state that
-      // settles mutate (arr_, maxconn_), never state the commits below
-      // touch, so running them all before any commit is exact — results
-      // and accounting stay bit-identical to the interleaved loop.
       // relax_pruned counts every pruned edge, whether or not its arrival
       // would have been finite (the seed evaluated first); settled/pushed
       // accounting is unchanged.
@@ -319,10 +309,24 @@ class SpcsThreadStateT {
       const NodeId* const heads = g.heads_data();
       const std::uint32_t* const words = g.words_data();
 
-      // Queue push/decrease + ancestor accounting for one surviving edge
-      // with evaluated (finite) arrival t. Both modes invoke this in edge
-      // order, so per-policy queue contents evolve identically.
-      const auto commit = [&](std::uint32_t wid, Time t) {
+      for (std::uint32_t ei = eb; ei < ee; ++ei) {
+        if (ei + 1 < ee) {
+          arr_.prefetch(static_cast<std::size_t>(heads[ei + 1]) * W + li);
+          g.prefetch_edge_ttf(ei + 1);
+        }
+        const NodeId head = heads[ei];
+        const std::uint32_t wid = static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(head) * W + li);
+        if (arr_.touched(wid)) continue;  // already settled for li
+        if (opt.self_pruning && opt.prune_on_relax &&
+            static_cast<std::int32_t>(li) <= maxconn_.get(head)) {
+          stats_.relax_pruned++;
+          continue;
+        }
+        const Time t = g.arrival_by_word(words[ei], key);
+        if (t == kInfTime) continue;
+
+        // Queue push/decrease + ancestor accounting for the surviving edge.
         stats_.relaxed++;
         const std::uint64_t new_key = make_key(t, li);
         bool improved = true;
@@ -372,52 +376,6 @@ class SpcsThreadStateT {
             }
           }
         }
-      };
-
-      // Settled / relax-time self-pruning pre-tests on a streamed head;
-      // returns false when the edge is discarded before evaluation.
-      const auto survives = [&](NodeId head, std::uint32_t wid) {
-        if (arr_.touched(wid)) return false;  // already settled for li
-        if (opt.self_pruning && opt.prune_on_relax &&
-            static_cast<std::int32_t>(li) <= maxconn_.get(head)) {
-          stats_.relax_pruned++;
-          return false;
-        }
-        return true;
-      };
-
-      if (opt.relax != RelaxMode::kInterleaved &&
-          g.ttf_out_degree(v) >= opt.batch_min_edges) {
-        batch_.clear();
-        for (std::uint32_t ei = eb; ei < ee; ++ei) {
-          if (ei + 1 < ee) {
-            arr_.prefetch(static_cast<std::size_t>(heads[ei + 1]) * W + li);
-          }
-          const NodeId head = heads[ei];
-          const std::uint32_t wid = static_cast<std::uint32_t>(
-              static_cast<std::uint64_t>(head) * W + li);
-          if (survives(head, wid)) batch_.push(words[ei], wid);
-        }
-        Time* const out = batch_.prepare_out();
-        g.arrivals_by_words(batch_.words(), batch_.size(), key, out);
-        for (std::size_t i = 0; i < batch_.size(); ++i) {
-          if (out[i] == kInfTime) continue;
-          commit(batch_.aux(i), out[i]);
-        }
-      } else {
-        for (std::uint32_t ei = eb; ei < ee; ++ei) {
-          if (ei + 1 < ee) {
-            arr_.prefetch(static_cast<std::size_t>(heads[ei + 1]) * W + li);
-            g.prefetch_edge_ttf(ei + 1);
-          }
-          const NodeId head = heads[ei];
-          const std::uint32_t wid = static_cast<std::uint32_t>(
-              static_cast<std::uint64_t>(head) * W + li);
-          if (!survives(head, wid)) continue;
-          const Time t = g.arrival_by_word(words[ei], key);
-          if (t == kInfTime) continue;
-          commit(wid, t);
-        }
       }
     }
   }
@@ -437,7 +395,6 @@ class SpcsThreadStateT {
                                     // queues with ancestor tracking only
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> noanc_;
   std::vector<std::uint8_t, ArenaAllocator<std::uint8_t>> done_;
-  RelaxBatch batch_;  // gather/eval scratch of the batch relax mode
   std::uint32_t width_ = 0;
   QueryStats stats_;
 };

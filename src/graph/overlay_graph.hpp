@@ -12,16 +12,14 @@
 // Every shortcut TTF is appended into this graph's own TtfPool, whose
 // first `num_base_ttfs()` functions are a verbatim copy of the base
 // graph's pool — so base edge words keep their numeric value, and the
-// overlay shares the SoA/CSR layout, the bucket eval index and the AVX2
-// batch kernels (arrival_n) with the flat relax loops.
+// overlay shares the SoA/CSR layout and the bucket eval index with the
+// flat relax loops.
 //
 // Two CSRs survive the contraction:
 //   * the unified out-CSR ("upward"): a core node's surviving edges (all
 //     heads are core), and for a contracted node the out-edges it had at
 //     the moment of contraction (all heads ranked higher, or core). A
-//     Dijkstra from any core node therefore never leaves the core; the
-//     multi-edge station pairs it relaxes carry wide per-node TTF fan-out
-//     — the shape the batched gather -> eval -> commit loop wants;
+//     Dijkstra from any core node therefore never leaves the core;
 //   * the downward in-CSR: each contracted node's in-edges at contraction
 //     time, stored in descending contraction rank. One queue-less sweep
 //     over it after a full core run extends exact arrivals to every
@@ -123,10 +121,6 @@ class OverlayGraph {
   Time arrival_by_word(std::uint32_t w, Time t) const {
     if (TdGraph::word_is_const(w)) return t + TdGraph::word_weight(w);
     return ttfs_.arrival(w, t);
-  }
-  void arrivals_by_words(const std::uint32_t* words, std::size_t n, Time t,
-                         Time* out) const {
-    ttfs_.arrival_n(words, n, t, out);
   }
   std::uint32_t max_out_degree() const { return max_out_degree_; }
   std::uint32_t ttf_out_degree(NodeId v) const { return ttf_out_degree_[v]; }

@@ -56,8 +56,8 @@ class TdGraph {
   };
 
   // --- packed ttf-or-weight word ----------------------------------------
-  // The encoding is shared with TtfPool::arrival_n, whose batch kernel
-  // evaluates constant words inline.
+  // The encoding is shared with TtfPool::arrival_entry, which evaluates
+  // constant words inline.
   static constexpr std::uint32_t kConstFlag = TtfPool::kConstFlag;
   static bool word_is_const(std::uint32_t w) { return (w & kConstFlag) != 0; }
   static Time word_weight(std::uint32_t w) {
@@ -119,20 +119,11 @@ class TdGraph {
     if (word_is_const(w)) return t + word_weight(w);
     return ttfs_.arrival(word_ttf(w), t);
   }
-  /// Batched variant for the gather -> eval -> commit relax loops: arrivals
-  /// via words[0..n) for one entry time, constant words evaluated inline
-  /// (vectorized; see TtfPool::arrival_n).
-  void arrivals_by_words(const std::uint32_t* words, std::size_t n, Time t,
-                         Time* out) const {
-    ttfs_.arrival_n(words, n, t, out);
-  }
-  /// Largest out-degree of any node — the capacity bound the engines'
-  /// batch buffers reserve once so warm queries never reallocate.
+  /// Largest out-degree of any node.
   std::uint32_t max_out_degree() const { return max_out_degree_; }
-  /// Time-dependent (non-constant) edges in v's block, saturated at 255 —
-  /// the relax loops' batch-profitability test: a block whose TTF fan-out
-  /// is below the batch threshold runs interleaved (constant words cost a
-  /// single add either way, so only TTF evals justify the phased loop).
+  /// Time-dependent (non-constant) edges in v's block, saturated at 255.
+  /// At most 1 in this model (graph_test asserts it), which is why the
+  /// flat engines have no batched relax body.
   std::uint32_t ttf_out_degree(NodeId v) const { return ttf_out_degree_[v]; }
   /// Prefetch hint for edge e's travel-time points (no-op on constant
   /// edges: the weight is already in the streamed word).

@@ -40,8 +40,8 @@ std::uint32_t TtfPool::log2_buckets(std::size_t count) const {
 }
 
 const char* TtfPool::layout_error() const {
-  // The AVX2 kernels gather metadata and points through signed 32-bit
-  // lanes (the same bound add_raw asserts).
+  // The AVX2 kernel gathers points and bucket entries through signed
+  // 32-bit lanes (the same bound add_raw asserts).
   if (meta_.size() >= (std::size_t{1} << 29) ||
       points_.size() >= (std::size_t{1} << 29)) {
     return "pool too large";
@@ -88,8 +88,8 @@ std::uint32_t TtfPoolBuilder::add_raw(std::span<const TtfPoint> pts) {
     assert(i == 0 || pts[i - 1].dep < pts[i].dep);
   }
 #endif
-  // The AVX2 kernels gather metadata and points through signed 32-bit
-  // lanes; both stay far below 2^29 entries on any real network.
+  // The AVX2 kernel gathers points and bucket entries through signed
+  // 32-bit lanes; both stay far below 2^29 entries on any real network.
   assert(meta_.size() < (std::size_t{1} << 29));
   assert(points_.size() + pts.size() < (std::size_t{1} << 29));
   const std::uint32_t idx = static_cast<std::uint32_t>(meta_.size());
@@ -194,17 +194,6 @@ TtfPool TtfPoolBuilder::finish() {
   return out;
 }
 
-void TtfPool::arrival_n_scalar(const std::uint32_t* entries, std::size_t n,
-                               Time t, Time* out) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) {
-      const std::uint32_t next = entries[i + 1];
-      if (!(next & kConstFlag)) prefetch_points(next);
-    }
-    out[i] = arrival_entry(entries[i], t);
-  }
-}
-
 void TtfPool::arrival_tn_scalar(std::uint32_t f, const Time* ts, std::size_t n,
                                 Time* out) const {
   for (std::size_t i = 0; i < n; ++i) out[i] = arrival(f, ts[i]);
@@ -219,88 +208,13 @@ void TtfPool::arrival_tn_sorted(std::uint32_t f, const Time* ts, std::size_t n,
 
 #if PCONN_HAVE_AVX2_DISPATCH
 
-// Both kernels share the bucket-mapping identity
+// The kernel uses the bucket-mapping identity
 //   bucket_of(tau, b) = ((tau << b) * inv) >> 32 = (tau * inv) >> (32 - b)
 // with tau * inv < 2^32 (tau < period, inv = floor(2^32 / period)), so the
 // per-lane bucket is a 32-bit multiply plus a variable shift — no division
 // anywhere. All comparisons run in signed 32-bit lanes, which is safe
 // because times stay below 2^30 (asserted in reset) and pool indices below
 // 2^29 (asserted in add).
-
-[[gnu::target("avx2")]] void TtfPool::arrival_n_avx2(
-    const std::uint32_t* entries, std::size_t n, Time t, Time* out) const {
-  const std::uint32_t tau = t % period_;
-  const std::uint32_t tau_inv = static_cast<std::uint32_t>(tau * inv_period_);
-  const int* const meta_base = reinterpret_cast<const int*>(meta_.data());
-  const int* const bidx_base = reinterpret_cast<const int*>(bucket_idx_.data());
-  const int* const pts_base = reinterpret_cast<const int*>(points_.data());
-
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vtau = _mm256_set1_epi32(static_cast<int>(tau));
-  const __m256i vtau_inv = _mm256_set1_epi32(static_cast<int>(tau_inv));
-  const __m256i v32 = _mm256_set1_epi32(32);
-  const __m256i vperiod = _mm256_set1_epi32(static_cast<int>(period_));
-  const __m256i vt = _mm256_set1_epi32(static_cast<int>(t));
-  const __m256i vinf = _mm256_set1_epi32(static_cast<int>(kInfTime));
-  const __m256i vconst = _mm256_set1_epi32(static_cast<int>(kConstFlag));
-
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i w =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(entries + i));
-    // Lanes with the top bit set carry an inline constant; every gather is
-    // masked to the TTF lanes (and, for points, to non-empty functions) so
-    // no lane ever reads outside the pool arrays.
-    const __m256i is_const = _mm256_srai_epi32(w, 31);
-    const __m256i is_ttf = _mm256_cmpeq_epi32(is_const, vzero);
-    const __m256i f4 = _mm256_slli_epi32(_mm256_andnot_si256(is_const, w), 2);
-    const __m256i first =
-        _mm256_mask_i32gather_epi32(vzero, meta_base + 0, f4, is_ttf, 4);
-    const __m256i count =
-        _mm256_mask_i32gather_epi32(vzero, meta_base + 1, f4, is_ttf, 4);
-    const __m256i bucket0 =
-        _mm256_mask_i32gather_epi32(vzero, meta_base + 2, f4, is_ttf, 4);
-    const __m256i log2b =
-        _mm256_mask_i32gather_epi32(vzero, meta_base + 3, f4, is_ttf, 4);
-    const __m256i bucket =
-        _mm256_srlv_epi32(vtau_inv, _mm256_sub_epi32(v32, log2b));
-    const __m256i live =
-        _mm256_andnot_si256(_mm256_cmpeq_epi32(count, vzero), is_ttf);
-    __m256i pos = _mm256_mask_i32gather_epi32(
-        vzero, bidx_base, _mm256_add_epi32(bucket0, bucket), live, 4);
-    const __m256i end = _mm256_add_epi32(first, count);
-    // Linear lower_bound past the bucket entry: lanes advance while their
-    // point departs before tau; the default of tau for masked-off lanes
-    // stops them immediately. Expected 0-1 iterations at default density.
-    for (;;) {
-      const __m256i in_range =
-          _mm256_and_si256(_mm256_cmpgt_epi32(end, pos), live);
-      if (_mm256_testz_si256(in_range, in_range)) break;
-      const __m256i dep = _mm256_mask_i32gather_epi32(
-          vtau, pts_base, _mm256_slli_epi32(pos, 1), in_range, 4);
-      const __m256i advance =
-          _mm256_and_si256(in_range, _mm256_cmpgt_epi32(vtau, dep));
-      if (_mm256_testz_si256(advance, advance)) break;
-      pos = _mm256_sub_epi32(pos, advance);  // advance lanes hold -1
-    }
-    // Lanes that scanned to their function's end wrap to its first point.
-    pos = _mm256_blendv_epi8(first, pos, _mm256_cmpgt_epi32(end, pos));
-    const __m256i p2 = _mm256_slli_epi32(pos, 1);
-    const __m256i dep =
-        _mm256_mask_i32gather_epi32(vzero, pts_base + 0, p2, live, 4);
-    const __m256i dur =
-        _mm256_mask_i32gather_epi32(vzero, pts_base + 1, p2, live, 4);
-    const __m256i wrap = _mm256_cmpgt_epi32(vtau, dep);
-    const __m256i wait = _mm256_add_epi32(_mm256_sub_epi32(dep, vtau),
-                                          _mm256_and_si256(wrap, vperiod));
-    __m256i res = _mm256_add_epi32(vt, _mm256_add_epi32(wait, dur));
-    res = _mm256_blendv_epi8(vinf, res, live);  // empty functions
-    const __m256i cres = _mm256_add_epi32(vt, _mm256_andnot_si256(vconst, w));
-    res = _mm256_blendv_epi8(res, cres, is_const);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), res);
-  }
-  arrival_n_scalar(entries + i, n - i, t, out + i);
-}
 
 namespace {
 
@@ -379,17 +293,6 @@ namespace {
 }
 
 #endif  // PCONN_HAVE_AVX2_DISPATCH
-
-void TtfPool::arrival_n(const std::uint32_t* entries, std::size_t n, Time t,
-                        Time* out) const {
-#if PCONN_HAVE_AVX2_DISPATCH
-  if (n >= 8 && cpu_has_avx2()) {
-    arrival_n_avx2(entries, n, t, out);
-    return;
-  }
-#endif
-  arrival_n_scalar(entries, n, t, out);
-}
 
 void TtfPool::arrival_tn(std::uint32_t f, const Time* ts, std::size_t n,
                          Time* out) const {

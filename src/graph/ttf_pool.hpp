@@ -21,18 +21,19 @@
 //     2^32/period reciprocal (no division); the mapping may undershoot by
 //     up to two buckets, which only lengthens the scan, never skips points.
 //
-// Batch evaluation (the relax-loop entry points since the gather ->
-// eval -> commit restructure, docs/architecture.md "Batch relaxation"):
-//   * arrival_n()  — many functions, one entry time. Entries may carry the
-//     kConstFlag top bit, in which case the low 31 bits are an inline
-//     constant travel time (the TdGraph packed-word encoding) evaluated
-//     without touching the pool;
-//   * arrival_tn() — one function, many entry times (the LC link step).
-// Both run an 8-lane AVX2 gather kernel when the CPU has it (runtime
-// dispatch, PCONN_NO_AVX2 escape hatch) and a scalar loop otherwise; the
-// kernels replace the per-eval hardware division of `t % period` with the
-// same reciprocal multiply the bucket mapping uses and are bit-identical
-// to the scalar path (tests/ttf_test.cpp sweeps per second).
+// Batch evaluation, one function at many entry times (docs/architecture.md
+// "Batch relaxation"):
+//   * arrival_tn() — the down-sweeps' row call (multi-query lanes, an SPCS
+//     partition's connection lanes). It runs an 8-lane AVX2 gather kernel
+//     when the CPU has it (runtime dispatch, PCONN_NO_AVX2 escape hatch)
+//     and a scalar loop otherwise; the kernel replaces the per-eval
+//     hardware division of `t % period` with the same reciprocal multiply
+//     the bucket mapping uses and is bit-identical to the scalar path
+//     (tests/ttf_test.cpp sweeps per second);
+//   * arrival_tn_sorted_fused() — ascending entry times, the LC link step.
+// Single evaluations take a packed word (arrival_entry): a pool index, or
+// with the kConstFlag top bit an inline constant travel time (the TdGraph
+// packed-word encoding) evaluated without touching the pool.
 //
 // Results are bit-identical to Ttf::eval / Ttf::point_used on the same
 // points (tests/ttf_test.cpp proves it exhaustively); the pool is the
@@ -73,8 +74,8 @@ struct TtfIndexOptions {
 
 class TtfPool {
  public:
-  /// Entries of arrival_n with this bit set are inline constant travel
-  /// times, not pool indices (mirrored by TdGraph's packed edge word).
+  /// Words with this bit set are inline constant travel times, not pool
+  /// indices (mirrored by TdGraph's packed edge word).
   static constexpr std::uint32_t kConstFlag = 1u << 31;
 
   /// Per-function metadata, 16 bytes (stored verbatim in snapshots).
@@ -124,7 +125,7 @@ class TtfPool {
     return w == kInfTime ? kInfTime : t + w;
   }
 
-  /// Absolute arrival via one arrival_n entry: a pool index, or an inline
+  /// Absolute arrival via one packed word: a pool index, or an inline
   /// constant travel time when the kConstFlag bit is set.
   Time arrival_entry(std::uint32_t word, Time t) const {
     if (word & kConstFlag) return t + (word & ~kConstFlag);
@@ -139,16 +140,9 @@ class TtfPool {
     return scan_from_bucket(m, t % period_) - m.first;
   }
 
-  /// Batch evaluation, many functions at one entry time: absolute arrivals
-  /// via entries[0..n) for entry time t. Entries are pool indices or
-  /// kConstFlag-tagged inline constants (see arrival_entry). AVX2 gather
-  /// kernel under runtime dispatch, scalar prefetching loop otherwise;
-  /// bit-identical either way.
-  void arrival_n(const std::uint32_t* entries, std::size_t n, Time t,
-                 Time* out) const;
-
   /// Batch evaluation, one function at many entry times:
-  /// out[i] = arrival(f, ts[i]). Same dispatch as arrival_n.
+  /// out[i] = arrival(f, ts[i]). AVX2 gather kernel under runtime
+  /// dispatch, scalar loop otherwise; bit-identical either way.
   void arrival_tn(std::uint32_t f, const Time* ts, std::size_t n,
                   Time* out) const;
 
@@ -259,14 +253,10 @@ class TtfPool {
     return i < m.first + m.count ? i : m.first;
   }
 
-  void arrival_n_scalar(const std::uint32_t* entries, std::size_t n, Time t,
-                        Time* out) const;
   void arrival_tn_scalar(std::uint32_t f, const Time* ts, std::size_t n,
                          Time* out) const;
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
-  void arrival_n_avx2(const std::uint32_t* entries, std::size_t n, Time t,
-                      Time* out) const;
   void arrival_tn_avx2(std::uint32_t f, const Time* ts, std::size_t n,
                        Time* out) const;
 #endif

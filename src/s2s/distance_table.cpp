@@ -1,10 +1,6 @@
 #include "s2s/distance_table.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <istream>
-#include <ostream>
-#include <stdexcept>
 
 #include "util/timer.hpp"
 
@@ -43,8 +39,7 @@ DistanceTable DistanceTable::build(const Timetable& tt, const TdGraph& g,
       NoHook hook;
       SpcsOptions o{.self_pruning = opt.self_pruning,
                     .stopping_criterion = false,
-                    .prune_on_relax = opt.prune_on_relax,
-                    .relax = opt.relax};
+                    .prune_on_relax = opt.prune_on_relax};
       spcs.thread_state(t).run(g, tt, tt.outgoing(src), lo, hi,
                                kInvalidStation, o, hook);
     });
@@ -58,81 +53,6 @@ DistanceTable DistanceTable::build(const Timetable& tt, const TdGraph& g,
   if (info) {
     info->preprocessing_seconds = timer.elapsed_s();
     info->table_bytes = dt.memory_bytes();
-  }
-  return dt;
-}
-
-namespace {
-
-constexpr char kDtMagic[4] = {'P', 'C', 'D', 'T'};
-
-void write_u32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.write(buf, 4);
-}
-
-std::uint32_t read_u32(std::istream& in) {
-  char buf[4];
-  in.read(buf, 4);
-  if (!in) throw std::runtime_error("distance table: truncated stream");
-  std::uint32_t v;
-  std::memcpy(&v, buf, 4);
-  return v;
-}
-
-}  // namespace
-
-void DistanceTable::save(std::ostream& out) const {
-  out.write(kDtMagic, 4);
-  write_u32(out, 1);  // version
-  write_u32(out, period_);
-  write_u32(out, static_cast<std::uint32_t>(index_.size()));
-  write_u32(out, static_cast<std::uint32_t>(stations_.size()));
-  for (StationId s : stations_) write_u32(out, s);
-  for (const Profile& p : table_) {
-    write_u32(out, static_cast<std::uint32_t>(p.size()));
-    for (const ProfilePoint& pt : p) {
-      write_u32(out, pt.dep);
-      write_u32(out, pt.arr);
-    }
-  }
-  if (!out) throw std::runtime_error("distance table: write failure");
-}
-
-DistanceTable DistanceTable::load(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kDtMagic, 4) != 0) {
-    throw std::runtime_error("distance table: bad magic");
-  }
-  if (read_u32(in) != 1) {
-    throw std::runtime_error("distance table: unsupported version");
-  }
-  DistanceTable dt;
-  dt.period_ = read_u32(in);
-  std::uint32_t num_stations = read_u32(in);
-  std::uint32_t n = read_u32(in);
-  if (n > num_stations) throw std::runtime_error("distance table: corrupt");
-  dt.index_.assign(num_stations, kNoConn);
-  dt.flags_.assign(num_stations, 0);
-  dt.stations_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    StationId s = read_u32(in);
-    if (s >= num_stations) throw std::runtime_error("distance table: corrupt");
-    dt.stations_[i] = s;
-    dt.index_[s] = i;
-    dt.flags_[s] = 1;
-  }
-  dt.table_.resize(static_cast<std::size_t>(n) * n);
-  for (Profile& p : dt.table_) {
-    std::uint32_t points = read_u32(in);
-    if (points > (1u << 24)) throw std::runtime_error("distance table: corrupt");
-    p.resize(points);
-    for (ProfilePoint& pt : p) {
-      pt.dep = read_u32(in);
-      pt.arr = read_u32(in);
-    }
   }
   return dt;
 }

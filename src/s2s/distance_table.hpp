@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "algo/parallel_spcs.hpp"
@@ -50,11 +49,6 @@ class DistanceTable {
   }
 
   std::size_t memory_bytes() const;
-
-  /// Binary (de)serialization so the preprocessing can be cached on disk
-  /// (Table 2 preprocessing is minutes on the paper's inputs).
-  void save(std::ostream& out) const;
-  static DistanceTable load(std::istream& in);
 
  private:
   std::vector<StationId> stations_;      // sorted transfer stations

@@ -123,9 +123,7 @@ S2sQueryEngineT<Queue>::S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
                                 .partition = opt.partition,
                                 .self_pruning = opt.self_pruning,
                                 .stopping_criterion = opt.stopping_criterion,
-                                .prune_on_relax = opt.prune_on_relax,
-                                .relax = opt.relax,
-                                .batch_min_edges = opt.batch_min_edges}),
+                                .prune_on_relax = opt.prune_on_relax}),
       scratch_(std::make_unique<Scratch>()) {
   scratch_->mu_hooks.resize(opt_.threads);
   scratch_->target_hooks.resize(opt_.threads);
@@ -170,9 +168,7 @@ void S2sQueryEngineT<Queue>::query_into(StationId s, StationId t,
   Timer timer;
   const SpcsOptions o{.self_pruning = opt_.self_pruning,
                       .stopping_criterion = opt_.stopping_criterion,
-                      .prune_on_relax = opt_.prune_on_relax,
-                      .relax = opt_.relax,
-                      .batch_min_edges = opt_.batch_min_edges};
+                      .prune_on_relax = opt_.prune_on_relax};
 
   if (dt_->is_transfer(t)) {
     last_kind_ = Kind::kTargetTransfer;

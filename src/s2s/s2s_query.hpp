@@ -23,8 +23,6 @@ struct S2sOptions {
   bool table_pruning = true;    // Theorem 3 (needs a distance table)
   bool target_pruning = true;   // Theorem 4 (needs target in S_trans)
   bool prune_on_relax = false;  // see SpcsOptions::prune_on_relax
-  RelaxMode relax = RelaxMode::kBatch;  // see SpcsOptions::relax
-  std::uint32_t batch_min_edges = kBatchRelaxMinEdges;
 };
 
 /// Template over the SPCS queue policy (queue_policy.hpp); definitions in

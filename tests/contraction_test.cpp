@@ -4,11 +4,11 @@
 //    witness cost bounds;
 //  * differential overlay-vs-flat results — byte-identical arrival times
 //    at EVERY node (after the downward sweep) and byte-identical reduced
-//    profiles at every station — across engine x queue policy x RelaxMode
-//    on the deterministic fixtures and random-network sweeps;
-//  * cross-mode accounting identity of the overlay engines (batch vs
-//    interleaved settle loops), determinism across contraction thread
-//    counts, and cap/freeze behaviour (exactness never depends on caps);
+//    profiles at every station — across engine x queue policy (x RelaxMode
+//    for LC, the one engine with two relax bodies) on the deterministic
+//    fixtures and random-network sweeps;
+//  * determinism across contraction thread counts, and cap/freeze
+//    behaviour (exactness never depends on caps);
 //  * journey extraction through shortcut expansion.
 #include <gtest/gtest.h>
 
@@ -179,15 +179,14 @@ TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
 // ----------------------------------------------------------- differential ---
 
 /// Full-node differential: one-to-all time queries on the overlay (core
-/// Dijkstra + downward sweep), in the given relax configuration, must equal
-/// the flat engine — the single fixed oracle — at EVERY node.
+/// Dijkstra + downward sweep) must equal the flat engine — the single fixed
+/// oracle — at EVERY node.
 template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
-                          const OverlayGraph& ov, RelaxOptions relax,
-                          std::uint64_t seed, int queries) {
+                          const OverlayGraph& ov, std::uint64_t seed,
+                          int queries) {
   TimeQueryT<Queue> flat(tt, g);
   OverlayTimeQueryT<Queue> over(tt, g, ov);
-  over.set_relax_options(relax);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -198,8 +197,7 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
     over.settle_contracted();
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
-          << "node " << v << " source " << s << " dep " << dep << " mode "
-          << relax_mode_name(relax.mode) << "@" << relax.batch_min_edges;
+          << "node " << v << " source " << s << " dep " << dep;
     }
   }
 }
@@ -242,18 +240,11 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
     }
   }
 
-  // Interleaved, batch at the default threshold, and batch at threshold 0
-  // (the phased body on every settle).
-  for (const RelaxOptions relax :
-       {RelaxOptions{.mode = RelaxMode::kInterleaved}, RelaxOptions{},
-        RelaxOptions{.batch_min_edges = 0}}) {
-    expect_time_identity<TimeBinaryQueue>(tt, g, ov, relax, seed, 3);
-  }
+  expect_time_identity<TimeBinaryQueue>(tt, g, ov, seed, 3);
   for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
     expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
   }
-  // The bucket policy on the default configuration.
-  expect_time_identity<TimeBucketQueue>(tt, g, ov, {}, seed + 4, 2);
+  expect_time_identity<TimeBucketQueue>(tt, g, ov, seed + 4, 2);
 }
 
 TEST(ContractionOverlay, TinyLineIdentity) {
@@ -333,42 +324,7 @@ TEST(ContractionOverlay, DeterministicAcrossThreadCounts) {
   }
 }
 
-// --------------------------------------------------- accounting / batching ---
-
-TEST(ContractionOverlay, BatchModeAccountingMatchesInterleaved) {
-  const Timetable tt = test::small_city(35);
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  OverlayTimeQuery inter(tt, g, ov), batch(tt, g, ov), always(tt, g, ov);
-  inter.set_relax_mode(RelaxMode::kInterleaved);
-  batch.set_relax_mode(RelaxMode::kBatch);
-  always.set_relax_options({.mode = RelaxMode::kBatch, .batch_min_edges = 0});
-  Rng rng(88);
-  for (int i = 0; i < 6; ++i) {
-    const StationId s =
-        static_cast<StationId>(rng.next_below(tt.num_stations()));
-    const Time dep = static_cast<Time>(rng.next_below(tt.period()));
-    inter.run(s, dep);
-    batch.run(s, dep);
-    always.run(s, dep);
-    for (const OverlayTimeQuery* q : {&batch, &always}) {
-      EXPECT_EQ(q->stats().settled, inter.stats().settled);
-      EXPECT_EQ(q->stats().pushed, inter.stats().pushed);
-      EXPECT_EQ(q->stats().decreased, inter.stats().decreased);
-      EXPECT_EQ(q->stats().relaxed, inter.stats().relaxed);
-      for (StationId v = 0; v < tt.num_stations(); ++v) {
-        EXPECT_EQ(q->arrival_at(v), inter.arrival_at(v));
-      }
-    }
-    // Engagement accounting: the batched run gathered real fan-out, the
-    // interleaved run none, and the histogram covers every gather.
-    EXPECT_EQ(inter.batch_stats().gathers, 0u);
-    EXPECT_GT(always.batch_stats().gathers, 0u);
-    std::uint64_t hist_sum = 0;
-    for (std::uint64_t h : always.batch_stats().fanout_hist) hist_sum += h;
-    EXPECT_EQ(hist_sum, always.batch_stats().gathers);
-  }
-}
+// ------------------------------------------------------------ down-sweep ---
 
 // A second down-sweep before the next run changes nothing: not the labels,
 // not the parents, not the relax accounting.

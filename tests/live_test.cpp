@@ -15,15 +15,13 @@
 //    site;
 //  * LiveQuerySession — overlay-routed vs degraded flat serving agree,
 //    and warm queries stay allocation-free across an epoch transition
-//    (global operator new/delete counters — this TU owns them).
+//    (global operator new/delete counters, tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
 #include "algo/overlay_query.hpp"
@@ -33,57 +31,10 @@
 #include "live/live_session.hpp"
 #include "test_util.hpp"
 
-// ------------------------------------------------- allocation counters ---
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
-// left to the runtime, their blocks would reach the free() below from a
-// foreign allocator, which ASan reports as an alloc/dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return ::operator new(size, std::nothrow);
-}
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
 // Live overlays always contract witness-free (re-link exactness).
 OverlayContractionOptions live_opts(std::uint32_t threads = 1) {

@@ -2,20 +2,16 @@
 // (algo/multi_query.hpp): a batch of K overlay searches must be
 // byte-identical — every lane's distances, parents and work accounting — to
 // a loop of warm per-query engines over the same query stream, for every
-// queue policy, interleaved and batch relax (the latter at the default
-// threshold and at batch_min_edges = 0), K in {1, 4, 32}, and so must the
-// cross-lane down-sweep. Plus the workspace guarantee: a warm
-// overlay_run_batch() of the same batch shape performs zero heap
-// allocations (this TU replaces the global operator new/delete with
-// counters, like tests/session_test.cpp).
+// queue policy and K in {1, 4, 32}, and so must the cross-lane down-sweep.
+// Plus the workspace guarantee: a warm overlay_run_batch() of the same
+// batch shape performs zero heap allocations (global operator new/delete
+// counters, tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "algo/contraction.hpp"
 #include "algo/multi_query.hpp"
 #include "algo/overlay_query.hpp"
@@ -23,77 +19,12 @@
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
-// ---------------------------------------------------------------------------
-// Global allocation counters (see tests/session_test.cpp for the pattern).
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-// The nothrow forms too (std::stable_sort's temporary buffer uses them):
-// a sanitizer runtime otherwise allocates them itself, and freeing its
-// block through the free()-based deletes below is a reported mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
-  return operator new(size, tag);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
-constexpr RelaxOptions kAllConfigs[] = {
-    {.mode = RelaxMode::kInterleaved},
-    {.mode = RelaxMode::kBatch, .batch_min_edges = kBatchRelaxMinEdges},
-    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
-
-std::string config_tag(QueueKind q, const RelaxOptions& r) {
-  return std::string(queue_kind_name(q)) + "/" + relax_mode_name(r.mode) +
-         "@" + std::to_string(r.batch_min_edges);
-}
 
 void expect_stats_eq(const QueryStats& a, const QueryStats& b,
                      const std::string& what) {
@@ -121,7 +52,7 @@ std::vector<BatchQuery> make_queries(const Timetable& tt, Rng& rng,
 
 // ---------------------------------------------------------- overlay ---
 
-TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
+TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyAndBatchSize) {
   Timetable tt = test::small_city(42);
   TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g, {});
@@ -131,31 +62,28 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
       using Queue = typename decltype(set)::Time;
       MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
       OverlayTimeQueryT<Queue> per(tt, g, ov);
-      for (const RelaxOptions& r : kAllConfigs) {
-        multi.set_relax_options(r);
-        per.set_relax_options(r);
-        for (std::size_t k : kBatchSizes) {
-          const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
-          multi.run(qs);
-          for (std::size_t q = 0; q < k; ++q) {
-            per.run(qs[q].source, qs[q].departure, qs[q].target);
-            // Full (no-target) lanes also replay the per-lane down-sweep,
-            // extending the comparison to every contracted node.
-            const bool full = qs[q].target == kInvalidStation;
-            if (full) {
-              per.settle_contracted();
-              multi.settle_contracted(q);
-            }
-            const std::string what = "overlay " + config_tag(qk, r) +
-                                     " K=" + std::to_string(k) + " lane " +
-                                     std::to_string(q);
-            expect_stats_eq(per.stats(), multi.stats(q), what);
-            for (NodeId v = 0; v < ov.num_nodes(); ++v) {
-              ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
-                  << what << " node " << v;
-              ASSERT_EQ(multi.parent(q, v), per.parent(v))
-                  << what << " node " << v;
-            }
+      for (std::size_t k : kBatchSizes) {
+        const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
+        multi.run(qs);
+        for (std::size_t q = 0; q < k; ++q) {
+          per.run(qs[q].source, qs[q].departure, qs[q].target);
+          // Full (no-target) lanes also replay the per-lane down-sweep,
+          // extending the comparison to every contracted node.
+          const bool full = qs[q].target == kInvalidStation;
+          if (full) {
+            per.settle_contracted();
+            multi.settle_contracted(q);
+          }
+          const std::string what = std::string("overlay ") +
+                                   queue_kind_name(qk) + " K=" +
+                                   std::to_string(k) + " lane " +
+                                   std::to_string(q);
+          expect_stats_eq(per.stats(), multi.stats(q), what);
+          for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+            ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
+                << what << " node " << v;
+            ASSERT_EQ(multi.parent(q, v), per.parent(v))
+                << what << " node " << v;
           }
         }
       }

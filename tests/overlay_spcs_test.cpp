@@ -1,12 +1,9 @@
 // Overlay-routed parallel SPCS correctness (algo/overlay_spcs.hpp):
 //  * differential overlay-vs-flat byte-identity of the reduced profile
-//    fronts at EVERY station across {1, 2, 8} threads x 2 queue policies
-//    x 3 relax configurations (interleaved, batch at the default
-//    threshold, batch at threshold 0), and at EVERY flat node after the
-//    batched down-sweep;
-//  * accounting discipline: overlay stats identical across relax configs
-//    (including the scalar-vs-batched sweep), settled/pruned/relaxed
-//    identical across queue policies, sweep idempotency;
+//    fronts at EVERY station across {1, 2, 8} threads x 2 queue policies,
+//    and at EVERY flat node after the batched down-sweep;
+//  * accounting discipline: settled/pruned/relaxed identical across queue
+//    policies, sweep idempotency;
 //  * thread-count determinism of the overlay profiles;
 //  * station-to-station with the stopping criterion;
 //  * chunk boundaries: the served kSpcsChunk-wide station-to-station query
@@ -26,21 +23,10 @@
 namespace pconn {
 namespace {
 
-/// Interleaved, batch at the default threshold, batch at threshold 0.
-constexpr RelaxOptions kRelaxConfigs[] = {
-    {.mode = RelaxMode::kInterleaved}, {}, {.batch_min_edges = 0}};
-
-ParallelSpcsOptions spcs_opts(unsigned threads, RelaxOptions relax = {}) {
+ParallelSpcsOptions spcs_opts(unsigned threads) {
   ParallelSpcsOptions o;
   o.threads = threads;
-  o.relax = relax.mode;
-  o.batch_min_edges = relax.batch_min_edges;
   return o;
-}
-
-std::string relax_tag(const RelaxOptions& r) {
-  return std::string(relax_mode_name(r.mode)) + "@" +
-         std::to_string(r.batch_min_edges);
 }
 
 /// A few deterministic sources spread over the station range.
@@ -57,37 +43,32 @@ std::vector<StationId> pick_sources(const Timetable& tt, std::uint64_t seed,
 // ------------------------------------------------------------ differential ---
 
 /// Station profiles byte-identical to the flat driver for one
-/// (threads, queue, mode) configuration.
+/// (threads, queue) configuration.
 template <typename Queue>
 void expect_station_identity(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov, unsigned threads,
-                             RelaxOptions relax, std::uint64_t seed) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, relax));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, relax));
+                             std::uint64_t seed) {
+  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads));
+  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
   for (const StationId s : pick_sources(tt, seed, 2)) {
     const OneToAllResult rf = flat.one_to_all(s);
     const OneToAllResult ro = over.one_to_all(s);
     ASSERT_EQ(ro.profiles.size(), rf.profiles.size());
     for (StationId v = 0; v < tt.num_stations(); ++v) {
       ASSERT_EQ(ro.profiles[v], rf.profiles[v])
-          << "station " << v << " source " << s << " threads " << threads
-          << " mode " << relax_tag(relax);
+          << "station " << v << " source " << s << " threads " << threads;
     }
   }
 }
 
-TEST(OverlaySpcs, StationIdentityAcrossThreadsPoliciesModes) {
+TEST(OverlaySpcs, StationIdentityAcrossThreadsAndPolicies) {
   const Timetable tt = test::small_city(41);
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   std::uint64_t seed = 9000;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const RelaxOptions& relax : kRelaxConfigs) {
-      expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, relax,
-                                               seed++);
-      expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, relax,
-                                               seed++);
-    }
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, seed++);
+    expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, seed++);
   }
 }
 
@@ -96,22 +77,21 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
     const Timetable tt = test::tiny_line();
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, {}, 10001);
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 10001);
   }
   {
     const Timetable tt = test::small_railway(42);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, {}, 10002);
-    expect_station_identity<SpcsBucketQueue>(tt, g, ov, 8,
-                                             kRelaxConfigs[0], 10003);
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 10002);
+    expect_station_identity<SpcsBucketQueue>(tt, g, ov, 8, 10003);
   }
   Rng rng(777);
   for (int iter = 0; iter < 3; ++iter) {
     const Timetable tt = test::random_timetable(rng, 12, 8, 4);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, {}, 11000 + iter);
+    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 11000 + iter);
   }
 }
 
@@ -121,17 +101,16 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
 template <typename Queue>
 void expect_node_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, unsigned threads,
-                          RelaxOptions relax, StationId s) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, relax));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, relax));
+                          StationId s) {
+  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads));
+  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
   flat.one_to_all(s);
   over.one_to_all(s);
   over.settle_contracted();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(over.node_profile(s, v), flat.node_profile(s, v))
         << "node " << v << (ov.is_core(v) ? " (core)" : " (contracted)")
-        << " source " << s << " threads " << threads << " mode "
-        << relax_tag(relax);
+        << " source " << s << " threads " << threads;
   }
 }
 
@@ -142,12 +121,9 @@ TEST(OverlaySpcs, NodeIdentityAfterSweep) {
   ASSERT_GT(ov.num_contracted(), 0u) << "fixture contracted nothing";
   const StationId s = 3 % tt.num_stations();
   for (const unsigned threads : {1u, 2u, 8u}) {
-    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads,
-                                          kRelaxConfigs[0], s);
-    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, {}, s);
+    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, s);
   }
-  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, {.batch_min_edges = 0},
-                                        s);
+  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, s);
 }
 
 // ------------------------------------------------------------- accounting ---
@@ -162,33 +138,6 @@ void expect_same_work(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.self_pruned, b.self_pruned) << what;
   EXPECT_EQ(a.relax_pruned, b.relax_pruned) << what;
   EXPECT_EQ(a.stop_pruned, b.stop_pruned) << what;
-}
-
-TEST(OverlaySpcs, AccountingIdenticalAcrossRelaxModes) {
-  // Batch phasing — ascent relax loops AND the scalar-vs-row down-sweep —
-  // must not change any work counter (the same live lanes are evaluated in
-  // the same edge order either way).
-  const Timetable tt = test::small_city(44);
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  const StationId s = 1 % tt.num_stations();
-  for (const unsigned threads : {1u, 2u}) {
-    QueryStats base{};
-    bool first = true;
-    for (const RelaxOptions& relax : kRelaxConfigs) {
-      OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov,
-                                                 spcs_opts(threads, relax));
-      over.one_to_all(s);
-      over.settle_contracted();
-      const QueryStats st = over.accumulated_stats();
-      if (first) {
-        base = st;
-        first = false;
-      } else {
-        expect_same_work(base, st, relax_tag(relax).c_str());
-      }
-    }
-  }
 }
 
 TEST(OverlaySpcs, SettleAccountingIdenticalAcrossQueuePolicies) {
@@ -286,22 +235,19 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
 /// Overlay half of the chunk-boundary identity (the flat half is in
 /// tests/spcs_edge_test.cpp): the served overlay station-to-station query
 /// runs conn(S) in kSpcsChunk-wide chunks, and must equal the unchunked
-/// flat one_to_all at every target, for every thread count, queue policy
-/// and relax mode.
+/// flat one_to_all at every target, for every thread count and queue
+/// policy.
 template <typename Queue>
 void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
                                       const OverlayGraph& ov, StationId s,
                                       std::span<const StationId> targets,
                                       const OneToAllResult& want) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const RelaxMode relax : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
-      OverlayParallelSpcsT<Queue> over(tt, g, ov,
-                                       spcs_opts(threads, {.mode = relax}));
-      for (const StationId t : targets) {
-        ASSERT_EQ(over.station_to_station(s, t).profile, want.profiles[t])
-            << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
-            << " threads " << threads << " " << relax_mode_name(relax);
-      }
+    OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
+    for (const StationId t : targets) {
+      ASSERT_EQ(over.station_to_station(s, t).profile, want.profiles[t])
+          << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
+          << " threads " << threads;
     }
   }
 }

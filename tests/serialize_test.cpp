@@ -1,6 +1,6 @@
-// The persisted formats: PCSN snapshots (timetable/snapshot.hpp) — round
+// The persisted format: PCSN snapshots (timetable/snapshot.hpp) — round
 // trips, in-place adoption, the typed-error ladder, truncation and
-// bit-flip sweeps, atomic republish — and the distance-table stream.
+// bit-flip sweeps, atomic republish.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,11 +14,8 @@
 
 #include "algo/contraction.hpp"
 #include "algo/overlay_query.hpp"
-#include "graph/station_graph.hpp"
 #include "live/live_overlay.hpp"
 #include "live/live_session.hpp"
-#include "s2s/distance_table.hpp"
-#include "s2s/transfer_selection.hpp"
 #include "test_util.hpp"
 #include "timetable/snapshot.hpp"
 #include "timetable/validation.hpp"
@@ -152,36 +149,6 @@ TEST(SerializeTimetable, EmptyTimetable) {
   EXPECT_EQ(back.num_stations(), 1u);
   EXPECT_EQ(back.station_name(0), "Lonely");
   EXPECT_EQ(back.num_trips(), 0u);
-}
-
-TEST(SerializeDistanceTable, RoundTripPreservesQueries) {
-  Timetable tt = test::small_railway(93);
-  TdGraph g = TdGraph::build(tt);
-  StationGraph sg = StationGraph::build(tt);
-  ParallelSpcsOptions po;
-  po.threads = 2;
-  auto transfer = select_transfer_fraction(sg, tt, 0.2);
-  DistanceTable dt = DistanceTable::build(tt, g, transfer, po);
-
-  std::stringstream buf;
-  dt.save(buf);
-  DistanceTable back = DistanceTable::load(buf);
-
-  ASSERT_EQ(back.size(), dt.size());
-  EXPECT_EQ(back.transfer_stations(), dt.transfer_stations());
-  EXPECT_EQ(back.transfer_flags(), dt.transfer_flags());
-  Rng rng(94);
-  for (int i = 0; i < 100; ++i) {
-    StationId a = dt.transfer_stations()[rng.next_below(dt.size())];
-    StationId b = dt.transfer_stations()[rng.next_below(dt.size())];
-    Time t = static_cast<Time>(rng.next_below(tt.period()));
-    EXPECT_EQ(back.query(a, b, t), dt.query(a, b, t));
-  }
-}
-
-TEST(SerializeDistanceTable, BadStreamRejected) {
-  std::stringstream buf("garbage data here");
-  EXPECT_THROW(DistanceTable::load(buf), std::runtime_error);
 }
 
 // ------------------------------------------------------ overlay sections ---

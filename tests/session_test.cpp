@@ -2,14 +2,11 @@
 //  * differential: query N on a warm session produces byte-identical
 //    profiles / journeys / Pareto fronts to a freshly constructed engine;
 //  * allocation guard: after warm-up, repeated queries on a session perform
-//    zero heap allocations (global operator new/delete counters — this TU
-//    replaces them for the whole test binary).
+//    zero heap allocations (global operator new/delete counters,
+//    tests/alloc_counter.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "algo/contraction.hpp"
 #include "algo/session.hpp"
 #include "graph/station_graph.hpp"
@@ -18,60 +15,10 @@
 #include "test_util.hpp"
 #include "util/arena.hpp"
 
-// ---------------------------------------------------------------------------
-// Global allocation counters. Relaxed atomics: the SPCS pool threads also
-// allocate (only before warm-up, which is exactly what the guard verifies).
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-namespace {
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
 // ---------------------------------------------------------------- arena ---
 
@@ -364,9 +311,7 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
       session.lc_engine().run(s);
       checksum += session.lc_engine().profile(target).size();
       // Overlay engines (PR 5): core-routed time query incl. the downward
-      // sweep and journey expansion, and the core LC baseline. Their
-      // RelaxBatch is reserved to the overlay's max out-degree at
-      // construction, so warm overlay queries stay allocation-free.
+      // sweep and journey expansion, and the core LC baseline.
       checksum += static_cast<std::uint64_t>(
           session.overlay_earliest_arrival(s, dep, target));
       session.overlay_time_engine(ov).run(s, dep);

@@ -165,24 +165,21 @@ TEST(SpcsEdge, StoppingCriterionWithUnreachableTarget) {
 
 /// The served station-to-station query walks conn(S) in kSpcsChunk-wide
 /// chunks; each chunk's profile at T must merge into exactly what the
-/// unchunked one-to-all search reduces at T, for every thread count, queue
-/// policy and relax mode.
+/// unchunked one-to-all search reduces at T, for every thread count and
+/// queue policy.
 template <typename Queue>
 void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
                                       StationId s,
                                       std::span<const StationId> targets,
                                       const OneToAllResult& want) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const RelaxMode relax : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
-      ParallelSpcsOptions o;
-      o.threads = threads;
-      o.relax = relax;
-      ParallelSpcsT<Queue> spcs(tt, g, o);
-      for (const StationId t : targets) {
-        ASSERT_EQ(spcs.station_to_station(s, t).profile, want.profiles[t])
-            << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
-            << " threads " << threads << " " << relax_mode_name(relax);
-      }
+    ParallelSpcsOptions o;
+    o.threads = threads;
+    ParallelSpcsT<Queue> spcs(tt, g, o);
+    for (const StationId t : targets) {
+      ASSERT_EQ(spcs.station_to_station(s, t).profile, want.profiles[t])
+          << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
+          << " threads " << threads;
     }
   }
 }

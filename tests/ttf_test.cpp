@@ -189,39 +189,10 @@ TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TtfPoolRandomTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// The vectorized batch kernels (AVX2 gather under runtime dispatch — this
-// sweep IS the AVX2-vs-scalar differential on hardware that has it, and a
-// scalar-vs-scalar identity check otherwise) must agree with the per-entry
-// scalar evaluation at every second of the period, on mixed batches that
-// include inline constant words and empty functions.
-TEST(TtfPool, VectorArrivalNMatchesScalarPerSecond) {
-  Rng rng(321);
-  const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPoolBuilder builder(period);
-  std::vector<std::uint32_t> entries;
-  for (int f = 0; f < 24; ++f) {
-    std::vector<TtfPoint> pts;
-    const std::size_t n = rng.next_below(12);  // 0 = empty function
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(1 + rng.next_below(3 * period))});
-    }
-    entries.push_back(builder.add(Ttf::build(std::move(pts), period)));
-    // Interleave inline constant words (the TdGraph packed encoding).
-    entries.push_back(TtfPool::kConstFlag |
-                      static_cast<std::uint32_t>(rng.next_below(7200)));
-  }
-  const TtfPool pool = builder.finish();
-  std::vector<Time> batch(entries.size());
-  for (Time t = 0; t < 2 * period; ++t) {
-    pool.arrival_n(entries.data(), entries.size(), t, batch.data());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      ASSERT_EQ(batch[i], pool.arrival_entry(entries[i], t))
-          << "entry " << i << " t=" << t;
-    }
-  }
-}
-
+// The vectorized arrival_tn kernel (AVX2 gather under runtime dispatch —
+// this sweep IS the AVX2-vs-scalar differential on hardware that has it,
+// and a scalar-vs-scalar identity check otherwise) must agree with the
+// per-entry scalar evaluation at every second of two periods.
 TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   Rng rng(654);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
@@ -313,30 +284,6 @@ TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {
   }
 }
 
-TEST(TtfPool, BatchArrivalMatchesScalar) {
-  Rng rng(123);
-  const Time period = kP;
-  TtfPoolBuilder builder(period);
-  std::vector<std::uint32_t> idx;
-  for (int f = 0; f < 40; ++f) {
-    std::vector<TtfPoint> pts;
-    const std::size_t n = 1 + rng.next_below(20);
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(1 + rng.next_below(7200))});
-    }
-    idx.push_back(builder.add(Ttf::build(std::move(pts), period)));
-  }
-  const TtfPool pool = builder.finish();
-  std::vector<Time> batch(idx.size());
-  for (Time t : {0u, 4321u, 43199u, 86399u, 100000u}) {
-    pool.arrival_n(idx.data(), idx.size(), t, batch.data());
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      EXPECT_EQ(batch[i], pool.arrival(idx[i], t)) << "i=" << i << " t=" << t;
-    }
-  }
-}
-
 // A prefix view is the pool a TdGraph reads when it shares its overlay's
 // base functions: it must evaluate bit-identically to the full pool for
 // every function below n, its arrays must be prefixes of the full pool's
@@ -381,15 +328,15 @@ TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
       entries.push_back(f);
       entries.push_back(TtfPool::kConstFlag | f);
     }
-    std::vector<Time> got(std::max(entries.size(), ts.size()));
-    std::vector<Time> want(got.size());
     for (Time t = 0; t < 2 * period; t += 7) {
-      view.arrival_n(entries.data(), entries.size(), t, got.data());
-      full->arrival_n(entries.data(), entries.size(), t, want.data());
       for (std::size_t i = 0; i < entries.size(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << "n=" << n << " entry " << i;
+        ASSERT_EQ(view.arrival_entry(entries[i], t),
+                  full->arrival_entry(entries[i], t))
+            << "n=" << n << " entry " << i;
       }
     }
+    std::vector<Time> got(ts.size());
+    std::vector<Time> want(ts.size());
     for (std::uint32_t f = 0; f < n; ++f) {
       for (Time t = 0; t < period; ++t) {
         ASSERT_EQ(view.eval(f, t), full->eval(f, t)) << "f=" << f;
