@@ -496,25 +496,17 @@ class ContractionBuilder {
     }
     std::vector<NodeId> heads;
     std::vector<std::uint32_t> words, origins;
-    std::vector<std::uint8_t> ttf_out_degree;
     heads.reserve(edge_begin[n]);
     words.reserve(edge_begin[n]);
     origins.reserve(edge_begin[n]);
-    ttf_out_degree.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
       const auto& edges = state_[v] == kContracted ? up_snap_[v] : out_[v];
-      std::size_t ttf_edges = 0;
       for (const WorkEdge& e : edges) {
         heads.push_back(e.node);
         words.push_back(e.word);
         origins.push_back(e.origin);
-        if (!TdGraph::word_is_const(e.word)) ++ttf_edges;
         if (OverlayGraph::origin_is_shortcut(e.origin)) ++stats_.shortcuts;
       }
-      ttf_out_degree.push_back(
-          static_cast<std::uint8_t>(std::min<std::size_t>(ttf_edges, 255)));
-      ov.max_out_degree_ = std::max(
-          ov.max_out_degree_, static_cast<std::uint32_t>(edges.size()));
     }
 
     // Downward sweep order: descending contraction rank, so every in-edge
@@ -539,7 +531,6 @@ class ContractionBuilder {
     ov.heads_ = ConstArray(std::move(heads));
     ov.words_ = ConstArray(std::move(words));
     ov.origins_ = ConstArray(std::move(origins));
-    ov.ttf_out_degree_ = ConstArray(std::move(ttf_out_degree));
     ov.shortcuts_ = ConstArray(std::move(shortcuts_));
     ov.down_node_ = ConstArray(std::move(down_node));
     ov.down_begin_ = ConstArray(std::move(down_begin));

@@ -41,7 +41,7 @@ inline constexpr unsigned kSpcsKeyShift = 20;
 using SpcsBinaryQueue = DAryHeap<std::uint64_t, 2>;  // the paper's queue
 using SpcsBucketQueue = BucketQueue<std::uint64_t, kSpcsKeyShift, 12>;
 
-// --- scalar-time policies (TimeQuery / TeTimeQuery / LC) -----------------
+// --- scalar-time policies (TimeQuery / LC) -------------------------------
 using TimeBinaryQueue = DAryHeap<Time, 2>;
 using TimeBucketQueue = BucketQueue<Time, 0, 12>;  // one bucket per second
 

@@ -13,10 +13,10 @@
 // LC (flat LcProfileQuery and OverlayLcProfileQuery) is the only engine
 // with both bodies, so RelaxMode has no reader outside it. Every other
 // engine has one interleaved body: the flat scalar engines because a flat
-// node carries at most one travel function (TdGraph::ttf_out_degree <= 1,
-// graph_test asserts it) and TE weights are constants; SPCS (flat and
-// overlay) and the overlay time query because their phased gather -> eval
-// -> commit bodies measured slower on every preset and were deleted. The
+// node carries at most one travel function (graph_test asserts it); SPCS
+// (flat and overlay) and the overlay time query because their phased
+// gather -> eval -> commit bodies measured slower on every preset and were
+// deleted. The
 // down-sweeps (multi-query, overlay SPCS) batch across lanes with one
 // arrival_tn call per down-edge; that is their only body.
 #pragma once

@@ -34,7 +34,6 @@
 #include "algo/overlay_query.hpp"
 #include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
-#include "algo/te_query.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
 #include "s2s/s2s_query.hpp"
@@ -109,8 +108,6 @@ class QuerySessionT {
     time_.reset();
     lc_.reset();
     mc_.reset();
-    te_.reset();
-    te_graph_ = nullptr;
     ov_time_.reset();
     ov_time_graph_ = nullptr;
     ov_lc_.reset();
@@ -160,23 +157,12 @@ class QuerySessionT {
     return *mc_;
   }
 
-  /// The time-expanded baseline needs its own graph; the engine binds to
-  /// the one passed first. A *different* graph recreates the engine —
-  /// meant for startup-time configuration, not per-request switching: the
-  /// retired engine's scratch stays in the session arena (monotone, no
-  /// per-object free) until the session itself is destroyed.
-  TeTimeQueryT<TimeQueue>& te_engine(const TeGraph& te) {
-    if (!te_ || te_graph_ != &te) {
-      te_ = std::make_unique<TeTimeQueryT<TimeQueue>>(te, &ws_);
-      te_graph_ = &te;
-    }
-    return *te_;
-  }
-
   /// The core-routed engines need a contraction overlay
-  /// (contract_graph()); like te_engine they bind to the overlay passed
-  /// first and recreate on a different one (startup-time configuration,
-  /// not per-request switching).
+  /// (contract_graph()). They bind to the overlay passed first; a
+  /// *different* overlay recreates the engine — meant for startup-time
+  /// configuration, not per-request switching: the retired engine's
+  /// scratch stays in the session arena (monotone, no per-object free)
+  /// until the session itself is destroyed.
   OverlayTimeQueryT<TimeQueue>& overlay_time_engine(const OverlayGraph& ov) {
     if (!ov_time_ || ov_time_graph_ != &ov) {
       ov_time_ =
@@ -397,8 +383,6 @@ class QuerySessionT {
   std::unique_ptr<TimeQueryT<TimeQueue>> time_;
   std::unique_ptr<LcProfileQuery> lc_;
   std::unique_ptr<McTimeQueryT<McQueue>> mc_;
-  std::unique_ptr<TeTimeQueryT<TimeQueue>> te_;
-  const TeGraph* te_graph_ = nullptr;
   std::unique_ptr<OverlayTimeQueryT<TimeQueue>> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
   std::unique_ptr<OverlayLcProfileQuery> ov_lc_;

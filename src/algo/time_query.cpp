@@ -50,8 +50,7 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
     //
     // One body, no gather -> eval -> commit phasing (algo/relax_batch.hpp):
     // in this graph model a node carries at most one travel function
-    // (TdGraph::ttf_out_degree <= 1, asserted by graph_test), so there is
-    // never a batch to evaluate.
+    // (asserted by graph_test), so there is never a batch to evaluate.
     const std::uint32_t eb = g_.edge_begin(v);
     const std::uint32_t ee = g_.edge_end(v);
     const NodeId* const heads = g_.heads_data();

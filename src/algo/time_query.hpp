@@ -56,8 +56,7 @@ class TimeQueryT {
   // No settled array: pop keys are monotone and edge traversal never goes
   // back in time, so an arrival pushed towards an already-settled head can
   // never pass the `t < dist` test — the tentative-distance array alone
-  // identifies both stale pops and pointless relaxations (same invariant
-  // TeTimeQueryT relies on).
+  // identifies both stale pops and pointless relaxations.
   EpochArray<Time> dist_;
   EpochArray<NodeId> parent_;
   QueryStats stats_;

@@ -24,9 +24,8 @@ std::vector<std::span<const std::byte>> OverlayGraph::array_bytes() const {
   std::vector<std::span<const std::byte>> out = {
       rank_.bytes(),       board_shift_.bytes(), edge_begin_.bytes(),
       heads_.bytes(),      words_.bytes(),       origins_.bytes(),
-      ttf_out_degree_.bytes(), shortcuts_.bytes(), down_node_.bytes(),
-      down_begin_.bytes(), down_tails_.bytes(),  down_words_.bytes(),
-      down_pos_.bytes()};
+      shortcuts_.bytes(),  down_node_.bytes(),   down_begin_.bytes(),
+      down_tails_.bytes(), down_words_.bytes(),  down_pos_.bytes()};
   for (const auto& b : ttfs_.array_bytes()) out.push_back(b);
   return out;
 }
@@ -39,7 +38,6 @@ std::size_t OverlayGraph::memory_bytes() const {
   bytes += heads_.size() * sizeof(NodeId);
   bytes += words_.size() * sizeof(std::uint32_t);
   bytes += origins_.size() * sizeof(std::uint32_t);
-  bytes += ttf_out_degree_.size() * sizeof(std::uint8_t);
   bytes += shortcuts_.size() * sizeof(ShortcutRec);
   bytes += down_node_.size() * sizeof(NodeId);
   bytes += down_begin_.size() * sizeof(std::uint32_t);

@@ -122,8 +122,6 @@ class OverlayGraph {
     if (TdGraph::word_is_const(w)) return t + TdGraph::word_weight(w);
     return ttfs_.arrival(w, t);
   }
-  std::uint32_t max_out_degree() const { return max_out_degree_; }
-  std::uint32_t ttf_out_degree(NodeId v) const { return ttf_out_degree_[v]; }
   void prefetch_edge_ttf(EdgeId e) const {
     const std::uint32_t w = words_[e];
     if (!TdGraph::word_is_const(w)) ttfs_.prefetch_points(w);
@@ -204,7 +202,6 @@ class OverlayGraph {
   std::size_t num_stations_ = 0;
   std::size_t num_core_ = 0;
   Time period_ = kDayseconds;
-  std::uint32_t max_out_degree_ = 0;
   std::uint32_t num_base_ttfs_ = 0;
   std::uint32_t num_base_edges_ = 0;
   ConstArray<std::uint32_t> rank_;           // per node; kCoreRank = core
@@ -213,7 +210,6 @@ class OverlayGraph {
   ConstArray<NodeId> heads_;
   ConstArray<std::uint32_t> words_;          // packed const-or-ttf words
   ConstArray<std::uint32_t> origins_;        // flat edge id | shortcut rec
-  ConstArray<std::uint8_t> ttf_out_degree_;  // per node, saturated at 255
   ConstArray<ShortcutRec> shortcuts_;
   ConstArray<NodeId> down_node_;             // contracted, descending rank
   ConstArray<std::uint32_t> down_begin_;     // |down_node_| + 1

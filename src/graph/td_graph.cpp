@@ -104,9 +104,6 @@ TdGraph TdGraph::walk(const Timetable& tt,
       if (travels) ++edge_begin[stops[k] + 1];
     }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    g.max_out_degree_ = std::max(g.max_out_degree_, edge_begin[v + 1]);
-  }
   std::partial_sum(edge_begin.begin(), edge_begin.end(), edge_begin.begin());
 
   // The packed word encoding steals the top bit for the const flag; a
@@ -130,8 +127,6 @@ TdGraph TdGraph::walk(const Timetable& tt,
     heads[cursor[tail]] = head;
     words[cursor[tail]++] = word;
   };
-  // Only a route node's travel edge is time-dependent.
-  std::vector<std::uint8_t> ttf_out_degree(n, 0);
   std::vector<TtfPoint> pts;
   std::vector<std::uint8_t> keep;
   for (RouteId r = 0; r < tt.num_routes(); ++r) {
@@ -154,7 +149,6 @@ TdGraph TdGraph::walk(const Timetable& tt,
         }
         Ttf::normalize(pts, tt.period(), keep);
         add_edge(rn, rn + 1, ttf(pts));
-        ttf_out_degree[rn] = 1;
       }
     }
   }
@@ -164,7 +158,6 @@ TdGraph TdGraph::walk(const Timetable& tt,
   g.edge_begin_ = ConstArray(std::move(edge_begin));
   g.heads_ = ConstArray(std::move(heads));
   g.ttf_or_weight_ = ConstArray(std::move(words));
-  g.ttf_out_degree_ = ConstArray(std::move(ttf_out_degree));
   return g;
 }
 

@@ -119,12 +119,6 @@ class TdGraph {
     if (word_is_const(w)) return t + word_weight(w);
     return ttfs_.arrival(word_ttf(w), t);
   }
-  /// Largest out-degree of any node.
-  std::uint32_t max_out_degree() const { return max_out_degree_; }
-  /// Time-dependent (non-constant) edges in v's block, saturated at 255.
-  /// At most 1 in this model (graph_test asserts it), which is why the
-  /// flat engines have no batched relax body.
-  std::uint32_t ttf_out_degree(NodeId v) const { return ttf_out_degree_[v]; }
   /// Prefetch hint for edge e's travel-time points (no-op on constant
   /// edges: the weight is already in the streamed word).
   void prefetch_edge_ttf(EdgeId e) const {
@@ -183,13 +177,11 @@ class TdGraph {
 
   std::size_t num_stations_ = 0;
   Time period_ = kDayseconds;
-  std::uint32_t max_out_degree_ = 0;
   ConstArray<StationId> station_of_;          // per node
   ConstArray<NodeId> route_node_begin_;       // per route
   ConstArray<std::uint32_t> edge_begin_;      // CSR offsets, num_nodes()+1
   ConstArray<NodeId> heads_;                  // per edge
   ConstArray<std::uint32_t> ttf_or_weight_;   // per edge, packed (see top)
-  ConstArray<std::uint8_t> ttf_out_degree_;   // per node, saturated at 255
   TtfPool ttfs_;
 };
 

@@ -19,7 +19,7 @@ namespace pconn {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 2;
+constexpr std::uint32_t kSnapVersion = 3;
 
 // Section tags. Fixed enumeration, versioned with the file: the timetable
 // sections are required, the overlay sections come all or none, and each
@@ -48,7 +48,7 @@ enum : std::uint32_t {
   kSecOvHeads = 24,        // u32[edges]
   kSecOvWords = 25,        // u32[edges]
   kSecOvOrigins = 26,      // u32[edges]
-  kSecOvTtfOutDegree = 27, // u8[nodes]
+                           // 27: per-node TTF out-degrees, up to version 2
   kSecOvShortcuts = 28,    // ShortcutRec[shortcuts]
   kSecOvDownNode = 29,     // u32[contracted]
   kSecOvDownBegin = 30,    // u32[contracted + 1]
@@ -65,15 +65,15 @@ enum : std::uint32_t {
 /// contraction_ms is always written as 0: a wall-clock reading would make
 /// two saves of one overlay differ, so a loaded overlay reports none.
 struct OverlayMeta {
-  std::uint64_t nodes, stations, core, period, max_out_degree, base_ttfs,
-      base_edges, edges, shortcuts, contracted, down_edges, funcs, points,
-      buckets, min_indexed_points;
+  std::uint64_t nodes, stations, core, period, base_ttfs, base_edges, edges,
+      shortcuts, contracted, down_edges, funcs, points, buckets,
+      min_indexed_points;
   double buckets_per_point;
   std::uint64_t contracted_nodes, frozen, rounds, shortcut_edges, merges,
       witness_dropped, witness_searches;
   double contraction_ms;
 };
-static_assert(sizeof(OverlayMeta) == 24 * 8);
+static_assert(sizeof(OverlayMeta) == 23 * 8);
 
 struct SectionEntry {
   std::uint32_t tag = 0;
@@ -141,9 +141,9 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
   if (ov != nullptr) {
     const ContractionStats& st = ov->build_stats_;
     om = {ov->num_nodes(), ov->num_stations_, ov->num_core_, ov->period_,
-          ov->max_out_degree_, ov->num_base_ttfs_, ov->num_base_edges_,
-          ov->num_edges(), ov->num_shortcuts(), ov->num_contracted(),
-          ov->down_tails_.size(), ov->ttfs_.size(), ov->ttfs_.num_points(),
+          ov->num_base_ttfs_, ov->num_base_edges_, ov->num_edges(),
+          ov->num_shortcuts(), ov->num_contracted(), ov->down_tails_.size(),
+          ov->ttfs_.size(), ov->ttfs_.num_points(),
           ov->ttfs_.bucket_idx_.size(), ov->ttfs_.idx_.min_indexed_points,
           ov->ttfs_.idx_.buckets_per_point, st.contracted, st.frozen,
           st.rounds, st.shortcuts, st.merges, st.witness_dropped,
@@ -157,7 +157,6 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
          arr(kSecOvHeads, ov->heads_),
          arr(kSecOvWords, ov->words_),
          arr(kSecOvOrigins, ov->origins_),
-         arr(kSecOvTtfOutDegree, ov->ttf_out_degree_),
          arr(kSecOvShortcuts, ov->shortcuts_),
          arr(kSecOvDownNode, ov->down_node_),
          arr(kSecOvDownBegin, ov->down_begin_),
@@ -535,9 +534,9 @@ OverlayGraph MappedSnapshot::load_overlay() const {
     fail(LoadError::Kind::kCorrupt, "overlay: invalid period");
   }
   for (const std::uint64_t c :
-       {m.nodes, m.stations, m.core, m.max_out_degree, m.base_ttfs,
-        m.base_edges, m.edges, m.shortcuts, m.contracted, m.down_edges,
-        m.funcs, m.points, m.buckets}) {
+       {m.nodes, m.stations, m.core, m.base_ttfs, m.base_edges, m.edges,
+        m.shortcuts, m.contracted, m.down_edges, m.funcs, m.points,
+        m.buckets}) {
     if (c > (1u << 28)) {
       fail(LoadError::Kind::kBadCount, "absurd overlay count");
     }
@@ -561,7 +560,6 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   ov.num_stations_ = m.stations;
   ov.num_core_ = m.core;
   ov.period_ = static_cast<Time>(m.period);
-  ov.max_out_degree_ = static_cast<std::uint32_t>(m.max_out_degree);
   ov.num_base_ttfs_ = static_cast<std::uint32_t>(m.base_ttfs);
   ov.num_base_edges_ = static_cast<std::uint32_t>(m.base_edges);
   ov.build_stats_ = {static_cast<std::uint32_t>(m.contracted_nodes),
@@ -581,22 +579,15 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   const auto& edge_begin = ov.edge_begin_ =
       array<std::uint32_t>(kSecOvEdgeBegin, n + 1, "edge_begin");
   structural(edge_begin.front() == 0, "edge_begin front");
-  std::uint32_t widest = 0;
   for (std::size_t v = 0; v < n; ++v) {
     structural(edge_begin[v] <= edge_begin[v + 1], "edge_begin not monotone");
-    widest = std::max(widest, edge_begin[v + 1] - edge_begin[v]);
   }
-  // The engines reserve batch buffers to this; a corrupted value would
-  // turn into a surprise multi-GB allocation at bind time.
-  structural(ov.max_out_degree_ == widest, "max_out_degree mismatch");
   structural(edge_begin.back() == m.edges, "edge_begin back");
   const auto& heads = ov.heads_ = array<NodeId>(kSecOvHeads, m.edges, "heads");
   const auto& words = ov.words_ =
       array<std::uint32_t>(kSecOvWords, m.edges, "words");
   const auto& origins = ov.origins_ =
       array<std::uint32_t>(kSecOvOrigins, m.edges, "origins");
-  ov.ttf_out_degree_ =
-      array<std::uint8_t>(kSecOvTtfOutDegree, n, "ttf_out_degree");
   const auto& shortcuts = ov.shortcuts_ = array<OverlayGraph::ShortcutRec>(
       kSecOvShortcuts, m.shortcuts, "shortcuts");
   const auto& down_node = ov.down_node_ =

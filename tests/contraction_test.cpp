@@ -429,7 +429,6 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   ASSERT_EQ(back.num_core_nodes(), ov.num_core_nodes());
   ASSERT_EQ(back.num_edges(), ov.num_edges());
   ASSERT_EQ(back.num_shortcuts(), ov.num_shortcuts());
-  ASSERT_EQ(back.max_out_degree(), ov.max_out_degree());
   ASSERT_EQ(back.num_base_ttfs(), ov.num_base_ttfs());
   ASSERT_EQ(back.num_base_edges(), ov.num_base_edges());
   ASSERT_EQ(back.period(), ov.period());
@@ -438,7 +437,6 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   for (NodeId v = 0; v < ov.num_nodes(); ++v) {
     ASSERT_EQ(back.rank(v), ov.rank(v));
     ASSERT_EQ(back.edge_begin(v), ov.edge_begin(v));
-    ASSERT_EQ(back.ttf_out_degree(v), ov.ttf_out_degree(v));
   }
   for (std::uint32_t e = 0; e < ov.num_edges(); ++e) {
     ASSERT_EQ(back.edge_head(e), ov.edge_head(e));

@@ -149,11 +149,16 @@ TEST(StationGraph, MinRideAndCounts) {
   }
 }
 
-/// The largest number of travel functions on one node's out-edges.
+/// The largest number of travel functions (non-constant out-words) on one
+/// node's out-edges.
 std::uint32_t max_ttf_out_degree(const TdGraph& g) {
   std::uint32_t widest = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    widest = std::max(widest, g.ttf_out_degree(v));
+    std::uint32_t ttfs = 0;
+    for (TdGraph::EdgeId e = g.edge_begin(v); e < g.edge_end(v); ++e) {
+      if (!TdGraph::word_is_const(g.edge_word(e))) ++ttfs;
+    }
+    widest = std::max(widest, ttfs);
   }
   return widest;
 }

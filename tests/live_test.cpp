@@ -55,14 +55,12 @@ void expect_overlays_byte_identical(const OverlayGraph& a,
   ASSERT_EQ(a.num_core_nodes(), b.num_core_nodes());
   ASSERT_EQ(a.num_edges(), b.num_edges());
   ASSERT_EQ(a.num_shortcuts(), b.num_shortcuts());
-  ASSERT_EQ(a.max_out_degree(), b.max_out_degree());
   ASSERT_EQ(a.num_base_ttfs(), b.num_base_ttfs());
   ASSERT_EQ(a.num_base_edges(), b.num_base_edges());
   ASSERT_EQ(a.period(), b.period());
   for (NodeId v = 0; v < a.num_nodes(); ++v) {
     ASSERT_EQ(a.rank(v), b.rank(v)) << "node " << v;
     ASSERT_EQ(a.edge_begin(v), b.edge_begin(v)) << "node " << v;
-    ASSERT_EQ(a.ttf_out_degree(v), b.ttf_out_degree(v)) << "node " << v;
   }
   for (std::uint32_t e = 0; e < a.num_edges(); ++e) {
     ASSERT_EQ(a.edge_head(e), b.edge_head(e)) << "edge " << e;

@@ -12,7 +12,7 @@
 //    counters — pushed / decreased / stale_popped — may differ).
 //  * Station-to-station queries with stopping criterion, distance-table and
 //    target pruning (the ancestor-tracking hook): identical profiles.
-//  * TimeQuery / TeTimeQuery / McTimeQuery / AllToOneProfiles.
+//  * TimeQuery / McTimeQuery / AllToOneProfiles.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,9 +23,7 @@
 #include "algo/mc_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/queue_policy.hpp"
-#include "algo/te_query.hpp"
 #include "algo/time_query.hpp"
-#include "graph/te_graph.hpp"
 #include "s2s/distance_table.hpp"
 #include "s2s/s2s_query.hpp"
 #include "s2s/transfer_selection.hpp"
@@ -255,23 +253,6 @@ TEST(QueuePolicyTimeQuery, AllPoliciesAgree) {
     // both policies.
     EXPECT_EQ(binary.stats().settled, bucket.stats().settled);
     EXPECT_EQ(binary.stats().stale_popped, 0u);
-  }
-}
-
-TEST(QueuePolicyTeQuery, AllPoliciesAgree) {
-  Timetable tt = test::small_city(4);
-  TeGraph g = TeGraph::build(tt);
-  TeTimeQueryT<TimeBinaryQueue> binary(g);
-  TeTimeQueryT<TimeBucketQueue> bucket(g);
-  Rng rng(23);
-  for (int i = 0; i < 12; ++i) {
-    StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
-    Time tau = static_cast<Time>(rng.next_below(tt.period()));
-    binary.run(s, tau);
-    bucket.run(s, tau);
-    for (StationId v = 0; v < tt.num_stations(); ++v) {
-      EXPECT_EQ(binary.arrival_at(v), bucket.arrival_at(v));
-    }
   }
 }
 

@@ -24,12 +24,12 @@
 namespace pconn {
 namespace {
 
-// Section tags and OverlayMeta field offsets of the v2 layout
+// Section tags and OverlayMeta field offsets of the v3 layout
 // (timetable/snapshot.cpp), for the tests that corrupt a chosen field.
 constexpr std::uint32_t kTagOvMeta = 20;
 constexpr std::uint32_t kTagOvHeads = 24;
-constexpr std::size_t kOvMetaFuncs = 88;
-constexpr std::size_t kOvMetaPoints = 96;
+constexpr std::size_t kOvMetaFuncs = 80;
+constexpr std::size_t kOvMetaPoints = 88;
 
 /// A snapshot written to a unique temp file, removed on destruction.
 struct SnapshotTempFile {
@@ -178,6 +178,10 @@ TEST(SerializeOverlay, TypedErrorKinds) {
     const std::uint32_t v1 = 1;
     std::memcpy(bad.data() + 4, &v1, 4);
     expect_kind(bad, LoadError::Kind::kBadVersion, "a version-1 file");
+    // Version 2 still carried the per-node TTF out-degree section.
+    const std::uint32_t v2 = 2;
+    std::memcpy(bad.data() + 4, &v2, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-2 file");
     bad[4] = '\x7f';
     expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
   }
@@ -344,7 +348,7 @@ TEST(Snapshot, AdoptedArraysAliasTheMappingAndOutliveIt) {
       EXPECT_TRUE(inside(a)) << "overlay array " << arrays;
       ++arrays;
     }
-    EXPECT_EQ(arrays, 13u + 16u);
+    EXPECT_EQ(arrays, 13u + 15u);
   }
   // The MappedSnapshot is gone and the file unlinked; the arrays keep the
   // mapping alive. A live overlay over them answers byte-identically to

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "connection_scan.hpp"
 #include "live/delay_feed.hpp"
 #include "live/live_overlay.hpp"
 #include "live/live_session.hpp"
@@ -184,19 +185,25 @@ TEST(ServerAdmission, PlanBoundsAWorkersScratchOnEveryPreset) {
 }
 
 TEST(Server, BinaryResponsesByteIdenticalToDirectSession) {
-  LiveOverlay live(test::tiny_line());
+  const Timetable tt = test::tiny_line();
+  const test::ConnectionScan scan(tt);
+  LiveOverlay live(tt);
   QueryServer server(live, fast_opts());
   server.start();
   LiveQuerySession direct(live);
   BlockingClient client(kHost, server.port());
 
+  const Time deps[] = {0, 8 * 3600, 20 * 3600};
   std::uint32_t req_id = 100;
   for (StationId s = 0; s < 3; ++s) {
     for (StationId t = 0; t < 3; ++t) {
       if (s == t) continue;
-      for (const Time dep : {Time{0}, Time{8 * 3600}, Time{20 * 3600}}) {
+      for (const Time dep : deps) {
         ++req_id;
         const Time arr = direct.earliest_arrival(s, dep, t);
+        // The session's answer is the ground truth's too.
+        EXPECT_EQ(arr, scan.earliest_arrivals(s, dep, t)[t])
+            << "ea " << s << "->" << t << " @" << dep;
         ResponseHeader h;
         h.status = Status::kOk;
         h.opcode = Opcode::kEarliestArrival;
@@ -212,6 +219,11 @@ TEST(Server, BinaryResponsesByteIdenticalToDirectSession) {
       }
       ++req_id;
       const StationQueryResult& res = direct.station_to_station(s, t);
+      for (const Time dep : deps) {
+        EXPECT_EQ(eval_profile(res.profile, dep, tt.period()),
+                  scan.earliest_arrivals(s, dep, t)[t])
+            << "profile " << s << "->" << t << " @" << dep;
+      }
       ResponseHeader h;
       h.status = Status::kOk;
       h.opcode = Opcode::kProfile;

@@ -10,7 +10,6 @@
 #include "algo/contraction.hpp"
 #include "algo/session.hpp"
 #include "graph/station_graph.hpp"
-#include "graph/te_graph.hpp"
 #include "s2s/transfer_selection.hpp"
 #include "test_util.hpp"
 #include "util/arena.hpp"
@@ -270,12 +269,10 @@ TEST(QuerySession, WarmOverlayEqualsFreshAndFlat) {
 TEST(QuerySession, WarmQueriesDoNotAllocate) {
   Timetable tt = test::small_city(25);
   TdGraph g = TdGraph::build(tt);
-  TeGraph te = TeGraph::build(tt);
   OverlayGraph ov = contract_graph(tt, g);
   QuerySessionOptions opt;
   opt.threads = 2;
   FastQuerySession session(tt, g, opt);
-  session.te_engine(te);
   session.overlay_time_engine(ov);
   session.overlay_lc_engine(ov);
   session.overlay_spcs_engine(ov);
@@ -303,9 +300,6 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
         checksum += j->legs.size();
       }
       checksum += session.pareto(s, dep, target).size();
-      session.te_engine(te).run(s, dep, target);
-      checksum += static_cast<std::uint64_t>(
-          session.te_engine(te).arrival_at(target));
       // The LC baseline is covered too since PR 3: its merge scratch is
       // arena-pooled and labels are written via capacity-reusing assign().
       session.lc_engine().run(s);
