@@ -6,13 +6,10 @@
 // that links the whole label profile through an edge function in one
 // sorted kernel call. This bench runs LC in both modes over identical
 // query streams, enforces bit-identical results AND settled/pushed/relaxed
-// accounting (aborting otherwise), and reports:
-//   * lc — the one-to-all profile search: its batch dimension is the whole
-//     label profile per linked edge (tens to hundreds of points through
-//     one function). CI gates `batch_speedup` (geomean over networks)
-//     >= 1.1 on this workload.
-//   * micro — the arrival_tn kernel the down-sweeps feed, in isolation:
-//     one batched call vs the per-entry scalar eval at several widths.
+// accounting (aborting otherwise), and reports the one-to-all profile
+// search: its batch dimension is the whole label profile per linked edge
+// (tens to hundreds of points through one function). CI gates
+// `batch_speedup` (geomean over networks) >= 1.1 on this workload.
 //
 // JSON (--json) is archived by CI as BENCH_batch.json.
 #include <cstdint>
@@ -22,9 +19,7 @@
 
 #include "algo/lc_profile.hpp"
 #include "bench_common.hpp"
-#include "graph/ttf_pool.hpp"
 #include "util/format.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace pconn::bench {
@@ -141,89 +136,7 @@ BatchRow run_network(gen::Preset preset) {
   return row;
 }
 
-// --- kernel micro: one arrival_tn call vs the per-entry scalar loop ------
-
-struct MicroRow {
-  std::size_t batch = 0;
-  double scalar_ns = 0.0;  // per eval, entry-by-entry arrival()
-  double batch_ns = 0.0;   // per eval, one arrival_tn call
-  double speedup() const { return scalar_ns / batch_ns; }
-};
-
-std::vector<MicroRow> run_micro() {
-  // A pool shaped like a mid-size network: a few thousand functions of
-  // mixed sizes, too big for L1/L2 together so the gathers' memory-level
-  // parallelism shows.
-  Rng rng(4242);
-  const Time period = kDayseconds;
-  TtfPoolBuilder builder(period);
-  std::vector<std::uint32_t> fs;
-  for (int f = 0; f < 4000; ++f) {
-    std::vector<TtfPoint> pts;
-    const std::size_t n = 1 + rng.next_below(48);
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(60 + rng.next_below(7200))});
-    }
-    fs.push_back(builder.add(Ttf::build(std::move(pts), period)));
-  }
-  const TtfPool pool = builder.finish();
-
-  std::vector<MicroRow> rows;
-  const int sweeps = options().smoke ? 400 : 2000;
-  for (std::size_t batch : {8u, 32u, 64u, 128u}) {
-    // One random function and random entry times per block; both sides
-    // share them.
-    std::vector<Time> ts(batch), out(batch);
-    MicroRow row{batch, 1e100, 1e100};
-    for (int b = 0; b < kBlocks; ++b) {
-      Rng mix(7 + b);
-      std::uint32_t f0 = 0;
-      for (std::size_t i = 0; i < batch; ++i) {
-        const std::uint32_t f = fs[mix.next_below(fs.size())];
-        if (i == 0) f0 = f;
-        ts[i] = static_cast<Time>(mix.next_below(3 * period));
-      }
-      std::uint64_t sink_s = 0, sink_b = 0;
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          for (std::size_t i = 0; i < batch; ++i) {
-            sink_s += pool.arrival(f0, ts[i]);
-          }
-        }
-        row.scalar_ns =
-            std::min(row.scalar_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          pool.arrival_tn(f0, ts.data(), batch, out.data());
-          for (std::size_t i = 0; i < batch; ++i) sink_b += out[i];
-        }
-        row.batch_ns =
-            std::min(row.batch_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      if (sink_s != sink_b) {
-        std::cerr << "FATAL: arrival_tn micro checksum diverges\n";
-        std::exit(1);
-      }
-    }
-    rows.push_back(row);
-  }
-
-  TablePrinter table({"kernel", "batch", "scalar [ns]", "batch [ns]", "spd-up"});
-  for (const MicroRow& r : rows) {
-    table.add_row({"arrival_tn", std::to_string(r.batch),
-                   fixed(r.scalar_ns, 2), fixed(r.batch_ns, 2),
-                   fixed(r.speedup(), 2)});
-  }
-  table.print();
-  return rows;
-}
-
-std::string to_json(const std::vector<BatchRow>& rows,
-                    const std::vector<MicroRow>& micro) {
+std::string to_json(const std::vector<BatchRow>& rows) {
   std::vector<double> lc;
   for (const BatchRow& r : rows) lc.push_back(r.lc.speedup());
   JsonWriter w = bench_json_doc("bench_batchrelax",
@@ -239,31 +152,9 @@ std::string to_json(const std::vector<BatchRow>& rows,
         .end_object();
   }
   w.end_array();
-  w.key("micro").begin_array();
-  for (const MicroRow& r : micro) {
-    w.begin_object()
-        .field("kernel", "arrival_tn")
-        .field("batch", r.batch)
-        .field("scalar_ns_per_eval", r.scalar_ns, 2)
-        .field("batch_ns_per_eval", r.batch_ns, 2)
-        .field("speedup", r.speedup(), 3)
-        .end_object();
-  }
-  w.end_array();
   // The gated headline: LC links whole label profiles through one
   // function per edge.
   w.field("batch_speedup", geomean(lc), 3);
-  // Scalar/vector crossover: the smallest swept lane count at which the
-  // batched kernel stops losing to the per-entry scalar loop (0 = never
-  // within the sweep). This is the number the throughput engine's lane
-  // targets are sized against (docs/architecture.md).
-  std::size_t crossover = 0;
-  for (const MicroRow& r : micro) {
-    if (r.speedup() >= 1.0 && (crossover == 0 || r.batch < crossover)) {
-      crossover = r.batch;
-    }
-  }
-  w.field("arrival_tn_crossover_lanes", crossover);
   w.end_object();
   return w.str();
 }
@@ -293,9 +184,7 @@ int main(int argc, char** argv) {
 
   std::vector<BatchRow> rows;
   for (gen::Preset p : presets) rows.push_back(run_network(p));
-  std::cout << "\n== kernel micro: arrival_tn vs per-entry evaluation ==\n";
-  std::vector<MicroRow> micro = run_micro();
 
-  if (options().json) emit_json(to_json(rows, micro));
+  if (options().json) emit_json(to_json(rows));
   return 0;
 }

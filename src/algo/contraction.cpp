@@ -124,7 +124,7 @@ struct Candidate {
 };
 
 /// Per-thread scratch of the simulation phase: the witness Dijkstra state
-/// lives in an arena-backed workspace pinned to the worker's NUMA node.
+/// lives in an arena-backed workspace.
 struct Worker {
   QueryWorkspace ws;
   EpochArray<std::uint64_t> dist;
@@ -145,7 +145,7 @@ class ContractionBuilder {
         g_(g),
         opt_(opt),
         pool_(std::max(1u, opt.threads)),
-        ttfs_(tt.period(), g.ttfs().index_options()) {}
+        ttfs_(tt.period()) {}
 
   OverlayGraph build() {
     Timer timer;
@@ -154,11 +154,6 @@ class ContractionBuilder {
     for (std::size_t t = 0; t < pool_.num_threads(); ++t) {
       workers_.push_back(std::make_unique<Worker>());
     }
-    // NUMA half of the ROADMAP NUMA/THP item: each worker pins its arena
-    // to the node it runs on before any scratch grows into it.
-    pool_.run([&](std::size_t t) {
-      workers_[t]->ws.arena().set_numa_node(Arena::current_numa_node());
-    });
 
     // The overlay pool starts as a verbatim copy of the base pool, so flat
     // edge words keep their numeric value and shortcut TTFs append behind.
@@ -729,7 +724,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
   // functions recompute through the same link/merge kernels against the
   // partially-built pool, whose lower indices are already final (records
   // only reference earlier records).
-  TtfPoolBuilder pool(tt.period(), old_pool.index_options());
+  TtfPoolBuilder pool(tt.period());
   // A delay rarely changes a function's point count: sized like the old
   // pool, the rebuild usually never regrows.
   pool.reserve_like(old_pool);

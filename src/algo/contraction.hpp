@@ -12,11 +12,11 @@
 //     candidates;
 //   * parallel rounds — an independent batch (no two selected nodes
 //     adjacent) is drawn from the queue and simulated concurrently on the
-//     ThreadPool, one arena-backed scratch workspace per worker (pinned to
-//     the worker's NUMA node). Workers claim the batch's nodes from an
-//     atomic cursor, and the pool's workers spin between rounds instead of
-//     parking (util/thread_pool.hpp): a round's serial phase is shorter
-//     than a wake-up. Commits stay serial, so the result is byte-identical
+//     ThreadPool, one arena-backed scratch workspace per worker. Workers
+//     claim the batch's nodes from an atomic cursor, and the pool's
+//     workers spin between rounds instead of parking
+//     (util/thread_pool.hpp): a round's serial phase is shorter than a
+//     wake-up. Commits stay serial, so the result is byte-identical
 //     for every thread count;
 //   * witness-bounded shortcuts — each neighbor pair (u, v, w) first runs
 //     a settle-capped upper-bound Dijkstra (per-edge maximum travel times)

@@ -21,12 +21,7 @@ std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
 
 template <typename Queue>
 std::vector<SpcsThreadStateT<Queue>> make_states(
-    std::vector<std::unique_ptr<QueryWorkspace>>& ws, ThreadPool& pool) {
-  // Same NUMA routing as the flat driver: pin each workspace's arena to its
-  // pool thread's node before any state grows scratch into it.
-  pool.run([&](std::size_t t) {
-    ws[t]->arena().set_numa_node(Arena::current_numa_node());
-  });
+    std::vector<std::unique_ptr<QueryWorkspace>>& ws) {
   std::vector<SpcsThreadStateT<Queue>> states;
   states.reserve(ws.size());
   for (auto& w : ws) states.emplace_back(w.get());
@@ -46,7 +41,7 @@ OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
       opt_(opt),
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_, pool_)),
+      states_(make_states<Queue>(workspaces_)),
       thread_ms_(opt.threads, 0.0) {
   require_overlay_matches(tt, g, ov);
   sweep_.reserve(opt.threads);

@@ -17,15 +17,7 @@ std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
 
 template <typename Queue>
 std::vector<SpcsThreadStateT<Queue>> make_states(
-    std::vector<std::unique_ptr<QueryWorkspace>>& ws, ThreadPool& pool) {
-  // Before any state grows scratch into its workspace, pin each workspace's
-  // arena to the NUMA node of the pool thread that will run on it (NUMA
-  // half of the ROADMAP NUMA/THP item; PCONN_NUMA=0 disables, single-node
-  // machines are a no-op). The states below are constructed on the master
-  // thread, but mbind routes their blocks' pages to the workers' nodes.
-  pool.run([&](std::size_t t) {
-    ws[t]->arena().set_numa_node(Arena::current_numa_node());
-  });
+    std::vector<std::unique_ptr<QueryWorkspace>>& ws) {
   std::vector<SpcsThreadStateT<Queue>> states;
   states.reserve(ws.size());
   for (auto& w : ws) states.emplace_back(w.get());
@@ -42,7 +34,7 @@ ParallelSpcsT<Queue>::ParallelSpcsT(const Timetable& tt, const TdGraph& g,
       opt_(opt),
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_, pool_)),
+      states_(make_states<Queue>(workspaces_)),
       thread_ms_(opt.threads, 0.0) {}
 
 template <typename Queue>

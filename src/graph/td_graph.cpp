@@ -12,8 +12,8 @@
 
 namespace pconn {
 
-TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
-  TtfPoolBuilder pool(tt.period(), idx);
+TdGraph TdGraph::build(const Timetable& tt) {
+  TtfPoolBuilder pool(tt.period());
   TdGraph g = walk(tt, [&pool](std::span<const TtfPoint> pts) {
     return pool.add_raw(pts);
   });

@@ -65,10 +65,8 @@ class TdGraph {
   }
   static std::uint32_t word_ttf(std::uint32_t w) { return w; }
 
-  /// The graph of `tt` with a pool of its own, indexed per `idx` (memory /
-  /// eval-speed knob, see TtfIndexOptions). Results are bit-identical for
-  /// any configuration; only index memory and scan lengths change.
-  static TdGraph build(const Timetable& tt, const TtfIndexOptions& idx = {});
+  /// The graph of `tt` with a pool of its own.
+  static TdGraph build(const Timetable& tt);
 
   /// The graph of `tt` reading `ov`'s base functions in place: a shard
   /// adopting a mapped snapshot allocates no pool. The structure walk is

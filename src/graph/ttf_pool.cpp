@@ -21,20 +21,18 @@ TtfPool TtfPool::prefix(std::uint32_t n) const {
     points = std::size_t{last.first} + last.count;
     buckets = std::size_t{last.bucket0} + (std::size_t{1} << last.log2b);
   }
-  TtfPool out(period_, idx_);
+  TtfPool out(period_);
   out.points_ = points_.prefix(points);
   out.meta_ = meta_.prefix(n);
   out.bucket_idx_ = bucket_idx_.prefix(buckets);
   return out;
 }
 
-std::uint32_t TtfPool::log2_buckets(std::size_t count) const {
-  std::uint32_t buckets = 1;
-  if (count >= idx_.min_indexed_points) {
-    const double want =
-        std::max(1.0, static_cast<double>(count) * idx_.buckets_per_point);
-    buckets = static_cast<std::uint32_t>(std::min<std::size_t>(
-        std::bit_ceil(static_cast<std::size_t>(want)), std::size_t{1} << 16));
+std::uint32_t TtfPool::log2_buckets(std::size_t count) {
+  std::size_t buckets = 1;
+  if (count >= kMinIndexedPoints) {
+    buckets = std::min(std::bit_ceil(count),
+                       std::size_t{1} << 16);
   }
   return static_cast<std::uint32_t>(std::countr_zero(buckets));
 }
@@ -183,7 +181,7 @@ TtfPool TtfPoolBuilder::finish() {
   release_slack(points_);
   release_slack(meta_);
   release_slack(bucket_idx_);
-  TtfPool out(view_.period_, view_.idx_);
+  TtfPool out(view_.period_);
   out.points_ = ConstArray(std::move(points_));
   out.meta_ = ConstArray(std::move(meta_));
   out.bucket_idx_ = ConstArray(std::move(bucket_idx_));

@@ -7,12 +7,11 @@
 // contiguous array (16 bytes of metadata per function) and replaces the
 // per-call binary search with a precomputed time-bucket index:
 //
-//   * per function, B buckets partition [0, period); B defaults to
-//     bit_ceil(|points|) and is tunable per network (TtfIndexOptions):
-//     `buckets_per_point` scales the bucket count and functions below
-//     `min_indexed_points` drop the index entirely — they keep a single
-//     bucket pointing at their first point, so evaluation degenerates to
-//     the linear lower_bound scan (identical results, no index memory);
+//   * per function, B buckets partition [0, period); B is one bucket per
+//     point, bit_ceil(|points|), and functions below
+//     kMinIndexedPoints have no index — they keep a single bucket pointing
+//     at their first point, so evaluation degenerates to the linear
+//     lower_bound scan (identical results, no index memory);
 //   * bucket_idx_[b] holds the first point whose departure falls into
 //     bucket b or later, so eval() starts its scan there and walks past at
 //     most the points sharing the query's bucket — O(1) expected, against
@@ -57,26 +56,16 @@ namespace pconn {
 class OverlayGraph;
 class Timetable;
 
-/// Per-network memory/speed knob for the evaluation index (ROADMAP "TTF
-/// index memory knob"). The index costs ~1 uint32 per point at the default
-/// density; dense bus networks with huge functions may prefer a lower
-/// density, memory-tight deployments can drop the index for small
-/// functions outright (a <5-point function spans at most one cache line —
-/// the linear scan is as fast as the bucket entry it replaces).
-struct TtfIndexOptions {
-  /// Buckets per point before rounding to a power of two (densities < 1
-  /// trade expected scan length for index memory).
-  double buckets_per_point = 1.0;
-  /// Functions with fewer points keep a single bucket — no index, linear
-  /// lower_bound scan from the first point. 5 is free (see above).
-  std::uint32_t min_indexed_points = 5;
-};
-
 class TtfPool {
  public:
   /// Words with this bit set are inline constant travel times, not pool
   /// indices (mirrored by TdGraph's packed edge word).
   static constexpr std::uint32_t kConstFlag = 1u << 31;
+
+  /// Functions with fewer points keep a single bucket — no index, a linear
+  /// scan from the first point. A <5-point function spans at most one cache
+  /// line, so the scan is as fast as the bucket entry it replaces.
+  static constexpr std::uint32_t kMinIndexedPoints = 5;
 
   /// Per-function metadata, 16 bytes (stored verbatim in snapshots).
   struct TtfMeta {
@@ -88,9 +77,8 @@ class TtfPool {
 
   /// An empty pool over `period`. Pools are filled by TtfPoolBuilder or
   /// adopted from a snapshot; a finished pool is read-only.
-  explicit TtfPool(Time period = kDayseconds, TtfIndexOptions idx = {})
-      : period_(period), inv_period_((std::uint64_t{1} << 32) / period),
-        idx_(idx) {
+  explicit TtfPool(Time period = kDayseconds)
+      : period_(period), inv_period_((std::uint64_t{1} << 32) / period) {
     assert(period > 0);
     // The AVX2 kernels compare times in signed 32-bit lanes; every real
     // timetable period (a day, a week) is far below this.
@@ -100,7 +88,6 @@ class TtfPool {
   std::size_t size() const { return meta_.size(); }
   std::size_t num_points() const { return points_.size(); }
   Time period() const { return period_; }
-  const TtfIndexOptions& index_options() const { return idx_; }
 
   bool empty_at(std::uint32_t f) const { return meta_[f].count == 0; }
   std::span<const TtfPoint> points(std::uint32_t f) const {
@@ -261,14 +248,13 @@ class TtfPool {
                        Time* out) const;
 #endif
 
-  /// log2 of the bucket count a function of `count` points gets. Default
-  /// density: one bucket per point (rounded to a power of two, capped at
-  /// 2^16) — the expected scan past the bucket entry is then <= 1 point.
-  /// The index options scale the density per network and drop the index
-  /// for small functions: those (and empty ones) keep a single bucket
-  /// pointing at their first point, so eval's index lookup stays
-  /// branchless and the scan is the plain linear lower_bound.
-  std::uint32_t log2_buckets(std::size_t count) const;
+  /// log2 of the bucket count a function of `count` points gets: one
+  /// bucket per point (rounded to a power of two, capped at 2^16), so the
+  /// expected scan past the bucket entry is <= 1 point. Functions below
+  /// kMinIndexedPoints (and empty ones) keep a single bucket pointing at
+  /// their first point, so eval's index lookup stays branchless and the
+  /// scan is the plain linear lower_bound.
+  static std::uint32_t log2_buckets(std::size_t count);
 
   /// Calls emit(entry) for each of function m's buckets in order, where
   /// entry is the absolute index of the first of m's points (`pts`) whose
@@ -284,17 +270,16 @@ class TtfPool {
     }
   }
 
-  /// What a builder would not have produced from these points and index
-  /// options, or nullptr: functions contiguous and in order, departures
-  /// strictly ascending in [0, period), each function's bucket count, and
-  /// every bucket entry recomputed and compared. The snapshot loader runs
-  /// it before adopting a pool from a file, which makes every index eval
-  /// can follow provably in range.
+  /// What a builder would not have produced from these points, or nullptr:
+  /// functions contiguous and in order, departures strictly ascending in
+  /// [0, period), each function's bucket count, and every bucket entry
+  /// recomputed and compared. The snapshot loader runs it before adopting
+  /// a pool from a file, which makes every index eval can follow provably
+  /// in range.
   const char* layout_error() const;
 
   Time period_ = kDayseconds;
   std::uint64_t inv_period_ = 0;          // floor(2^32 / period_)
-  TtfIndexOptions idx_;
   ConstArray<TtfPoint> points_;           // all functions, back to back
   ConstArray<TtfMeta> meta_;              // one per function
   ConstArray<std::uint32_t> bucket_idx_;  // per-function bucket tables
@@ -306,8 +291,7 @@ class TtfPool {
 /// new functions from earlier ones while they build.
 class TtfPoolBuilder {
  public:
-  explicit TtfPoolBuilder(Time period = kDayseconds, TtfIndexOptions idx = {})
-      : view_(period, idx) {}
+  explicit TtfPoolBuilder(Time period = kDayseconds) : view_(period) {}
 
   /// Appends a built (sorted, pruned) function; returns its pool index.
   std::uint32_t add(const Ttf& f);
@@ -327,7 +311,7 @@ class TtfPoolBuilder {
   /// bit-identically. This is the incremental re-link fast path: unchanged
   /// runs of a stale epoch's pool splice into the new epoch's pool in one
   /// memcpy-shaped pass (src/live/, algo/contraction re-link). Requires
-  /// matching period and index options.
+  /// a matching period.
   void append_copy(const TtfPool& src, std::uint32_t begin, std::uint32_t end);
 
   /// Reserves room for `factor` times `like`'s functions, points and

@@ -119,9 +119,7 @@ ApplyResult LiveOverlay::apply(const DelayEvent& ev) {
   TdGraph g_new;
   try {
     tt_new = std::make_shared<const Timetable>(apply_event(*cur->tt, ev));
-    // Same index options as the serving pool, so the next overlay's base
-    // prefix is byte-identical to this graph's pool.
-    g_new = TdGraph::build(*tt_new, cur->graph->ttfs().index_options());
+    g_new = TdGraph::build(*tt_new);
   } catch (const std::exception& e) {
     ++stats_.events_rejected;
     res.status = ApplyStatus::kRejected;

@@ -192,56 +192,6 @@ std::optional<DecodedResponse> BlockingClient::server_stats() {
   return round_trip(encode_stats(next_req_id_++));
 }
 
-bool BlockingClient::text_hello() { return send_raw("TEXT\n"); }
-
-std::optional<std::string> BlockingClient::text_command(
-    const std::string& line) {
-  if (!send_raw(line + "\n")) return std::nullopt;
-  for (;;) {
-    const std::size_t nl = line_buf_.find('\n');
-    if (nl != std::string::npos) {
-      std::string out = line_buf_.substr(0, nl);
-      line_buf_.erase(0, nl + 1);
-      if (!out.empty() && out.back() == '\r') out.pop_back();
-      last_error_ = ClientError::kNone;
-      return out;
-    }
-    char buf[1024];
-    pollfd pfd{fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, static_cast<int>(timeout_ms_));
-    if (pr == 0) {
-      // poll()'s timeout return leaves errno untouched — checking errno
-      // here (as this path once did) reads a stale value and can spin the
-      // loop forever on a leftover EINTR. A timeout is a timeout.
-      last_error_ = ClientError::kTimeout;
-      close();
-      return std::nullopt;
-    }
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      last_error_ = ClientError::kReset;
-      close();
-      return std::nullopt;
-    }
-    const ssize_t r = ::recv(fd_, buf, sizeof(buf), 0);
-    if (r > 0) {
-      line_buf_.append(buf, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r < 0 && errno == EINTR) continue;
-    if (r == 0) {
-      last_error_ = line_buf_.empty() ? ClientError::kClosed
-                                      : ClientError::kShortRead;
-    } else {
-      last_error_ = (errno == ECONNRESET || errno == EPIPE)
-                        ? ClientError::kReset
-                        : ClientError::kClosed;
-    }
-    close();
-    return std::nullopt;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // RetryingClient
 

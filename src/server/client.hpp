@@ -8,7 +8,7 @@
 // encodes through src/server/protocol.hpp, writes the frame, and blocks
 // (with a poll() timeout) for the response. send_raw()/recv_frame()
 // expose the raw byte layer for the fuzz sweep and the byte-identity
-// oracle; text_command() drives the newline-delimited mode.
+// oracle.
 //
 // Failures are typed, not silent: every nullopt return leaves
 // last_error() saying WHY — a timeout, an orderly close at a frame
@@ -54,8 +54,6 @@ class BlockingClient {
   BlockingClient(const BlockingClient&) = delete;
   BlockingClient& operator=(const BlockingClient&) = delete;
 
-  // --- binary mode ------------------------------------------------------
-
   /// nullopt on connection loss / timeout / undecodable frame — see
   /// last_error() for which.
   std::optional<DecodedResponse> ping();
@@ -72,14 +70,6 @@ class BlockingClient {
   /// One length-prefixed frame payload, or nullopt on loss/timeout.
   std::optional<std::string> recv_frame();
 
-  // --- text mode --------------------------------------------------------
-
-  /// Sends the "TEXT\n" hello; call once, before any text_command().
-  bool text_hello();
-  /// Sends one command line and returns the response line (no newline),
-  /// or nullopt on loss/timeout.
-  std::optional<std::string> text_command(const std::string& line);
-
   /// True until a send/recv observed a closed connection.
   bool connected() const { return fd_ >= 0; }
   void close();
@@ -94,7 +84,6 @@ class BlockingClient {
   int fd_ = -1;
   double timeout_ms_;
   std::uint32_t next_req_id_ = 1;
-  std::string line_buf_;  // text-mode carry-over
   ClientError last_error_ = ClientError::kNone;
 };
 

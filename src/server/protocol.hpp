@@ -1,15 +1,10 @@
 // Wire protocol of the serving front-end (docs/server.md).
 //
-// Two modes share one port and are distinguished by the first five bytes
-// of a connection:
+// Every message is a length-prefixed binary frame:
 //
-//   binary (default)  frame = u32 LE payload length + payload
-//                     request payload  = u8 opcode, u32 LE req_id, args
-//                     response payload = ResponseHeader + body
-//   text              connection hello "TEXT\n", then newline-delimited
-//                     commands (`ping`, `ea <src> <dep> <tgt>`,
-//                     `profile <src> <tgt>`, `stats`) answered as
-//                     `ok ...` / `err <name> ...` lines.
+//   frame            = u32 LE payload length + payload
+//   request payload  = u8 opcode, u32 LE req_id, args
+//   response payload = ResponseHeader + body
 //
 // Every encoder lives here and is shared by the server workers, the
 // blocking client, the bench oracle, and the tests — "responses
@@ -44,7 +39,7 @@ enum class Opcode : std::uint8_t {
 /// request, however malformed or ill-timed, gets exactly one of these.
 enum class Status : std::uint8_t {
   kOk = 0,
-  kMalformed = 1,         // unparseable frame/line; binary conns then close
+  kMalformed = 1,         // unparseable frame; the connection then closes
   kBadRequest = 2,        // parseable but invalid (station out of range)
   kOverloaded = 3,        // queue full: shed; body carries retry_after_ms
   kDeadlineExceeded = 4,  // request aged out before/while executing

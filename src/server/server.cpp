@@ -11,12 +11,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cerrno>
-#include <cinttypes>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace pconn {
@@ -25,37 +22,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kTextLineCap = 4096;
-constexpr const char* kTextHello = "TEXT\n";
-
 std::chrono::nanoseconds ms_to_ns(double ms) {
   return std::chrono::nanoseconds(
       static_cast<std::int64_t>(ms * 1'000'000.0));
-}
-
-/// Full-string u32 parse for the text mode; false on junk or overflow.
-bool parse_u32(const std::string& tok, std::uint32_t& out) {
-  if (tok.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno == ERANGE || end != tok.c_str() + tok.size()) return false;
-  if (v > 0xffffffffull) return false;
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> toks;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t j = i;
-    while (j < line.size() && line[j] != ' ' && line[j] != '\t') ++j;
-    if (j > i) toks.emplace_back(line.substr(i, j - i));
-    i = j;
-  }
-  return toks;
 }
 
 }  // namespace
@@ -84,8 +53,6 @@ struct QueryServer::AtomicStats {
 struct QueryServer::Conn {
   int fd = -1;
   std::uint64_t gen = 0;
-  bool mode_known = false;
-  bool text = false;
   bool close_after_flush = false;
   bool want_write = false;
   int inflight = 0;  // requests of this conn admitted, response pending
@@ -462,44 +429,35 @@ void QueryServer::accept_ready() {
 
 void QueryServer::conn_readable(Conn& c) {
   char buf[4096];
-  for (;;) {
+  // One readiness event reads at most about one frame cap: a client that
+  // keeps its socket full must not hold the loop away from epoll_wait
+  // (other connections, completions, timeouts, drain, stop). EPOLLIN is
+  // level-triggered, so what is left is read on the next pass.
+  std::size_t budget =
+      std::max(sizeof(buf), kFrameHeaderBytes + opt_.max_request_bytes);
+  while (budget > 0) {
     const ssize_t r = ::read(c.fd, buf, sizeof(buf));
     if (r > 0) {
-      c.in_buf.append(buf, static_cast<std::size_t>(r));
+      budget -= std::min(budget, static_cast<std::size_t>(r));
       c.last_activity = Clock::now();
-      if (c.in_buf.size() > opt_.max_request_bytes + kFrameHeaderBytes +
-                                sizeof(kTextHello)) {
-        // No complete request within the frame cap: refuse to buffer more.
-        stats_->requests_malformed.fetch_add(1, std::memory_order_relaxed);
-        close_conn(c.fd);
-        return;
-      }
+      if (c.close_after_flush) continue;  // framing is lost: discard
+      c.in_buf.append(buf, static_cast<std::size_t>(r));
+      // Complete frames are answered chunk by chunk, so a pipelined burst
+      // of any size is served; what stays buffered is at most one
+      // incomplete frame, whose length parse_binary has checked against
+      // the frame cap.
+      if (!parse_binary(c)) return;  // malformed, or `c` was closed
+      assert(c.in_buf.size() < kFrameHeaderBytes + opt_.max_request_bytes);
       continue;
     }
     if (r == 0) {  // peer closed
       close_conn(c.fd);
       return;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
     if (errno == EINTR) continue;
     close_conn(c.fd);
     return;
-  }
-
-  if (!c.mode_known) {
-    const std::size_t hello = std::strlen(kTextHello);
-    const std::size_t have = std::min(c.in_buf.size(), hello);
-    if (std::memcmp(c.in_buf.data(), kTextHello, have) == 0) {
-      if (have < hello) return;  // could still become "TEXT\n"
-      c.text = true;
-      c.in_buf.erase(0, hello);
-    }
-    c.mode_known = true;
-  }
-  if (c.text) {
-    parse_text(c);
-  } else {
-    parse_binary(c);
   }
 }
 
@@ -562,58 +520,6 @@ bool QueryServer::parse_binary(Conn& c) {
   return true;
 }
 
-bool QueryServer::parse_text(Conn& c) {
-  const int fd = c.fd;  // enqueue_response may close `c`; re-check via fd
-  for (;;) {
-    if (c.inflight > 0) return true;  // one outstanding request per line
-    const std::size_t nl = c.in_buf.find('\n');
-    if (nl == std::string::npos) {
-      if (c.in_buf.size() > kTextLineCap) {
-        stats_->requests_malformed.fetch_add(1, std::memory_order_relaxed);
-        c.close_after_flush = true;
-        c.in_buf.clear();
-        enqueue_response(c, "err malformed line-too-long\n");
-        return false;
-      }
-      return true;
-    }
-    std::string line = c.in_buf.substr(0, nl);
-    c.in_buf.erase(0, nl + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const std::vector<std::string> toks = split_ws(line);
-    if (toks.empty()) continue;
-
-    Request r;
-    r.fd = c.fd;
-    r.gen = c.gen;
-    r.text = true;
-    bool ok = false;
-    if (toks[0] == "ping" && toks.size() == 1) {
-      r.opcode = Opcode::kPing;
-      ok = true;
-    } else if (toks[0] == "ea" && toks.size() == 4) {
-      r.opcode = Opcode::kEarliestArrival;
-      ok = parse_u32(toks[1], r.a) && parse_u32(toks[2], r.b) &&
-           parse_u32(toks[3], r.c);
-    } else if (toks[0] == "profile" && toks.size() == 3) {
-      r.opcode = Opcode::kProfile;
-      ok = parse_u32(toks[1], r.a) && parse_u32(toks[2], r.b);
-    } else if (toks[0] == "stats" && toks.size() == 1) {
-      r.opcode = Opcode::kStats;
-      ok = true;
-    }
-    if (!ok) {
-      // Text is the human mode: answer the error and keep the line open.
-      stats_->requests_malformed.fetch_add(1, std::memory_order_relaxed);
-      enqueue_response(c, "err malformed\n");
-      if (conns_[fd] == nullptr) return false;
-      continue;
-    }
-    admit(c, r);
-    if (conns_[fd] == nullptr) return false;
-  }
-}
-
 void QueryServer::admit(Conn& c, const Request& req) {
   Request r = req;
   ResponseHeader h;
@@ -623,8 +529,7 @@ void QueryServer::admit(Conn& c, const Request& req) {
   if (draining_.load(std::memory_order_acquire)) {
     stats_->requests_shutdown.fetch_add(1, std::memory_order_relaxed);
     h.status = Status::kShuttingDown;
-    enqueue_response(c, r.text ? std::string("err shutting-down\n")
-                               : encode_response_header(h));
+    enqueue_response(c, encode_response_header(h));
     return;
   }
 
@@ -638,14 +543,8 @@ void QueryServer::admit(Conn& c, const Request& req) {
   if (forced_overflow || !queue_->try_push(r)) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     stats_->requests_shed.fetch_add(1, std::memory_order_relaxed);
-    const std::uint32_t retry = retry_after_ms();
-    if (r.text) {
-      enqueue_response(c, "err overloaded retry_after_ms=" +
-                              std::to_string(retry) + "\n");
-    } else {
-      h.status = Status::kOverloaded;
-      enqueue_response(c, encode_overloaded(h, retry));
-    }
+    h.status = Status::kOverloaded;
+    enqueue_response(c, encode_overloaded(h, retry_after_ms()));
     return;
   }
   ++c.inflight;
@@ -798,8 +697,7 @@ void QueryServer::worker_main(unsigned /*widx*/) {
       h.status = Status::kDeadlineExceeded;
       h.opcode = r.opcode;
       h.req_id = r.req_id;
-      bytes = r.text ? std::string("err deadline-exceeded\n")
-                     : encode_response_header(h);
+      bytes = encode_response_header(h);
     } else {
       bytes = execute(session, r);
       const Clock::time_point end = Clock::now();
@@ -822,8 +720,7 @@ void QueryServer::worker_main(unsigned /*widx*/) {
         h.status = Status::kDeadlineExceeded;
         h.opcode = r.opcode;
         h.req_id = r.req_id;
-        bytes = r.text ? std::string("err deadline-exceeded\n")
-                       : encode_response_header(h);
+        bytes = encode_response_header(h);
       } else {
         const auto total_ns = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(end -
@@ -860,8 +757,7 @@ std::string QueryServer::execute(LiveQuerySession& session,
       case Opcode::kPing:
         stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
         h.status = Status::kOk;
-        return r.text ? std::string("ok pong\n")
-                      : encode_response_header(h);
+        return encode_response_header(h);
       case Opcode::kEarliestArrival: {
         if (!station_ok(r.a) || !station_ok(r.c)) break;
         const Time arr = session.earliest_arrival(r.a, r.b, r.c);
@@ -870,8 +766,7 @@ std::string QueryServer::execute(LiveQuerySession& session,
           stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
         }
         h.status = Status::kOk;
-        return r.text ? "ok " + std::to_string(arr) + "\n"
-                      : encode_ea_response(h, arr);
+        return encode_ea_response(h, arr);
       }
       case Opcode::kProfile: {
         if (!station_ok(r.a) || !station_ok(r.b)) break;
@@ -881,16 +776,7 @@ std::string QueryServer::execute(LiveQuerySession& session,
           stats_->degraded_served.fetch_add(1, std::memory_order_relaxed);
         }
         h.status = Status::kOk;
-        if (!r.text) return encode_profile_response(h, res.profile);
-        std::string line = "ok " + std::to_string(res.profile.size());
-        for (const ProfilePoint& p : res.profile) {
-          line += ' ';
-          line += std::to_string(p.dep);
-          line += ':';
-          line += std::to_string(p.arr);
-        }
-        line += '\n';
-        return line;
+        return encode_profile_response(h, res.profile);
       }
       case Opcode::kStats: {
         stats_->requests_ok.fetch_add(1, std::memory_order_relaxed);
@@ -904,29 +790,20 @@ std::string QueryServer::execute(LiveQuerySession& session,
         const std::uint64_t mal =
             stats_->requests_malformed.load(std::memory_order_relaxed);
         const std::uint64_t depth = queue_->size_approx();
-        if (!r.text) {
-          return encode_stats_response(h, ok, shed, dead, mal, depth);
-        }
-        return "ok ok=" + std::to_string(ok) +
-               " shed=" + std::to_string(shed) +
-               " deadline=" + std::to_string(dead) +
-               " malformed=" + std::to_string(mal) +
-               " depth=" + std::to_string(depth) + "\n";
+        return encode_stats_response(h, ok, shed, dead, mal, depth);
       }
     }
     // Fell through a station check: parseable but invalid arguments.
     stats_->requests_bad.fetch_add(1, std::memory_order_relaxed);
     h.status = Status::kBadRequest;
-    return r.text ? std::string("err bad-request\n")
-                  : encode_response_header(h);
+    return encode_response_header(h);
   } catch (const std::exception&) {
     // A worker fault answers THIS request and poisons nothing else: the
     // session is left in a safe state (engines rebuild lazily) and the
     // worker keeps serving.
     stats_->requests_internal.fetch_add(1, std::memory_order_relaxed);
     h.status = Status::kInternal;
-    return r.text ? std::string("err internal\n")
-                  : encode_response_header(h);
+    return encode_response_header(h);
   }
 }
 

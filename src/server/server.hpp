@@ -25,8 +25,8 @@
 //                 is closed after write_timeout_ms; idle connections are
 //                 reaped after idle_timeout_ms;
 //   bad input     rejected at the parse boundary with kMalformed /
-//                 kBadRequest (binary connections close after a malformed
-//                 frame — framing is lost; text connections survive);
+//                 kBadRequest (a connection closes after a malformed
+//                 frame — framing is lost);
 //   degradation   a degraded LiveOverlay epoch is served through the flat
 //                 engines — slower, still exact, flagged in the response;
 //   worker fault  an exception inside a query answers kInternal and the
@@ -183,7 +183,6 @@ class QueryServer {
     int fd = -1;
     std::uint64_t gen = 0;
     Opcode opcode = Opcode::kPing;
-    bool text = false;
     std::uint32_t req_id = 0;
     std::uint32_t a = 0, b = 0, c = 0;  // opcode args
     std::chrono::steady_clock::time_point arrival{};
@@ -203,7 +202,6 @@ class QueryServer {
   void conn_readable(Conn& c);
   void conn_writable(Conn& c);
   bool parse_binary(Conn& c);
-  bool parse_text(Conn& c);
   void admit(Conn& c, const Request& r);
   void enqueue_response(Conn& c, std::string bytes);
   void close_conn(int fd);

@@ -19,7 +19,7 @@ namespace pconn {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 3;
+constexpr std::uint32_t kSnapVersion = 4;
 
 // Section tags. Fixed enumeration, versioned with the file: the timetable
 // sections are required, the overlay sections come all or none, and each
@@ -60,20 +60,18 @@ enum : std::uint32_t {
   kSecPoolBuckets = 36,    // u32[buckets]
 };
 
-/// The overlay's scalars and array lengths, the index options its pool was
-/// built with, and its ContractionStats. All 8-byte fields: no padding.
+/// The overlay's scalars and array lengths and its ContractionStats. All
+/// 8-byte fields: no padding.
 /// contraction_ms is always written as 0: a wall-clock reading would make
 /// two saves of one overlay differ, so a loaded overlay reports none.
 struct OverlayMeta {
   std::uint64_t nodes, stations, core, period, base_ttfs, base_edges, edges,
       shortcuts, contracted, down_edges, funcs, points, buckets,
-      min_indexed_points;
-  double buckets_per_point;
-  std::uint64_t contracted_nodes, frozen, rounds, shortcut_edges, merges,
+      contracted_nodes, frozen, rounds, shortcut_edges, merges,
       witness_dropped, witness_searches;
   double contraction_ms;
 };
-static_assert(sizeof(OverlayMeta) == 23 * 8);
+static_assert(sizeof(OverlayMeta) == 21 * 8);
 
 struct SectionEntry {
   std::uint32_t tag = 0;
@@ -144,8 +142,7 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
           ov->num_base_ttfs_, ov->num_base_edges_, ov->num_edges(),
           ov->num_shortcuts(), ov->num_contracted(), ov->down_tails_.size(),
           ov->ttfs_.size(), ov->ttfs_.num_points(),
-          ov->ttfs_.bucket_idx_.size(), ov->ttfs_.idx_.min_indexed_points,
-          ov->ttfs_.idx_.buckets_per_point, st.contracted, st.frozen,
+          ov->ttfs_.bucket_idx_.size(), st.contracted, st.frozen,
           st.rounds, st.shortcuts, st.merges, st.witness_dropped,
           st.witness_searches, 0.0};
     sections.insert(
@@ -547,11 +544,6 @@ OverlayGraph MappedSnapshot::load_overlay() const {
              " != base ttfs + shortcut records " +
              std::to_string(m.base_ttfs + m.shortcuts));
   }
-  // Bucket counts come from the density; a garbage (or non-finite) one
-  // would overflow the index arithmetic.
-  structural(m.buckets_per_point <= 65536.0 &&
-                 m.min_indexed_points <= 0xffffffffu,
-             "index options");
   const std::size_t n = m.nodes;
   structural(m.stations <= n, "stations > nodes");
   structural(m.core <= n, "core > nodes");
@@ -668,9 +660,7 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   // The pool: points, metadata and bucket index as built, re-derived and
   // compared before any eval can follow an index out of range.
   TtfPool& pool = ov.ttfs_;
-  pool = TtfPool(ov.period_,
-                 {m.buckets_per_point,
-                  static_cast<std::uint32_t>(m.min_indexed_points)});
+  pool = TtfPool(ov.period_);
   pool.points_ = array<TtfPoint>(kSecPoolPoints, m.points, "pool points");
   pool.meta_ = array<TtfPool::TtfMeta>(kSecPoolMeta, m.funcs, "pool meta");
   pool.bucket_idx_ =

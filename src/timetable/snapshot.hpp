@@ -2,7 +2,7 @@
 // contraction overlay as native, 8-byte-aligned sections that a process
 // maps read-only and serves from in place.
 //
-// Layout (version 3, little-endian): the header (magic "PCSN", version,
+// Layout (version 4, little-endian): the header (magic "PCSN", version,
 // file size, section count) and a table of {tag, offset, size} entries,
 // then one section per array:
 //   - timetable: meta (period and the five counts), station name offsets
@@ -10,13 +10,12 @@
 //     stops, trips), the trip CSR (route per trip, row offsets, arrival
 //     and departure rows), the sorted connections and their per-station
 //     offsets — exactly the arrays Timetable reads;
-//   - overlay (all or none): meta (scalars, counts, the TtfIndexOptions
-//     the pool was built with, the ContractionStats with its time as 0 so
-//     a file's bytes never depend on the clock), rank, board shifts, the
-//     upward CSR (offsets, heads, words, origins), shortcut records, the
-//     down-sweep arrays (order, offsets, tails, words, positions) and the
-//     TtfPool's points, metadata and bucket index — exactly the arrays
-//     OverlayGraph and TtfPool read.
+//   - overlay (all or none): meta (scalars, counts, the ContractionStats
+//     with its time as 0 so a file's bytes never depend on the clock),
+//     rank, board shifts, the upward CSR (offsets, heads, words, origins),
+//     shortcut records, the down-sweep arrays (order, offsets, tails,
+//     words, positions) and the TtfPool's points, metadata and bucket
+//     index — exactly the arrays OverlayGraph and TtfPool read.
 //
 // Adoption: load_timetable()/load_overlay() validate every section in
 // place and return objects whose ConstArrays point into the mapping. A
@@ -29,8 +28,8 @@
 // maps either the old file or the new one, never a half-written one, and
 // a mapping is never truncated under a live shard. Each load validates
 // its sections once, at map time, before anything is adopted:
-//   - header/section table: magic, version (a v1 or v2 file is
-//     kBadVersion), recorded file size, section bounds and alignment;
+//   - header/section table: magic, version (a v1, v2 or v3 file
+//     is kBadVersion), recorded file size, section bounds and alignment;
 //   - every section's byte size against the count its meta implies, before
 //     the section is read (a lying count is kBadCount);
 //   - timetable: every CSR monotone, every id in range, per-trip times

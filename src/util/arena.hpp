@@ -22,87 +22,24 @@
 // workspace per thread (docs/architecture.md, "Threading rules").
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
-#include <string_view>
 #include <vector>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
 
 namespace pconn {
 
 class Arena {
  public:
   static constexpr std::size_t kDefaultBlockBytes = std::size_t{1} << 16;
-  /// Blocks at least this large get the transparent-hugepage treatment
-  /// when the hint is enabled: 2 MiB-aligned storage plus
-  /// madvise(MADV_HUGEPAGE). 2 MiB is the x86-64 huge page size.
-  static constexpr std::size_t kHugeBlockBytes = std::size_t{2} << 20;
 
   explicit Arena(std::size_t first_block_bytes = kDefaultBlockBytes)
-      : next_block_bytes_(first_block_bytes),
-        hugepages_(default_hugepages()) {}
+      : next_block_bytes_(first_block_bytes) {}
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
-
-  /// Opt into (or out of) the hugepage hint for blocks allocated from now
-  /// on; existing blocks are left as they are. The process-wide default is
-  /// off unless PCONN_HUGEPAGES is set (first step of the NUMA/THP roadmap
-  /// item). On non-Linux builds the hint is accepted and ignored.
-  void set_hugepage_hint(bool on) { hugepages_ = on; }
-  bool hugepage_hint() const { return hugepages_; }
-
-  static bool default_hugepages() {
-    static const bool on = std::getenv("PCONN_HUGEPAGES") != nullptr;
-    return on;
-  }
-
-  /// Pins blocks allocated from now on to `node` (the NUMA half of the
-  /// ROADMAP NUMA/THP item; the THP half is set_hugepage_hint above).
-  /// Two mechanisms, both best-effort:
-  ///   * mbind(MPOL_PREFERRED) on the block's whole-page interior, so the
-  ///     kernel places its pages on the worker's node even when a block is
-  ///     allocated from the master thread (engine construction);
-  ///   * an immediate first-touch pass (one write per page), so the pages
-  ///     are faulted in under that policy right away instead of wherever
-  ///     the first query thread happens to run.
-  /// -1 (the default) disables both. PCONN_NUMA=0/off is the process-wide
-  /// escape hatch; bytes accounting is unaffected either way. Non-Linux
-  /// builds accept and ignore the node.
-  void set_numa_node(int node) { numa_node_ = numa_env_enabled() ? node : -1; }
-  int numa_node() const { return numa_node_; }
-
-  /// The NUMA node the calling thread currently runs on; -1 when the
-  /// platform cannot say (non-Linux, kernel without getcpu).
-  static int current_numa_node() {
-#if defined(__linux__) && defined(__NR_getcpu)
-    unsigned cpu = 0, node = 0;
-    if (syscall(__NR_getcpu, &cpu, &node, nullptr) == 0) {
-      return static_cast<int>(node);
-    }
-#endif
-    return -1;
-  }
-
-  /// PCONN_NUMA=0 (or "off") disables pinning process-wide.
-  static bool numa_env_enabled() {
-    static const bool on = [] {
-      const char* v = std::getenv("PCONN_NUMA");
-      if (v == nullptr) return true;
-      const std::string_view s(v);
-      return !(s == "0" || s == "off" || s == "OFF");
-    }();
-    return on;
-  }
 
   /// Bump-allocates `bytes` aligned to `align` (a power of two).
   void* allocate(std::size_t bytes, std::size_t align) {
@@ -153,22 +90,8 @@ class Arena {
   std::size_t allocation_count() const { return allocation_count_; }
 
  private:
-  /// Frees block storage with the alignment it was allocated with (huge
-  /// blocks use over-aligned operator new, which must be paired with the
-  /// matching aligned delete).
-  struct BlockDeleter {
-    std::size_t align = 0;  // 0: plain new[]
-    void operator()(std::byte* p) const {
-      if (align == 0) {
-        ::operator delete[](p);
-      } else {
-        ::operator delete[](p, std::align_val_t{align});
-      }
-    }
-  };
-
   struct Block {
-    std::unique_ptr<std::byte[], BlockDeleter> data;
+    std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
     std::size_t used = 0;
   };
@@ -177,55 +100,13 @@ class Arena {
     return (offset + align - 1) & ~(align - 1);
   }
 
-  /// mbind + first-touch of a freshly allocated block (see set_numa_node).
-  /// Small blocks are left alone: they amortize nothing and the syscall
-  /// would dominate. All failures are silently ignored — a block that
-  /// stays where the allocator put it is merely slower, never wrong.
-  void pin_block(std::byte* p, std::size_t size) {
-    if (numa_node_ < 0 || size < kDefaultBlockBytes) return;
-#if defined(__linux__) && defined(__NR_mbind)
-    constexpr std::size_t kPage = 4096;
-    constexpr int kMpolPreferred = 1;
-    const auto lo = (reinterpret_cast<std::uintptr_t>(p) + kPage - 1) &
-                    ~(kPage - 1);
-    const auto hi = (reinterpret_cast<std::uintptr_t>(p) + size) & ~(kPage - 1);
-    if (hi > lo) {
-      unsigned long mask = 1ul << numa_node_;
-      syscall(__NR_mbind, lo, hi - lo, kMpolPreferred, &mask,
-              sizeof(mask) * 8, 0);
-    }
-#endif
-    // First touch under the (possibly just-installed) policy: one write per
-    // page faults the whole block onto the chosen node now, on this thread.
-    for (std::size_t off = 0; off < size; off += 4096) p[off] = std::byte{0};
-  }
-
   void add_block(std::size_t min_bytes) {
     // Geometric growth keeps the block count logarithmic in the high-water
     // footprint; a single oversized request gets its own exact block.
     std::size_t size = std::max(min_bytes, next_block_bytes_);
     next_block_bytes_ = std::max(next_block_bytes_ * 2, size);
-    if (hugepages_ && size >= kHugeBlockBytes) {
-      // 2 MiB-aligned storage rounded to whole huge pages, then hint the
-      // kernel. The hint is best-effort: madvise failure (THP disabled,
-      // old kernel) leaves a perfectly valid ordinary mapping.
-      size = aligned(size, kHugeBlockBytes);
-      auto* p = static_cast<std::byte*>(::operator new[](
-          size, std::align_val_t{kHugeBlockBytes}));
-#if defined(__linux__)
-      madvise(p, size, MADV_HUGEPAGE);
-#endif
-      blocks_.push_back(Block{
-          std::unique_ptr<std::byte[], BlockDeleter>(
-              p, BlockDeleter{kHugeBlockBytes}),
-          size, 0});
-    } else {
-      blocks_.push_back(Block{
-          std::unique_ptr<std::byte[], BlockDeleter>(
-              static_cast<std::byte*>(::operator new[](size)), BlockDeleter{}),
-          size, 0});
-    }
-    pin_block(blocks_.back().data.get(), size);
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
     bytes_reserved_ += size;
   }
 
@@ -235,8 +116,6 @@ class Arena {
   std::size_t bytes_used_ = 0;
   std::size_t bytes_reserved_ = 0;
   std::size_t allocation_count_ = 0;
-  bool hugepages_ = false;
-  int numa_node_ = -1;  // -1: pinning off (see set_numa_node)
 };
 
 /// std-compatible allocator over an Arena. Unbound (nullptr arena — the

@@ -182,6 +182,10 @@ TEST(SerializeOverlay, TypedErrorKinds) {
     const std::uint32_t v2 = 2;
     std::memcpy(bad.data() + 4, &v2, 4);
     expect_kind(bad, LoadError::Kind::kBadVersion, "a version-2 file");
+    // Version 3 still carried the pool's index options in the overlay meta.
+    const std::uint32_t v3 = 3;
+    std::memcpy(bad.data() + 4, &v3, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-3 file");
     bad[4] = '\x7f';
     expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
   }

@@ -1,23 +1,30 @@
 // Serving front-end correctness (src/server/, docs/server.md):
-//  * responses byte-identical to direct LiveQuerySession calls, binary and
-//    text mode, across epochs and while degraded;
+//  * responses byte-identical to direct LiveQuerySession calls, across
+//    epochs and while degraded;
 //  * every rung of the resilience ladder answers a typed Status and leaves
 //    the server alive — malformed frames (structured cases plus a fuzz
 //    sweep), invalid stations, forced queue overflow + Retry-After,
 //    deadline expiry in-queue and post-execution, worker faults, transient
 //    accept failures, slow-client output caps, idle reaping;
+//  * pipelining: bursts past the frame cap are answered in full, and a
+//    client that floods without pause starves neither other clients nor
+//    stop();
 //  * drain: in-flight work finishes, late requests get kShuttingDown or a
 //    clean close, SIGTERM-installed drain shuts the listener;
 //  * plan_admission() math, a started server's plan equal to one sized by
 //    a far-target probe (every preset, and a station 0 without
 //    departures), and that plan bounding a session's scratch after the
 //    busiest station and a mix of narrow and wide sources (every preset).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <memory>
@@ -280,39 +287,6 @@ TEST(Server, AcceptedLatencyHistogramCountsOnlyAnsweredWork) {
   }
 }
 
-TEST(Server, TextModeServesSameAnswers) {
-  LiveOverlay live(test::tiny_line());
-  QueryServer server(live, fast_opts());
-  server.start();
-  LiveQuerySession direct(live);
-  BlockingClient client(kHost, server.port());
-  ASSERT_TRUE(client.text_hello());
-
-  EXPECT_EQ(client.text_command("ping").value_or("?"), "ok pong");
-
-  const Time arr = direct.earliest_arrival(0, 8 * 3600, 2);
-  EXPECT_EQ(client.text_command("ea 0 28800 2").value_or("?"),
-            "ok " + std::to_string(arr));
-
-  const StationQueryResult& res = direct.station_to_station(0, 2);
-  std::string want = "ok " + std::to_string(res.profile.size());
-  for (const ProfilePoint& p : res.profile) {
-    want += ' ' + std::to_string(p.dep) + ':' + std::to_string(p.arr);
-  }
-  EXPECT_EQ(client.text_command("profile 0 2").value_or("?"), want);
-
-  const std::string stats = client.text_command("stats").value_or("?");
-  EXPECT_EQ(stats.substr(0, 6), "ok ok=");
-
-  // Malformed text answers an error and KEEPS the connection.
-  EXPECT_EQ(client.text_command("frobnicate").value_or("?"),
-            "err malformed");
-  EXPECT_EQ(client.text_command("ea 1 2").value_or("?"), "err malformed");
-  EXPECT_EQ(client.text_command("ea a b c").value_or("?"), "err malformed");
-  EXPECT_EQ(client.text_command("ping").value_or("?"), "ok pong");
-  server.stop();
-}
-
 TEST(Server, MalformedBinaryFramesAreTypedAndClose) {
   LiveOverlay live(test::tiny_line());
   QueryServer server(live, fast_opts());
@@ -337,6 +311,9 @@ TEST(Server, MalformedBinaryFramesAreTypedAndClose) {
     std::string wrong = encode_ping(8);
     wrong[4] = static_cast<char>(Opcode::kEarliestArrival);
     cases.push_back({"wrong-arg-length", wrong});
+    // There is one wire format: a "TEXT\n" hello reads as the frame length
+    // 0x54584554, far past the frame cap.
+    cases.push_back({"text-hello", "TEXT\n"});
   }
   for (const Case& c : cases) {
     BlockingClient client(kHost, server.port(), 2000.0);
@@ -458,6 +435,120 @@ TEST(Server, PipelinedFloodGetsOnlyTypedAnswers) {
   EXPECT_EQ(s.requests_ok, static_cast<std::uint64_t>(ok));
   EXPECT_EQ(s.requests_shed, static_cast<std::uint64_t>(shed));
   server.stop();
+}
+
+// The frame cap bounds one frame, not a burst: valid frames pipelined
+// past max_request_bytes in one write are each answered.
+TEST(Server, PipelinedFramesPastTheFrameCapAreAllAnswered) {
+  LiveOverlay live(test::tiny_line());
+  ServerOptions opt = fast_opts();
+  opt.max_request_bytes = 64;  // 10 EA frames are 210 bytes
+  opt.request_deadline_ms = 10'000.0;  // statuses must be ok/shed only
+  QueryServer server(live, opt);
+  server.start();
+  BlockingClient client(kHost, server.port());
+
+  constexpr int kBurst = 10;
+  std::string burst;
+  for (int i = 0; i < kBurst; ++i) {
+    burst += encode_earliest_arrival(static_cast<std::uint32_t>(i), 0,
+                                     8 * 3600, 2);
+  }
+  ASSERT_GT(burst.size(), opt.max_request_bytes);
+  ASSERT_TRUE(client.send_raw(burst));
+  for (int i = 0; i < kBurst; ++i) {
+    auto payload = client.recv_frame();
+    ASSERT_TRUE(payload.has_value()) << "response " << i;
+    auto r = decode_response(payload->data(), payload->size());
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->header.status == Status::kOk ||
+                r->header.status == Status::kOverloaded)
+        << status_name(r->header.status);
+  }
+  EXPECT_EQ(server.stats().requests_malformed, 0u);
+  server.stop();
+}
+
+// One client that keeps its socket full of valid frames (and reads its
+// answers, so its output stays under the cap) must not hold the event loop:
+// a second client is still answered, and stop() returns mid-flood.
+TEST(Server, ContinuousFloodDoesNotStarveOtherClientsOrStop) {
+  LiveOverlay live(test::tiny_line());
+  QueryServer server(live, fast_opts());
+  server.start();
+
+  std::string block;
+  for (std::uint32_t i = 0; block.size() < (std::size_t{64} << 10); ++i) {
+    block += encode_ping(i);
+  }
+  std::atomic<bool> flood_open{true};
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Ends the flood on every exit path, a failed assertion included, so
+  // the threads are joined before what they use is destroyed.
+  std::thread writer, reader;
+  struct FloodGuard {
+    int fd;
+    std::thread& writer;
+    std::thread& reader;
+    ~FloodGuard() {
+      ::shutdown(fd, SHUT_RDWR);
+      if (writer.joinable()) writer.join();
+      if (reader.joinable()) reader.join();
+      ::close(fd);
+    }
+  } guard{fd, writer, reader};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  writer = std::thread([&] {
+    for (;;) {
+      const ssize_t w = ::send(fd, block.data(), block.size(), MSG_NOSIGNAL);
+      if (w < 0 && errno != EINTR) return;  // shut down or reset
+    }
+  });
+  reader = std::thread([&] {
+    std::vector<char> sink(std::size_t{64} << 10);
+    for (;;) {
+      const ssize_t r = ::recv(fd, sink.data(), sink.size(), 0);
+      if (r > 0 || (r < 0 && errno == EINTR)) continue;
+      flood_open.store(false, std::memory_order_release);
+      return;
+    }
+  });
+
+  // Let the flood get going before the second client arrives.
+  const auto answered = [&server] {
+    const ServerStats s = server.stats();
+    return s.requests_ok + s.requests_shed;
+  };
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (answered() < 2'000 && std::chrono::steady_clock::now() < until) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(answered(), 2'000u);
+
+  {
+    BlockingClient other(kHost, server.port(), 2000.0);
+    for (int i = 0; i < 3; ++i) {
+      auto r = other.ping();
+      ASSERT_TRUE(r.has_value())
+          << "ping " << i << ": " << client_error_name(other.last_error());
+      EXPECT_TRUE(r->header.status == Status::kOk ||
+                  r->header.status == Status::kOverloaded)
+          << status_name(r->header.status);
+    }
+  }
+  // The flood was still being served while the other client was answered.
+  EXPECT_TRUE(flood_open.load(std::memory_order_acquire));
+  EXPECT_EQ(server.stats().slow_clients_closed, 0u);
+
+  server.stop();  // returning mid-flood IS the test
 }
 
 TEST(Server, WorkerFaultAnswersInternalAndServerSurvives) {

@@ -58,69 +58,6 @@ TEST(Arena, UnboundAllocatorFallsBackToHeap) {
   EXPECT_EQ(v[99], 7);
 }
 
-// The THP hint (first step of the NUMA/hugepage roadmap item): large
-// blocks come back 2 MiB-aligned and fully usable, small blocks are
-// untouched, and the bytes_used accounting a session's capacity planning
-// reads is identical with and without the hint.
-TEST(Arena, HugepageHintAlignsLargeBlocksAndKeepsAccounting) {
-  Arena plain(1024), huge(1024);
-  huge.set_hugepage_hint(true);
-  EXPECT_TRUE(huge.hugepage_hint());
-  for (Arena* a : {&plain, &huge}) {
-    void* small = a->allocate(512, 8);
-    EXPECT_NE(small, nullptr);
-    auto* big = static_cast<std::byte*>(
-        a->allocate(3 * (std::size_t{1} << 20), 64));
-    ASSERT_NE(big, nullptr);
-    big[0] = std::byte{1};  // the mapping is real memory
-    big[3 * (std::size_t{1} << 20) - 1] = std::byte{2};
-  }
-  EXPECT_EQ(plain.bytes_used(), huge.bytes_used());
-  // The hinted block is huge-page aligned (madvise needs page alignment;
-  // 2 MiB alignment lets THP back the whole block).
-  Arena aligned(Arena::kHugeBlockBytes);
-  aligned.set_hugepage_hint(true);
-  auto addr = reinterpret_cast<std::uintptr_t>(
-      aligned.allocate(Arena::kHugeBlockBytes, 8));
-  EXPECT_EQ(addr % Arena::kHugeBlockBytes, 0u);
-  // Hint off (the default without PCONN_HUGEPAGES): no alignment promise,
-  // reserve/use accounting unchanged — scratch_bytes_reserved() reporting
-  // does not depend on the hint.
-  EXPECT_GE(aligned.bytes_reserved(), Arena::kHugeBlockBytes);
-}
-
-// The NUMA half of the NUMA/THP roadmap item: pinning an arena to a node
-// must leave every byte usable and all accounting identical — mbind and
-// the first-touch pass are placement hints, never semantics. (On this CI
-// container node 0 is the only node; the pinned path still executes.)
-TEST(Arena, NumaPinningKeepsAccountingAndMemoryUsable) {
-  Arena plain(1024), pinned(1024);
-  const int node = Arena::current_numa_node();
-  pinned.set_numa_node(node >= 0 ? node : 0);
-  if (Arena::numa_env_enabled()) {
-    EXPECT_EQ(pinned.numa_node(), node >= 0 ? node : 0);
-  }
-  for (Arena* a : {&plain, &pinned}) {
-    // One small (below the pinning threshold) and one large block.
-    auto* small = static_cast<std::byte*>(a->allocate(512, 8));
-    small[0] = std::byte{1};
-    const std::size_t big_bytes = 3 * Arena::kDefaultBlockBytes;
-    auto* big = static_cast<std::byte*>(a->allocate(big_bytes, 64));
-    ASSERT_NE(big, nullptr);
-    big[0] = std::byte{1};
-    big[big_bytes - 1] = std::byte{2};
-    EXPECT_EQ(big[big_bytes - 1], std::byte{2});
-  }
-  EXPECT_EQ(plain.bytes_used(), pinned.bytes_used());
-  EXPECT_EQ(plain.block_count(), pinned.block_count());
-  // Pinning off (-1): explicitly a no-op.
-  Arena off(1024);
-  off.set_numa_node(-1);
-  EXPECT_EQ(off.numa_node(), -1);
-  void* p = off.allocate(Arena::kDefaultBlockBytes, 8);
-  EXPECT_NE(p, nullptr);
-}
-
 // --------------------------------------------------------- differential ---
 
 // Warm session vs fresh engines: byte-identical results on query N.

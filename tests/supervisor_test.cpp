@@ -1,7 +1,9 @@
 // Chaos harness for the shard supervisor (src/supervisor/,
 // docs/server.md "Sharding & supervision"):
 //  * a healthy fleet serves responses byte-identical to a direct session
-//    over the same snapshot, and drains cleanly on request;
+//    over the same snapshot, whose answers match the connection-scan
+//    ground truth (tests/connection_scan.hpp), and drains cleanly on
+//    request;
 //  * SIGKILLing a shard under sustained load loses only that shard's
 //    connections — clients reconnect within the recovery deadline, every
 //    COMPLETED response stays value-identical to the oracle, and the
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "algo/contraction.hpp"
+#include "connection_scan.hpp"
 #include "graph/td_graph.hpp"
 #include "live/live_overlay.hpp"
 #include "live/live_session.hpp"
@@ -101,10 +104,12 @@ TEST(Supervisor, FleetServesByteIdenticalAndDrainsCleanly) {
   sup.start();
   ASSERT_TRUE(sup.wait_healthy(2, 10'000.0));
 
-  // Oracle: load the SAME snapshot the shards map, the same way they do.
+  // Oracle: load the SAME snapshot the shards map, the same way they do;
+  // its answers are checked against the connection-scan ground truth.
   MappedSnapshot mapped(snap.path);
   LiveOverlay live(mapped.load_timetable(), mapped.load_overlay());
   LiveQuerySession direct(live);
+  const test::ConnectionScan scan(tt);
 
   // Several connections so both shards likely serve some of them; every
   // response must be byte-identical to the locally encoded oracle frame.
@@ -117,6 +122,8 @@ TEST(Supervisor, FleetServesByteIdenticalAndDrainsCleanly) {
         ++req_id;
         const Time dep = 8 * 3600;
         const Time arr = direct.earliest_arrival(s, dep, t);
+        ASSERT_EQ(arr, scan.earliest_arrivals(s, dep, t)[t])
+            << "ea " << s << "->" << t;
         ResponseHeader h;
         h.status = Status::kOk;
         h.opcode = Opcode::kEarliestArrival;
@@ -168,10 +175,12 @@ TEST(Supervisor, KilledShardRestartsAndClientsRecoverUnderLoad) {
   sup.start();
   ASSERT_TRUE(sup.wait_healthy(2, 10'000.0));
 
-  // Oracle answers for the query mix, precomputed from a direct session.
+  // Oracle answers for the query mix, precomputed from a direct session
+  // and checked against the connection-scan ground truth.
   MappedSnapshot mapped(snap.path);
   LiveOverlay live(mapped.load_timetable(), mapped.load_overlay());
   LiveQuerySession direct(live);
+  const test::ConnectionScan scan(tt);
   struct Case {
     StationId s, t;
     Time dep, arr;
@@ -182,6 +191,8 @@ TEST(Supervisor, KilledShardRestartsAndClientsRecoverUnderLoad) {
       if (s == t) continue;
       for (const Time dep : {Time{0}, Time{8 * 3600}, Time{10 * 3600}}) {
         cases.push_back({s, t, dep, direct.earliest_arrival(s, dep, t)});
+        ASSERT_EQ(cases.back().arr, scan.earliest_arrivals(s, dep, t)[t])
+            << "ea " << s << "->" << t << " @" << dep;
       }
     }
   }
@@ -251,7 +262,7 @@ TEST(Supervisor, KilledShardRestartsAndClientsRecoverUnderLoad) {
     auto r = check.earliest_arrival(0, 8 * 3600, 2);
     ASSERT_TRUE(r.has_value()) << client_error_name(check.last_error());
     EXPECT_EQ(r->header.status, Status::kOk);
-    EXPECT_EQ(r->arrival, direct.earliest_arrival(0, 8 * 3600, 2));
+    EXPECT_EQ(r->arrival, scan.earliest_arrivals(0, 8 * 3600, 2)[2]);
   }
 
   sup.stop();

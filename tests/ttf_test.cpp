@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "graph/ttf.hpp"
 #include "graph/ttf_pool.hpp"
@@ -242,44 +245,49 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   }
 }
 
-// The per-network index knob: any density / min-indexed configuration must
-// evaluate bit-identically — only memory changes (and monotonically).
-TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {
+// The evaluation index on both sides of kMinIndexedPoints: functions of
+// 1/2/4 points keep a single bucket, 5/16/33 points get bit_ceil(n) (one
+// per point), and the pool evaluates each exactly as Ttf does.
+TEST(TtfPool, IndexEvaluatesLikeTtfAcrossTheIndexedThreshold) {
   Rng rng(987);
   const Time period = kP;
+  const auto buckets_for = [](std::size_t n) -> std::size_t {
+    return n < TtfPool::kMinIndexedPoints ? 1 : std::bit_ceil(n);
+  };
   std::vector<Ttf> ttfs;
+  std::size_t want_buckets = 0;
   for (std::size_t n : {1u, 2u, 4u, 5u, 16u, 33u}) {
+    // Spaced departures with arrivals strictly increasing (also across
+    // midnight), so Ttf::build keeps all n points.
+    const Time slot = period / static_cast<Time>(n);
     std::vector<TtfPoint> pts;
     for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(1 + rng.next_below(7200))});
+      pts.push_back({static_cast<Time>(i) * slot +
+                         static_cast<Time>(rng.next_below(slot / 4)),
+                     600 + static_cast<Time>(rng.next_below(slot / 4))});
     }
     ttfs.push_back(Ttf::build(std::move(pts), period));
+    ASSERT_EQ(ttfs.back().size(), n);
+
+    TtfPoolBuilder one(period);
+    one.add(ttfs.back());
+    const TtfPool single = one.finish();
+    EXPECT_EQ(single.array_bytes()[2].size(),
+              buckets_for(n) * sizeof(std::uint32_t))
+        << n << " points";
+    want_buckets += buckets_for(n);
   }
-  const TtfIndexOptions configs[] = {
-      {.buckets_per_point = 1.0, .min_indexed_points = 0},   // seed behaviour
-      {.buckets_per_point = 1.0, .min_indexed_points = 5},   // default
-      {.buckets_per_point = 0.25, .min_indexed_points = 5},  // low density
-      {.buckets_per_point = 1.0, .min_indexed_points = 1000},  // index-free
-  };
-  TtfPoolBuilder reference_builder(period, configs[0]);
-  for (const Ttf& f : ttfs) reference_builder.add(f);
-  const TtfPool reference = reference_builder.finish();
-  std::size_t prev_bytes = reference.memory_bytes();
-  for (std::size_t c = 1; c < std::size(configs); ++c) {
-    TtfPoolBuilder builder(period, configs[c]);
-    for (const Ttf& f : ttfs) builder.add(f);
-    const TtfPool pool = builder.finish();
-    EXPECT_LE(pool.index_bytes(), reference.index_bytes()) << "config " << c;
-    EXPECT_LE(pool.memory_bytes(), prev_bytes) << "config " << c;
-    prev_bytes = pool.memory_bytes();
-    for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
-      for (Time t = 0; t < period; t += 97) {
-        ASSERT_EQ(pool.eval(f, t), reference.eval(f, t))
-            << "config " << c << " f=" << f << " t=" << t;
-        ASSERT_EQ(pool.point_used(f, t), reference.point_used(f, t))
-            << "config " << c << " f=" << f << " t=" << t;
-      }
+  TtfPoolBuilder builder(period);
+  for (const Ttf& f : ttfs) builder.add(f);
+  const TtfPool pool = builder.finish();
+  EXPECT_EQ(pool.index_bytes(),
+            pool.array_bytes()[1].size() +
+                want_buckets * sizeof(std::uint32_t));
+  for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
+    for (Time t = 0; t < period; t += 97) {
+      ASSERT_EQ(pool.eval(f, t), ttfs[f].eval(t)) << "f=" << f << " t=" << t;
+      ASSERT_EQ(pool.point_used(f, t), ttfs[f].point_used(t))
+          << "f=" << f << " t=" << t;
     }
   }
 }
@@ -291,8 +299,7 @@ TEST(TtfPool, IndexOptionsPreserveEvalAndShrinkMemory) {
 TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
   Rng rng(2468);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPoolBuilder builder(period, {.buckets_per_point = 0.5,
-                                  .min_indexed_points = 3});
+  TtfPoolBuilder builder(period);
   for (int f = 0; f < 30; ++f) {
     std::vector<TtfPoint> pts;
     const std::size_t n = rng.next_below(40);  // 0 = empty function
