@@ -9,9 +9,7 @@
 // Common CLI flags (parse_bench_args):
 //   --smoke        CI preset: caps scale and query count so the bench
 //                  finishes in seconds;
-//   --json[=FILE]  machine-readable JSON results to stdout (or FILE);
-//   --queue=NAME   queue policy (queue_kind_name of kAllQueueKinds) for
-//                  the benches that dispatch on it.
+//   --json[=FILE]  machine-readable JSON results to stdout (or FILE).
 #pragma once
 
 #include <algorithm>
@@ -27,7 +25,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "algo/queue_policy.hpp"
 #include "gen/generator.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
@@ -50,23 +47,11 @@ struct BenchOptions {
   bool json = false;
   std::string json_path;  // empty = stdout
   bool smoke = false;
-  QueueKind queue = QueueKind::kBinary;
 };
 
 inline BenchOptions& options() {
   static BenchOptions opt;
   return opt;
-}
-
-/// Streams "binary | bucket": the --queue choices, spelled from
-/// kAllQueueKinds.
-inline std::ostream& print_queue_kinds(std::ostream& os) {
-  const char* sep = "";
-  for (QueueKind k : kAllQueueKinds) {
-    os << sep << queue_kind_name(k);
-    sep = " | ";
-  }
-  return os;
 }
 
 /// Parses the shared flags; unknown arguments abort with a usage message.
@@ -80,18 +65,8 @@ inline void parse_bench_args(int argc, char** argv) {
     } else if (arg.rfind("--json=", 0) == 0) {
       options().json = true;
       options().json_path = arg.substr(7);
-    } else if (arg.rfind("--queue=", 0) == 0) {
-      auto kind = parse_queue_kind(arg.substr(8));
-      if (!kind) {
-        std::cerr << "unknown queue policy '" << arg.substr(8) << "' (";
-        print_queue_kinds(std::cerr) << ")\n";
-        std::exit(2);
-      }
-      options().queue = *kind;
     } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--smoke] [--json[=FILE]] [--queue=";
-      print_queue_kinds(std::cerr) << "]\n";
+      std::cerr << "usage: " << argv[0] << " [--smoke] [--json[=FILE]]\n";
       std::exit(2);
     }
   }

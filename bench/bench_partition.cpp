@@ -6,7 +6,7 @@
 //
 // The chunk sweep applies the same partition in time at p = 1: the served
 // station-to-station query runs conn(S) in chunks of C connections through
-// one warm state (SpcsThreadStateT::run_chunked_on, C = kSpcsChunk when
+// one warm state (SpcsThreadState::run_chunked_on, C = kSpcsChunk when
 // served). Per C it reports the paper's Table 1 measure (settled
 // connections, and its ratio to the unchunked run), time per query and the
 // state's arena footprint. Every C must reduce to the unchunked profile.

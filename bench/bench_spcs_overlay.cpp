@@ -102,9 +102,8 @@ NetworkRows run_network(gen::Preset preset) {
   TablePrinter table({"threads", "flat [ms]", "overlay [ms]", "spd-up",
                       "ascent", "sweep", "merge"});
   for (const unsigned threads : kThreadCounts) {
-    ParallelSpcsT<SpcsBinaryQueue> flat(net.tt, g, spcs_opts(threads));
-    OverlayParallelSpcsT<SpcsBinaryQueue> over(net.tt, g, ov,
-                                               spcs_opts(threads));
+    ParallelSpcs flat(net.tt, g, spcs_opts(threads));
+    OverlayParallelSpcs over(net.tt, g, ov, spcs_opts(threads));
     OneToAllResult flat_buf, over_buf;
 
     // --- enforced identity (also the warm-up pass) ----------------------

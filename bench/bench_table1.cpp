@@ -18,7 +18,6 @@
 namespace pconn::bench {
 namespace {
 
-template <QueueKind K>
 void run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
@@ -37,7 +36,7 @@ void run_network(gen::Preset preset) {
     // warm-up query sizes the workspaces.
     QuerySessionOptions opt;
     opt.threads = p;
-    QuerySessionT<K> session(net.tt, net.graph, opt);
+    QuerySession session(net.tt, net.graph, opt);
     session.one_to_all(sources.front());
     QueryStats total;
     Timer timer;
@@ -79,18 +78,13 @@ int main(int argc, char** argv) {
   std::cout << "Table 1 reproduction: one-to-all profile queries, CS (p = 1, "
                "2, 4, 8) vs LC\n"
             << "(settled conns per query; LC row reports summed label sizes "
-               "as in the paper; CS queue policy: "
-            << queue_kind_name(options().queue) << ")\n";
+               "as in the paper)\n";
   const auto presets =
       options().smoke
           ? std::vector<gen::Preset>{gen::Preset::kOahuLike,
                                      gen::Preset::kGermanyLike}
           : std::vector<gen::Preset>(std::begin(gen::kAllPresets),
                                      std::end(gen::kAllPresets));
-  for (gen::Preset p : presets) {
-    with_queue(options().queue, [&](auto set) {
-      run_network<decltype(set)::kind>(p);
-    });
-  }
+  for (gen::Preset p : presets) run_network(p);
   return 0;
 }

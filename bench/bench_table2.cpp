@@ -36,7 +36,6 @@ struct Row {
   double time_ms = 0.0;
 };
 
-template <typename Queue>
 Row measure(const Network& net, const StationGraph& sg,
             const std::vector<StationId>* transfer, const std::string& label,
             const std::vector<std::pair<StationId, StationId>>& pairs) {
@@ -56,8 +55,7 @@ Row measure(const Network& net, const StationGraph& sg,
 
   S2sOptions so;
   so.threads = kThreads;
-  S2sQueryEngineT<Queue> engine(net.tt, net.graph, sg, dt ? &*dt : nullptr,
-                                so);
+  S2sQueryEngine engine(net.tt, net.graph, sg, dt ? &*dt : nullptr, so);
   QueryStats total;
   Timer timer;
   for (auto [s, t] : pairs) total += engine.query(s, t).stats;
@@ -66,7 +64,6 @@ Row measure(const Network& net, const StationGraph& sg,
   return row;
 }
 
-template <typename Queue>
 void run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
@@ -81,7 +78,7 @@ void run_network(gen::Preset preset) {
   TablePrinter table({"transfer set", "prepro [m:s]", "space", "settled conns",
                       "time [ms]", "spd-up"});
   std::vector<Row> rows;
-  rows.push_back(measure<Queue>(net, sg, nullptr, "0.0%", pairs));
+  rows.push_back(measure(net, sg, nullptr, "0.0%", pairs));
 
   // The paper caps the sweep per network; mirror that with a budget on the
   // number of one-to-all preprocessing runs.
@@ -96,12 +93,12 @@ void run_network(gen::Preset preset) {
     }
     auto transfer = select_transfer_by_contraction(sg, net.tt, keep);
     rows.push_back(
-        measure<Queue>(net, sg, &transfer, fixed(frac * 100, 1) + "%", pairs));
+        measure(net, sg, &transfer, fixed(frac * 100, 1) + "%", pairs));
   }
   {
     auto transfer = select_transfer_by_degree(sg, 2);
     if (transfer.size() <= budget && !transfer.empty()) {
-      rows.push_back(measure<Queue>(net, sg, &transfer, "deg > 2", pairs));
+      rows.push_back(measure(net, sg, &transfer, "deg > 2", pairs));
     } else {
       rows.push_back(Row{"deg > 2 (" + std::to_string(transfer.size()) +
                          " stations, skipped)"});
@@ -130,17 +127,12 @@ int main(int argc, char** argv) {
                "stopping criterion + distance-table pruning (p = " << kThreads
             << ")\n"
             << "(transfer stations by contraction, last row by degree; "
-               "spd-up over the 0.0% row; queue policy: "
-            << queue_kind_name(options().queue) << ")\n";
+               "spd-up over the 0.0% row)\n";
   const auto presets =
       options().smoke
           ? std::vector<gen::Preset>{gen::Preset::kOahuLike}
           : std::vector<gen::Preset>(std::begin(gen::kAllPresets),
                                      std::end(gen::kAllPresets));
-  for (gen::Preset p : presets) {
-    with_queue(options().queue, [&](auto set) {
-      run_network<typename decltype(set)::Spcs>(p);
-    });
-  }
+  for (gen::Preset p : presets) run_network(p);
   return 0;
 }

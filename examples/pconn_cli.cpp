@@ -10,17 +10,22 @@
 //   profile FROM TO                all best connections of the day
 //   options FROM TO HH:MM:SS       Pareto arrival/transfer trade-offs
 //   arrive-by FROM TO HH:MM:SS     latest departure to make a deadline
-// FROM/TO are station ids or unambiguous name substrings.
+// FROM/TO are station ids or unambiguous name substrings; TIME is HH:MM:SS.
+// Malformed input prints an error or the usage and exits 1 or 2.
+#include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/journey.hpp"
 #include "algo/session.hpp"
 #include "gen/generator.hpp"
 #include "timetable/gtfs.hpp"
+#include "timetable/load_error.hpp"
 #include "timetable/snapshot.hpp"
 #include "util/format.hpp"
 
@@ -28,9 +33,12 @@ using namespace pconn;
 
 namespace {
 
+/// Upper bound of --threads: each thread is a pool worker of the session.
+constexpr std::uint64_t kMaxThreads = 256;
+
 int usage() {
   std::cerr << "usage: pconn_cli [--gtfs DIR | --preset NAME | --load FILE]\n"
-               "                 [--save FILE] [--threads N] COMMAND ...\n"
+               "                 [--save FILE] [--threads 1..256] COMMAND ...\n"
                "commands: stations [PATTERN] | route FROM TO TIME |\n"
                "          profile FROM TO | options FROM TO TIME |\n"
                "          arrive-by FROM TO TIME\n"
@@ -39,12 +47,22 @@ int usage() {
   return 2;
 }
 
+/// The whole of `s` as a decimal number; nullopt for an empty string, any
+/// non-digit, or a value past 64 bits.
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (s.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
 std::optional<StationId> find_station(const Timetable& tt,
                                       const std::string& what) {
-  // Exact numeric id first.
-  if (!what.empty() && what.find_first_not_of("0123456789") == std::string::npos) {
-    auto id = static_cast<StationId>(std::stoul(what));
-    if (id < tt.num_stations()) return id;
+  // Exact numeric id first; a number that is no station id falls through
+  // to the name search.
+  if (const auto id = parse_u64(what); id && *id < tt.num_stations()) {
+    return static_cast<StationId>(*id);
   }
   std::vector<StationId> hits;
   for (StationId s = 0; s < tt.num_stations(); ++s) {
@@ -69,30 +87,38 @@ int main(int argc, char** argv) {
   std::string save_path;
   unsigned threads = 2;
   int i = 1;
-  for (; i < argc && std::strncmp(argv[i], "--", 2) == 0; ++i) {
-    std::string flag = argv[i];
-    if (i + 1 >= argc) return usage();
-    std::string value = argv[++i];
-    if (flag == "--gtfs") {
-      tt = gtfs::load(value);
-    } else if (flag == "--preset") {
-      bool found = false;
-      for (gen::Preset p : gen::kAllPresets) {
-        if (value == gen::preset_name(p)) {
-          tt = gen::make_preset(p);
-          found = true;
+  // A feed or snapshot that cannot be read ends the run with its error.
+  try {
+    for (; i < argc && std::strncmp(argv[i], "--", 2) == 0; ++i) {
+      std::string flag = argv[i];
+      if (i + 1 >= argc) return usage();
+      std::string value = argv[++i];
+      if (flag == "--gtfs") {
+        tt = gtfs::load(value);
+      } else if (flag == "--preset") {
+        bool found = false;
+        for (gen::Preset p : gen::kAllPresets) {
+          if (value == gen::preset_name(p)) {
+            tt = gen::make_preset(p);
+            found = true;
+          }
         }
+        if (!found) return usage();
+      } else if (flag == "--load") {
+        tt = MappedSnapshot(value).load_timetable();
+      } else if (flag == "--save") {
+        save_path = value;
+      } else if (flag == "--threads") {
+        const auto n = parse_u64(value);
+        if (!n || *n == 0 || *n > kMaxThreads) return usage();
+        threads = static_cast<unsigned>(*n);
+      } else {
+        return usage();
       }
-      if (!found) return usage();
-    } else if (flag == "--load") {
-      tt = MappedSnapshot(value).load_timetable();
-    } else if (flag == "--save") {
-      save_path = value;
-    } else if (flag == "--threads") {
-      threads = static_cast<unsigned>(std::stoul(value));
-    } else {
-      return usage();
     }
+  } catch (const LoadError& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
   if (!tt) {
     std::cout << "(no input given: generating the oahu-like preset)\n";
@@ -126,7 +152,13 @@ int main(int argc, char** argv) {
 
   if (cmd == "route" || cmd == "options" || cmd == "arrive-by") {
     if (i + 2 >= argc) return usage();
-    Time when = gtfs::parse_time(argv[i + 2]);
+    Time when = 0;
+    try {
+      when = gtfs::parse_time(argv[i + 2]);
+    } catch (const LoadError& e) {
+      std::cerr << "bad time '" << argv[i + 2] << "': " << e.what() << "\n";
+      return usage();
+    }
 
     if (cmd == "route") {
       const Journey* j = session.journey(*from, when, *to);

@@ -4,17 +4,13 @@
 
 namespace pconn {
 
-template <typename Queue>
-AllToOneProfilesT<Queue>::AllToOneProfilesT(const Timetable& tt,
-                                            ParallelSpcsOptions opt)
+AllToOneProfiles::AllToOneProfiles(const Timetable& tt, ParallelSpcsOptions opt)
     : period_(tt.period()),
       reverse_tt_(make_reverse_timetable(tt)),
       reverse_graph_(TdGraph::build(reverse_tt_)),
       spcs_(reverse_tt_, reverse_graph_, opt) {}
 
-template <typename Queue>
-void AllToOneProfilesT<Queue>::all_to_one_into(StationId target,
-                                               OneToAllResult& out) {
+void AllToOneProfiles::all_to_one_into(StationId target, OneToAllResult& out) {
   OneToAllResult& reversed = reversed_scratch_;
   spcs_.one_to_all_into(target, reversed);
 
@@ -44,15 +40,10 @@ void AllToOneProfilesT<Queue>::all_to_one_into(StationId target,
   }
 }
 
-template <typename Queue>
-OneToAllResult AllToOneProfilesT<Queue>::all_to_one(StationId target) {
+OneToAllResult AllToOneProfiles::all_to_one(StationId target) {
   OneToAllResult out;
   all_to_one_into(target, out);
   return out;
 }
-
-// The two shipped queue policies (queue_policy.hpp).
-template class AllToOneProfilesT<SpcsBinaryQueue>;
-template class AllToOneProfilesT<SpcsBucketQueue>;
 
 }  // namespace pconn

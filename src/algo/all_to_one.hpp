@@ -13,15 +13,10 @@
 
 namespace pconn {
 
-/// Template over the SPCS queue policy of the underlying reverse-run
-/// driver (queue_policy.hpp); definitions in all_to_one.cpp instantiate
-/// the two shipped policies. `AllToOneProfiles` is the paper's
-/// binary-heap configuration.
-template <typename Queue = SpcsBinaryQueue>
-class AllToOneProfilesT {
+class AllToOneProfiles {
  public:
   /// Builds the reversed timetable and graph once; queries reuse them.
-  AllToOneProfilesT(const Timetable& tt, ParallelSpcsOptions opt);
+  AllToOneProfiles(const Timetable& tt, ParallelSpcsOptions opt);
 
   /// Profiles dist(S, target, ·) for every station S, reduced and on the
   /// forward clock (departure at S in [0, period), absolute arrival at T).
@@ -41,11 +36,9 @@ class AllToOneProfilesT {
   Time period_;
   Timetable reverse_tt_;
   TdGraph reverse_graph_;
-  ParallelSpcsT<Queue> spcs_;
+  ParallelSpcs spcs_;
   OneToAllResult reversed_scratch_;  // reverse-clock result, reused per query
   Profile fwd_scratch_;              // forward-mapped raw points, per station
 };
-
-using AllToOneProfiles = AllToOneProfilesT<>;
 
 }  // namespace pconn

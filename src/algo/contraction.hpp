@@ -5,8 +5,8 @@
 // cost order and emits the OverlayGraph (graph/overlay_graph.hpp) the
 // core-routed query engines run on. The machinery, in brief:
 //
-//   * node ordering — a lazy-update priority queue (the existing
-//     LazyDAryHeap policy) keyed by edge difference and shortcut depth:
+//   * node ordering — a lazy-update priority queue (LazyDAryHeap at
+//     arity 4) keyed by edge difference and shortcut depth:
 //     key = 8 * (in*out - in - out) + 2 * level, recomputed at pop and
 //     reinserted when stale (the classic lazy CH rule). Stations are never
 //     candidates;

@@ -12,11 +12,10 @@ struct QueryStats {
   std::uint64_t settled = 0;       // items taken from the priority queue
   std::uint64_t pushed = 0;        // queue insertions
   std::uint64_t decreased = 0;     // decrease-key operations
-  std::uint64_t stale_popped = 0;  // outdated pops dropped by lazy-deletion
-                                   // queue policies (0 for addressable ones)
+  std::uint64_t stale_popped = 0;  // outdated pops dropped; every engine's
+                                   // heap is addressable, so always 0
   std::uint64_t relaxed = 0;       // edge relaxations attempted
   std::uint64_t self_pruned = 0;   // pops discarded by self-pruning
-  std::uint64_t relax_pruned = 0;  // pushes skipped by relax-time pruning
   std::uint64_t stop_pruned = 0;   // pops discarded by the stopping criterion
   std::uint64_t table_pruned = 0;  // pops discarded by distance-table pruning
   std::uint64_t label_points = 0;  // LC only: sum of label sizes at pops
@@ -33,7 +32,6 @@ struct QueryStats {
     stale_popped += o.stale_popped;
     relaxed += o.relaxed;
     self_pruned += o.self_pruned;
-    relax_pruned += o.relax_pruned;
     stop_pruned += o.stop_pruned;
     table_pruned += o.table_pruned;
     label_points += o.label_points;

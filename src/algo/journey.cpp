@@ -49,9 +49,8 @@ RouteId route_of_node(const Timetable& tt, const TdGraph& g, NodeId v) {
 
 }  // namespace detail
 
-template <typename Queue>
 bool extract_journey_into(const Timetable& tt, const TdGraph& g,
-                          const TimeQueryT<Queue>& q, StationId source,
+                          const TimeQuery& q, StationId source,
                           Time departure, StationId target,
                           std::vector<NodeId>& path_scratch, Journey& j) {
   j.source = source;
@@ -79,11 +78,9 @@ bool extract_journey_into(const Timetable& tt, const TdGraph& g,
   return true;
 }
 
-template <typename Queue>
 std::optional<Journey> extract_journey(const Timetable& tt, const TdGraph& g,
-                                       const TimeQueryT<Queue>& q,
-                                       StationId source, Time departure,
-                                       StationId target) {
+                                       const TimeQuery& q, StationId source,
+                                       Time departure, StationId target) {
   Journey j;
   std::vector<NodeId> path;
   if (!extract_journey_into(tt, g, q, source, departure, target, path, j)) {
@@ -91,18 +88,6 @@ std::optional<Journey> extract_journey(const Timetable& tt, const TdGraph& g,
   }
   return j;
 }
-
-// Explicit instantiations for the shipped time-query policies.
-#define PCONN_INSTANTIATE_JOURNEY(Q)                                          \
-  template std::optional<Journey> extract_journey<Q>(                         \
-      const Timetable&, const TdGraph&, const TimeQueryT<Q>&, StationId,      \
-      Time, StationId);                                                       \
-  template bool extract_journey_into<Q>(                                      \
-      const Timetable&, const TdGraph&, const TimeQueryT<Q>&, StationId,      \
-      Time, StationId, std::vector<NodeId>&, Journey&);
-PCONN_INSTANTIATE_JOURNEY(TimeBinaryQueue)
-PCONN_INSTANTIATE_JOURNEY(TimeBucketQueue)
-#undef PCONN_INSTANTIATE_JOURNEY
 
 std::vector<Journey> profile_journeys(const Timetable& tt, const TdGraph& g,
                                       const Profile& profile, StationId source,

@@ -94,21 +94,16 @@ void journey_legs_from_path(const Timetable& tt, const TdGraph& g,
 }
 
 /// Reconstructs the journey to `target` after q.run(source, departure).
-/// std::nullopt if the target is unreachable. Templated over the time
-/// query's queue policy (explicitly instantiated for the shipped policies
-/// in journey.cpp).
-template <typename Queue>
+/// std::nullopt if the target is unreachable.
 std::optional<Journey> extract_journey(const Timetable& tt, const TdGraph& g,
-                                       const TimeQueryT<Queue>& q,
-                                       StationId source, Time departure,
-                                       StationId target);
+                                       const TimeQuery& q, StationId source,
+                                       Time departure, StationId target);
 
 /// Allocation-free variant for warm sessions: reuses `out`'s leg vector and
 /// `path_scratch`. Returns false (leaving `out` cleared of legs) when the
 /// target is unreachable.
-template <typename Queue>
 bool extract_journey_into(const Timetable& tt, const TdGraph& g,
-                          const TimeQueryT<Queue>& q, StationId source,
+                          const TimeQuery& q, StationId source,
                           Time departure, StationId target,
                           std::vector<NodeId>& path_scratch, Journey& out);
 

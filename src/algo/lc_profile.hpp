@@ -26,10 +26,9 @@ namespace pconn {
 /// Pointwise minimum of two reduced profiles, as a reduced profile.
 Profile merge_profiles(const Profile& a, const Profile& b, Time period);
 
-/// Runs on the paper's binary heap whatever the session's queue kind:
-/// label-correcting keys are NOT monotone (a relaxed profile point can
-/// yield an arrival below the key just popped), so the bucket policy cannot
-/// run it.
+/// Runs on the paper's binary heap like every other engine. Its keys are
+/// NOT monotone (a relaxed profile point can yield an arrival below the key
+/// just popped), which is why it is label-correcting rather than setting.
 class LcProfileQuery {
  public:
   /// `ws` (optional) places the queue, the bookkeeping arrays AND the
@@ -63,7 +62,7 @@ class LcProfileQuery {
 
   const Timetable& tt_;
   const TdGraph& g_;
-  TimeBinaryQueue heap_;
+  TimeQueue heap_;
   std::vector<Profile> labels_;  // per node; written via assign() only
   // nodes whose label must be cleared
   std::vector<NodeId, ArenaAllocator<NodeId>> touched_;

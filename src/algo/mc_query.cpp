@@ -13,9 +13,8 @@ std::uint64_t mc_key(Time arr, std::uint32_t boards) {
 
 }  // namespace
 
-template <typename Queue>
-McTimeQueryT<Queue>::McTimeQueryT(const Timetable& tt, const TdGraph& g,
-                                  QueryWorkspace* ws)
+McTimeQuery::McTimeQuery(const Timetable& tt, const TdGraph& g,
+                         QueryWorkspace* ws)
     : tt_(tt),
       g_(g),
       queue_(scratch_alloc(ws)),
@@ -28,9 +27,8 @@ McTimeQueryT<Queue>::McTimeQueryT(const Timetable& tt, const TdGraph& g,
   queue_.reset_capacity(g.num_nodes());
 }
 
-template <typename Queue>
-void McTimeQueryT<Queue>::run(StationId source, Time departure,
-                              std::uint32_t max_boards) {
+void McTimeQuery::run(StationId source, Time departure,
+                      std::uint32_t max_boards) {
   max_boards = std::min(max_boards, (1u << kMcKeyShift) - 1);
   stats_ = QueryStats{};
   for (NodeId v : touched_) fronts_[v].clear();
@@ -87,14 +85,9 @@ void McTimeQueryT<Queue>::run(StationId source, Time departure,
   }
 }
 
-template <typename Queue>
-std::span<const McLabel> McTimeQueryT<Queue>::pareto(StationId s) const {
+std::span<const McLabel> McTimeQuery::pareto(StationId s) const {
   const auto& f = fronts_[g_.station_node(s)];
   return {f.data(), f.size()};
 }
-
-// The two shipped multi-label policies (queue_policy.hpp).
-template class McTimeQueryT<McBinaryQueue>;
-template class McTimeQueryT<McBucketQueue>;
 
 }  // namespace pconn

@@ -9,14 +9,11 @@
 // label is Pareto-optimal iff its boarding count beats the best seen at
 // its node — dominance tests are O(1) against a per-node minimum.
 //
-// The queue is a compile-time policy like every other engine's
-// (queue_policy.hpp): keys are the composite (arrival << kMcKeyShift) |
-// boardings, so lexicographic order is plain integer order. A multi-label
-// search holds several live entries per node, which rules out addressable
-// policies (they keep one key per id) — the lazy heap at arity 2 is the
-// former std::priority_queue, and the bucket queue applies because pops
-// are monotone in the composite key (arrival never decreases; at equal
-// arrival the boarding count never decreases along a relaxation).
+// Queue keys are the composite (arrival << kMcKeyShift) | boardings, so
+// lexicographic order is plain integer order. A multi-label search holds
+// several live entries per node, which an addressable heap (one key per
+// id) cannot, so the engine runs the lazy-deletion heap at the paper's
+// arity 2 (McQueue, algo/queue_policy.hpp).
 #pragma once
 
 #include <span>
@@ -37,19 +34,12 @@ struct McLabel {
   bool operator==(const McLabel&) const = default;
 };
 
-/// Template over the multi-criteria queue policy (queue_policy.hpp);
-/// definitions in mc_query.cpp instantiate the shipped policies.
-template <typename Queue = McBinaryQueue>
-class McTimeQueryT {
-  static_assert(!Queue::kAddressable,
-                "multi-label search keeps several live queue entries per "
-                "node; addressable (one-key-per-id) policies cannot run it");
-
+class McTimeQuery {
  public:
   /// `ws` (optional) places all scratch — the queue, the per-node Pareto
   /// fronts and the dominance array — in the workspace's arena.
-  McTimeQueryT(const Timetable& tt, const TdGraph& g,
-               QueryWorkspace* ws = nullptr);
+  McTimeQuery(const Timetable& tt, const TdGraph& g,
+              QueryWorkspace* ws = nullptr);
 
   /// Pareto search from `source` at absolute time `departure`. Journeys
   /// with more than `max_boards` boardings are cut off (they are almost
@@ -71,7 +61,7 @@ class McTimeQueryT {
 
   const Timetable& tt_;
   const TdGraph& g_;
-  Queue queue_;
+  McQueue queue_;
   // Per node: permanent Pareto labels (cleared via touched_ per run; the
   // vectors keep their capacity across queries).
   std::vector<Front, ArenaAllocator<Front>> fronts_;
@@ -79,8 +69,5 @@ class McTimeQueryT {
   QueryStats stats_;
   std::vector<NodeId, ArenaAllocator<NodeId>> touched_;
 };
-
-/// The paper-era default: the former std::priority_queue configuration.
-using McTimeQuery = McTimeQueryT<>;
 
 }  // namespace pconn

@@ -4,8 +4,7 @@
 
 namespace pconn {
 
-template <typename Queue>
-MultiQueryOverlayTimeEngineT<Queue>::MultiQueryOverlayTimeEngineT(
+MultiQueryOverlayTimeEngine::MultiQueryOverlayTimeEngine(
     const Timetable& tt, const TdGraph& g, const OverlayGraph& ov,
     QueryWorkspace* ws)
     : tt_(tt),
@@ -27,9 +26,7 @@ MultiQueryOverlayTimeEngineT<Queue>::MultiQueryOverlayTimeEngineT(
   require_overlay_matches(tt, g, ov);
 }
 
-template <typename Queue>
-void MultiQueryOverlayTimeEngineT<Queue>::run(
-    std::span<const BatchQuery> queries) {
+void MultiQueryOverlayTimeEngine::run(std::span<const BatchQuery> queries) {
   batch_stats_.reset();
   swept_ = false;  // lane arrays are the result surface again
   while (lanes_.size() < queries.size()) {
@@ -46,15 +43,13 @@ void MultiQueryOverlayTimeEngineT<Queue>::run(
   }
 }
 
-template <typename Queue>
-void MultiQueryOverlayTimeEngineT<Queue>::settle_contracted(std::size_t q) {
+void MultiQueryOverlayTimeEngine::settle_contracted(std::size_t q) {
   if (swept_) return;  // the batched sweep already extended every lane
   lanes_[q]->settle_contracted();
   stats_[q] = lanes_[q]->stats();
 }
 
-template <typename Queue>
-void MultiQueryOverlayTimeEngineT<Queue>::settle_contracted_batch() {
+void MultiQueryOverlayTimeEngine::settle_contracted_batch() {
   const std::size_t k = queries_.size();
   if (k == 0 || swept_) return;  // a second sweep would only re-count
   const std::size_t kp = (k + 7) & ~std::size_t{7};  // padded lane stride
@@ -171,8 +166,5 @@ void MultiQueryOverlayTimeEngineT<Queue>::settle_contracted_batch() {
   kp_ = kp;
   swept_ = true;
 }
-
-template class MultiQueryOverlayTimeEngineT<TimeBinaryQueue>;
-template class MultiQueryOverlayTimeEngineT<TimeBucketQueue>;
 
 }  // namespace pconn

@@ -2,11 +2,10 @@
 // call, extended to every node by one cross-lane down-sweep
 // (docs/architecture.md "Throughput execution").
 //
-// Each lane IS a per-query OverlayTimeQueryT over its own workspace-
+// Each lane IS a per-query OverlayTimeQuery over its own workspace-
 // resident label state: run() runs the lanes' core ascents one after the
 // other, so every lane's results AND QueryStats equal a standalone run of
-// the same query, in every queue policy (tests/multi_query_test.cpp proves
-// this differentially). Lanes add nothing to the ascent: a shortcut fan
+// the same query (tests/multi_query_test.cpp proves this differentially). Lanes add nothing to the ascent: a shortcut fan
 // shares its lane's pop key, and one fan at one entry time is cheaper to
 // evaluate than the same edges regrouped across lanes with mixed entry
 // times (measured).
@@ -27,7 +26,6 @@
 
 #include "algo/counters.hpp"
 #include "algo/overlay_query.hpp"
-#include "algo/queue_policy.hpp"
 #include "algo/relax_batch.hpp"
 #include "algo/workspace.hpp"
 #include "graph/overlay_graph.hpp"
@@ -43,14 +41,11 @@ struct BatchQuery {
   StationId target = kInvalidStation;
 };
 
-/// Template over the scalar-time queue policy; definitions in
-/// multi_query.cpp instantiate the two shipped policies.
-template <typename Queue = TimeBinaryQueue>
-class MultiQueryOverlayTimeEngineT {
+class MultiQueryOverlayTimeEngine {
  public:
-  MultiQueryOverlayTimeEngineT(const Timetable& tt, const TdGraph& g,
-                               const OverlayGraph& ov,
-                               QueryWorkspace* ws = nullptr);
+  MultiQueryOverlayTimeEngine(const Timetable& tt, const TdGraph& g,
+                              const OverlayGraph& ov,
+                              QueryWorkspace* ws = nullptr);
 
   /// Runs all queries to completion. Results stay valid until the next
   /// run; lane q of the accessors below corresponds to queries[q].
@@ -103,7 +98,7 @@ class MultiQueryOverlayTimeEngineT {
   const BatchStats& batch_stats() const { return batch_stats_; }
 
  private:
-  using Lane = OverlayTimeQueryT<Queue>;
+  using Lane = OverlayTimeQuery;
 
   const Timetable& tt_;
   const TdGraph& g_;
@@ -133,7 +128,5 @@ class MultiQueryOverlayTimeEngineT {
   std::size_t kp_ = 0;
   bool swept_ = false;
 };
-
-using MultiQueryOverlayTimeEngine = MultiQueryOverlayTimeEngineT<>;
 
 }  // namespace pconn

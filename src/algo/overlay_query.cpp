@@ -24,13 +24,10 @@ void require_overlay_matches(const Timetable& tt, const TdGraph& g,
 }
 
 // ---------------------------------------------------------------------------
-// OverlayTimeQueryT
+// OverlayTimeQuery
 
-template <typename Queue>
-OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
-                                            const TdGraph& g,
-                                            const OverlayGraph& ov,
-                                            QueryWorkspace* ws)
+OverlayTimeQuery::OverlayTimeQuery(const Timetable& tt, const TdGraph& g,
+                                   const OverlayGraph& ov, QueryWorkspace* ws)
     : tt_(tt),
       g_(g),
       ov_(ov),
@@ -50,8 +47,7 @@ OverlayTimeQueryT<Queue>::OverlayTimeQueryT(const Timetable& tt,
   parent_edge_.assign(ov.num_nodes(), kNoEdge);
 }
 
-template <typename Queue>
-Time OverlayTimeQueryT<Queue>::source_arrival(std::uint32_t w, Time t) const {
+Time OverlayTimeQuery::source_arrival(std::uint32_t w, Time t) const {
   if (TdGraph::word_is_const(w)) return t;  // free first boarding
   // Shortcut TTFs out of a station carry T(S) folded in; the free boarding
   // at the source evaluates the same function at t - T(S) (wrapping one
@@ -63,9 +59,7 @@ Time OverlayTimeQueryT<Queue>::source_arrival(std::uint32_t w, Time t) const {
   return raw == kInfTime ? kInfTime : raw - ov_.period();
 }
 
-template <typename Queue>
-void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
-                                   StationId target) {
+void OverlayTimeQuery::run(StationId source, Time departure, StationId target) {
   stats_ = QueryStats{};
   heap_.clear();
   dist_.clear();
@@ -83,12 +77,6 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
 
   while (!heap_.empty()) {
     auto [v, key] = heap_.pop();
-    if constexpr (!Queue::kAddressable) {
-      if (key > dist_.get(v)) {
-        stats_.stale_popped++;
-        continue;
-      }
-    }
     stats_.settled++;
     if (target != kInvalidStation && v == ov_.station_node(target)) break;
 
@@ -114,15 +102,10 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
       if (t == kInfTime) continue;
       stats_.relaxed++;
       if (t < dist_.get(head)) {
-        if constexpr (Queue::kAddressable) {
-          if (heap_.push_or_decrease(head, t) == QueuePush::kPushed) {
-            stats_.pushed++;
-          } else {
-            stats_.decreased++;
-          }
-        } else {
-          heap_.push(head, t);
+        if (heap_.push_or_decrease(head, t) == QueuePush::kPushed) {
           stats_.pushed++;
+        } else {
+          stats_.decreased++;
         }
         dist_.set(head, t);
         parent_.set(head, v);
@@ -133,8 +116,7 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
   heap_.clear();
 }
 
-template <typename Queue>
-void OverlayTimeQueryT<Queue>::settle_contracted() {
+void OverlayTimeQuery::settle_contracted() {
   assert(full_run_ && "settle_contracted needs a full (no-target) run");
   if (swept_) return;  // labels final; a second pass would only re-count
   swept_ = true;
@@ -166,18 +148,16 @@ void OverlayTimeQueryT<Queue>::settle_contracted() {
   }
 }
 
-template <typename Queue>
-Time OverlayTimeQueryT<Queue>::origin_arrival(std::uint32_t origin, Time t,
-                                              bool at_source) const {
+Time OverlayTimeQuery::origin_arrival(std::uint32_t origin, Time t,
+                                      bool at_source) const {
   const std::uint32_t w = OverlayGraph::origin_is_shortcut(origin)
                               ? ov_.shortcut(origin & ~OverlayGraph::kShortcutBit).word
                               : g_.edge_word(origin);
   return at_source ? source_arrival(w, t) : ov_.arrival_by_word(w, t);
 }
 
-template <typename Queue>
-Time OverlayTimeQueryT<Queue>::replay_origin(std::uint32_t origin, NodeId tail,
-                                             Time t, bool at_source) {
+Time OverlayTimeQuery::replay_origin(std::uint32_t origin, NodeId tail,
+                                     Time t, bool at_source) {
   if (!OverlayGraph::origin_is_shortcut(origin)) {
     // A flat edge: evaluate exactly like the flat relax loop (the overlay
     // pool's prefix is the base pool, so the word needs no translation).
@@ -203,11 +183,8 @@ Time OverlayTimeQueryT<Queue>::replay_origin(std::uint32_t origin, NodeId tail,
   return replay_origin(ta <= tb ? r.a : r.b, tail, t, at_source);
 }
 
-template <typename Queue>
-bool OverlayTimeQueryT<Queue>::extract_journey_into(StationId source,
-                                                    Time departure,
-                                                    StationId target,
-                                                    Journey& j) {
+bool OverlayTimeQuery::extract_journey_into(StationId source, Time departure,
+                                            StationId target, Journey& j) {
   assert(source == source_ && departure == departure_ &&
          "extract_journey_into must follow run() with the same query");
   j.source = source;
@@ -250,9 +227,6 @@ bool OverlayTimeQueryT<Queue>::extract_journey_into(StationId source,
       [&](std::size_t i) { return ready_[i]; }, j);
   return true;
 }
-
-template class OverlayTimeQueryT<TimeBinaryQueue>;
-template class OverlayTimeQueryT<TimeBucketQueue>;
 
 // ---------------------------------------------------------------------------
 // OverlayLcProfileQuery

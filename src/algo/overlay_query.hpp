@@ -1,14 +1,14 @@
 // Core-routed query engines over the contraction overlay
-// (graph/overlay_graph.hpp): ports of TimeQueryT and LcProfileQuery whose
-// settle loops run on the overlay's station-centric core. Same queue
-// policies, same arena-backed workspace discipline. OverlayTimeQueryT has
+// (graph/overlay_graph.hpp): ports of TimeQuery and LcProfileQuery whose
+// settle loops run on the overlay's station-centric core. Same binary
+// heap, same arena-backed workspace discipline. OverlayTimeQuery has
 // one relax body, the interleaved per-edge loop: a phased gather -> eval ->
 // commit body over the shortcut fan measured slower on every preset and
 // was deleted (docs/architecture.md "Batch relaxation"). The LC port keeps
 // both RelaxMode bodies (algo/relax_batch.hpp).
 //
 // Exactness: stations are never contracted, so core distances equal flat
-// distances at every departure time. OverlayTimeQueryT reports arrivals at
+// distances at every departure time. OverlayTimeQuery reports arrivals at
 // all stations; settle_contracted() extends them to every flat node with
 // one queue-less rank-descending sweep over the downward CSR (used by the
 // differential tests, which compare ALL nodes byte-for-byte against the
@@ -45,16 +45,13 @@ namespace pconn {
 void require_overlay_matches(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov);
 
-/// Template over the scalar-time queue policy; definitions in
-/// overlay_query.cpp instantiate the two shipped policies.
-template <typename Queue = TimeBinaryQueue>
-class OverlayTimeQueryT {
+class OverlayTimeQuery {
  public:
   /// Needs the flat graph alongside the overlay for journey replay (flat
   /// edge words, route-node decoding). `ws` (optional) places all scratch
   /// in the workspace's arena; the engine must not outlive it.
-  OverlayTimeQueryT(const Timetable& tt, const TdGraph& g,
-                    const OverlayGraph& ov, QueryWorkspace* ws = nullptr);
+  OverlayTimeQuery(const Timetable& tt, const TdGraph& g,
+                   const OverlayGraph& ov, QueryWorkspace* ws = nullptr);
 
   /// One-to-all over the overlay core. Results stay valid until the next
   /// run. If `target` is given, stops once the target station is settled.
@@ -63,7 +60,7 @@ class OverlayTimeQueryT {
 
   /// Extends the last full run (no target stop) to every contracted node:
   /// one rank-descending pass over the downward CSR, no queue. After it,
-  /// arrival_at_node matches the flat TimeQueryT at ALL nodes. Idempotent:
+  /// arrival_at_node matches the flat TimeQuery at ALL nodes. Idempotent:
   /// a second call before the next run() changes neither labels nor stats.
   void settle_contracted();
 
@@ -107,8 +104,8 @@ class OverlayTimeQueryT {
   const Timetable& tt_;
   const TdGraph& g_;
   const OverlayGraph& ov_;
-  Queue heap_;
-  // Same invariant as the flat TimeQueryT: pop keys are monotone and no
+  TimeQueue heap_;
+  // Same invariant as the flat TimeQuery: pop keys are monotone and no
   // edge goes back in time, so `dist <= key` subsumes a settled array.
   EpochArray<Time> dist_;
   EpochArray<NodeId> parent_;
@@ -124,12 +121,9 @@ class OverlayTimeQueryT {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> edge_path_;
 };
 
-using OverlayTimeQuery = OverlayTimeQueryT<>;
-
 /// The label-correcting profile baseline ported onto the overlay core.
 /// Station profiles are byte-identical to the flat LcProfileQuery (both
 /// converge to the canonical reduced representation of the exact function).
-/// Binary heap only, like the flat engine.
 ///
 /// Deliberately a sibling implementation of LcProfileQuery, not a shared
 /// template over the graph type: the overlay loop carries the source
@@ -177,7 +171,7 @@ class OverlayLcProfileQuery {
 
   const Timetable& tt_;
   const OverlayGraph& ov_;
-  TimeBinaryQueue heap_;
+  TimeQueue heap_;
   std::vector<Profile> labels_;  // per node; written via assign() only
   // Candidate points queued per node since its last settle (concatenated
   // sorted runs, one per relaxing edge), and whether its label changed

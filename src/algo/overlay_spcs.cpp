@@ -19,10 +19,9 @@ std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
   return ws;
 }
 
-template <typename Queue>
-std::vector<SpcsThreadStateT<Queue>> make_states(
+std::vector<SpcsThreadState> make_states(
     std::vector<std::unique_ptr<QueryWorkspace>>& ws) {
-  std::vector<SpcsThreadStateT<Queue>> states;
+  std::vector<SpcsThreadState> states;
   states.reserve(ws.size());
   for (auto& w : ws) states.emplace_back(w.get());
   return states;
@@ -30,18 +29,17 @@ std::vector<SpcsThreadStateT<Queue>> make_states(
 
 }  // namespace
 
-template <typename Queue>
-OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
-                                                  const TdGraph& g,
-                                                  const OverlayGraph& ov,
-                                                  ParallelSpcsOptions opt)
+OverlayParallelSpcs::OverlayParallelSpcs(const Timetable& tt,
+                                         const TdGraph& g,
+                                         const OverlayGraph& ov,
+                                         ParallelSpcsOptions opt)
     : tt_(tt),
       g_(g),
       ov_(ov),
       opt_(opt),
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_)),
+      states_(make_states(workspaces_)),
       thread_ms_(opt.threads, 0.0) {
   require_overlay_matches(tt, g, ov);
   sweep_.reserve(opt.threads);
@@ -51,20 +49,17 @@ OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
   }
 }
 
-template <typename Queue>
-OverlayParallelSpcsT<Queue>::~OverlayParallelSpcsT() = default;
+OverlayParallelSpcs::~OverlayParallelSpcs() = default;
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::run_partitioned(StationId s, RangeFn fn) {
+void OverlayParallelSpcs::run_partitioned(StationId s, RangeFn fn) {
   auto conns = tt_.outgoing(s);
   partition_connections_into(conns, opt_.threads, opt_.partition, tt_.period(),
                              boundaries_);
   pool_.run([&](std::size_t t) { fn(t, boundaries_[t], boundaries_[t + 1]); });
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
-                                                         Profile& raw) const {
+void OverlayParallelSpcs::collect_raw_profile_at(StationId s, NodeId vn,
+                                                 Profile& raw) const {
   auto conns = tt_.outgoing(s);
   raw.clear();
   raw.reserve(conns.size());
@@ -76,56 +71,46 @@ void OverlayParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
   }
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::assemble_profile_into(StationId s,
-                                                        StationId t,
-                                                        Profile& out) {
+void OverlayParallelSpcs::assemble_profile_into(StationId s, StationId t,
+                                                Profile& out) {
   // Stations are core: the ascent labels are final without any sweep.
   collect_raw_profile_at(s, ov_.station_node(t), raw_scratch_);
   reduce_profile_into(raw_scratch_, tt_.period(), out);
 }
 
-template <typename Queue>
-Profile OverlayParallelSpcsT<Queue>::assemble_profile(StationId s,
-                                                      StationId t) {
+Profile OverlayParallelSpcs::assemble_profile(StationId s, StationId t) {
   Profile out;
   assemble_profile_into(s, t, out);
   return out;
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::node_profile_into(StationId s, NodeId v,
-                                                    Profile& out) {
+void OverlayParallelSpcs::node_profile_into(StationId s, NodeId v,
+                                            Profile& out) {
   assert((swept_ || ov_.is_core(v)) &&
          "contracted nodes need settle_contracted() first");
   collect_raw_profile_at(s, v, raw_scratch_);
   reduce_profile_into(raw_scratch_, tt_.period(), out);
 }
 
-template <typename Queue>
-Profile OverlayParallelSpcsT<Queue>::node_profile(StationId s, NodeId v) {
+Profile OverlayParallelSpcs::node_profile(StationId s, NodeId v) {
   Profile out;
   node_profile_into(s, v, out);
   return out;
 }
 
-template <typename Queue>
-QueryStats OverlayParallelSpcsT<Queue>::accumulated_stats() const {
+QueryStats OverlayParallelSpcs::accumulated_stats() const {
   QueryStats total{};
   for (const auto& st : states_) total += st.stats();
   return total;
 }
 
-template <typename Queue>
-std::size_t OverlayParallelSpcsT<Queue>::scratch_bytes_reserved() const {
+std::size_t OverlayParallelSpcs::scratch_bytes_reserved() const {
   std::size_t total = 0;
   for (const auto& w : workspaces_) total += w->bytes_reserved();
   return total;
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::one_to_all_into(StationId s,
-                                                  OneToAllResult& out) {
+void OverlayParallelSpcs::one_to_all_into(StationId s, OneToAllResult& out) {
   Timer total;
   out.stats = QueryStats{};
   out.max_thread_ms = 0.0;
@@ -139,8 +124,7 @@ void OverlayParallelSpcsT<Queue>::one_to_all_into(StationId s,
     Timer timer;
     NoHook hook;
     SpcsOptions o{.self_pruning = opt_.self_pruning,
-                  .stopping_criterion = false,
-                  .prune_on_relax = opt_.prune_on_relax};
+                  .stopping_criterion = false};
     states_[t].run_on(ov_, g_, tt_, tt_.outgoing(s), lo, hi, kInvalidStation,
                       o, hook);
     thread_ms_[t] = timer.elapsed_ms();
@@ -168,15 +152,13 @@ void OverlayParallelSpcsT<Queue>::one_to_all_into(StationId s,
   out.stats.time_ms = total.elapsed_ms();
 }
 
-template <typename Queue>
-OneToAllResult OverlayParallelSpcsT<Queue>::one_to_all(StationId s) {
+OneToAllResult OverlayParallelSpcs::one_to_all(StationId s) {
   OneToAllResult res;
   one_to_all_into(s, res);
   return res;
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::station_to_station_into(
+void OverlayParallelSpcs::station_to_station_into(
     StationId s, StationId t, StationQueryResult& out) {
   Timer total;
   out.stats = QueryStats{};
@@ -187,8 +169,7 @@ void OverlayParallelSpcsT<Queue>::station_to_station_into(
   raw_scratch_.resize(conns.size());
   run_partitioned(s, [&](std::size_t th, std::uint32_t lo, std::uint32_t hi) {
     SpcsOptions o{.self_pruning = opt_.self_pruning,
-                  .stopping_criterion = opt_.stopping_criterion,
-                  .prune_on_relax = opt_.prune_on_relax};
+                  .stopping_criterion = opt_.stopping_criterion};
     states_[th].run_chunked_on(ov_, g_, tt_, conns, lo, hi, t, o,
                                raw_scratch_.data());
   });
@@ -198,16 +179,14 @@ void OverlayParallelSpcsT<Queue>::station_to_station_into(
   out.stats.time_ms = total.elapsed_ms();
 }
 
-template <typename Queue>
-StationQueryResult OverlayParallelSpcsT<Queue>::station_to_station(
+StationQueryResult OverlayParallelSpcs::station_to_station(
     StationId s, StationId t) {
   StationQueryResult res;
   station_to_station_into(s, t, res);
   return res;
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::settle_contracted() {
+void OverlayParallelSpcs::settle_contracted() {
   assert(full_run_ && "settle_contracted needs a full (no-target) run");
   if (swept_) return;  // idempotent: a re-sweep would double relax counts
   Timer t;
@@ -216,9 +195,8 @@ void OverlayParallelSpcsT<Queue>::settle_contracted() {
   swept_ = true;
 }
 
-template <typename Queue>
-void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
-  SpcsThreadStateT<Queue>& st = states_[th];
+void OverlayParallelSpcs::sweep_partition(std::size_t th) {
+  SpcsThreadState& st = states_[th];
   const std::size_t W = st.width();
   if (W == 0) return;
 
@@ -296,10 +274,5 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
   QueryStats& stats = st.stats_mutable();
   for (std::size_t j = 0; j < W; ++j) stats.relaxed += rcnt[j];
 }
-
-// The two shipped queue policies (queue_policy.hpp), matching the flat
-// driver's instantiations.
-template class OverlayParallelSpcsT<SpcsBinaryQueue>;
-template class OverlayParallelSpcsT<SpcsBucketQueue>;
 
 }  // namespace pconn

@@ -22,8 +22,8 @@
 // connection j > i that pruned it (dep_j >= dep_i, arrival no later), so
 // flat and overlay label matrices may differ slot by slot while the
 // connection reduction converges to byte-identical profiles — at every
-// station, across thread counts and queue policies
-// (tests/overlay_spcs_test.cpp proves this differentially). The ascent is
+// station and across thread counts (tests/overlay_spcs_test.cpp proves
+// this differentially). The ascent is
 // SPCS's one relax body (algo/spcs.hpp).
 //
 // Contracted nodes are recovered on demand by settle_contracted(): one
@@ -60,23 +60,20 @@
 
 namespace pconn {
 
-/// Template over the queue policy of the per-thread SPCS states; shares
-/// ParallelSpcsOptions and the result structs with the flat driver so the
-/// two engines are drop-in interchangeable. Definitions live in
-/// overlay_spcs.cpp (the two shipped policies are instantiated there).
-template <typename Queue = SpcsBinaryQueue>
-class OverlayParallelSpcsT {
+/// Shares ParallelSpcsOptions and the result structs with the flat driver
+/// so the two engines are drop-in interchangeable.
+class OverlayParallelSpcs {
  public:
   /// Needs the flat graph alongside the overlay for the initial pushes
   /// (departure route nodes are a flat-graph notion). Throws on an
   /// overlay contracted from a different dataset.
-  OverlayParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                       const OverlayGraph& ov, ParallelSpcsOptions opt);
-  ~OverlayParallelSpcsT();
+  OverlayParallelSpcs(const Timetable& tt, const TdGraph& g,
+                      const OverlayGraph& ov, ParallelSpcsOptions opt);
+  ~OverlayParallelSpcs();
 
   /// One-to-all profile query from S over the core: partitioned ascent +
   /// merge/reduction at every station. Byte-identical to the flat
-  /// ParallelSpcsT::one_to_all profiles. Does NOT sweep the contracted
+  /// ParallelSpcs::one_to_all profiles. Does NOT sweep the contracted
   /// nodes — station profiles never need it; call settle_contracted()
   /// first when node_profile() of contracted nodes is wanted.
   OneToAllResult one_to_all(StationId s);
@@ -111,7 +108,7 @@ class OverlayParallelSpcsT {
       FunctionRef<void(std::size_t thread, std::uint32_t lo, std::uint32_t hi)>;
   void run_partitioned(StationId s, RangeFn fn);
 
-  SpcsThreadStateT<Queue>& thread_state(std::size_t i) { return states_[i]; }
+  SpcsThreadState& thread_state(std::size_t i) { return states_[i]; }
   const std::vector<std::uint32_t>& last_boundaries() const {
     return boundaries_;
   }
@@ -160,7 +157,7 @@ class OverlayParallelSpcsT {
   ParallelSpcsOptions opt_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
-  std::vector<SpcsThreadStateT<Queue>> states_;
+  std::vector<SpcsThreadState> states_;
   std::vector<std::unique_ptr<SweepScratch>> sweep_;
   std::vector<std::uint32_t> boundaries_;
   std::vector<double> thread_ms_;
@@ -169,7 +166,5 @@ class OverlayParallelSpcsT {
   bool full_run_ = false;  // last run had no target (sweep legality)
   bool swept_ = false;     // sweep done for the last run
 };
-
-using OverlayParallelSpcs = OverlayParallelSpcsT<>;
 
 }  // namespace pconn

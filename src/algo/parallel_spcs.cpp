@@ -15,10 +15,9 @@ std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
   return ws;
 }
 
-template <typename Queue>
-std::vector<SpcsThreadStateT<Queue>> make_states(
+std::vector<SpcsThreadState> make_states(
     std::vector<std::unique_ptr<QueryWorkspace>>& ws) {
-  std::vector<SpcsThreadStateT<Queue>> states;
+  std::vector<SpcsThreadState> states;
   states.reserve(ws.size());
   for (auto& w : ws) states.emplace_back(w.get());
   return states;
@@ -26,31 +25,27 @@ std::vector<SpcsThreadStateT<Queue>> make_states(
 
 }  // namespace
 
-template <typename Queue>
-ParallelSpcsT<Queue>::ParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                                    ParallelSpcsOptions opt)
+ParallelSpcs::ParallelSpcs(const Timetable& tt, const TdGraph& g,
+                           ParallelSpcsOptions opt)
     : tt_(tt),
       g_(g),
       opt_(opt),
       pool_(opt.threads),
       workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_)),
+      states_(make_states(workspaces_)),
       thread_ms_(opt.threads, 0.0) {}
 
-template <typename Queue>
-ParallelSpcsT<Queue>::~ParallelSpcsT() = default;
+ParallelSpcs::~ParallelSpcs() = default;
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::run_partitioned(StationId s, RangeFn fn) {
+void ParallelSpcs::run_partitioned(StationId s, RangeFn fn) {
   auto conns = tt_.outgoing(s);
   partition_connections_into(conns, opt_.threads, opt_.partition, tt_.period(),
                              boundaries_);
   pool_.run([&](std::size_t t) { fn(t, boundaries_[t], boundaries_[t + 1]); });
 }
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
-                                                  Profile& raw) const {
+void ParallelSpcs::collect_raw_profile_at(StationId s, NodeId vn,
+                                          Profile& raw) const {
   auto conns = tt_.outgoing(s);
   raw.clear();
   raw.reserve(conns.size());
@@ -62,43 +57,36 @@ void ParallelSpcsT<Queue>::collect_raw_profile_at(StationId s, NodeId vn,
   }
 }
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::assemble_profile_into(StationId s, StationId t,
-                                                 Profile& out) {
+void ParallelSpcs::assemble_profile_into(StationId s, StationId t,
+                                         Profile& out) {
   collect_raw_profile_at(s, g_.station_node(t), raw_scratch_);
   reduce_profile_into(raw_scratch_, tt_.period(), out);
 }
 
-template <typename Queue>
-Profile ParallelSpcsT<Queue>::assemble_profile(StationId s, StationId t) const {
+Profile ParallelSpcs::assemble_profile(StationId s, StationId t) const {
   Profile raw;
   collect_raw_profile_at(s, g_.station_node(t), raw);
   return reduce_profile(raw, tt_.period());
 }
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::node_profile_into(StationId s, NodeId v,
-                                             Profile& out) {
+void ParallelSpcs::node_profile_into(StationId s, NodeId v, Profile& out) {
   collect_raw_profile_at(s, v, raw_scratch_);
   reduce_profile_into(raw_scratch_, tt_.period(), out);
 }
 
-template <typename Queue>
-Profile ParallelSpcsT<Queue>::node_profile(StationId s, NodeId v) const {
+Profile ParallelSpcs::node_profile(StationId s, NodeId v) const {
   Profile raw;
   collect_raw_profile_at(s, v, raw);
   return reduce_profile(raw, tt_.period());
 }
 
-template <typename Queue>
-std::size_t ParallelSpcsT<Queue>::scratch_bytes_reserved() const {
+std::size_t ParallelSpcs::scratch_bytes_reserved() const {
   std::size_t total = 0;
   for (const auto& w : workspaces_) total += w->bytes_reserved();
   return total;
 }
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::one_to_all_into(StationId s, OneToAllResult& out) {
+void ParallelSpcs::one_to_all_into(StationId s, OneToAllResult& out) {
   Timer total;
   out.stats = QueryStats{};
   out.max_thread_ms = 0.0;
@@ -108,8 +96,7 @@ void ParallelSpcsT<Queue>::one_to_all_into(StationId s, OneToAllResult& out) {
     Timer timer;
     NoHook hook;
     SpcsOptions o{.self_pruning = opt_.self_pruning,
-                  .stopping_criterion = false,
-                  .prune_on_relax = opt_.prune_on_relax};
+                  .stopping_criterion = false};
     states_[t].run(g_, tt_, tt_.outgoing(s), lo, hi, kInvalidStation, o, hook);
     thread_ms_[t] = timer.elapsed_ms();
   });
@@ -131,16 +118,14 @@ void ParallelSpcsT<Queue>::one_to_all_into(StationId s, OneToAllResult& out) {
   out.stats.time_ms = total.elapsed_ms();
 }
 
-template <typename Queue>
-OneToAllResult ParallelSpcsT<Queue>::one_to_all(StationId s) {
+OneToAllResult ParallelSpcs::one_to_all(StationId s) {
   OneToAllResult res;
   one_to_all_into(s, res);
   return res;
 }
 
-template <typename Queue>
-void ParallelSpcsT<Queue>::station_to_station_into(StationId s, StationId t,
-                                                   StationQueryResult& out) {
+void ParallelSpcs::station_to_station_into(StationId s, StationId t,
+                                           StationQueryResult& out) {
   Timer total;
   out.stats = QueryStats{};
 
@@ -150,8 +135,7 @@ void ParallelSpcsT<Queue>::station_to_station_into(StationId s, StationId t,
   raw_scratch_.resize(conns.size());
   run_partitioned(s, [&](std::size_t th, std::uint32_t lo, std::uint32_t hi) {
     SpcsOptions o{.self_pruning = opt_.self_pruning,
-                  .stopping_criterion = opt_.stopping_criterion,
-                  .prune_on_relax = opt_.prune_on_relax};
+                  .stopping_criterion = opt_.stopping_criterion};
     states_[th].run_chunked_on(g_, g_, tt_, conns, lo, hi, t, o,
                                raw_scratch_.data());
   });
@@ -161,17 +145,10 @@ void ParallelSpcsT<Queue>::station_to_station_into(StationId s, StationId t,
   out.stats.time_ms = total.elapsed_ms();
 }
 
-template <typename Queue>
-StationQueryResult ParallelSpcsT<Queue>::station_to_station(StationId s,
-                                                            StationId t) {
+StationQueryResult ParallelSpcs::station_to_station(StationId s, StationId t) {
   StationQueryResult res;
   station_to_station_into(s, t, res);
   return res;
 }
-
-// The two shipped queue policies (queue_policy.hpp). Other policies would
-// need their own explicit instantiation here.
-template class ParallelSpcsT<SpcsBinaryQueue>;
-template class ParallelSpcsT<SpcsBucketQueue>;
 
 }  // namespace pconn

@@ -28,7 +28,6 @@ struct ParallelSpcsOptions {
   PartitionStrategy partition = PartitionStrategy::kEqualConnections;
   bool self_pruning = true;
   bool stopping_criterion = true;  // station-to-station queries only
-  bool prune_on_relax = false;     // see SpcsOptions::prune_on_relax
 };
 
 struct OneToAllResult {
@@ -46,24 +45,17 @@ struct StationQueryResult {
   QueryStats stats;
 };
 
-/// Template over the queue policy of the per-thread SPCS states
-/// (queue_policy.hpp). Definitions live in parallel_spcs.cpp, which
-/// explicitly instantiates the two shipped policies; `ParallelSpcs` is
-/// the paper's binary-heap configuration.
-///
 /// Lifecycle: the driver owns one QueryWorkspace per pool thread; every
-/// thread state's scratch (labels, queue, bucket window) lives in its
-/// thread's arena and is bound to the pool thread for the driver's whole
-/// lifetime — states are never respawned per query. The `_into` query
+/// thread state's scratch (labels, queue) lives in its thread's arena and
+/// is bound to the pool thread for the driver's whole lifetime — states
+/// are never respawned per query. The `_into` query
 /// variants additionally reuse caller-owned result buffers, so a warm
 /// driver answers queries without any heap allocation (QuerySession wraps
 /// them; see docs/architecture.md).
-template <typename Queue = SpcsBinaryQueue>
-class ParallelSpcsT {
+class ParallelSpcs {
  public:
-  ParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                ParallelSpcsOptions opt);
-  ~ParallelSpcsT();
+  ParallelSpcs(const Timetable& tt, const TdGraph& g, ParallelSpcsOptions opt);
+  ~ParallelSpcs();
 
   /// One-to-all profile query from S, including merge and reduction.
   OneToAllResult one_to_all(StationId s);
@@ -72,7 +64,7 @@ class ParallelSpcsT {
 
   /// Station-to-station profile query with the stopping criterion. Each
   /// thread walks its range in chunks of kSpcsChunk connections
-  /// (SpcsThreadStateT::run_chunked_on), so the thread states hold only the
+  /// (SpcsThreadState::run_chunked_on), so the thread states hold only the
   /// last chunk's labels afterwards: assemble_profile / node_profile read
   /// one_to_all runs only. (Distance-table pruning lives in
   /// s2s::S2sQueryEngine, which drives the same thread states with a
@@ -93,7 +85,7 @@ class ParallelSpcsT {
       FunctionRef<void(std::size_t thread, std::uint32_t lo, std::uint32_t hi)>;
   void run_partitioned(StationId s, RangeFn fn);
 
-  SpcsThreadStateT<Queue>& thread_state(std::size_t i) { return states_[i]; }
+  SpcsThreadState& thread_state(std::size_t i) { return states_[i]; }
   const std::vector<std::uint32_t>& last_boundaries() const {
     return boundaries_;
   }
@@ -128,12 +120,10 @@ class ParallelSpcsT {
   // states' containers can bind to the arenas; never touched concurrently
   // by two threads (each state only grows its own workspace).
   std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
-  std::vector<SpcsThreadStateT<Queue>> states_;
+  std::vector<SpcsThreadState> states_;
   std::vector<std::uint32_t> boundaries_;
   std::vector<double> thread_ms_;  // per-query scratch (one_to_all)
   Profile raw_scratch_;            // assemble_profile_into scratch
 };
-
-using ParallelSpcs = ParallelSpcsT<>;
 
 }  // namespace pconn

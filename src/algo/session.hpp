@@ -14,7 +14,7 @@
 //
 // Threading rules (see docs/architecture.md): a session is single-owner —
 // construct one per application thread and do not share it. The parallel
-// engines inside (ParallelSpcsT and friends) still fan out over their own
+// engines inside (ParallelSpcs and friends) still fan out over their own
 // thread pool; that parallelism is internal and safe.
 //
 // Results returned by reference (`const OneToAllResult&` etc.) live in the
@@ -45,22 +45,20 @@ struct QuerySessionOptions {
   PartitionStrategy partition = PartitionStrategy::kEqualConnections;
   bool self_pruning = true;
   bool stopping_criterion = true;
-  bool prune_on_relax = false;
   bool table_pruning = true;   // s2s engine only
   bool target_pruning = true;  // s2s engine only
   // Relax body of the two LC engines (lc_engine, overlay_lc_engine), the
   // only engines with two (algo/relax_batch.hpp).
   RelaxMode relax = RelaxMode::kBatch;
 
-  /// `relax`, for callers that hand it to OverlayTimeQueryT's no-op
+  /// `relax`, for callers that hand it to OverlayTimeQuery's no-op
   /// set_relax_options.
   RelaxMode relax_options() const { return relax; }
   ParallelSpcsOptions spcs() const {
     return {.threads = threads,
             .partition = partition,
             .self_pruning = self_pruning,
-            .stopping_criterion = stopping_criterion,
-            .prune_on_relax = prune_on_relax};
+            .stopping_criterion = stopping_criterion};
   }
   S2sOptions s2s() const {
     return {.threads = threads,
@@ -68,24 +66,14 @@ struct QuerySessionOptions {
             .self_pruning = self_pruning,
             .stopping_criterion = stopping_criterion,
             .table_pruning = table_pruning,
-            .target_pruning = target_pruning,
-            .prune_on_relax = prune_on_relax};
+            .target_pruning = target_pruning};
   }
 };
 
-/// Template over one queue kind: QueueSet<K> names the policy of each
-/// engine family it fronts (SPCS-style profile engines, scalar-time
-/// engines, the multi-criteria engine). The label-correcting baselines run
-/// the binary heap under either kind (see LcProfileQuery).
-template <QueueKind K = QueueKind::kBinary>
-class QuerySessionT {
-  using SpcsQueue = typename QueueSet<K>::Spcs;
-  using TimeQueue = typename QueueSet<K>::Time;
-  using McQueue = typename QueueSet<K>::Mc;
-
+class QuerySession {
  public:
-  QuerySessionT(const Timetable& tt, const TdGraph& g,
-                QuerySessionOptions opt = {})
+  QuerySession(const Timetable& tt, const TdGraph& g,
+               QuerySessionOptions opt = {})
       : tt_(&tt), g_(&g), opt_(opt) {}
 
   const Timetable& timetable() const { return *tt_; }
@@ -128,17 +116,13 @@ class QuerySessionT {
 
   // --- engine views (lazily constructed, persistent, workspace-backed) ---
 
-  ParallelSpcsT<SpcsQueue>& profile_engine() {
-    if (!spcs_) {
-      spcs_ = std::make_unique<ParallelSpcsT<SpcsQueue>>(*tt_, *g_, opt_.spcs());
-    }
+  ParallelSpcs& profile_engine() {
+    if (!spcs_) spcs_ = std::make_unique<ParallelSpcs>(*tt_, *g_, opt_.spcs());
     return *spcs_;
   }
 
-  TimeQueryT<TimeQueue>& time_engine() {
-    if (!time_) {
-      time_ = std::make_unique<TimeQueryT<TimeQueue>>(*tt_, *g_, &ws_);
-    }
+  TimeQuery& time_engine() {
+    if (!time_) time_ = std::make_unique<TimeQuery>(*tt_, *g_, &ws_);
     return *time_;
   }
 
@@ -150,10 +134,8 @@ class QuerySessionT {
     return *lc_;
   }
 
-  McTimeQueryT<McQueue>& mc_engine() {
-    if (!mc_) {
-      mc_ = std::make_unique<McTimeQueryT<McQueue>>(*tt_, *g_, &ws_);
-    }
+  McTimeQuery& mc_engine() {
+    if (!mc_) mc_ = std::make_unique<McTimeQuery>(*tt_, *g_, &ws_);
     return *mc_;
   }
 
@@ -163,10 +145,9 @@ class QuerySessionT {
   /// configuration, not per-request switching: the retired engine's
   /// scratch stays in the session arena (monotone, no per-object free)
   /// until the session itself is destroyed.
-  OverlayTimeQueryT<TimeQueue>& overlay_time_engine(const OverlayGraph& ov) {
+  OverlayTimeQuery& overlay_time_engine(const OverlayGraph& ov) {
     if (!ov_time_ || ov_time_graph_ != &ov) {
-      ov_time_ =
-          std::make_unique<OverlayTimeQueryT<TimeQueue>>(*tt_, *g_, ov, &ws_);
+      ov_time_ = std::make_unique<OverlayTimeQuery>(*tt_, *g_, ov, &ws_);
       ov_time_graph_ = &ov;
     }
     return *ov_time_;
@@ -176,10 +157,10 @@ class QuerySessionT {
   /// engine's partitioned ascents over the contracted core, byte-identical
   /// station profiles. Binds to the overlay passed first, like
   /// overlay_time_engine().
-  OverlayParallelSpcsT<SpcsQueue>& overlay_spcs_engine(const OverlayGraph& ov) {
+  OverlayParallelSpcs& overlay_spcs_engine(const OverlayGraph& ov) {
     if (!ov_spcs_ || ov_spcs_graph_ != &ov) {
-      ov_spcs_ = std::make_unique<OverlayParallelSpcsT<SpcsQueue>>(
-          *tt_, *g_, ov, opt_.spcs());
+      ov_spcs_ =
+          std::make_unique<OverlayParallelSpcs>(*tt_, *g_, ov, opt_.spcs());
       ov_spcs_graph_ = &ov;
     }
     return *ov_spcs_;
@@ -197,11 +178,9 @@ class QuerySessionT {
   /// The accelerated s2s engine needs the station graph and (optionally) a
   /// distance table; binds to the pair passed first (a different pair
   /// recreates it). `dt` may be nullptr.
-  S2sQueryEngineT<SpcsQueue>& s2s_engine(const StationGraph& sg,
-                                         const DistanceTable* dt) {
+  S2sQueryEngine& s2s_engine(const StationGraph& sg, const DistanceTable* dt) {
     if (!s2s_ || s2s_sg_ != &sg || s2s_dt_ != dt) {
-      s2s_ = std::make_unique<S2sQueryEngineT<SpcsQueue>>(*tt_, *g_, sg, dt,
-                                                          opt_.s2s());
+      s2s_ = std::make_unique<S2sQueryEngine>(*tt_, *g_, sg, dt, opt_.s2s());
       s2s_sg_ = &sg;
       s2s_dt_ = dt;
     }
@@ -210,10 +189,9 @@ class QuerySessionT {
 
   /// Builds the reversed timetable on first use (that build allocates; the
   /// queries after it reuse everything).
-  AllToOneProfilesT<SpcsQueue>& all_to_one_engine() {
+  AllToOneProfiles& all_to_one_engine() {
     if (!all_to_one_) {
-      all_to_one_ =
-          std::make_unique<AllToOneProfilesT<SpcsQueue>>(*tt_, opt_.spcs());
+      all_to_one_ = std::make_unique<AllToOneProfiles>(*tt_, opt_.spcs());
     }
     return *all_to_one_;
   }
@@ -223,11 +201,10 @@ class QuerySessionT {
   /// Per-lane results and accounting stay byte-identical to
   /// overlay_time_engine(). Binds to the overlay passed first like
   /// overlay_time_engine().
-  MultiQueryOverlayTimeEngineT<TimeQueue>& multi_overlay_engine(
-      const OverlayGraph& ov) {
+  MultiQueryOverlayTimeEngine& multi_overlay_engine(const OverlayGraph& ov) {
     if (!multi_ov_ || multi_ov_graph_ != &ov) {
-      multi_ov_ = std::make_unique<MultiQueryOverlayTimeEngineT<TimeQueue>>(
-          *tt_, *g_, ov, &ws_);
+      multi_ov_ =
+          std::make_unique<MultiQueryOverlayTimeEngine>(*tt_, *g_, ov, &ws_);
       multi_ov_graph_ = &ov;
     }
     return *multi_ov_;
@@ -348,7 +325,7 @@ class QuerySessionT {
   /// (arrival_at(q, s), stats(q), ...) — they hold until the next batch.
   /// Allocation-free once warm at a given batch shape. Requires a prior
   /// multi_overlay_engine(ov) call to bind the overlay.
-  MultiQueryOverlayTimeEngineT<TimeQueue>& overlay_run_batch(
+  MultiQueryOverlayTimeEngine& overlay_run_batch(
       std::span<const BatchQuery> queries) {
     assert(multi_ov_ &&
            "bind the overlay with multi_overlay_engine(ov) first");
@@ -379,21 +356,21 @@ class QuerySessionT {
   // workspace per pool thread internally.
   QueryWorkspace ws_;
 
-  std::unique_ptr<ParallelSpcsT<SpcsQueue>> spcs_;
-  std::unique_ptr<TimeQueryT<TimeQueue>> time_;
+  std::unique_ptr<ParallelSpcs> spcs_;
+  std::unique_ptr<TimeQuery> time_;
   std::unique_ptr<LcProfileQuery> lc_;
-  std::unique_ptr<McTimeQueryT<McQueue>> mc_;
-  std::unique_ptr<OverlayTimeQueryT<TimeQueue>> ov_time_;
+  std::unique_ptr<McTimeQuery> mc_;
+  std::unique_ptr<OverlayTimeQuery> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
   std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
   const OverlayGraph* ov_lc_graph_ = nullptr;
-  std::unique_ptr<OverlayParallelSpcsT<SpcsQueue>> ov_spcs_;
+  std::unique_ptr<OverlayParallelSpcs> ov_spcs_;
   const OverlayGraph* ov_spcs_graph_ = nullptr;
-  std::unique_ptr<S2sQueryEngineT<SpcsQueue>> s2s_;
+  std::unique_ptr<S2sQueryEngine> s2s_;
   const StationGraph* s2s_sg_ = nullptr;
   const DistanceTable* s2s_dt_ = nullptr;
-  std::unique_ptr<AllToOneProfilesT<SpcsQueue>> all_to_one_;
-  std::unique_ptr<MultiQueryOverlayTimeEngineT<TimeQueue>> multi_ov_;
+  std::unique_ptr<AllToOneProfiles> all_to_one_;
+  std::unique_ptr<MultiQueryOverlayTimeEngine> multi_ov_;
   const OverlayGraph* multi_ov_graph_ = nullptr;
 
   // Reusable result buffers for the query API above, one per query kind.
@@ -406,11 +383,5 @@ class QuerySessionT {
   Journey journey_buf_;
   std::vector<NodeId> path_scratch_;
 };
-
-/// The paper's configuration: binary heaps everywhere.
-using QuerySession = QuerySessionT<>;
-/// The fastest measured configuration (docs/queues.md): bucket queues for
-/// the monotone engines, the binary heap for label-correcting search.
-using FastQuerySession = QuerySessionT<QueueKind::kBucket>;
 
 }  // namespace pconn

@@ -23,14 +23,9 @@
 // the only relax body: a phased gather -> eval -> commit body measured
 // slower on the overlay core (docs/architecture.md "Batch relaxation").
 //
-// The priority queue is a compile-time policy (queue_policy.hpp): the
-// paper's binary heap or a two-level monotone bucket queue. The
-// non-addressable bucket policy pushes one entry per improvement; the
-// settled matrix arr_ already identifies outdated entries at pop time
-// (arr_.touched), so stale pops are dropped without any per-item
-// bookkeeping. Both policies settle the same items with the same
-// keys and produce identical profiles (tests/queue_policy_test.cpp proves
-// this differentially); only pushed/decreased/stale_popped counts differ.
+// The priority queue is the paper's binary heap (SpcsQueue,
+// algo/queue_policy.hpp): addressable, so an improvement decreases the
+// queued key in place and every pop settles its item.
 #pragma once
 
 #include <algorithm>
@@ -51,7 +46,7 @@
 namespace pconn {
 
 /// Connections per run on the served station-to-station path
-/// (SpcsThreadStateT::run_chunked_on); the width every thread state's
+/// (SpcsThreadState::run_chunked_on); the width every thread state's
 /// scratch is sized for, so one worker's SPCS scratch is |V| x kSpcsChunk
 /// slots. bench_partition's chunk sweep measures the choice.
 inline constexpr std::uint32_t kSpcsChunk = 32;
@@ -60,14 +55,6 @@ struct SpcsOptions {
   bool self_pruning = true;
   /// Per-thread stopping criterion; only effective with a target station.
   bool stopping_criterion = true;
-  /// Engineering refinement beyond the paper: apply the self-pruning test
-  /// already at relax time. If a later connection j > i has settled the
-  /// head node w, then (pop keys being monotone within a thread) that
-  /// settled arrival is <= any arrival we could push for (w, i) now, so
-  /// (w, i) would be self-pruned at its pop anyway — skip the queue
-  /// operations entirely. Results are unchanged; Table 1 runs with this
-  /// OFF to match the paper's settled-connection accounting.
-  bool prune_on_relax = false;
 };
 
 /// Verdict of a SettleHook for a popped-and-settled queue item.
@@ -92,19 +79,17 @@ struct NoHook {
   }
 };
 
-template <typename Queue = SpcsBinaryQueue>
-class SpcsThreadStateT {
+class SpcsThreadState {
  public:
-  SpcsThreadStateT() : SpcsThreadStateT(nullptr) {}
+  SpcsThreadState() : SpcsThreadState(nullptr) {}
   /// Places all scratch (queue, label matrices, epoch arrays) in the
   /// workspace's arena; ws == nullptr keeps the plain-heap behaviour. The
   /// state must not outlive the workspace.
-  explicit SpcsThreadStateT(QueryWorkspace* ws)
+  explicit SpcsThreadState(QueryWorkspace* ws)
       : heap_(scratch_alloc(ws)),
         arr_(scratch_alloc(ws)),
         maxconn_(scratch_alloc(ws)),
         anc_(scratch_alloc(ws)),
-        best_(scratch_alloc(ws)),
         noanc_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))),
         done_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))) {}
 
@@ -204,11 +189,6 @@ class SpcsThreadStateT {
       anc_.ensure_and_clear(slots, 0);
       noanc_.reserve(lanes);
       noanc_.assign(W, 0);
-      // Without an addressable queue, ancestor accounting needs to know
-      // whether a push improves the item's best queued key; track it here.
-      if constexpr (!Queue::kAddressable) {
-        best_.ensure_and_clear(slots, kInfKey);
-      }
     }
     done_.reserve(lanes);
     done_.assign(W, 0);
@@ -235,14 +215,6 @@ class SpcsThreadStateT {
 
     while (!heap_.empty()) {
       auto [id, packed] = heap_.pop();
-      if constexpr (!Queue::kAddressable) {
-        // Lazy deletion: (v, li) settles on its first (minimum-key) pop;
-        // later entries for the same id are outdated duplicates.
-        if (arr_.touched(id)) {
-          stats_.stale_popped++;
-          continue;
-        }
-      }
       const Time key = static_cast<Time>(packed >> kKeyShift);
       const NodeId v = static_cast<NodeId>(id / W);
       const std::uint32_t li = static_cast<std::uint32_t>(id % W);
@@ -301,9 +273,6 @@ class SpcsThreadStateT {
       // Relax over the SoA edge block of v: heads stream independently of
       // the packed ttf-or-weight words and the settled/self-pruning tests
       // run on the streamed head before the (expensive) TTF evaluation.
-      // relax_pruned counts every pruned edge, whether or not its arrival
-      // would have been finite (the seed evaluated first); settled/pushed
-      // accounting is unchanged.
       const std::uint32_t eb = g.edge_begin(v);
       const std::uint32_t ee = g.edge_end(v);
       const NodeId* const heads = g.heads_data();
@@ -318,11 +287,6 @@ class SpcsThreadStateT {
         const std::uint32_t wid = static_cast<std::uint32_t>(
             static_cast<std::uint64_t>(head) * W + li);
         if (arr_.touched(wid)) continue;  // already settled for li
-        if (opt.self_pruning && opt.prune_on_relax &&
-            static_cast<std::int32_t>(li) <= maxconn_.get(head)) {
-          stats_.relax_pruned++;
-          continue;
-        }
         const Time t = g.arrival_by_word(words[ei], key);
         if (t == kInfTime) continue;
 
@@ -331,30 +295,18 @@ class SpcsThreadStateT {
         const std::uint64_t new_key = make_key(t, li);
         bool improved = true;
         bool contained = false;
-        if constexpr (Queue::kAddressable) {
-          switch (heap_.push_or_decrease(wid, new_key)) {
-            case QueuePush::kPushed:
-              stats_.pushed++;
-              break;
-            case QueuePush::kDecreased:
-              stats_.decreased++;
-              contained = true;
-              break;
-            case QueuePush::kUnchanged:
-              improved = false;
-              contained = true;
-              break;
-          }
-        } else {
-          heap_.push(wid, new_key);
-          stats_.pushed++;
-          if constexpr (Hook::kWantsAncestors) {
-            // Mirror the addressable contained/improved classification so
-            // the gamma accounting transitions identically per policy.
-            contained = best_.touched(wid);
-            improved = !contained || new_key < best_.get(wid);
-            if (improved) best_.set(wid, new_key);
-          }
+        switch (heap_.push_or_decrease(wid, new_key)) {
+          case QueuePush::kPushed:
+            stats_.pushed++;
+            break;
+          case QueuePush::kDecreased:
+            stats_.decreased++;
+            contained = true;
+            break;
+          case QueuePush::kUnchanged:
+            improved = false;
+            contained = true;
+            break;
         }
         if constexpr (Hook::kWantsAncestors) {
           if (improved) {
@@ -381,25 +333,17 @@ class SpcsThreadStateT {
   }
 
  private:
-  static constexpr std::uint64_t kInfKey =
-      std::numeric_limits<std::uint64_t>::max();
-
   // Queue ids address the (node, local connection) lattice: id = v * W + li.
   // Keys are the composite (arrival, reversed connection index) described
   // at kKeyShift.
-  Queue heap_;
+  SpcsQueue heap_;
   EpochArray<Time> arr_;
   EpochArray<std::int32_t> maxconn_;
   EpochArray<std::uint8_t> anc_;
-  EpochArray<std::uint64_t> best_;  // best queued key; non-addressable
-                                    // queues with ancestor tracking only
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> noanc_;
   std::vector<std::uint8_t, ArenaAllocator<std::uint8_t>> done_;
   std::uint32_t width_ = 0;
   QueryStats stats_;
 };
-
-/// The default engine runs the paper's configuration: a binary heap.
-using SpcsThreadState = SpcsThreadStateT<>;
 
 }  // namespace pconn

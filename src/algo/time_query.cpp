@@ -2,9 +2,7 @@
 
 namespace pconn {
 
-template <typename Queue>
-TimeQueryT<Queue>::TimeQueryT(const Timetable& tt, const TdGraph& g,
-                              QueryWorkspace* ws)
+TimeQuery::TimeQuery(const Timetable& tt, const TdGraph& g, QueryWorkspace* ws)
     : tt_(tt),
       g_(g),
       heap_(scratch_alloc(ws)),
@@ -15,9 +13,7 @@ TimeQueryT<Queue>::TimeQueryT(const Timetable& tt, const TdGraph& g,
   parent_.assign(g.num_nodes(), kInvalidNode);
 }
 
-template <typename Queue>
-void TimeQueryT<Queue>::run(StationId source, Time departure,
-                            StationId target) {
+void TimeQuery::run(StationId source, Time departure, StationId target) {
   stats_ = QueryStats{};
   heap_.clear();
   dist_.clear();
@@ -30,14 +26,6 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
 
   while (!heap_.empty()) {
     auto [v, key] = heap_.pop();
-    if constexpr (!Queue::kAddressable) {
-      // Lazy deletion: an entry is outdated once a shorter distance for its
-      // node has been pushed (dist_ only decreases before the node pops).
-      if (key > dist_.get(v)) {
-        stats_.stale_popped++;
-        continue;
-      }
-    }
     stats_.settled++;
     if (target != kInvalidStation && v == g_.station_node(target)) break;
     // SoA relax: stream heads and prefetch the next head's distance slot.
@@ -70,15 +58,10 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
       if (t == kInfTime) continue;
       stats_.relaxed++;
       if (t < dist_.get(head)) {
-        if constexpr (Queue::kAddressable) {
-          if (heap_.push_or_decrease(head, t) == QueuePush::kPushed) {
-            stats_.pushed++;
-          } else {
-            stats_.decreased++;
-          }
-        } else {
-          heap_.push(head, t);
+        if (heap_.push_or_decrease(head, t) == QueuePush::kPushed) {
           stats_.pushed++;
+        } else {
+          stats_.decreased++;
         }
         dist_.set(head, t);
         parent_.set(head, v);
@@ -88,23 +71,16 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
   heap_.clear();
 }
 
-template <typename Queue>
-Time TimeQueryT<Queue>::arrival_at(StationId s) const {
+Time TimeQuery::arrival_at(StationId s) const {
   return dist_.get(g_.station_node(s));
 }
 
-template <typename Queue>
-Time TimeQueryT<Queue>::arrival_at_node(NodeId v) const {
+Time TimeQuery::arrival_at_node(NodeId v) const {
   return dist_.get(v);
 }
 
-template <typename Queue>
-NodeId TimeQueryT<Queue>::parent(NodeId v) const {
+NodeId TimeQuery::parent(NodeId v) const {
   return parent_.get(v);
 }
-
-// The two shipped queue policies (queue_policy.hpp).
-template class TimeQueryT<TimeBinaryQueue>;
-template class TimeQueryT<TimeBucketQueue>;
 
 }  // namespace pconn

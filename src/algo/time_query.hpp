@@ -22,15 +22,12 @@
 
 namespace pconn {
 
-/// Template over the scalar-time queue policy (queue_policy.hpp);
-/// definitions in time_query.cpp instantiate the two shipped policies.
-template <typename Queue = TimeBinaryQueue>
-class TimeQueryT {
+class TimeQuery {
  public:
-  /// `ws` (optional) places all scratch — dist/parent/settled arrays and
-  /// the queue — in the workspace's arena; the engine must not outlive it.
-  TimeQueryT(const Timetable& tt, const TdGraph& g,
-             QueryWorkspace* ws = nullptr);
+  /// `ws` (optional) places all scratch — dist/parent arrays and the
+  /// queue — in the workspace's arena; the engine must not outlive it.
+  TimeQuery(const Timetable& tt, const TdGraph& g,
+            QueryWorkspace* ws = nullptr);
 
   /// One-to-all run. Results stay valid until the next run.
   /// If `target` is given, stops once the target's station node is settled.
@@ -52,7 +49,7 @@ class TimeQueryT {
  private:
   const Timetable& tt_;
   const TdGraph& g_;
-  Queue heap_;
+  TimeQueue heap_;
   // No settled array: pop keys are monotone and edge traversal never goes
   // back in time, so an arrival pushed towards an already-settled head can
   // never pass the `t < dist` test — the tentative-distance array alone
@@ -61,7 +58,5 @@ class TimeQueryT {
   EpochArray<NodeId> parent_;
   QueryStats stats_;
 };
-
-using TimeQuery = TimeQueryT<>;
 
 }  // namespace pconn

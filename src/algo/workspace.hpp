@@ -2,14 +2,14 @@
 //
 // A workspace owns one Arena and hands out ScratchAlloc handles; every
 // engine constructed over it places its scratch containers (epoch arrays,
-// heap slots, bucket windows, hook tables) in that arena. The workspace —
-// not the engine — is the unit of reuse: engines are cheap views that a
-// QuerySession keeps alive across queries, the workspace survives with
-// them, and a warm query allocates nothing because every container has
-// already grown to its high-water mark inside the arena.
+// heap slots, hook tables) in that arena. The workspace — not the engine —
+// is the unit of reuse: engines are cheap views that a QuerySession keeps
+// alive across queries, the workspace survives with them, and a warm query
+// allocates nothing because every container has already grown to its
+// high-water mark inside the arena.
 //
 // Threading rule (docs/architecture.md): one workspace per thread, no
-// sharing. ParallelSpcsT owns one workspace per pool thread; QuerySession
+// sharing. ParallelSpcs owns one workspace per pool thread; QuerySession
 // owns one for its single-threaded engines.
 #pragma once
 

@@ -13,7 +13,7 @@
 // footprint across any number of epochs and queries are allocation-free
 // once re-warmed (tests/live_test.cpp guards both).
 //
-// Single-owner like QuerySessionT: one LiveQuerySession per application
+// Single-owner like QuerySession: one LiveQuerySession per application
 // thread, all sharing one LiveOverlay.
 #pragma once
 
@@ -24,13 +24,10 @@
 
 namespace pconn {
 
-template <QueueKind K = QueueKind::kBinary>
-class LiveQuerySessionT {
+class LiveQuerySession {
  public:
-  using Session = QuerySessionT<K>;
-
-  explicit LiveQuerySessionT(const LiveOverlay& live,
-                             QuerySessionOptions opt = {})
+  explicit LiveQuerySession(const LiveOverlay& live,
+                            QuerySessionOptions opt = {})
       : live_(live),
         pinned_(live.snapshot()),
         session_(*pinned_->tt, *pinned_->graph, opt) {}
@@ -57,7 +54,7 @@ class LiveQuerySessionT {
   bool serving_degraded() const { return pinned_->degraded; }
 
   /// Escape hatch to the full engine surface of the pinned epoch.
-  Session& session() { return session_; }
+  QuerySession& session() { return session_; }
 
   // --- queries (overlay-routed when available, flat when bypassed; both
   // --- paths are exact and byte-identical at stations) -------------------
@@ -105,10 +102,8 @@ class LiveQuerySessionT {
 
   const LiveOverlay& live_;
   std::shared_ptr<const LiveSnapshot> pinned_;
-  Session session_;
+  QuerySession session_;
   bool auto_refresh_ = true;
 };
-
-using LiveQuerySession = LiveQuerySessionT<>;
 
 }  // namespace pconn

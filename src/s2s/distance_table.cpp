@@ -38,8 +38,7 @@ DistanceTable DistanceTable::build(const Timetable& tt, const TdGraph& g,
                                   std::uint32_t hi) {
       NoHook hook;
       SpcsOptions o{.self_pruning = opt.self_pruning,
-                    .stopping_criterion = false,
-                    .prune_on_relax = opt.prune_on_relax};
+                    .stopping_criterion = false};
       spcs.thread_state(t).run(g, tt, tt.outgoing(src), lo, hi,
                                kInvalidStation, o, hook);
     });

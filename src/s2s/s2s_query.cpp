@@ -100,8 +100,7 @@ struct TargetHook {
 /// once and re-prepared (capacity-reusing) per query, plus the via DFS and
 /// profile merge buffers. The hook types are local to this TU, hence the
 /// pimpl.
-template <typename Queue>
-struct S2sQueryEngineT<Queue>::Scratch {
+struct S2sQueryEngine::Scratch {
   std::vector<MuHook> mu_hooks;
   std::vector<TargetHook> target_hooks;
   ViaResult via;
@@ -109,10 +108,9 @@ struct S2sQueryEngineT<Queue>::Scratch {
   Profile raw;  // merge buffer for the target-transfer path
 };
 
-template <typename Queue>
-S2sQueryEngineT<Queue>::S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
-                                        const StationGraph& sg,
-                                        const DistanceTable* dt, S2sOptions opt)
+S2sQueryEngine::S2sQueryEngine(const Timetable& tt, const TdGraph& g,
+                               const StationGraph& sg,
+                               const DistanceTable* dt, S2sOptions opt)
     : tt_(tt),
       g_(g),
       sg_(sg),
@@ -122,19 +120,16 @@ S2sQueryEngineT<Queue>::S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
             ParallelSpcsOptions{.threads = opt.threads,
                                 .partition = opt.partition,
                                 .self_pruning = opt.self_pruning,
-                                .stopping_criterion = opt.stopping_criterion,
-                                .prune_on_relax = opt.prune_on_relax}),
+                                .stopping_criterion = opt.stopping_criterion}),
       scratch_(std::make_unique<Scratch>()) {
   scratch_->mu_hooks.resize(opt_.threads);
   scratch_->target_hooks.resize(opt_.threads);
 }
 
-template <typename Queue>
-S2sQueryEngineT<Queue>::~S2sQueryEngineT() = default;
+S2sQueryEngine::~S2sQueryEngine() = default;
 
-template <typename Queue>
-void S2sQueryEngineT<Queue>::query_into(StationId s, StationId t,
-                                        StationQueryResult& out) {
+void S2sQueryEngine::query_into(StationId s, StationId t,
+                                StationQueryResult& out) {
   const bool have_table = dt_ != nullptr && opt_.table_pruning;
   out.stats = QueryStats{};
 
@@ -167,8 +162,7 @@ void S2sQueryEngineT<Queue>::query_into(StationId s, StationId t,
 
   Timer timer;
   const SpcsOptions o{.self_pruning = opt_.self_pruning,
-                      .stopping_criterion = opt_.stopping_criterion,
-                      .prune_on_relax = opt_.prune_on_relax};
+                      .stopping_criterion = opt_.stopping_criterion};
 
   if (dt_->is_transfer(t)) {
     last_kind_ = Kind::kTargetTransfer;
@@ -223,15 +217,10 @@ void S2sQueryEngineT<Queue>::query_into(StationId s, StationId t,
   out.stats.time_ms = timer.elapsed_ms();
 }
 
-template <typename Queue>
-StationQueryResult S2sQueryEngineT<Queue>::query(StationId s, StationId t) {
+StationQueryResult S2sQueryEngine::query(StationId s, StationId t) {
   StationQueryResult res;
   query_into(s, t, res);
   return res;
 }
-
-// The two shipped queue policies (queue_policy.hpp).
-template class S2sQueryEngineT<SpcsBinaryQueue>;
-template class S2sQueryEngineT<SpcsBucketQueue>;
 
 }  // namespace pconn

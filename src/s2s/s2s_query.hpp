@@ -22,25 +22,18 @@ struct S2sOptions {
   bool stopping_criterion = true;
   bool table_pruning = true;    // Theorem 3 (needs a distance table)
   bool target_pruning = true;   // Theorem 4 (needs target in S_trans)
-  bool prune_on_relax = false;  // see SpcsOptions::prune_on_relax
 };
 
-/// Template over the SPCS queue policy (queue_policy.hpp); definitions in
-/// s2s_query.cpp instantiate the two shipped policies. `S2sQueryEngine`
-/// is the paper's binary-heap configuration.
-///
 /// All per-query scratch — the per-thread pruning hooks with their mu/gamma
 /// tables, the via-station DFS buffers and the raw merge profile — is
 /// engine-owned and reused, so a warm engine (held by a QuerySession)
 /// answers queries without heap allocations via query_into.
-template <typename Queue = SpcsBinaryQueue>
-class S2sQueryEngineT {
+class S2sQueryEngine {
  public:
   /// `dt` may be nullptr (no distance-table acceleration).
-  S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
-                  const StationGraph& sg, const DistanceTable* dt,
-                  S2sOptions opt);
-  ~S2sQueryEngineT();
+  S2sQueryEngine(const Timetable& tt, const TdGraph& g, const StationGraph& sg,
+                 const DistanceTable* dt, S2sOptions opt);
+  ~S2sQueryEngine();
 
   /// Reduced profile dist(S, T, ·) over the whole period.
   StationQueryResult query(StationId s, StationId t);
@@ -64,11 +57,9 @@ class S2sQueryEngineT {
   const StationGraph& sg_;
   const DistanceTable* dt_;
   S2sOptions opt_;
-  ParallelSpcsT<Queue> spcs_;
+  ParallelSpcs spcs_;
   std::unique_ptr<Scratch> scratch_;
   Kind last_kind_ = Kind::kPlain;
 };
-
-using S2sQueryEngine = S2sQueryEngineT<>;
 
 }  // namespace pconn

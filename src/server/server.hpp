@@ -5,7 +5,7 @@
 // connections, parses frames at the boundary (malformed input is answered
 // and never reaches a worker), admits requests into a bounded MPMC queue,
 // and flushes worker-produced responses back to sockets. A fixed pool of
-// workers each owns one warm LiveQuerySessionT and picks requests up by
+// workers each owns one warm LiveQuerySession and picks requests up by
 // atomic index; answers are encoded through src/server/protocol.hpp, the
 // same encoders the byte-identity oracles use.
 //

@@ -1,11 +1,11 @@
 // Monotone bump arena + std-compatible allocator for per-session scratch.
 //
 // The query engines keep node-sized scratch arrays (label matrices, parent
-// trees, bucket windows) alive across queries; what varies per query is only
+// trees, heap slots) alive across queries; what varies per query is only
 // which slots are *logically* live, and the EpochArray mechanism already
 // clears those in O(touched). What remained was the allocation story: a
-// freshly constructed engine faults dozens (for the bucket queue: thousands)
-// of small heap blocks before its first query. An Arena backs all of a
+// freshly constructed engine faults dozens of small heap blocks before its
+// first query. An Arena backs all of a
 // workspace's containers with a few large chained blocks, so constructing a
 // per-thread engine touches one allocation path and repeated queries reuse
 // the same contiguous memory.

@@ -1,6 +1,6 @@
 // Non-owning type-erased callable reference (the classical function_ref).
 //
-// The fork-join code paths (ThreadPool::run, ParallelSpcsT::run_partitioned)
+// The fork-join code paths (ThreadPool::run, ParallelSpcs::run_partitioned)
 // take callables that outlive the call by construction; owning them in a
 // std::function would heap-allocate the capture state on every query and
 // break the warm-path zero-allocation guarantee (docs/architecture.md).

@@ -4,7 +4,7 @@
 // ("As priority queue we use a binary heap", Section 5). Heap items are
 // identified by a dense external id in [0, capacity); the heap keeps a
 // position map so decrease_key / contains are O(1) lookups. The arity is a
-// template parameter; the engines ship arity 2 (queue_policy.hpp).
+// template parameter; the engines run arity 2 (algo/queue_policy.hpp).
 #pragma once
 
 #include <cassert>
@@ -26,10 +26,9 @@ class DAryHeap {
 
  public:
   using Id = std::uint32_t;
-  /// Queue-policy traits (see docs/queues.md): addressable queues support
-  /// contains/key_of/decrease_key/erase and never produce stale pops.
+  /// Addressable: contains/key_of/decrease_key/erase exist and pops are
+  /// never stale (the lazy heap's trait is false).
   static constexpr bool kAddressable = true;
-  static constexpr bool kMonotone = false;
   static constexpr std::uint32_t kInvalidPos =
       std::numeric_limits<std::uint32_t>::max();
 

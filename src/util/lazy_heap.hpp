@@ -1,16 +1,10 @@
 // Lazy-deletion d-ary min-heap: no position map, no decrease-key.
 //
-// The addressable DAryHeap pays for decrease-key twice: a pos_ map of one
-// word per id (the SPCS id space is |V| x |conn(S)| slots, so the map alone
-// dominates the queue's footprint) and a pos_ update on every slot move
-// during sift chains. When the caller can recognise stale entries at pop
-// time — SPCS and the time queries all can, via their settled/label arrays —
-// it is cheaper to push a fresh entry per improvement and discard outdated
-// pops. This is the classical "Dijkstra without decrease-key" trade
-// measured by bench_heap; docs/queues.md discusses when it wins.
-//
-// The queue itself never detects staleness: callers filter pops (and count
-// them in QueryStats::stale_popped).
+// Every improvement pushes a fresh entry, and the caller recognises and
+// drops outdated pops. Two searches need exactly that: the multi-criteria
+// engine keeps several live labels per node, which an addressable heap (one
+// key per id) cannot hold, and the contraction's node ordering re-pushes a
+// node whenever its priority changes (arity 4 there). docs/queues.md.
 #pragma once
 
 #include <cassert>
@@ -27,12 +21,9 @@ class LazyDAryHeap {
 
  public:
   using Id = std::uint32_t;
-  /// Queue-policy traits (see docs/queues.md): no per-id addressing —
-  /// contains/key_of/decrease_key/erase are not provided.
+  /// No per-id addressing: contains/key_of/decrease_key/erase are not
+  /// provided, and callers drop stale pops themselves.
   static constexpr bool kAddressable = false;
-  /// Accepts pushes below the last popped key (usable by label-correcting
-  /// searches, unlike the BucketQueue).
-  static constexpr bool kMonotone = false;
 
   LazyDAryHeap() = default;
   /// Places the slot array in `alloc`'s arena (workspace-backed engines).

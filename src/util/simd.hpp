@@ -1,20 +1,13 @@
-// Runtime-dispatched SIMD helpers for the occupancy-bitset scans.
+// Runtime AVX2 dispatch for the TTF pool's batched evaluation kernel
+// (graph/ttf_pool.cpp).
 //
-// The bucket queue advances its cursor by scanning a word-packed occupancy
-// bitset for the next non-zero word (util/bucket_queue.hpp). The scalar
-// loop already costs only one load + branch per 64 buckets; on very sparse
-// windows the scan still walks up to kOccWords words, and a 256-bit AVX2
-// pass tests four words per iteration. The AVX2 body is compiled with a
-// per-function target attribute, so the translation unit itself needs no
-// -mavx2; the dispatch is a cached cpuid check. Anything non-x86 (or a
-// compiler without the attribute) falls back to the scalar loop, and
-// setting PCONN_NO_AVX2 in the environment forces the scalar path for
-// A/B measurement.
+// AVX2 bodies are compiled with a per-function target attribute, so their
+// translation units need no -mavx2; the dispatch is a cached cpuid check.
+// Anything non-x86 (or a compiler without the attribute) keeps the scalar
+// path, and setting PCONN_NO_AVX2 in the environment forces it for A/B
+// measurement.
 #pragma once
 
-#include <bit>
-#include <cstddef>
-#include <cstdint>
 #include <cstdlib>
 
 #if (defined(__x86_64__) || defined(_M_X64)) && \
@@ -27,40 +20,7 @@
 
 namespace pconn {
 
-/// Scalar reference: index of the first non-zero word in [from, n), or n.
-inline std::size_t first_nonzero_word_scalar(const std::uint64_t* words,
-                                             std::size_t from, std::size_t n) {
-  for (std::size_t w = from; w < n; ++w) {
-    if (words[w] != 0) return w;
-  }
-  return n;
-}
-
 #if PCONN_HAVE_AVX2_DISPATCH
-
-[[gnu::target("avx2")]] inline std::size_t first_nonzero_word_avx2(
-    const std::uint64_t* words, std::size_t from, std::size_t n) {
-  std::size_t w = from;
-  // Peel to a 4-word group boundary so the vector loads stay aligned with
-  // the logical word grouping (loads themselves are unaligned-safe).
-  while (w < n && (w & 3) != 0) {
-    if (words[w] != 0) return w;
-    ++w;
-  }
-  for (; w + 4 <= n; w += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + w));
-    if (!_mm256_testz_si256(v, v)) {
-      // Lane mask: bit i set iff word w+i is zero; the first clear bit is
-      // the first non-zero word of the group.
-      const __m256i eq = _mm256_cmpeq_epi64(v, _mm256_setzero_si256());
-      const unsigned mask =
-          static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
-      return w + static_cast<std::size_t>(std::countr_one(mask));
-    }
-  }
-  return first_nonzero_word_scalar(words, w, n);
-}
 
 inline bool cpu_has_avx2() {
   static const bool supported = [] {
@@ -71,15 +31,5 @@ inline bool cpu_has_avx2() {
 }
 
 #endif  // PCONN_HAVE_AVX2_DISPATCH
-
-/// Index of the first non-zero word in [from, n), or n when none. AVX2
-/// when the CPU has it, scalar otherwise.
-inline std::size_t first_nonzero_word(const std::uint64_t* words,
-                                      std::size_t from, std::size_t n) {
-#if PCONN_HAVE_AVX2_DISPATCH
-  if (cpu_has_avx2()) return first_nonzero_word_avx2(words, from, n);
-#endif
-  return first_nonzero_word_scalar(words, from, n);
-}
 
 }  // namespace pconn

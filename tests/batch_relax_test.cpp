@@ -18,7 +18,7 @@ namespace pconn {
 namespace {
 
 /// Same queue on both sides, so EVERY counter must agree — including the
-/// queue-shape ones the cross-policy tests exempt.
+/// queue-shape ones (pushed, decreased).
 void expect_stats_eq(const QueryStats& a, const QueryStats& b,
                      const std::string& what) {
   EXPECT_EQ(a.settled, b.settled) << what;
@@ -27,7 +27,6 @@ void expect_stats_eq(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.stale_popped, b.stale_popped) << what;
   EXPECT_EQ(a.relaxed, b.relaxed) << what;
   EXPECT_EQ(a.self_pruned, b.self_pruned) << what;
-  EXPECT_EQ(a.relax_pruned, b.relax_pruned) << what;
   EXPECT_EQ(a.stop_pruned, b.stop_pruned) << what;
   EXPECT_EQ(a.table_pruned, b.table_pruned) << what;
   EXPECT_EQ(a.label_points, b.label_points) << what;

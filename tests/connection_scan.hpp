@@ -29,9 +29,16 @@
 // charges T(S) for a switch between two trips of one route, so it can
 // only bound the route model from above: it agrees exactly when no such
 // switch is profitable. The per-route label makes the scan exact.
+//
+// pareto_fronts() runs the same scan in rounds, one per boarding (the
+// round structure of RAPTOR, Delling, Pajor, Werneck, "Round-Based Public
+// Transit Routing", ALENEX 2012): round k boards only from round k-1's
+// station labels, so it yields the earliest arrivals with at most k
+// boardings, and the Pareto front over (arrival, boardings) follows.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "timetable/timetable.hpp"
@@ -43,6 +50,12 @@ namespace pconn::test {
 struct ScanProfilePoint {
   Time dep;
   Time arr;
+};
+
+/// One label of a Pareto front: arrive at `arr` after `boards` boardings.
+struct ScanLabel {
+  Time arr;
+  std::uint32_t boards;
 };
 
 class ConnectionScan {
@@ -75,49 +88,9 @@ class ConnectionScan {
   /// source). With a `target`, only that station's entry is exact.
   std::vector<Time> earliest_arrivals(
       StationId source, Time tau, StationId target = kInvalidStation) const {
-    const Time period = tt_.period();
     std::vector<Time> station(tt_.num_stations(), kInfTime);
-    std::vector<Time> on_route(num_slots_, kInfTime);
     station[source] = tau;
-    // The latest time from which a label set so far lets a connection be
-    // taken (arrival plus transfer time).
-    Time latest = tau;
-    const Time first = tau / period * period;
-    for (Time base = first;; base += period) {
-      bool improved = false;
-      auto it = conns_.begin();
-      if (base == first) {
-        it = std::ranges::lower_bound(conns_, tau - base, {}, &Conn::dep);
-      }
-      for (; it != conns_.end(); ++it) {
-        const Conn& c = *it;
-        const Time dep = base + c.dep;
-        if (target != kInvalidStation && dep >= station[target]) break;
-        const Time boarded =
-            c.from == source || station[c.from] == kInfTime
-                ? station[c.from]
-                : station[c.from] + tt_.transfer_time(c.from);
-        if (on_route[c.slot] > dep && boarded > dep) continue;
-        const Time arr = base + c.arr;
-        bool useful = false;
-        if (arr < on_route[c.slot + 1]) {
-          on_route[c.slot + 1] = arr;
-          useful = true;
-        }
-        if (arr < station[c.to]) {
-          station[c.to] = arr;
-          useful = true;
-        }
-        if (useful) {
-          improved = true;
-          latest = std::max(latest, arr + tt_.transfer_time(c.to));
-        }
-      }
-      // Every later departure is at or after base + period.
-      const bool target_done =
-          target != kInvalidStation && station[target] <= base + period;
-      if (target_done || (!improved && latest <= base)) break;
-    }
+    scan(source, tau, station, station, target);
     return station;
   }
 
@@ -150,6 +123,37 @@ class ConnectionScan {
     return reduced;
   }
 
+  /// Pareto fronts over (arrival, boardings) at every station when leaving
+  /// `source` at absolute time `tau` with at most `max_boards` boardings,
+  /// each ordered like McTimeQuery::pareto: arrival strictly increasing,
+  /// boardings strictly decreasing. Every boarding counts one and costs
+  /// the station's transfer time, except at the source, where it is free
+  /// but still counts; alighting and switching between trips of one route
+  /// are free and count nothing. A station's front keeps each round k
+  /// whose arrival strictly improves on round k-1's.
+  std::vector<std::vector<ScanLabel>> pareto_fronts(
+      StationId source, Time tau, std::uint32_t max_boards) const {
+    std::vector<Time> prev(tt_.num_stations(), kInfTime);
+    prev[source] = tau;
+    std::vector<std::vector<ScanLabel>> fronts(tt_.num_stations());
+    fronts[source].push_back({tau, 0});
+    for (std::uint32_t k = 1; k <= max_boards; ++k) {
+      std::vector<Time> cur = prev;
+      scan(source, tau, prev, cur);
+      bool improved = false;
+      for (StationId s = 0; s < cur.size(); ++s) {
+        if (cur[s] < prev[s]) {
+          fronts[s].push_back({cur[s], k});
+          improved = true;
+        }
+      }
+      if (!improved) break;  // every later round repeats this one
+      prev = std::move(cur);
+    }
+    for (std::vector<ScanLabel>& f : fronts) std::reverse(f.begin(), f.end());
+    return fronts;
+  }
+
  private:
   /// An elementary connection of one trip, leaving the route's stop
   /// position `slot` (a global (route, position) index) for `slot + 1`.
@@ -160,6 +164,67 @@ class ConnectionScan {
     StationId to;
     std::uint32_t slot;
   };
+
+  /// The earliest departure a station label `t` at `s` lets a passenger
+  /// board: `t` plus the transfer time, without it at the source.
+  Time boarding_time(StationId source, StationId s, Time t) const {
+    return s == source || t == kInfTime ? t : t + tt_.transfer_time(s);
+  }
+
+  /// The scan behind both queries: lowers `station` to the earliest
+  /// arrivals of journeys from `source` at `tau` that board only from
+  /// `board_from`'s labels. Passed `station` itself, boarding reads the
+  /// labels as they improve, so journeys board any number of times
+  /// (earliest_arrivals); passed round k-1's labels, they board once more
+  /// than those (pareto_fronts). With a `target`, only that station's
+  /// entry is exact.
+  void scan(StationId source, Time tau, const std::vector<Time>& board_from,
+            std::vector<Time>& station,
+            StationId target = kInvalidStation) const {
+    const Time period = tt_.period();
+    std::vector<Time> on_route(num_slots_, kInfTime);
+    // The latest time from which a label set so far lets a connection be
+    // taken (a boarding time, or an arrival plus transfer time).
+    Time latest = tau;
+    for (StationId s = 0; s < board_from.size(); ++s) {
+      if (board_from[s] != kInfTime) {
+        latest = std::max(latest, boarding_time(source, s, board_from[s]));
+      }
+    }
+    const Time first = tau / period * period;
+    for (Time base = first;; base += period) {
+      bool improved = false;
+      auto it = conns_.begin();
+      if (base == first) {
+        it = std::ranges::lower_bound(conns_, tau - base, {}, &Conn::dep);
+      }
+      for (; it != conns_.end(); ++it) {
+        const Conn& c = *it;
+        const Time dep = base + c.dep;
+        if (target != kInvalidStation && dep >= station[target]) break;
+        const Time boarded = boarding_time(source, c.from, board_from[c.from]);
+        if (on_route[c.slot] > dep && boarded > dep) continue;
+        const Time arr = base + c.arr;
+        bool useful = false;
+        if (arr < on_route[c.slot + 1]) {
+          on_route[c.slot + 1] = arr;
+          useful = true;
+        }
+        if (arr < station[c.to]) {
+          station[c.to] = arr;
+          useful = true;
+        }
+        if (useful) {
+          improved = true;
+          latest = std::max(latest, arr + tt_.transfer_time(c.to));
+        }
+      }
+      // Every later departure is at or after base + period.
+      const bool target_done =
+          target != kInvalidStation && station[target] <= base + period;
+      if (target_done || (!improved && latest <= base)) break;
+    }
+  }
 
   const Timetable& tt_;
   std::vector<Conn> conns_;

@@ -4,8 +4,8 @@
 //    witness cost bounds;
 //  * differential overlay-vs-flat results — byte-identical arrival times
 //    at EVERY node (after the downward sweep) and byte-identical reduced
-//    profiles at every station — across engine x queue policy (x RelaxMode
-//    for LC, the one engine with two relax bodies) on the deterministic
+//    profiles at every station — across engines (x RelaxMode for LC, the
+//    one engine with two relax bodies) on the deterministic
 //    fixtures and random-network sweeps;
 //  * determinism across contraction thread counts, and cap/freeze
 //    behaviour (exactness never depends on caps);
@@ -181,12 +181,11 @@ TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
 /// Full-node differential: one-to-all time queries on the overlay (core
 /// Dijkstra + downward sweep) must equal the flat engine — the single fixed
 /// oracle — at EVERY node.
-template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, std::uint64_t seed,
                           int queries) {
-  TimeQueryT<Queue> flat(tt, g);
-  OverlayTimeQueryT<Queue> over(tt, g, ov);
+  TimeQuery flat(tt, g);
+  OverlayTimeQuery over(tt, g, ov);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -240,11 +239,10 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
     }
   }
 
-  expect_time_identity<TimeBinaryQueue>(tt, g, ov, seed, 3);
+  expect_time_identity(tt, g, ov, seed, 3);
   for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
     expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
   }
-  expect_time_identity<TimeBucketQueue>(tt, g, ov, seed + 4, 2);
 }
 
 TEST(ContractionOverlay, TinyLineIdentity) {

@@ -163,8 +163,8 @@ std::uint32_t max_ttf_out_degree(const TdGraph& g) {
   return widest;
 }
 
-// The premise of the flat scalar engines' single relax body (TimeQueryT,
-// McTimeQueryT; see time_query.cpp): in this graph model a node carries at
+// The premise of the flat scalar engines' single relax body (TimeQuery,
+// McTimeQuery; see time_query.cpp): in this graph model a node carries at
 // most one travel function, so a flat settle never has a batch of TTF
 // evaluations to phase. If the model changes, this fails first — and the
 // flat engines need a batched body again.

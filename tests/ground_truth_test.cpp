@@ -9,13 +9,17 @@
 //  * profiles: flat ParallelSpcs and OverlayParallelSpcs station-to-station
 //    queries (the served, chunked path), compared as functions;
 // on every preset, on seeded random networks with overnight trips, on the
-// chunk-boundary sources and on every epoch of a seeded delay feed.
+// chunk-boundary sources and on every epoch of a seeded delay feed;
+//  * Pareto fronts over (arrival, boardings): McTimeQuery at every station
+//    against the scan's rounds, on every preset and the random networks.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "algo/contraction.hpp"
+#include "algo/mc_query.hpp"
 #include "algo/overlay_query.hpp"
 #include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
@@ -96,6 +100,49 @@ void expect_profiles(const Timetable& tt, const TdGraph& g,
   }
 }
 
+/// McTimeQuery's Pareto front at every station equals the scan's, from
+/// `sources` at `per_source` random departures each, with at most
+/// `max_boards` boardings. Returns how many compared fronts held a
+/// trade-off (more than one label), so callers can show the check is not
+/// vacuous.
+std::size_t expect_pareto_fronts(const Timetable& tt, const TdGraph& g,
+                                 const std::vector<StationId>& sources,
+                                 int per_source, std::uint32_t max_boards,
+                                 std::uint64_t seed, const std::string& what) {
+  const test::ConnectionScan scan(tt);
+  McTimeQuery mc(tt, g);
+  Rng rng(seed);
+  std::size_t mismatches = 0, trade_offs = 0;
+  for (const StationId s : sources) {
+    for (int i = 0; i < per_source; ++i) {
+      const Time tau = random_departure(rng, tt.period());
+      const auto want = scan.pareto_fronts(s, tau, max_boards);
+      mc.run(s, tau, max_boards);
+      for (StationId v = 0; v < tt.num_stations(); ++v) {
+        const std::span<const McLabel> got = mc.pareto(v);
+        if (want[v].size() > 1) ++trade_offs;
+        bool same = got.size() == want[v].size();
+        for (std::size_t l = 0; same && l < got.size(); ++l) {
+          same = got[l].arr == want[v][l].arr &&
+                 got[l].boards == want[v][l].boards;
+        }
+        if (!same && ++mismatches <= 5) {
+          std::string labels;
+          for (const test::ScanLabel& x : want[v]) {
+            labels += " (" + std::to_string(x.arr) + ", " +
+                      std::to_string(x.boards) + ")";
+          }
+          ADD_FAILURE() << what << ": Pareto front " << s << "->" << v
+                        << " at " << tau << " has " << got.size()
+                        << " labels, the scan says" << labels;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  return trade_offs;
+}
+
 std::vector<StationId> random_stations(Rng& rng, const Timetable& tt,
                                        int n) {
   std::vector<StationId> out;
@@ -135,6 +182,21 @@ TEST(GroundTruth, ProfilesOnEveryPreset) {
   }
 }
 
+TEST(GroundTruth, ParetoFrontsOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 0.3);
+    const TdGraph g = TdGraph::build(tt);
+    Rng rng(51);
+    std::vector<StationId> sources = random_stations(rng, tt, 2);
+    sources.push_back(test::busiest_station(tt));
+    // McTimeQuery::run's default cap.
+    EXPECT_GT(expect_pareto_fronts(tt, g, sources, 3, 16, 52,
+                                   gen::preset_name(p)),
+              0u)
+        << gen::preset_name(p) << ": no front with a trade-off";
+  }
+}
+
 // random_timetable draws first departures over the whole period, so the
 // late trips run past midnight and their later hops wrap into the next
 // period.
@@ -159,6 +221,11 @@ TEST(GroundTruth, RandomNetworksWithOvernightTrips) {
     }
     expect_earliest_arrivals(tt, g, ov, all, 3, seed, what);
     expect_profiles(tt, g, ov, pairs, what);
+    // The default cap, and a tight one that cuts journeys off.
+    for (const std::uint32_t cap : {16u, 2u}) {
+      expect_pareto_fronts(tt, g, all, 3, cap, seed,
+                           what + " max_boards " + std::to_string(cap));
+    }
     EXPECT_TRUE(overnight) << what << " has no overnight trip";
   }
 }

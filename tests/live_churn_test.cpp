@@ -1,4 +1,4 @@
-// LiveQuerySessionT under concurrent epoch churn (ISSUE 9 satellite):
+// LiveQuerySession under concurrent epoch churn (ISSUE 9 satellite):
 // N reader threads hammer warm sessions while a writer publishes, forces
 // degradations, and recovers — the RCU contract says readers never block,
 // never crash, and stay EXACT:
@@ -9,7 +9,7 @@
 //  * no reader touches LiveOverlay::stats()/failed_attempts() — those are
 //    writer-thread state; the test is the TSan witness for the contract.
 // Run under TSan in CI (sanitize job); race-free here means the
-// QueryServer worker pool (one LiveQuerySessionT per worker) is too.
+// QueryServer worker pool (one LiveQuerySession per worker) is too.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -3,7 +3,7 @@
 //    from-scratch re-contraction byte-identically (structure, shortcut
 //    records, every pooled TTF point) and answer time/profile queries
 //    identically to the flat engines at EVERY node, across contraction
-//    thread counts and query queue policies;
+//    thread counts;
 //  * the re-link path ladder: delays re-link, structure-changing events
 //    (cancelling a route's only trip, an extra trip on a new sequence)
 //    fall back to re-contraction, blast-radius/deadline overruns and
@@ -95,12 +95,11 @@ void expect_overlays_byte_identical(const OverlayGraph& a,
 }
 
 /// Overlay-vs-flat one-to-all arrival identity at EVERY node.
-template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, std::uint64_t seed,
                           int queries) {
-  TimeQueryT<Queue> flat(tt, g);
-  OverlayTimeQueryT<Queue> over(tt, g, ov);
+  TimeQuery flat(tt, g);
+  OverlayTimeQuery over(tt, g, ov);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -158,8 +157,7 @@ void expect_relink(const Timetable& tt_old, const DelayEvent& ev,
   EXPECT_GT(r.stats.recomputed_functions, 0u);
   EXPECT_LT(r.stats.recomputed_functions, ov_old.ttfs().size());
 
-  expect_time_identity<TimeBinaryQueue>(tt_new, g_new, r.overlay, seed, 3);
-  expect_time_identity<TimeBucketQueue>(tt_new, g_new, r.overlay, seed + 1, 2);
+  expect_time_identity(tt_new, g_new, r.overlay, seed, 3);
   expect_lc_identity(tt_new, g_new, r.overlay, seed + 2, 2);
 }
 
@@ -337,8 +335,7 @@ TEST(LiveOverlay, DelayEventRelinksAndPublishes) {
   const Timetable fresh_tt =
       apply_event(test::tiny_line(), DelayEvent::delayed(0, 1, 300));
   const TdGraph fresh_g = TdGraph::build(fresh_tt);
-  expect_time_identity<TimeBinaryQueue>(*snap->tt, *snap->graph,
-                                        *snap->overlay, 17, 3);
+  expect_time_identity(*snap->tt, *snap->graph, *snap->overlay, 17, 3);
   TimeQuery a(fresh_tt, fresh_g), b(*snap->tt, *snap->graph);
   a.run(0, 8 * 3600);
   b.run(0, 8 * 3600);
@@ -704,10 +701,9 @@ TEST(LiveOverlay, SharedPoolAnswersMatchAFreshBuildOnEveryPreset) {
 
 TEST(LiveSession, WarmQueriesStayAllocationFreeAcrossEpochs) {
   LiveOverlay live(test::small_city(45));
-  using FastLiveSession = LiveQuerySessionT<QueueKind::kBucket>;
   QuerySessionOptions sopt;
   sopt.threads = 2;
-  FastLiveSession reader(live, sopt);
+  LiveQuerySession reader(live, sopt);
 
   const StationId target =
       static_cast<StationId>(live.snapshot()->tt->num_stations() - 1);

@@ -1,8 +1,8 @@
 // Differential tests for the throughput-mode multi-query engine
 // (algo/multi_query.hpp): a batch of K overlay searches must be
 // byte-identical — every lane's distances, parents and work accounting — to
-// a loop of warm per-query engines over the same query stream, for every
-// queue policy and K in {1, 4, 32}, and so must the cross-lane down-sweep.
+// a loop of warm per-query engines over the same query stream, for K in
+// {1, 4, 32}, and so must the cross-lane down-sweep.
 // Plus the workspace guarantee: a warm overlay_run_batch() of the same
 // batch shape performs zero heap allocations (global operator new/delete
 // counters, tests/alloc_counter.hpp).
@@ -52,88 +52,72 @@ std::vector<BatchQuery> make_queries(const Timetable& tt, Rng& rng,
 
 // ---------------------------------------------------------- overlay ---
 
-TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyAndBatchSize) {
+TEST(MultiQuery, OverlayMatchesPerQueryEveryBatchSize) {
   Timetable tt = test::small_city(42);
   TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g, {});
   Rng rng(72);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto set) {
-      using Queue = typename decltype(set)::Time;
-      MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
-      OverlayTimeQueryT<Queue> per(tt, g, ov);
-      for (std::size_t k : kBatchSizes) {
-        const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
-        multi.run(qs);
-        for (std::size_t q = 0; q < k; ++q) {
-          per.run(qs[q].source, qs[q].departure, qs[q].target);
-          // Full (no-target) lanes also replay the per-lane down-sweep,
-          // extending the comparison to every contracted node.
-          const bool full = qs[q].target == kInvalidStation;
-          if (full) {
-            per.settle_contracted();
-            multi.settle_contracted(q);
-          }
-          const std::string what = std::string("overlay ") +
-                                   queue_kind_name(qk) + " K=" +
-                                   std::to_string(k) + " lane " +
-                                   std::to_string(q);
-          expect_stats_eq(per.stats(), multi.stats(q), what);
-          for (NodeId v = 0; v < ov.num_nodes(); ++v) {
-            ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
-                << what << " node " << v;
-            ASSERT_EQ(multi.parent(q, v), per.parent(v))
-                << what << " node " << v;
-          }
-        }
+  MultiQueryOverlayTimeEngine multi(tt, g, ov);
+  OverlayTimeQuery per(tt, g, ov);
+  for (std::size_t k : kBatchSizes) {
+    const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
+    multi.run(qs);
+    for (std::size_t q = 0; q < k; ++q) {
+      per.run(qs[q].source, qs[q].departure, qs[q].target);
+      // Full (no-target) lanes also replay the per-lane down-sweep,
+      // extending the comparison to every contracted node.
+      const bool full = qs[q].target == kInvalidStation;
+      if (full) {
+        per.settle_contracted();
+        multi.settle_contracted(q);
       }
-    });
+      const std::string what = "overlay K=" + std::to_string(k) + " lane " +
+                               std::to_string(q);
+      expect_stats_eq(per.stats(), multi.stats(q), what);
+      for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+        ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
+            << what << " node " << v;
+        ASSERT_EQ(multi.parent(q, v), per.parent(v)) << what << " node " << v;
+      }
+    }
   }
 }
 
 // The cross-lane batched down-sweep (settle_contracted_batch) must agree
 // with a loop of per-query settle_contracted runs at every node — labels
 // served from the transposed sweep surface, parents with the lane
-// fall-through, and the relax accounting — for every queue policy and
-// batch size. Sweeping needs full lanes, so every query is one-to-all.
+// fall-through, and the relax accounting — for every batch size. Sweeping
+// needs full lanes, so every query is one-to-all.
 TEST(MultiQuery, SettleContractedBatchMatchesPerQuery) {
   Timetable tt = test::small_city(46);
   TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g, {});
   Rng rng(75);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_queue(qk, [&](auto set) {
-      using Queue = typename decltype(set)::Time;
-      MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
-      OverlayTimeQueryT<Queue> per(tt, g, ov);
-      for (std::size_t k : kBatchSizes) {
-        std::vector<BatchQuery> qs = make_queries(tt, rng, k);
-        for (BatchQuery& q : qs) q.target = kInvalidStation;
-        multi.run(qs);
-        multi.settle_contracted_batch();
-        for (std::size_t q = 0; q < k; ++q) {
-          per.run(qs[q].source, qs[q].departure);
-          per.settle_contracted();
-          const std::string what = std::string("sweep ") +
-                                   queue_kind_name(qk) + " K=" +
-                                   std::to_string(k) + " lane " +
-                                   std::to_string(q);
-          expect_stats_eq(per.stats(), multi.stats(q), what);
-          for (NodeId v = 0; v < ov.num_nodes(); ++v) {
-            ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
-                << what << " node " << v;
-            ASSERT_EQ(multi.parent(q, v), per.parent(v))
-                << what << " node " << v;
-          }
-          // The station-level accessor must serve from the swept surface
-          // too, not the stale lane labels.
-          for (StationId s = 0; s < tt.num_stations(); ++s) {
-            ASSERT_EQ(multi.arrival_at(q, s), per.arrival_at(s))
-                << what << " station " << s;
-          }
-        }
+  MultiQueryOverlayTimeEngine multi(tt, g, ov);
+  OverlayTimeQuery per(tt, g, ov);
+  for (std::size_t k : kBatchSizes) {
+    std::vector<BatchQuery> qs = make_queries(tt, rng, k);
+    for (BatchQuery& q : qs) q.target = kInvalidStation;
+    multi.run(qs);
+    multi.settle_contracted_batch();
+    for (std::size_t q = 0; q < k; ++q) {
+      per.run(qs[q].source, qs[q].departure);
+      per.settle_contracted();
+      const std::string what = "sweep K=" + std::to_string(k) + " lane " +
+                               std::to_string(q);
+      expect_stats_eq(per.stats(), multi.stats(q), what);
+      for (NodeId v = 0; v < ov.num_nodes(); ++v) {
+        ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
+            << what << " node " << v;
+        ASSERT_EQ(multi.parent(q, v), per.parent(v)) << what << " node " << v;
       }
-    });
+      // The station-level accessor must serve from the swept surface
+      // too, not the stale lane labels.
+      for (StationId s = 0; s < tt.num_stations(); ++s) {
+        ASSERT_EQ(multi.arrival_at(q, s), per.arrival_at(s))
+            << what << " station " << s;
+      }
+    }
   }
 }
 

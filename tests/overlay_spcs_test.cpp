@@ -1,9 +1,8 @@
 // Overlay-routed parallel SPCS correctness (algo/overlay_spcs.hpp):
 //  * differential overlay-vs-flat byte-identity of the reduced profile
-//    fronts at EVERY station across {1, 2, 8} threads x 2 queue policies,
-//    and at EVERY flat node after the batched down-sweep;
-//  * accounting discipline: settled/pruned/relaxed identical across queue
-//    policies, sweep idempotency;
+//    fronts at EVERY station across {1, 2, 8} threads, and at EVERY flat
+//    node after the batched down-sweep;
+//  * sweep idempotency;
 //  * thread-count determinism of the overlay profiles;
 //  * station-to-station with the stopping criterion;
 //  * chunk boundaries: the served kSpcsChunk-wide station-to-station query
@@ -42,14 +41,12 @@ std::vector<StationId> pick_sources(const Timetable& tt, std::uint64_t seed,
 
 // ------------------------------------------------------------ differential ---
 
-/// Station profiles byte-identical to the flat driver for one
-/// (threads, queue) configuration.
-template <typename Queue>
+/// Station profiles byte-identical to the flat driver at one thread count.
 void expect_station_identity(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov, unsigned threads,
                              std::uint64_t seed) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
+  ParallelSpcs flat(tt, g, spcs_opts(threads));
+  OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
   for (const StationId s : pick_sources(tt, seed, 2)) {
     const OneToAllResult rf = flat.one_to_all(s);
     const OneToAllResult ro = over.one_to_all(s);
@@ -61,14 +58,14 @@ void expect_station_identity(const Timetable& tt, const TdGraph& g,
   }
 }
 
-TEST(OverlaySpcs, StationIdentityAcrossThreadsAndPolicies) {
+TEST(OverlaySpcs, StationIdentityAcrossThreads) {
   const Timetable tt = test::small_city(41);
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   std::uint64_t seed = 9000;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, seed++);
-    expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, seed++);
+    expect_station_identity(tt, g, ov, threads, seed);
+    seed += 2;
   }
 }
 
@@ -77,33 +74,32 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
     const Timetable tt = test::tiny_line();
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 10001);
+    expect_station_identity(tt, g, ov, 2, 10001);
   }
   {
     const Timetable tt = test::small_railway(42);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 10002);
-    expect_station_identity<SpcsBucketQueue>(tt, g, ov, 8, 10003);
+    expect_station_identity(tt, g, ov, 2, 10002);
+    expect_station_identity(tt, g, ov, 8, 10003);
   }
   Rng rng(777);
   for (int iter = 0; iter < 3; ++iter) {
     const Timetable tt = test::random_timetable(rng, 12, 8, 4);
     const TdGraph g = TdGraph::build(tt);
     const OverlayGraph ov = contract_graph(tt, g);
-    expect_station_identity<SpcsBinaryQueue>(tt, g, ov, 2, 11000 + iter);
+    expect_station_identity(tt, g, ov, 2, 11000 + iter);
   }
 }
 
 /// Node-level differential: after settle_contracted() the overlay engine's
 /// reduced profile must equal the flat engine's at EVERY flat node —
 /// core, contracted, stations and route nodes alike.
-template <typename Queue>
 void expect_node_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, unsigned threads,
                           StationId s) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
+  ParallelSpcs flat(tt, g, spcs_opts(threads));
+  OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
   flat.one_to_all(s);
   over.one_to_all(s);
   over.settle_contracted();
@@ -121,9 +117,8 @@ TEST(OverlaySpcs, NodeIdentityAfterSweep) {
   ASSERT_GT(ov.num_contracted(), 0u) << "fixture contracted nothing";
   const StationId s = 3 % tt.num_stations();
   for (const unsigned threads : {1u, 2u, 8u}) {
-    expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, s);
+    expect_node_identity(tt, g, ov, threads, s);
   }
-  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, s);
 }
 
 // ------------------------------------------------------------- accounting ---
@@ -136,39 +131,14 @@ void expect_same_work(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.stale_popped, b.stale_popped) << what;
   EXPECT_EQ(a.relaxed, b.relaxed) << what;
   EXPECT_EQ(a.self_pruned, b.self_pruned) << what;
-  EXPECT_EQ(a.relax_pruned, b.relax_pruned) << what;
   EXPECT_EQ(a.stop_pruned, b.stop_pruned) << what;
-}
-
-TEST(OverlaySpcs, SettleAccountingIdenticalAcrossQueuePolicies) {
-  // Policies may differ in pushed/decreased/stale_popped (that is their
-  // point) but must settle the same items and relax the same edges.
-  const Timetable tt = test::small_city(45);
-  const TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
-  const StationId s = 2 % tt.num_stations();
-  const auto run = [&](auto tag) {
-    using Queue = decltype(tag);
-    OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(2));
-    over.one_to_all(s);
-    over.settle_contracted();
-    return over.accumulated_stats();
-  };
-  const QueryStats bin = run(SpcsBinaryQueue{});
-  const QueryStats st = run(SpcsBucketQueue{});
-  // Same discipline as the flat cross-policy test
-  // (tests/queue_policy_test.cpp): settled and self-pruned items are
-  // policy-invariant; `relaxed` may jitter by equal-composite-key pop
-  // order, and queue-shape counters differ by design.
-  EXPECT_EQ(bin.settled, st.settled);
-  EXPECT_EQ(bin.self_pruned, st.self_pruned);
 }
 
 TEST(OverlaySpcs, SweepIsIdempotent) {
   const Timetable tt = test::small_city(46);
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
-  OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov, spcs_opts(2));
+  OverlayParallelSpcs over(tt, g, ov, spcs_opts(2));
   const StationId s = 0;
   over.one_to_all(s);
   over.settle_contracted();
@@ -186,9 +156,9 @@ TEST(OverlaySpcs, ProfilesDeterministicAcrossThreadCounts) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   const StationId s = 4 % tt.num_stations();
-  OverlayParallelSpcsT<SpcsBinaryQueue> one(tt, g, ov, spcs_opts(1));
-  OverlayParallelSpcsT<SpcsBinaryQueue> two(tt, g, ov, spcs_opts(2));
-  OverlayParallelSpcsT<SpcsBinaryQueue> eight(tt, g, ov, spcs_opts(8));
+  OverlayParallelSpcs one(tt, g, ov, spcs_opts(1));
+  OverlayParallelSpcs two(tt, g, ov, spcs_opts(2));
+  OverlayParallelSpcs eight(tt, g, ov, spcs_opts(8));
   const OneToAllResult r1 = one.one_to_all(s);
   const OneToAllResult r2 = two.one_to_all(s);
   const OneToAllResult r8 = eight.one_to_all(s);
@@ -214,8 +184,8 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   for (const unsigned threads : {1u, 2u, 8u}) {
-    ParallelSpcsT<SpcsBinaryQueue> flat(tt, g, spcs_opts(threads));
-    OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov, spcs_opts(threads));
+    ParallelSpcs flat(tt, g, spcs_opts(threads));
+    OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
     Rng rng(1200 + threads);
     for (int i = 0; i < 4; ++i) {
       const StationId s =
@@ -235,15 +205,13 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
 /// Overlay half of the chunk-boundary identity (the flat half is in
 /// tests/spcs_edge_test.cpp): the served overlay station-to-station query
 /// runs conn(S) in kSpcsChunk-wide chunks, and must equal the unchunked
-/// flat one_to_all at every target, for every thread count and queue
-/// policy.
-template <typename Queue>
+/// flat one_to_all at every target, for every thread count.
 void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
                                       const OverlayGraph& ov, StationId s,
                                       std::span<const StationId> targets,
                                       const OneToAllResult& want) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads));
+    OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
     for (const StationId t : targets) {
       ASSERT_EQ(over.station_to_station(s, t).profile, want.profiles[t])
           << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
@@ -257,10 +225,7 @@ void expect_chunked_identity(const Timetable& tt, StationId s,
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   const OneToAllResult want = ParallelSpcs(tt, g, {}).one_to_all(s);
-  expect_chunked_equals_one_to_all<SpcsBinaryQueue>(tt, g, ov, s, targets,
-                                                    want);
-  expect_chunked_equals_one_to_all<SpcsBucketQueue>(tt, g, ov, s, targets,
-                                                    want);
+  expect_chunked_equals_one_to_all(tt, g, ov, s, targets, want);
 }
 
 TEST(OverlaySpcs, ChunkBoundariesOnRandomNetwork) {

@@ -70,22 +70,19 @@ TEST_F(S2sEdge, AllOptionCombinationsAgree) {
   for (bool self_pruning : {true, false}) {
     for (bool stopping : {true, false}) {
       for (bool target_pruning : {true, false}) {
-        for (bool prune_on_relax : {true, false}) {
-          S2sOptions o;
-          o.threads = 2;
-          o.self_pruning = self_pruning;
-          o.stopping_criterion = stopping;
-          o.target_pruning = target_pruning;
-          o.prune_on_relax = prune_on_relax;
-          S2sQueryEngine engine(tt_, g_, sg_, &dt_, o);
-          Profile p = engine.query(s, t).profile;
-          if (first) {
-            reference = p;
-            first = false;
-          } else {
-            test::expect_same_function(reference, p, tt_.period(),
-                                       "option combination");
-          }
+        S2sOptions o;
+        o.threads = 2;
+        o.self_pruning = self_pruning;
+        o.stopping_criterion = stopping;
+        o.target_pruning = target_pruning;
+        S2sQueryEngine engine(tt_, g_, sg_, &dt_, o);
+        Profile p = engine.query(s, t).profile;
+        if (first) {
+          reference = p;
+          first = false;
+        } else {
+          test::expect_same_function(reference, p, tt_.period(),
+                                     "option combination");
         }
       }
     }

@@ -145,36 +145,6 @@ TEST(QuerySession, WarmEqualsFreshS2s) {
   }
 }
 
-// The bucket/fast configuration agrees with the paper configuration on a
-// warm session as well (ties the queue-policy differential tests into the
-// session layer).
-TEST(QuerySession, FastConfigurationMatchesPaperConfiguration) {
-  Timetable tt = test::small_city(24);
-  TdGraph g = TdGraph::build(tt);
-  QuerySession paper(tt, g);
-  FastQuerySession fast(tt, g);
-  Rng rng(55);
-  for (int i = 0; i < 6; ++i) {
-    StationId s = static_cast<StationId>(rng.next_below(tt.num_stations()));
-    const OneToAllResult& a = paper.one_to_all(s);
-    const OneToAllResult& b = fast.one_to_all(s);
-    ASSERT_EQ(a.profiles.size(), b.profiles.size());
-    for (StationId v = 0; v < a.profiles.size(); ++v) {
-      EXPECT_EQ(a.profiles[v], b.profiles[v]) << "source " << s;
-    }
-    Time dep = static_cast<Time>(rng.next_below(kDayseconds));
-    StationId t = static_cast<StationId>(rng.next_below(tt.num_stations()));
-    EXPECT_EQ(paper.earliest_arrival(s, dep, t),
-              fast.earliest_arrival(s, dep, t));
-    // Multi-criteria differential: the bucket policy (monotone composite
-    // keys) and the lazy binary heap settle identical Pareto fronts.
-    auto pf = paper.pareto(s, dep, t);
-    auto ff = fast.pareto(s, dep, t);
-    ASSERT_EQ(pf.size(), ff.size()) << "pareto " << s << " -> " << t;
-    for (std::size_t l = 0; l < pf.size(); ++l) EXPECT_EQ(pf[l], ff[l]);
-  }
-}
-
 // Warm overlay engines match fresh ones and the flat engines (the deep
 // overlay-vs-flat differentials live in tests/contraction_test.cpp; this
 // ties them into the session layer).
@@ -209,7 +179,7 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
   OverlayGraph ov = contract_graph(tt, g);
   QuerySessionOptions opt;
   opt.threads = 2;
-  FastQuerySession session(tt, g, opt);
+  QuerySession session(tt, g, opt);
   session.overlay_time_engine(ov);
   session.overlay_lc_engine(ov);
   session.overlay_spcs_engine(ov);
@@ -295,7 +265,7 @@ TEST(QuerySession, WarmS2sQueriesDoNotAllocate) {
   ParallelSpcsOptions po;
   DistanceTable dt = DistanceTable::build(tt, g, transfer, po);
 
-  FastQuerySession session(tt, g);
+  QuerySession session(tt, g);
   session.s2s_engine(sg, &dt);
 
   std::vector<std::pair<StationId, StationId>> queries;

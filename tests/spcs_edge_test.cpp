@@ -120,7 +120,6 @@ TEST(SpcsEdge, RandomizedCrossEngineSweep) {
         ParallelSpcsOptions o;
         o.threads = threads;
         o.partition = strat;
-        o.prune_on_relax = (threads == 5);
         ParallelSpcs spcs(tt, g, o);
         OneToAllResult res = spcs.one_to_all(src);
         for (StationId t = 0; t < tt.num_stations(); ++t) {
@@ -165,9 +164,7 @@ TEST(SpcsEdge, StoppingCriterionWithUnreachableTarget) {
 
 /// The served station-to-station query walks conn(S) in kSpcsChunk-wide
 /// chunks; each chunk's profile at T must merge into exactly what the
-/// unchunked one-to-all search reduces at T, for every thread count and
-/// queue policy.
-template <typename Queue>
+/// unchunked one-to-all search reduces at T, for every thread count.
 void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
                                       StationId s,
                                       std::span<const StationId> targets,
@@ -175,7 +172,7 @@ void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
   for (const unsigned threads : {1u, 2u, 4u}) {
     ParallelSpcsOptions o;
     o.threads = threads;
-    ParallelSpcsT<Queue> spcs(tt, g, o);
+    ParallelSpcs spcs(tt, g, o);
     for (const StationId t : targets) {
       ASSERT_EQ(spcs.station_to_station(s, t).profile, want.profiles[t])
           << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()
@@ -188,8 +185,7 @@ void expect_chunked_identity(const Timetable& tt, StationId s,
                              std::span<const StationId> targets) {
   const TdGraph g = TdGraph::build(tt);
   const OneToAllResult want = ParallelSpcs(tt, g, {}).one_to_all(s);
-  expect_chunked_equals_one_to_all<SpcsBinaryQueue>(tt, g, s, targets, want);
-  expect_chunked_equals_one_to_all<SpcsBucketQueue>(tt, g, s, targets, want);
+  expect_chunked_equals_one_to_all(tt, g, s, targets, want);
 }
 
 TEST(SpcsEdge, ChunkBoundariesOnRandomNetwork) {

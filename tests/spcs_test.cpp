@@ -182,40 +182,6 @@ TEST(Spcs, StoppingCriterionSavesWork) {
   EXPECT_LT(stopped.stats.settled, full.stats.settled);
 }
 
-TEST(Spcs, PruneOnRelaxPreservesProfiles) {
-  for (std::uint64_t seed : {71ull, 72ull, 73ull}) {
-    Rng rng(seed);
-    Timetable tt = test::random_timetable(rng, 10, 14, 7);
-    TdGraph g = TdGraph::build(tt);
-    ParallelSpcsOptions plain = serial_opts();
-    ParallelSpcsOptions eager = serial_opts();
-    eager.prune_on_relax = true;
-    ParallelSpcs a(tt, g, plain), b(tt, g, eager);
-    StationId src = static_cast<StationId>(rng.next_below(tt.num_stations()));
-    OneToAllResult ra = a.one_to_all(src);
-    OneToAllResult rb = b.one_to_all(src);
-    for (StationId t = 0; t < tt.num_stations(); ++t) {
-      ASSERT_EQ(ra.profiles[t], rb.profiles[t]) << "station " << t;
-    }
-    EXPECT_LE(rb.stats.queue_ops(), ra.stats.queue_ops());
-  }
-}
-
-TEST(Spcs, PruneOnRelaxSkipsQueueOps) {
-  Timetable tt = test::small_city(26);
-  TdGraph g = TdGraph::build(tt);
-  ParallelSpcsOptions eager = serial_opts();
-  eager.prune_on_relax = true;
-  ParallelSpcs plain(tt, g, serial_opts()), fast(tt, g, eager);
-  OneToAllResult ra = plain.one_to_all(0);
-  OneToAllResult rb = fast.one_to_all(0);
-  EXPECT_GT(rb.stats.relax_pruned, 0u);
-  EXPECT_LT(rb.stats.pushed, ra.stats.pushed);
-  for (StationId t = 0; t < tt.num_stations(); ++t) {
-    EXPECT_EQ(ra.profiles[t], rb.profiles[t]);
-  }
-}
-
 TEST(Spcs, WorkCountersAreCoherent) {
   Timetable tt = test::small_city(25);
   TdGraph g = TdGraph::build(tt);
