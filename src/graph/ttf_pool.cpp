@@ -31,7 +31,7 @@ TtfPool TtfPool::prefix(std::uint32_t n) const {
 std::uint32_t TtfPool::log2_buckets(std::size_t count) {
   std::size_t buckets = 1;
   if (count >= kMinIndexedPoints) {
-    buckets = std::min(std::bit_ceil(count),
+    buckets = std::min(std::bit_ceil(count) / kPointsPerBucket,
                        std::size_t{1} << 16);
   }
   return static_cast<std::uint32_t>(std::countr_zero(buckets));

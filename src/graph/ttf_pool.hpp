@@ -8,14 +8,15 @@
 // per-call binary search with a precomputed time-bucket index:
 //
 //   * per function, B buckets partition [0, period); B is one bucket per
-//     point, bit_ceil(|points|), and functions below
-//     kMinIndexedPoints have no index — they keep a single bucket pointing
-//     at their first point, so evaluation degenerates to the linear
-//     lower_bound scan (identical results, no index memory);
+//     kPointsPerBucket = 2 points, bit_ceil(|points|) / 2, and functions
+//     below kMinIndexedPoints have no index — they keep a single bucket
+//     pointing at their first point, so evaluation degenerates to the
+//     linear lower_bound scan (identical results, no index memory);
 //   * bucket_idx_[b] holds the first point whose departure falls into
 //     bucket b or later, so eval() starts its scan there and walks past at
-//     most the points sharing the query's bucket — O(1) expected, against
-//     O(log n) dependent branchy loads for the search;
+//     most the points sharing the query's bucket — O(1) expected (one to
+//     two 8-byte points on average), against O(log n) dependent branchy
+//     loads for the search;
 //   * the bucket of a time is a multiply-shift against a precomputed
 //     2^32/period reciprocal (no division); the mapping may undershoot by
 //     up to two buckets, which only lengthens the scan, never skips points.
@@ -66,6 +67,14 @@ class TtfPool {
   /// scan from the first point. A <5-point function spans at most one cache
   /// line, so the scan is as fast as the bucket entry it replaces.
   static constexpr std::uint32_t kMinIndexedPoints = 5;
+
+  /// Index density: an indexed function gets one bucket per this many
+  /// points. Fixed, not a setting. One per point made the bucket tables a
+  /// quarter of a snapshot (LA-like, 6.9 of 29.4 MB); at two the scan
+  /// still ends within one cache line of the entry on average, while one
+  /// per four points slowed bench_layout's pooled one-to-all by a fifth
+  /// (docs/architecture.md "TTF index").
+  static constexpr std::uint32_t kPointsPerBucket = 2;
 
   /// Per-function metadata, 16 bytes (stored verbatim in snapshots).
   struct TtfMeta {
@@ -225,10 +234,14 @@ class TtfPool {
 
   /// First point with dep >= tau as an absolute index into points_ — may
   /// be one past the function's last point when every point departs
-  /// earlier. Exactly lower_bound, entered via the bucket table.
+  /// earlier. Exactly lower_bound, entered via the bucket table. A bucket
+  /// holds one to two points on average, so whether the scan passes the
+  /// entry's point is close to a coin toss: that first step is an add, not
+  /// a branch the predictor would often miss.
   std::uint32_t lower_bound_abs(const TtfMeta& m, Time tau) const {
     std::uint32_t i = bucket_idx_[m.bucket0 + bucket_of(tau, m.log2b)];
     const std::uint32_t end = m.first + m.count;
+    if (i < end) i += static_cast<std::uint32_t>(points_[i].dep < tau);
     while (i < end && points_[i].dep < tau) ++i;
     return i;
   }
@@ -249,8 +262,9 @@ class TtfPool {
 #endif
 
   /// log2 of the bucket count a function of `count` points gets: one
-  /// bucket per point (rounded to a power of two, capped at 2^16), so the
-  /// expected scan past the bucket entry is <= 1 point. Functions below
+  /// bucket per kPointsPerBucket points, bit_ceil(count) / kPointsPerBucket
+  /// (capped at 2^16), so the expected scan past the bucket entry is at
+  /// most kPointsPerBucket points. Functions below
   /// kMinIndexedPoints (and empty ones) keep a single bucket pointing at
   /// their first point, so eval's index lookup stays branchless and the
   /// scan is the plain linear lower_bound.

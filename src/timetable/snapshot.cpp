@@ -19,7 +19,7 @@ namespace pconn {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 4;
+constexpr std::uint32_t kSnapVersion = 5;
 
 // Section tags. Fixed enumeration, versioned with the file: the timetable
 // sections are required, the overlay sections come all or none, and each

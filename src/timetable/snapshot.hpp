@@ -2,7 +2,7 @@
 // contraction overlay as native, 8-byte-aligned sections that a process
 // maps read-only and serves from in place.
 //
-// Layout (version 4, little-endian): the header (magic "PCSN", version,
+// Layout (version 5, little-endian): the header (magic "PCSN", version,
 // file size, section count) and a table of {tag, offset, size} entries,
 // then one section per array:
 //   - timetable: meta (period and the five counts), station name offsets
@@ -28,8 +28,10 @@
 // maps either the old file or the new one, never a half-written one, and
 // a mapping is never truncated under a live shard. Each load validates
 // its sections once, at map time, before anything is adopted:
-//   - header/section table: magic, version (a v1, v2 or v3 file
-//     is kBadVersion), recorded file size, section bounds and alignment;
+//   - header/section table: magic, version (a v1-v4 file is
+//     kBadVersion: v2 still carried per-node TTF out-degrees, v3 the
+//     pool's index options, v4 one index bucket per point), recorded file
+//     size, section bounds and alignment;
 //   - every section's byte size against the count its meta implies, before
 //     the section is read (a lying count is kBadCount);
 //   - timetable: every CSR monotone, every id in range, per-trip times

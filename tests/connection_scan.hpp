@@ -100,27 +100,46 @@ class ConnectionScan {
   /// of the next period for the last).
   std::vector<ScanProfilePoint> profile(StationId source,
                                         StationId target) const {
-    std::vector<Time> deps;
-    for (const Conn& c : conns_) {
-      if (c.from == source && (deps.empty() || deps.back() != c.dep)) {
-        deps.push_back(c.dep);
-      }
-    }
     std::vector<ScanProfilePoint> all;
-    for (const Time d : deps) {
+    for (const Time d : departures(source)) {
       all.push_back({d, earliest_arrivals(source, d, target)[target]});
     }
-    // A later departure can always wait for the next period's copy of an
-    // earlier one's journey, so the target is reachable from all of them
-    // or from none.
-    std::vector<ScanProfilePoint> reduced;
-    if (all.empty() || all[0].arr == kInfTime) return reduced;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const Time next =
-          i + 1 < all.size() ? all[i + 1].arr : all[0].arr + tt_.period();
-      if (all[i].arr < next) reduced.push_back(all[i]);
+    return reduce(all);
+  }
+
+  /// The reduced profile dist(source, v, ·) at every station v, reduced
+  /// like profile() from one full scan per departure time of the source.
+  /// Leaving at deps[i], a passenger can wait at the source (boarding there
+  /// is free) for deps[i + 1]'s journeys, or for deps[0]'s a period later,
+  /// so those arrivals bound deps[i]'s: a connection departing after the
+  /// latest of them is on no earliest journey. The scans run deps[0] first,
+  /// then from the last departure down, each within the bound the scan
+  /// before it left. The source's own entry is meaningless.
+  std::vector<std::vector<ScanProfilePoint>> one_to_all_profiles(
+      StationId source) const {
+    const std::vector<Time> deps = departures(source);
+    const std::size_t n = deps.size();
+    std::vector<std::vector<ScanProfilePoint>> all(
+        tt_.num_stations(), std::vector<ScanProfilePoint>(n));
+    std::vector<Time> bound;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t i = k == 0 ? 0 : n - k;
+      Time horizon = kInfTime;
+      if (k > 0) {
+        horizon = 0;
+        for (const Time a : bound) {
+          if (a != kInfTime) horizon = std::max(horizon, a);
+        }
+        if (k == 1) horizon += tt_.period();  // deps[0]'s, a period later
+      }
+      std::vector<Time> arr(tt_.num_stations(), kInfTime);
+      arr[source] = deps[i];
+      scan(source, deps[i], arr, arr, kInvalidStation, horizon);
+      for (StationId v = 0; v < arr.size(); ++v) all[v][i] = {deps[i], arr[v]};
+      bound = std::move(arr);
     }
-    return reduced;
+    for (std::vector<ScanProfilePoint>& p : all) p = reduce(p);
+    return all;
   }
 
   /// Pareto fronts over (arrival, boardings) at every station when leaving
@@ -165,6 +184,35 @@ class ConnectionScan {
     std::uint32_t slot;
   };
 
+  /// The distinct departure times of `source`'s connections, ascending.
+  std::vector<Time> departures(StationId source) const {
+    std::vector<Time> deps;
+    for (const Conn& c : conns_) {
+      if (c.from == source && (deps.empty() || deps.back() != c.dep)) {
+        deps.push_back(c.dep);
+      }
+    }
+    return deps;
+  }
+
+  /// Keeps the departures of `all` (one per departure time, ascending)
+  /// that arrive strictly earlier than the next one, the last compared
+  /// with the first one's journey a period later.
+  std::vector<ScanProfilePoint> reduce(
+      const std::vector<ScanProfilePoint>& all) const {
+    // A later departure can always wait for the next period's copy of an
+    // earlier one's journey, so the target is reachable from all of them
+    // or from none.
+    std::vector<ScanProfilePoint> reduced;
+    if (all.empty() || all[0].arr == kInfTime) return reduced;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const Time next =
+          i + 1 < all.size() ? all[i + 1].arr : all[0].arr + tt_.period();
+      if (all[i].arr < next) reduced.push_back(all[i]);
+    }
+    return reduced;
+  }
+
   /// The earliest departure a station label `t` at `s` lets a passenger
   /// board: `t` plus the transfer time, without it at the source.
   Time boarding_time(StationId source, StationId s, Time t) const {
@@ -177,10 +225,12 @@ class ConnectionScan {
   /// labels as they improve, so journeys board any number of times
   /// (earliest_arrivals); passed round k-1's labels, they board once more
   /// than those (pareto_fronts). With a `target`, only that station's
-  /// entry is exact.
+  /// entry is exact. Connections departing after `horizon` are not
+  /// scanned: a caller passes one when it knows every label ends at or
+  /// before it (every connection of a journey departs before it arrives).
   void scan(StationId source, Time tau, const std::vector<Time>& board_from,
-            std::vector<Time>& station,
-            StationId target = kInvalidStation) const {
+            std::vector<Time>& station, StationId target = kInvalidStation,
+            Time horizon = kInfTime) const {
     const Time period = tt_.period();
     std::vector<Time> on_route(num_slots_, kInfTime);
     // The latest time from which a label set so far lets a connection be
@@ -202,6 +252,7 @@ class ConnectionScan {
         const Conn& c = *it;
         const Time dep = base + c.dep;
         if (target != kInvalidStation && dep >= station[target]) break;
+        if (dep > horizon) break;
         const Time boarded = boarding_time(source, c.from, board_from[c.from]);
         if (on_route[c.slot] > dep && boarded > dep) continue;
         const Time arr = base + c.arr;
@@ -222,7 +273,10 @@ class ConnectionScan {
       // Every later departure is at or after base + period.
       const bool target_done =
           target != kInvalidStation && station[target] <= base + period;
-      if (target_done || (!improved && latest <= base)) break;
+      if (target_done || horizon < base + period ||
+          (!improved && latest <= base)) {
+        break;
+      }
     }
   }
 

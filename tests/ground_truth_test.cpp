@@ -10,10 +10,14 @@
 //    queries (the served, chunked path), compared as functions;
 // on every preset, on seeded random networks with overnight trips, on the
 // chunk-boundary sources and on every epoch of a seeded delay feed;
+//  * one-to-all profiles: flat and overlay one_to_all at every station of
+//    every preset at full scale;
 //  * Pareto fronts over (arrival, boardings): McTimeQuery at every station
 //    against the scan's rounds, on every preset and the random networks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "algo/overlay_query.hpp"
 #include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
+#include "algo/spcs.hpp"
 #include "algo/time_query.hpp"
 #include "connection_scan.hpp"
 #include "gen/generator.hpp"
@@ -98,6 +103,27 @@ void expect_profiles(const Timetable& tt, const TdGraph& g,
     test::expect_same_function(over.station_to_station(s, t).profile, want,
                                tt.period(), pair + " overlay");
   }
+}
+
+/// The station whose departures come closest to filling whole
+/// kSpcsChunk-wide chunks (|conn(S)| nearest a nonzero multiple of
+/// kSpcsChunk; the lowest id among equals). germany-like has no station
+/// at 32k or 32k + 1 departures, the other presets do.
+StationId chunk_boundary_station(const Timetable& tt) {
+  StationId best = 0;
+  std::size_t best_gap = SIZE_MAX;
+  for (StationId s = 0; s < tt.num_stations(); ++s) {
+    const std::size_t n = tt.outgoing(s).size();
+    const std::size_t chunks =
+        std::max<std::size_t>(1, (n + kSpcsChunk / 2) / kSpcsChunk);
+    const std::size_t whole = chunks * kSpcsChunk;
+    const std::size_t gap = n > whole ? n - whole : whole - n;
+    if (gap < best_gap) {
+      best = s;
+      best_gap = gap;
+    }
+  }
+  return best;
 }
 
 /// McTimeQuery's Pareto front at every station equals the scan's, from
@@ -179,6 +205,41 @@ TEST(GroundTruth, ProfilesOnEveryPreset) {
       }
     }
     expect_profiles(tt, g, ov, pairs, gen::preset_name(p));
+  }
+}
+
+// One oracle run per source checks both one-to-all engines at every
+// station, at full generator scale: from the busiest station and from the
+// station nearest a whole number of the served path's chunks.
+TEST(GroundTruth, OneToAllProfilesOnEveryPresetAtFullScale) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 1.0);
+    const TdGraph g = TdGraph::build(tt);
+    const OverlayGraph ov = contract_graph(tt, g);
+    const test::ConnectionScan scan(tt);
+    const ParallelSpcsOptions opt{.threads = 2};
+    ParallelSpcs flat(tt, g, opt);
+    OverlayParallelSpcs over(tt, g, ov, opt);
+    const std::string name = gen::preset_name(p);
+    for (const StationId s :
+         {test::busiest_station(tt), chunk_boundary_station(tt)}) {
+      const auto want = scan.one_to_all_profiles(s);
+      const OneToAllResult rf = flat.one_to_all(s);
+      const OneToAllResult ro = over.one_to_all(s);
+      std::size_t reached = 0;
+      for (StationId v = 0; v < tt.num_stations(); ++v) {
+        if (v == s) continue;
+        const Profile w = as_profile(want[v]);
+        if (!w.empty()) ++reached;
+        const std::string pair =
+            name + " " + std::to_string(s) + "->" + std::to_string(v);
+        test::expect_same_function(rf.profiles[v], w, tt.period(),
+                                   pair + " flat");
+        test::expect_same_function(ro.profiles[v], w, tt.period(),
+                                   pair + " overlay");
+      }
+      EXPECT_GT(reached, tt.num_stations() / 2) << name << " from " << s;
+    }
   }
 }
 

@@ -186,6 +186,11 @@ TEST(SerializeOverlay, TypedErrorKinds) {
     const std::uint32_t v3 = 3;
     std::memcpy(bad.data() + 4, &v3, 4);
     expect_kind(bad, LoadError::Kind::kBadVersion, "a version-3 file");
+    // Version 4 indexed one bucket per point; its bucket tables would fail
+    // the recompute as kCorrupt if the version did not turn it away first.
+    const std::uint32_t v4 = 4;
+    std::memcpy(bad.data() + 4, &v4, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-4 file");
     bad[4] = '\x7f';
     expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
   }

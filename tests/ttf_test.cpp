@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/ttf.hpp"
@@ -246,17 +247,17 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
 }
 
 // The evaluation index on both sides of kMinIndexedPoints: functions of
-// 1/2/4 points keep a single bucket, 5/16/33 points get bit_ceil(n) (one
-// per point), and the pool evaluates each exactly as Ttf does.
+// 1/2/4 points keep a single bucket, 5/16/33 points get bit_ceil(n) / 2
+// (one per two points), and the pool evaluates each exactly as Ttf does.
 TEST(TtfPool, IndexEvaluatesLikeTtfAcrossTheIndexedThreshold) {
   Rng rng(987);
   const Time period = kP;
-  const auto buckets_for = [](std::size_t n) -> std::size_t {
-    return n < TtfPool::kMinIndexedPoints ? 1 : std::bit_ceil(n);
-  };
+  // (points, buckets) per function.
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {2, 1}, {4, 1}, {5, 4}, {16, 8}, {33, 32}};
   std::vector<Ttf> ttfs;
   std::size_t want_buckets = 0;
-  for (std::size_t n : {1u, 2u, 4u, 5u, 16u, 33u}) {
+  for (const auto& [n, buckets] : sizes) {
     // Spaced departures with arrivals strictly increasing (also across
     // midnight), so Ttf::build keeps all n points.
     const Time slot = period / static_cast<Time>(n);
@@ -272,10 +273,9 @@ TEST(TtfPool, IndexEvaluatesLikeTtfAcrossTheIndexedThreshold) {
     TtfPoolBuilder one(period);
     one.add(ttfs.back());
     const TtfPool single = one.finish();
-    EXPECT_EQ(single.array_bytes()[2].size(),
-              buckets_for(n) * sizeof(std::uint32_t))
+    EXPECT_EQ(single.array_bytes()[2].size(), buckets * sizeof(std::uint32_t))
         << n << " points";
-    want_buckets += buckets_for(n);
+    want_buckets += buckets;
   }
   TtfPoolBuilder builder(period);
   for (const Ttf& f : ttfs) builder.add(f);
@@ -289,6 +289,55 @@ TEST(TtfPool, IndexEvaluatesLikeTtfAcrossTheIndexedThreshold) {
       ASSERT_EQ(pool.point_used(f, t), ttfs[f].point_used(t))
           << "f=" << f << " t=" << t;
     }
+  }
+}
+
+// The 2^16-bucket cap. At two points per bucket only a function of more
+// than 131,072 points reaches it, which needs a period longer than a day
+// (departures are distinct seconds): 150,000 points over a week get 2^16
+// buckets, not 2^17, so the scan walks about 2.3 points per bucket. eval,
+// point_used and both arrival_tn paths (the AVX2 gather for batches of 8
+// or more where the CPU has it, the scalar loop below 8) equal Ttf.
+TEST(TtfPool, BucketCapHoldsForAMultiDayFunction) {
+  Rng rng(4242);
+  const Time period = 7 * kDayseconds;
+  constexpr std::size_t kPoints = 150'000;
+  std::vector<TtfPoint> pts;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    // Departures 4 s apart, arrivals strictly increasing: all points kept.
+    pts.push_back({4 * static_cast<Time>(i) +
+                       static_cast<Time>(rng.next_below(2)),
+                   600 + static_cast<Time>(rng.next_below(2))});
+  }
+  const Ttf ref = Ttf::build(std::move(pts), period);
+  ASSERT_EQ(ref.size(), kPoints);
+  TtfPoolBuilder builder(period);
+  const std::uint32_t f = builder.add(ref);
+  const TtfPool pool = builder.finish();
+  ASSERT_EQ(pool.array_bytes()[2].size(),
+            (std::size_t{1} << 16) * sizeof(std::uint32_t));
+
+  // Strided absolute times over two periods (the second reduces modulo
+  // the period); a 7 s stride, under the 9.2 s bucket width, lands in
+  // every bucket.
+  std::vector<Time> ts;
+  for (Time t = 0; t < 2 * period; t += 7) ts.push_back(t);
+  for (const Time t : ts) {
+    ASSERT_EQ(pool.eval(f, t), ref.eval(t)) << "t=" << t;
+    ASSERT_EQ(pool.point_used(f, t), ref.point_used(t)) << "t=" << t;
+  }
+  std::vector<Time> out(ts.size());
+  pool.arrival_tn(f, ts.data(), ts.size(), out.data());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    ASSERT_EQ(out[i], ref.arrival(ts[i])) << "batch t=" << ts[i];
+  }
+  std::fill(out.begin(), out.end(), 0);
+  for (std::size_t i = 0; i < ts.size(); i += 7) {
+    pool.arrival_tn(f, ts.data() + i, std::min<std::size_t>(7, ts.size() - i),
+                    out.data() + i);
+  }
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    ASSERT_EQ(out[i], ref.arrival(ts[i])) << "scalar t=" << ts[i];
   }
 }
 
