@@ -16,7 +16,6 @@
 
 #include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "bench_common.hpp"
 #include "util/format.hpp"
@@ -68,7 +67,7 @@ void run_scale(gen::Preset preset, double s, bool overlay) {
     ParallelSpcsOptions po;
     po.threads = threads;
     ParallelSpcs flat(tt, g, po);
-    OverlayParallelSpcs over(tt, g, ov, po);
+    ParallelSpcs over(tt, g, ov, po);
     OneToAllResult buf;
     flat.one_to_all_into(sources[0], buf);  // warm-up
     over.one_to_all_into(sources[0], buf);

@@ -3,7 +3,7 @@
 //
 // Per network: contract once, then for thread counts {1, 2, 4, 8} run the
 // same one-to-all profile query stream through the flat ParallelSpcs and
-// through OverlayParallelSpcs, with every station profile enforced
+// the overlay-routed one, with every station profile enforced
 // byte-identical BEFORE any timing (the identity pass doubles as the
 // warm-up), a node-level differential through the batched down-sweep, and
 // the overlay profiles enforced identical ACROSS thread counts
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "algo/contraction.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "bench_common.hpp"
 #include "util/format.hpp"
@@ -103,7 +102,7 @@ NetworkRows run_network(gen::Preset preset) {
                       "ascent", "sweep", "merge"});
   for (const unsigned threads : kThreadCounts) {
     ParallelSpcs flat(net.tt, g, spcs_opts(threads));
-    OverlayParallelSpcs over(net.tt, g, ov, spcs_opts(threads));
+    ParallelSpcs over(net.tt, g, ov, spcs_opts(threads));
     OneToAllResult flat_buf, over_buf;
 
     // --- enforced identity (also the warm-up pass) ----------------------
@@ -151,7 +150,7 @@ NetworkRows run_network(gen::Preset preset) {
         double a = 0.0, m = 0.0, sw = 0.0;
         for (const StationId s : sources) {
           over.one_to_all_into(s, over_buf);
-          a += over.ascent_ms();
+          a += over_buf.max_thread_ms;
           m += over.merge_ms();
         }
         const double total = t.elapsed_ms();

@@ -6,6 +6,12 @@
 // across ranges — exactly the paper's design — so the merged label vector
 // need not be FIFO and the final profiles are obtained with the connection
 // reduction.
+//
+// The same code runs over one of two graphs, picked once at
+// construction: the flat TdGraph, or the contraction overlay's unified
+// out-CSR (graph/overlay_graph.hpp). Only the graph the ascent walks
+// differs; the overlay half (exactness argument, the contracted nodes'
+// down-sweep) lives in algo/overlay_spcs.{hpp,cpp}.
 #pragma once
 
 #include <memory>
@@ -22,6 +28,8 @@
 #include "util/thread_pool.hpp"
 
 namespace pconn {
+
+class OverlayGraph;
 
 struct ParallelSpcsOptions {
   unsigned threads = 1;
@@ -54,10 +62,20 @@ struct StationQueryResult {
 /// them; see docs/architecture.md).
 class ParallelSpcs {
  public:
+  /// Flat: the ascents walk `g`.
   ParallelSpcs(const Timetable& tt, const TdGraph& g, ParallelSpcsOptions opt);
+  /// Overlay-routed: the ascents walk `ov`'s out-CSR; `g` still
+  /// supplies the initial pushes (departure route nodes are a flat-graph
+  /// notion). Throws on an overlay contracted from a different dataset.
+  ParallelSpcs(const Timetable& tt, const TdGraph& g, const OverlayGraph& ov,
+               ParallelSpcsOptions opt);
   ~ParallelSpcs();
 
   /// One-to-all profile query from S, including merge and reduction.
+  /// Profiles are byte-identical between flat and overlay-routed. The
+  /// overlay-routed run does not sweep the contracted nodes (station profiles
+  /// never need it); call settle_contracted() before node_profile() of a
+  /// contracted node.
   OneToAllResult one_to_all(StationId s);
   /// Allocation-free variant: reuses `out`'s profile buffers.
   void one_to_all_into(StationId s, OneToAllResult& out);
@@ -73,6 +91,12 @@ class ParallelSpcs {
   /// Allocation-free variant: reuses `out`'s profile buffer.
   void station_to_station_into(StationId s, StationId t,
                                StationQueryResult& out);
+
+  /// Overlay-routed only (asserts otherwise): extends the last one_to_all
+  /// run to every contracted node, one batched rank-descending sweep per
+  /// pool thread over its own partition's label rows
+  /// (algo/overlay_spcs.hpp). Idempotent until the next run.
+  void settle_contracted();
 
   const ParallelSpcsOptions& options() const { return opt_; }
   const Timetable& timetable() const { return tt_; }
@@ -98,22 +122,39 @@ class ParallelSpcs {
   void assemble_profile_into(StationId s, StationId t, Profile& out);
 
   /// Reduced profile dist(S, v, ·) at ANY graph node of the last full run
-  /// (a full flat run settles route nodes too). The overlay driver
-  /// (algo/overlay_spcs.hpp) offers the same surface after its down-sweep;
+  /// (a full flat run settles route nodes too; an overlay-routed run needs
+  /// settle_contracted() first for contracted nodes).
   /// tests/overlay_spcs_test.cpp diffs the two at every node.
   Profile node_profile(StationId s, NodeId v) const;
   void node_profile_into(StationId s, NodeId v, Profile& out);
+
+  /// Work summed over the per-thread states *right now* — unlike the
+  /// snapshot in OneToAllResult::stats this includes a later
+  /// settle_contracted()'s relax accounting.
+  QueryStats accumulated_stats() const;
+
+  /// Wall clocks of the last one_to_all's master-thread merge/reduction
+  /// and of the last settle_contracted() (0 until it runs). The slowest
+  /// thread's ascent is OneToAllResult::max_thread_ms.
+  double merge_ms() const { return merge_ms_; }
+  double sweep_ms() const { return sweep_ms_; }
 
   /// Total arena footprint of the per-thread workspaces.
   std::size_t scratch_bytes_reserved() const;
 
  private:
+  /// Per-thread rows of the overlay down-sweep (algo/overlay_spcs.hpp).
+  struct SweepScratch;
+
   /// The shared merge loop of the assemble/node_profile variants: raw
   /// (unreduced) per-connection arrivals at node `vn`, in partition order.
   void collect_raw_profile_at(StationId s, NodeId vn, Profile& raw) const;
+  /// The down-sweep of one thread's partition (body of settle_contracted).
+  void sweep_partition(std::size_t th);
 
   const Timetable& tt_;
   const TdGraph& g_;
+  const OverlayGraph* ov_ = nullptr;  // null: flat
   ParallelSpcsOptions opt_;
   ThreadPool pool_;
   // One workspace per pool thread, allocated before the states so the
@@ -121,9 +162,15 @@ class ParallelSpcs {
   // by two threads (each state only grows its own workspace).
   std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
   std::vector<SpcsThreadState> states_;
+  // Overlay-routed only, one per pool thread; its rows are allocated in
+  // the thread's arena by the first sweep, never when flat.
+  std::vector<std::unique_ptr<SweepScratch>> sweep_;
   std::vector<std::uint32_t> boundaries_;
   std::vector<double> thread_ms_;  // per-query scratch (one_to_all)
   Profile raw_scratch_;            // assemble_profile_into scratch
+  double merge_ms_ = 0.0, sweep_ms_ = 0.0;
+  bool full_run_ = false;  // last run had no target (sweep legality)
+  bool swept_ = false;     // sweep done for the last run
 };
 
 }  // namespace pconn

@@ -32,7 +32,6 @@
 #include "algo/mc_query.hpp"
 #include "algo/multi_query.hpp"
 #include "algo/overlay_query.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
@@ -154,13 +153,12 @@ class QuerySession {
   }
 
   /// Overlay-routed parallel SPCS (algo/overlay_spcs.hpp): the profile
-  /// engine's partitioned ascents over the contracted core, byte-identical
-  /// station profiles. Binds to the overlay passed first, like
-  /// overlay_time_engine().
-  OverlayParallelSpcs& overlay_spcs_engine(const OverlayGraph& ov) {
+  /// engine with its ascents over the contracted core,
+  /// byte-identical station profiles. Binds to the overlay passed first,
+  /// like overlay_time_engine().
+  ParallelSpcs& overlay_spcs_engine(const OverlayGraph& ov) {
     if (!ov_spcs_ || ov_spcs_graph_ != &ov) {
-      ov_spcs_ =
-          std::make_unique<OverlayParallelSpcs>(*tt_, *g_, ov, opt_.spcs());
+      ov_spcs_ = std::make_unique<ParallelSpcs>(*tt_, *g_, ov, opt_.spcs());
       ov_spcs_graph_ = &ov;
     }
     return *ov_spcs_;
@@ -242,17 +240,6 @@ class QuerySession {
     assert(ov_spcs_ && "bind the overlay with overlay_spcs_engine(ov) first");
     ov_spcs_->station_to_station_into(s, t, overlay_station_buf_);
     return overlay_station_buf_;
-  }
-
-  /// The conn(S) partition the session's SPCS engines (flat and overlay)
-  /// would hand their threads: boundaries[t]..boundaries[t+1] is thread
-  /// t's range. Allocation-free once `out` is warm — callers planning
-  /// per-partition work (bench breakdowns, the overlay down-sweep fan)
-  /// share the engines' exact split without running a query.
-  void overlay_partition_connections_into(StationId s,
-                                          std::vector<std::uint32_t>& out) {
-    partition_connections_into(tt_->outgoing(s), opt_.threads, opt_.partition,
-                               tt_->period(), out);
   }
 
   /// Station-to-station profile query with the Section-4 accelerations;
@@ -364,7 +351,7 @@ class QuerySession {
   const OverlayGraph* ov_time_graph_ = nullptr;
   std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
   const OverlayGraph* ov_lc_graph_ = nullptr;
-  std::unique_ptr<OverlayParallelSpcs> ov_spcs_;
+  std::unique_ptr<ParallelSpcs> ov_spcs_;
   const OverlayGraph* ov_spcs_graph_ = nullptr;
   std::unique_ptr<S2sQueryEngine> s2s_;
   const StationGraph* s2s_sg_ = nullptr;

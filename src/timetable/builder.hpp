@@ -9,6 +9,7 @@
 // functions FIFO, a property Section 2 assumes of all inputs.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,12 @@ class TimetableBuilder {
   /// encoding of a negative travel time), consecutive stops less than
   /// 1 second apart, immediate self-loops, or a normalized span outside
   /// the supported time range.
-  TrainId add_trip(const std::vector<StopTime>& stops);
+  ///
+  /// Trips of different `group`s never share a route, whatever their
+  /// stops: make_reverse_timetable tags each reversed trip with its forward
+  /// route so the mirrored routes hold the same trips.
+  TrainId add_trip(const std::vector<StopTime>& stops,
+                   std::uint32_t group = 0);
 
   std::size_t num_stations() const { return names_.size(); }
   std::size_t num_trips() const { return raw_trips_.size(); }
@@ -53,6 +59,7 @@ class TimetableBuilder {
 
  private:
   struct RawTrip {
+    std::uint32_t group;
     std::vector<StationId> stops;
     std::vector<Time> arrivals;
     std::vector<Time> departures;

@@ -1,5 +1,7 @@
 #include "timetable/reverse.hpp"
 
+#include <stdexcept>
+
 #include "timetable/builder.hpp"
 
 namespace pconn {
@@ -32,9 +34,19 @@ Timetable make_reverse_timetable(const Timetable& tt) {
       stops[k].arrival = horizon - trip.departures[j];
       stops[k].departure = horizon - trip.arrivals[j];
     }
-    builder.add_trip(stops);
+    // The forward route as the group: the engines let a passenger switch
+    // trips within a route for free, so the mirror must keep each route's
+    // trips together and apart from the rest. Grouped by stops alone, the
+    // greedy non-overtaking split on the mirrored clock chains some trips
+    // differently (losangeles-like and washington-like presets).
+    builder.add_trip(stops, trip.route);
   }
-  return builder.finalize();
+  Timetable reversed = builder.finalize();
+  if (reversed.num_routes() != tt.num_routes()) {
+    throw std::logic_error(
+        "reverse timetable: a forward route did not stay one route");
+  }
+  return reversed;
 }
 
 }  // namespace pconn

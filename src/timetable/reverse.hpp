@@ -14,6 +14,9 @@ namespace pconn {
 
 /// Builds the time-reversed timetable. Involution up to trip/route
 /// renumbering: reversing twice yields the original connection multiset.
+/// Reversed trip z is forward trip z, and each reversed route holds
+/// exactly one forward route's trips; throws std::logic_error if the
+/// TimetableBuilder's non-overtaking split would break a route apart.
 Timetable make_reverse_timetable(const Timetable& tt);
 
 }  // namespace pconn

@@ -6,12 +6,14 @@
 // cannot pass.
 //
 //  * earliest arrival: flat TimeQuery and OverlayTimeQuery at every station;
-//  * profiles: flat ParallelSpcs and OverlayParallelSpcs station-to-station
+//  * profiles: flat and overlay-routed ParallelSpcs station-to-station
 //    queries (the served, chunked path), compared as functions;
 // on every preset, on seeded random networks with overnight trips, on the
 // chunk-boundary sources and on every epoch of a seeded delay feed;
 //  * one-to-all profiles: flat and overlay one_to_all at every station of
 //    every preset at full scale;
+//  * all-to-one profiles: AllToOneProfiles into two targets of every
+//    preset at full scale, from sampled sources;
 //  * Pareto fronts over (arrival, boardings): McTimeQuery at every station
 //    against the scan's rounds, on every preset and the random networks.
 #include <gtest/gtest.h>
@@ -22,10 +24,10 @@
 #include <string>
 #include <vector>
 
+#include "algo/all_to_one.hpp"
 #include "algo/contraction.hpp"
 #include "algo/mc_query.hpp"
 #include "algo/overlay_query.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/spcs.hpp"
 #include "algo/time_query.hpp"
@@ -93,7 +95,7 @@ void expect_profiles(const Timetable& tt, const TdGraph& g,
   const test::ConnectionScan scan(tt);
   const ParallelSpcsOptions opt{.threads = 2};
   ParallelSpcs flat(tt, g, opt);
-  OverlayParallelSpcs over(tt, g, ov, opt);
+  ParallelSpcs over(tt, g, ov, opt);
   for (const auto& [s, t] : pairs) {
     const Profile want = as_profile(scan.profile(s, t));
     const std::string pair =
@@ -219,7 +221,7 @@ TEST(GroundTruth, OneToAllProfilesOnEveryPresetAtFullScale) {
     const test::ConnectionScan scan(tt);
     const ParallelSpcsOptions opt{.threads = 2};
     ParallelSpcs flat(tt, g, opt);
-    OverlayParallelSpcs over(tt, g, ov, opt);
+    ParallelSpcs over(tt, g, ov, opt);
     const std::string name = gen::preset_name(p);
     for (const StationId s :
          {test::busiest_station(tt), chunk_boundary_station(tt)}) {
@@ -239,6 +241,38 @@ TEST(GroundTruth, OneToAllProfilesOnEveryPresetAtFullScale) {
                                    pair + " overlay");
       }
       EXPECT_GT(reached, tt.num_stations() / 2) << name << " from " << s;
+    }
+  }
+}
+
+// All-to-one runs ParallelSpcs on the reversed timetable and maps each
+// profile back to the forward clock; the scan checks it forward, source by
+// source, into the busiest station and one random target.
+TEST(GroundTruth, AllToOneProfilesOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 1.0);
+    const test::ConnectionScan scan(tt);
+    AllToOneProfiles engine(tt, {.threads = 2});
+    const std::string name = gen::preset_name(p);
+    Rng rng(61);
+    for (const StationId t :
+         {test::busiest_station(tt),
+          static_cast<StationId>(rng.next_below(tt.num_stations()))}) {
+      const OneToAllResult got = engine.all_to_one(t);
+      ASSERT_EQ(got.profiles.size(), tt.num_stations()) << name;
+      std::vector<StationId> sources = random_stations(rng, tt, 6);
+      sources.push_back(test::busiest_station(tt));
+      std::size_t reached = 0;
+      for (const StationId s : sources) {
+        if (s == t) continue;
+        const Profile want = as_profile(scan.profile(s, t));
+        if (!want.empty()) ++reached;
+        test::expect_same_function(
+            got.profiles[s], want, tt.period(),
+            name + " " + std::to_string(s) + "->" + std::to_string(t) +
+                " all-to-one");
+      }
+      EXPECT_GT(reached, 0u) << name << " into " << t;
     }
   }
 }

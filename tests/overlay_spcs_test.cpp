@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "algo/contraction.hpp"
-#include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "test_util.hpp"
 
@@ -46,7 +45,7 @@ void expect_station_identity(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov, unsigned threads,
                              std::uint64_t seed) {
   ParallelSpcs flat(tt, g, spcs_opts(threads));
-  OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
+  ParallelSpcs over(tt, g, ov, spcs_opts(threads));
   for (const StationId s : pick_sources(tt, seed, 2)) {
     const OneToAllResult rf = flat.one_to_all(s);
     const OneToAllResult ro = over.one_to_all(s);
@@ -99,7 +98,7 @@ void expect_node_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, unsigned threads,
                           StationId s) {
   ParallelSpcs flat(tt, g, spcs_opts(threads));
-  OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
+  ParallelSpcs over(tt, g, ov, spcs_opts(threads));
   flat.one_to_all(s);
   over.one_to_all(s);
   over.settle_contracted();
@@ -138,7 +137,7 @@ TEST(OverlaySpcs, SweepIsIdempotent) {
   const Timetable tt = test::small_city(46);
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
-  OverlayParallelSpcs over(tt, g, ov, spcs_opts(2));
+  ParallelSpcs over(tt, g, ov, spcs_opts(2));
   const StationId s = 0;
   over.one_to_all(s);
   over.settle_contracted();
@@ -156,9 +155,9 @@ TEST(OverlaySpcs, ProfilesDeterministicAcrossThreadCounts) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   const StationId s = 4 % tt.num_stations();
-  OverlayParallelSpcs one(tt, g, ov, spcs_opts(1));
-  OverlayParallelSpcs two(tt, g, ov, spcs_opts(2));
-  OverlayParallelSpcs eight(tt, g, ov, spcs_opts(8));
+  ParallelSpcs one(tt, g, ov, spcs_opts(1));
+  ParallelSpcs two(tt, g, ov, spcs_opts(2));
+  ParallelSpcs eight(tt, g, ov, spcs_opts(8));
   const OneToAllResult r1 = one.one_to_all(s);
   const OneToAllResult r2 = two.one_to_all(s);
   const OneToAllResult r8 = eight.one_to_all(s);
@@ -185,7 +184,7 @@ TEST(OverlaySpcs, StationToStationMatchesFlat) {
   const OverlayGraph ov = contract_graph(tt, g);
   for (const unsigned threads : {1u, 2u, 8u}) {
     ParallelSpcs flat(tt, g, spcs_opts(threads));
-    OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
+    ParallelSpcs over(tt, g, ov, spcs_opts(threads));
     Rng rng(1200 + threads);
     for (int i = 0; i < 4; ++i) {
       const StationId s =
@@ -211,7 +210,7 @@ void expect_chunked_equals_one_to_all(const Timetable& tt, const TdGraph& g,
                                       std::span<const StationId> targets,
                                       const OneToAllResult& want) {
   for (const unsigned threads : {1u, 2u, 4u}) {
-    OverlayParallelSpcs over(tt, g, ov, spcs_opts(threads));
+    ParallelSpcs over(tt, g, ov, spcs_opts(threads));
     for (const StationId t : targets) {
       ASSERT_EQ(over.station_to_station(s, t).profile, want.profiles[t])
           << s << " -> " << t << " |conn(S)| " << tt.outgoing(s).size()

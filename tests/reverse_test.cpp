@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "algo/all_to_one.hpp"
 #include "algo/parallel_spcs.hpp"
+#include "gen/generator.hpp"
 #include "test_util.hpp"
 #include "timetable/reverse.hpp"
 #include "timetable/validation.hpp"
@@ -57,6 +60,28 @@ TEST(ReverseTimetable, DoubleReversalIsIdentityOnConnections) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+// A passenger switches trips within a route for free, so the mirror must
+// hold each forward route's trips together and apart from the rest. The
+// greedy non-overtaking split regroups some of them when the clock runs
+// backwards (losangeles-like and washington-like at full scale).
+TEST(ReverseTimetable, KeepsEveryForwardRoute) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 1.0);
+    const Timetable rev = make_reverse_timetable(tt);
+    ASSERT_EQ(rev.num_trips(), tt.num_trips());
+    ASSERT_EQ(rev.num_routes(), tt.num_routes()) << gen::preset_name(p);
+    // Reversed trip z is forward trip z. Each forward route maps to one
+    // reversed route; with equal route counts the map is a bijection.
+    constexpr RouteId kUnset = std::numeric_limits<RouteId>::max();
+    std::vector<RouteId> image(tt.num_routes(), kUnset);
+    for (TrainId z = 0; z < tt.num_trips(); ++z) {
+      RouteId& r = image[tt.trip(z).route];
+      if (r == kUnset) r = rev.trip(z).route;
+      ASSERT_EQ(rev.trip(z).route, r) << gen::preset_name(p) << " trip " << z;
+    }
+  }
 }
 
 // The central property: all-to-one transposes one-to-all exactly.

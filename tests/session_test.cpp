@@ -185,7 +185,6 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
   session.overlay_spcs_engine(ov);
 
   std::vector<StationId> sources;
-  std::vector<std::uint32_t> part_buf;
   Profile node_profile_buf;
   Rng rng(77);
   for (int i = 0; i < 4; ++i) {
@@ -234,8 +233,7 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
           s, g.num_nodes() - 1, node_profile_buf);
       checksum += node_profile_buf.size();
       checksum += session.overlay_station_to_station(s, target).profile.size();
-      session.overlay_partition_connections_into(s, part_buf);
-      checksum += part_buf.back();
+      checksum += session.overlay_spcs_engine(ov).last_boundaries().back();
     }
   };
 
