@@ -4,7 +4,7 @@
 // The paper's timed workloads are streams and matrices of queries, not
 // single shots. Per network this bench times the one-to-all matrix —
 // node-level earliest arrivals from S sources — both ways: a warm
-// OverlayTimeQuery loop (run + settle_contracted per source) vs one
+// overlay-routed TimeQuery loop (run + settle_contracted per source) vs one
 // overlay_run_batch (algo/multi_query.hpp) followed by
 // settle_contracted_batch — the cross-lane down-sweep whose fixed
 // rank-descending order lets every down-edge feed arrival_tn with all S
@@ -94,7 +94,7 @@ MultiRow run_network(gen::Preset preset) {
 
   QuerySession session(net.tt, g);
   session.multi_overlay_engine(ov);
-  OverlayTimeQuery over(net.tt, g, ov);
+  TimeQuery over(net.tt, g, ov);
 
   // --- enforced identity (also the warm-up pass) ------------------------
   {

@@ -138,7 +138,7 @@ OverlayRow run_network(gen::Preset preset) {
   const Time dep = 8 * 3600;
 
   TimeQuery flat(net.tt, g);
-  OverlayTimeQuery over(net.tt, g, ov);
+  TimeQuery over(net.tt, g, ov);
 
   // --- enforced identity (also the warm-up pass) ------------------------
   for (std::size_t i = 0; i < sources.size(); ++i) {

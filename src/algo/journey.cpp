@@ -1,13 +1,14 @@
 #include "algo/journey.hpp"
 
-#include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "algo/time_query.hpp"
 #include "util/format.hpp"
 
 namespace pconn {
 
-namespace detail {
+namespace {
 
 /// The trip of route r actually boarded at position k when the rider is
 /// ready at absolute time t: the trip with the next departure at stop k
@@ -47,46 +48,39 @@ RouteId route_of_node(const Timetable& tt, const TdGraph& g, NodeId v) {
   return lo;
 }
 
-}  // namespace detail
+}  // namespace
 
-bool extract_journey_into(const Timetable& tt, const TdGraph& g,
-                          const TimeQuery& q, StationId source,
-                          Time departure, StationId target,
-                          std::vector<NodeId>& path_scratch, Journey& j) {
-  j.source = source;
-  j.target = target;
-  j.departure = departure;
-  j.arrival = kInfTime;
-  j.legs.clear();
+void journey_legs_from_path(const Timetable& tt, const TdGraph& g,
+                            std::span<const NodeId> path,
+                            std::span<const Time> ready, Journey& j) {
+  for (std::size_t idx = 0; idx + 1 < path.size(); ++idx) {
+    NodeId v = path[idx], w = path[idx + 1];
+    if (g.is_station_node(v) || g.is_station_node(w)) continue;  // board/alight
+    const RouteId r = route_of_node(tt, g, v);
+    const std::uint32_t k = v - g.route_node(r, 0);
+    const Time at = ready[idx];
+    const TrainId used = journey_trip_used(tt, r, k, at);
+    const Trip& tr = tt.trip(used);
+    const Time wait = delta(at, tr.departures[k], tt.period());
+    const Time dep_abs = at + wait;
+    const Time arr_abs = dep_abs + (tr.arrivals[k + 1] - tr.departures[k]);
 
-  const NodeId dst = g.station_node(target);
-  if (q.arrival_at_node(dst) == kInfTime) return false;
-
-  // Node path from source to target.
-  std::vector<NodeId>& path = path_scratch;
-  path.clear();
-  for (NodeId v = dst; v != kInvalidNode; v = q.parent(v)) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-
-  j.arrival = q.arrival_at_node(dst);
-
-  // Walk the path; every travel edge (route node -> route node) contributes
-  // to a leg. Identify the trip from the tail's arrival time.
-  journey_legs_from_path(
-      tt, g, std::span<const NodeId>(path),
-      [&](std::size_t idx) { return q.arrival_at_node(path[idx]); }, j);
-  return true;
-}
-
-std::optional<Journey> extract_journey(const Timetable& tt, const TdGraph& g,
-                                       const TimeQuery& q, StationId source,
-                                       Time departure, StationId target) {
-  Journey j;
-  std::vector<NodeId> path;
-  if (!extract_journey_into(tt, g, q, source, departure, target, path, j)) {
-    return std::nullopt;
+    const Route& route = tt.route(r);
+    if (!j.legs.empty() && j.legs.back().train == used &&
+        j.legs.back().to == route.stops[k]) {
+      j.legs.back().to = route.stops[k + 1];
+      j.legs.back().arr = arr_abs;
+    } else {
+      JourneyLeg leg;
+      leg.train = used;
+      leg.route = r;
+      leg.from = route.stops[k];
+      leg.to = route.stops[k + 1];
+      leg.dep = dep_abs;
+      leg.arr = arr_abs;
+      j.legs.push_back(leg);
+    }
   }
-  return j;
 }
 
 std::vector<Journey> profile_journeys(const Timetable& tt, const TdGraph& g,
@@ -95,10 +89,12 @@ std::vector<Journey> profile_journeys(const Timetable& tt, const TdGraph& g,
   std::vector<Journey> out;
   out.reserve(profile.size());
   TimeQuery q(tt, g);
+  Journey j;
   for (const ProfilePoint& p : profile) {
     q.run(source, p.dep, target);
-    auto j = extract_journey(tt, g, q, source, p.dep, target);
-    if (j) out.push_back(std::move(*j));
+    if (q.extract_journey_into(source, p.dep, target, j)) {
+      out.push_back(std::move(j));
+    }
   }
   return out;
 }

@@ -2,10 +2,11 @@
 // call, extended to every node by one cross-lane down-sweep
 // (docs/architecture.md "Throughput execution").
 //
-// Each lane IS a per-query OverlayTimeQuery over its own workspace-
-// resident label state: run() runs the lanes' core ascents one after the
-// other, so every lane's results AND QueryStats equal a standalone run of
-// the same query (tests/multi_query_test.cpp proves this differentially). Lanes add nothing to the ascent: a shortcut fan
+// Each lane IS a per-query overlay-routed TimeQuery over its own
+// workspace-resident label state: run() runs the lanes' core ascents one
+// after the other, so every lane's results AND QueryStats equal a
+// standalone run of the same query (tests/multi_query_test.cpp proves this
+// differentially). Lanes add nothing to the ascent: a shortcut fan
 // shares its lane's pop key, and one fan at one entry time is cheaper to
 // evaluate than the same edges regrouped across lanes with mixed entry
 // times (measured).
@@ -27,6 +28,7 @@
 #include "algo/counters.hpp"
 #include "algo/overlay_query.hpp"
 #include "algo/relax_batch.hpp"
+#include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
 #include "graph/overlay_graph.hpp"
 #include "graph/td_graph.hpp"
@@ -98,7 +100,7 @@ class MultiQueryOverlayTimeEngine {
   const BatchStats& batch_stats() const { return batch_stats_; }
 
  private:
-  using Lane = OverlayTimeQuery;
+  using Lane = TimeQuery;
 
   const Timetable& tt_;
   const TdGraph& g_;

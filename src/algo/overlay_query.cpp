@@ -1,16 +1,9 @@
 #include "algo/overlay_query.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace pconn {
-
-namespace {
-
-constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
-
-}  // namespace
 
 void require_overlay_matches(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov) {
@@ -21,211 +14,6 @@ void require_overlay_matches(const Timetable& tt, const TdGraph& g,
     throw std::runtime_error(
         "overlay: graph mismatch (contracted from a different dataset?)");
   }
-}
-
-// ---------------------------------------------------------------------------
-// OverlayTimeQuery
-
-OverlayTimeQuery::OverlayTimeQuery(const Timetable& tt, const TdGraph& g,
-                                   const OverlayGraph& ov, QueryWorkspace* ws)
-    : tt_(tt),
-      g_(g),
-      ov_(ov),
-      heap_(scratch_alloc(ws)),
-      dist_(scratch_alloc(ws)),
-      parent_(scratch_alloc(ws)),
-      parent_edge_(scratch_alloc(ws)),
-      path_(ArenaAllocator<NodeId>(scratch_alloc(ws))),
-      ready_(ArenaAllocator<Time>(scratch_alloc(ws))),
-      edge_path_(ArenaAllocator<std::uint32_t>(scratch_alloc(ws))) {
-  // A cached overlay must match the graph it was contracted from
-  // (timetable/snapshot.hpp).
-  require_overlay_matches(tt, g, ov);
-  heap_.reset_capacity(ov.num_nodes());
-  dist_.assign(ov.num_nodes(), kInfTime);
-  parent_.assign(ov.num_nodes(), kInvalidNode);
-  parent_edge_.assign(ov.num_nodes(), kNoEdge);
-}
-
-Time OverlayTimeQuery::source_arrival(std::uint32_t w, Time t) const {
-  if (TdGraph::word_is_const(w)) return t;  // free first boarding
-  // Shortcut TTFs out of a station carry T(S) folded in; the free boarding
-  // at the source evaluates the same function at t - T(S) (wrapping one
-  // period up and back down when t < T(S) keeps the arithmetic unsigned).
-  const Time c = ov_.board_shift(source_);
-  if (c == 0) return ov_.ttfs().arrival(w, t);
-  if (t >= c) return ov_.ttfs().arrival(w, t - c);
-  const Time raw = ov_.ttfs().arrival(w, t + ov_.period() - c);
-  return raw == kInfTime ? kInfTime : raw - ov_.period();
-}
-
-void OverlayTimeQuery::run(StationId source, Time departure, StationId target) {
-  stats_ = QueryStats{};
-  heap_.clear();
-  dist_.clear();
-  parent_.clear();
-  parent_edge_.clear();
-  source_ = source;
-  departure_ = departure;
-  full_run_ = target == kInvalidStation;
-  swept_ = false;
-
-  const NodeId src = ov_.station_node(source);
-  dist_.set(src, departure);
-  heap_.push(src, departure);
-  stats_.pushed++;
-
-  while (!heap_.empty()) {
-    auto [v, key] = heap_.pop();
-    stats_.settled++;
-    if (target != kInvalidStation && v == ov_.station_node(target)) break;
-
-    const std::uint32_t eb = ov_.edge_begin(v);
-    const std::uint32_t ee = ov_.edge_end(v);
-    const NodeId* const heads = ov_.heads_data();
-    const std::uint32_t* const words = ov_.words_data();
-
-    // Before any TTF evaluation the streamed head is tested against
-    // `dist <= key`: an edge arrival can never precede the entry time, so
-    // such a head cannot improve. Out of the source, constant boards are
-    // free and shortcut TTFs evaluate board-discounted (source_arrival).
-    const bool at_src = v == src;
-    for (std::uint32_t ei = eb; ei < ee; ++ei) {
-      if (ei + 1 < ee) {
-        dist_.prefetch(heads[ei + 1]);
-        ov_.prefetch_edge_ttf(ei + 1);
-      }
-      const NodeId head = heads[ei];
-      if (dist_.get(head) <= key) continue;
-      const Time t = at_src ? source_arrival(words[ei], key)
-                            : ov_.arrival_by_word(words[ei], key);
-      if (t == kInfTime) continue;
-      stats_.relaxed++;
-      if (t < dist_.get(head)) {
-        if (heap_.push_or_decrease(head, t) == QueuePush::kPushed) {
-          stats_.pushed++;
-        } else {
-          stats_.decreased++;
-        }
-        dist_.set(head, t);
-        parent_.set(head, v);
-        parent_edge_.set(head, ei);
-      }
-    }
-  }
-  heap_.clear();
-}
-
-void OverlayTimeQuery::settle_contracted() {
-  assert(full_run_ && "settle_contracted needs a full (no-target) run");
-  if (swept_) return;  // labels final; a second pass would only re-count
-  swept_ = true;
-  const NodeId src = ov_.station_node(source_);
-  // Descending contraction rank: every down-edge tail — core or higher
-  // ranked — is final before its head, so one min-pass per node suffices
-  // (the CH down-path argument; no queue, no re-visits).
-  for (std::size_t i = 0; i < ov_.num_contracted(); ++i) {
-    const NodeId v = ov_.down_node(i);
-    Time best = kInfTime;
-    NodeId best_tail = kInvalidNode;
-    for (std::uint32_t e = ov_.down_begin(i); e < ov_.down_end(i); ++e) {
-      const NodeId tail = ov_.down_tail(e);
-      const Time t0 = dist_.get(tail);
-      if (t0 == kInfTime) continue;
-      stats_.relaxed++;
-      const std::uint32_t w = ov_.down_word(e);
-      const Time t =
-          tail == src ? source_arrival(w, t0) : ov_.arrival_by_word(w, t0);
-      if (t != kInfTime && t < best) {
-        best = t;
-        best_tail = tail;
-      }
-    }
-    if (best != kInfTime) {
-      dist_.set(v, best);
-      parent_.set(v, best_tail);
-    }
-  }
-}
-
-Time OverlayTimeQuery::origin_arrival(std::uint32_t origin, Time t,
-                                      bool at_source) const {
-  const std::uint32_t w = OverlayGraph::origin_is_shortcut(origin)
-                              ? ov_.shortcut(origin & ~OverlayGraph::kShortcutBit).word
-                              : g_.edge_word(origin);
-  return at_source ? source_arrival(w, t) : ov_.arrival_by_word(w, t);
-}
-
-Time OverlayTimeQuery::replay_origin(std::uint32_t origin, NodeId tail,
-                                     Time t, bool at_source) {
-  if (!OverlayGraph::origin_is_shortcut(origin)) {
-    // A flat edge: evaluate exactly like the flat relax loop (the overlay
-    // pool's prefix is the base pool, so the word needs no translation).
-    const std::uint32_t w = g_.edge_word(origin);
-    const Time arr = at_source && TdGraph::word_is_const(w)
-                         ? t
-                         : ov_.arrival_by_word(w, t);
-    path_.push_back(g_.edge_head(origin));
-    ready_.push_back(arr);
-    return arr;
-  }
-  const OverlayGraph::ShortcutRec& r =
-      ov_.shortcut(origin & ~OverlayGraph::kShortcutBit);
-  if (r.mid != kInvalidNode) {  // link: tail -> mid -> head
-    const Time tm = replay_origin(r.a, tail, t, at_source);
-    return replay_origin(r.b, r.mid, tm, false);
-  }
-  // Merge: ride whichever branch wins at this departure time (ties to the
-  // older branch — the merged TTF's value is the min of the two, so the
-  // chosen branch reproduces the query's arrival exactly).
-  const Time ta = origin_arrival(r.a, t, at_source);
-  const Time tb = origin_arrival(r.b, t, at_source);
-  return replay_origin(ta <= tb ? r.a : r.b, tail, t, at_source);
-}
-
-bool OverlayTimeQuery::extract_journey_into(StationId source, Time departure,
-                                            StationId target, Journey& j) {
-  assert(source == source_ && departure == departure_ &&
-         "extract_journey_into must follow run() with the same query");
-  j.source = source;
-  j.target = target;
-  j.departure = departure;
-  j.arrival = kInfTime;
-  j.legs.clear();
-
-  const NodeId src = ov_.station_node(source);
-  const NodeId dst = ov_.station_node(target);
-  if (dist_.get(dst) == kInfTime) return false;
-
-  // Overlay parent chain, then shortcut expansion to the flat node path
-  // with forward-replayed ready times.
-  edge_path_.clear();
-  for (NodeId v = dst; v != src;) {
-    const std::uint32_t pe = parent_edge_.get(v);
-    if (pe == kNoEdge) return false;  // unreachable tree slot
-    edge_path_.push_back(pe);
-    v = parent_.get(v);
-  }
-  std::reverse(edge_path_.begin(), edge_path_.end());
-
-  path_.clear();
-  ready_.clear();
-  path_.push_back(src);
-  ready_.push_back(departure);
-  Time t = departure;
-  NodeId tail = src;
-  for (const std::uint32_t pe : edge_path_) {
-    t = replay_origin(ov_.edge_origin(pe), tail, t, tail == src);
-    tail = ov_.edge_head(pe);
-  }
-  j.arrival = dist_.get(dst);
-  assert(t == j.arrival && "replayed path must reproduce the query arrival");
-  (void)t;
-
-  journey_legs_from_path(
-      tt_, g_, std::span<const NodeId>(path_.data(), path_.size()),
-      [&](std::size_t i) { return ready_[i]; }, j);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

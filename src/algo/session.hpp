@@ -50,7 +50,7 @@ struct QuerySessionOptions {
   // only engines with two (algo/relax_batch.hpp).
   RelaxMode relax = RelaxMode::kBatch;
 
-  /// `relax`, for callers that hand it to OverlayTimeQuery's no-op
+  /// `relax`, for callers that hand it to TimeQuery's no-op
   /// set_relax_options.
   RelaxMode relax_options() const { return relax; }
   ParallelSpcsOptions spcs() const {
@@ -144,9 +144,9 @@ class QuerySession {
   /// configuration, not per-request switching: the retired engine's
   /// scratch stays in the session arena (monotone, no per-object free)
   /// until the session itself is destroyed.
-  OverlayTimeQuery& overlay_time_engine(const OverlayGraph& ov) {
+  TimeQuery& overlay_time_engine(const OverlayGraph& ov) {
     if (!ov_time_ || ov_time_graph_ != &ov) {
-      ov_time_ = std::make_unique<OverlayTimeQuery>(*tt_, *g_, ov, &ws_);
+      ov_time_ = std::make_unique<TimeQuery>(*tt_, *g_, ov, &ws_);
       ov_time_graph_ = &ov;
     }
     return *ov_time_;
@@ -261,19 +261,12 @@ class QuerySession {
   /// time_engine().arrival_at).
   Time earliest_arrival(StationId source, Time departure,
                         StationId target = kInvalidStation) {
-    time_engine().run(source, departure, target);
-    return target == kInvalidStation ? departure
-                                     : time_engine().arrival_at(target);
+    return arrival_on(time_engine(), source, departure, target);
   }
 
   /// Full journey extraction for one departure; nullptr when unreachable.
   const Journey* journey(StationId source, Time departure, StationId target) {
-    time_engine().run(source, departure, target);
-    if (!extract_journey_into(*tt_, *g_, time_engine(), source, departure,
-                              target, path_scratch_, journey_buf_)) {
-      return nullptr;
-    }
-    return &journey_buf_;
+    return journey_on(time_engine(), source, departure, target);
   }
 
   /// Earliest arrival through the contraction overlay; byte-identical to
@@ -282,9 +275,7 @@ class QuerySession {
   Time overlay_earliest_arrival(StationId source, Time departure,
                                 StationId target = kInvalidStation) {
     assert(ov_time_ && "bind the overlay with overlay_time_engine(ov) first");
-    ov_time_->run(source, departure, target);
-    return target == kInvalidStation ? departure
-                                     : ov_time_->arrival_at(target);
+    return arrival_on(*ov_time_, source, departure, target);
   }
 
   /// Journey extraction through the overlay (shortcuts expanded back to
@@ -292,12 +283,7 @@ class QuerySession {
   const Journey* overlay_journey(StationId source, Time departure,
                                  StationId target) {
     assert(ov_time_ && "bind the overlay with overlay_time_engine(ov) first");
-    ov_time_->run(source, departure, target);
-    if (!ov_time_->extract_journey_into(source, departure, target,
-                                        journey_buf_)) {
-      return nullptr;
-    }
-    return &journey_buf_;
+    return journey_on(*ov_time_, source, departure, target);
   }
 
   /// Pareto front over (arrival, boardings) at `target`.
@@ -335,6 +321,20 @@ class QuerySession {
   }
 
  private:
+  // The bodies of the flat and overlay-routed EA and journey queries.
+  static Time arrival_on(TimeQuery& q, StationId source, Time departure,
+                         StationId target) {
+    q.run(source, departure, target);
+    return target == kInvalidStation ? departure : q.arrival_at(target);
+  }
+  const Journey* journey_on(TimeQuery& q, StationId source, Time departure,
+                            StationId target) {
+    q.run(source, departure, target);
+    return q.extract_journey_into(source, departure, target, journey_buf_)
+               ? &journey_buf_
+               : nullptr;
+  }
+
   const Timetable* tt_;
   const TdGraph* g_;
   QuerySessionOptions opt_;
@@ -347,7 +347,7 @@ class QuerySession {
   std::unique_ptr<TimeQuery> time_;
   std::unique_ptr<LcProfileQuery> lc_;
   std::unique_ptr<McTimeQuery> mc_;
-  std::unique_ptr<OverlayTimeQuery> ov_time_;
+  std::unique_ptr<TimeQuery> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
   std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
   const OverlayGraph* ov_lc_graph_ = nullptr;
@@ -368,7 +368,6 @@ class QuerySession {
   StationQueryResult overlay_station_buf_;
   StationQueryResult s2s_buf_;
   Journey journey_buf_;
-  std::vector<NodeId> path_scratch_;
 };
 
 }  // namespace pconn

@@ -185,7 +185,7 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, std::uint64_t seed,
                           int queries) {
   TimeQuery flat(tt, g);
-  OverlayTimeQuery over(tt, g, ov);
+  TimeQuery over(tt, g, ov);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -330,7 +330,7 @@ TEST(ContractionOverlay, SettleContractedIsIdempotent) {
   const Timetable tt = test::small_city(37);
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
-  OverlayTimeQuery over(tt, g, ov);
+  TimeQuery over(tt, g, ov);
   Rng rng(89);
   for (int i = 0; i < 4; ++i) {
     const StationId s =
@@ -362,8 +362,8 @@ TEST(ContractionOverlay, JourneyExpansionMatchesFlat) {
   const TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g);
   TimeQuery flat(tt, g);
-  OverlayTimeQuery over(tt, g, ov);
-  Journey oj;
+  TimeQuery over(tt, g, ov);
+  Journey fj, oj;
   Rng rng(77);
   int reachable = 0;
   for (int i = 0; i < 24; ++i) {
@@ -373,16 +373,16 @@ TEST(ContractionOverlay, JourneyExpansionMatchesFlat) {
         static_cast<StationId>(rng.next_below(tt.num_stations()));
     const Time dep = static_cast<Time>(rng.next_below(tt.period()));
     flat.run(s, dep, t);
-    const auto fj = extract_journey(tt, g, flat, s, dep, t);
+    const bool flat_ok = flat.extract_journey_into(s, dep, t, fj);
     over.run(s, dep, t);
     const bool ok = over.extract_journey_into(s, dep, t, oj);
-    ASSERT_EQ(ok, fj.has_value()) << s << "->" << t << " at " << dep;
+    ASSERT_EQ(ok, flat_ok) << s << "->" << t << " at " << dep;
     if (!ok) continue;
     ++reachable;
     // Arrivals are byte-identical; the legs must form a consistent journey
     // achieving exactly that arrival (tie-breaking between equal-arrival
     // paths may differ between the flat parent tree and the expansion).
-    EXPECT_EQ(oj.arrival, fj->arrival);
+    EXPECT_EQ(oj.arrival, fj.arrival);
     ASSERT_FALSE(oj.legs.empty() && s != t);
     if (!oj.legs.empty()) {
       EXPECT_EQ(oj.legs.back().arr, oj.arrival);
@@ -406,7 +406,7 @@ TEST(ContractionOverlay, GraphMismatchIsRejectedLoudly) {
   const OverlayGraph ov_tiny = contract_graph(tiny, g_tiny);
   const Timetable city = test::small_city(38);
   const TdGraph g_city = TdGraph::build(city);
-  EXPECT_THROW((OverlayTimeQuery{city, g_city, ov_tiny}), std::runtime_error);
+  EXPECT_THROW((TimeQuery{city, g_city, ov_tiny}), std::runtime_error);
   EXPECT_THROW((OverlayLcProfileQuery{city, ov_tiny}), std::runtime_error);
 }
 
@@ -490,7 +490,7 @@ TEST(ContractionOverlay, SerializationRoundTripIsIdentical) {
   std::remove(path.c_str());
 
   // The loaded overlay answers queries byte-identically.
-  OverlayTimeQuery qa(tt, g, ov), qb(tt, g, back);
+  TimeQuery qa(tt, g, ov), qb(tt, g, back);
   Rng rng(11);
   for (int i = 0; i < 4; ++i) {
     const StationId s =

@@ -5,11 +5,13 @@
 // session); these are the ones a bug in timetable -> graph construction
 // cannot pass.
 //
-//  * earliest arrival: flat TimeQuery and OverlayTimeQuery at every station;
+//  * earliest arrival: TimeQuery, flat and overlay-routed, at every station;
 //  * profiles: flat and overlay-routed ParallelSpcs station-to-station
 //    queries (the served, chunked path), compared as functions;
 // on every preset, on seeded random networks with overnight trips, on the
 // chunk-boundary sources and on every epoch of a seeded delay feed;
+//  * journeys: both TimeQuery modes' legs against the trips they ride, on
+//    every preset at full scale;
 //  * one-to-all profiles: flat and overlay one_to_all at every station of
 //    every preset at full scale;
 //  * all-to-one profiles: AllToOneProfiles into two targets of every
@@ -62,7 +64,7 @@ void expect_earliest_arrivals(const Timetable& tt, const TdGraph& g,
                               const std::string& what) {
   const test::ConnectionScan scan(tt);
   TimeQuery flat(tt, g);
-  OverlayTimeQuery over(tt, g, ov);
+  TimeQuery over(tt, g, ov);
   Rng rng(seed);
   std::size_t mismatches = 0;
   for (const StationId s : sources) {
@@ -189,6 +191,95 @@ TEST(GroundTruth, EarliestArrivalOnEveryPresetAtFullScale) {
     std::vector<StationId> sources = random_stations(rng, tt, 4);
     sources.push_back(test::busiest_station(tt));
     expect_earliest_arrivals(tt, g, ov, sources, 3, 32, gen::preset_name(p));
+  }
+}
+
+/// Every leg of `j` (from s at tau to t) checked against the timetable's
+/// trips: it rides one trip of its route from `from` to `to` at that
+/// trip's times (modulo the period), legs meet at a station, and a change
+/// of route there waits at least the station's transfer time. Returns the
+/// first violation, empty when there is none.
+std::string journey_fault(const Timetable& tt, const Journey& j, StationId s,
+                          Time tau, StationId t) {
+  if (j.legs.empty()) return "no legs";
+  if (j.legs.front().from != s) return "first leg does not leave the source";
+  if (j.legs.front().dep < tau) return "first leg leaves before tau";
+  if (j.legs.back().to != t) return "last leg does not reach the target";
+  if (j.legs.back().arr != j.arrival) return "last leg arrival != arrival";
+  const Time period = tt.period();
+  for (std::size_t i = 0; i < j.legs.size(); ++i) {
+    const JourneyLeg& leg = j.legs[i];
+    const std::string at = "leg " + std::to_string(i) + ": ";
+    const Trip& trip = tt.trip(leg.train);
+    if (trip.route != leg.route) return at + "train not of its route";
+    const std::span<const StationId> stops = tt.route(leg.route).stops;
+    bool rides = false;
+    for (std::size_t k = 0; !rides && k < stops.size(); ++k) {
+      if (stops[k] != leg.from ||
+          trip.departures[k] % period != leg.dep % period) {
+        continue;
+      }
+      for (std::size_t m = k + 1; !rides && m < stops.size(); ++m) {
+        rides = stops[m] == leg.to &&
+                leg.arr - leg.dep == trip.arrivals[m] - trip.departures[k];
+      }
+    }
+    if (!rides) return at + "no ride of its trip matches from/to/dep/arr";
+    if (i == 0) continue;
+    const JourneyLeg& prev = j.legs[i - 1];
+    if (prev.to != leg.from) return at + "does not start where the last ended";
+    const Time change =
+        prev.route == leg.route ? 0 : tt.transfer_time(leg.from);
+    if (leg.dep < prev.arr + change) return at + "transfer too short";
+  }
+  return "";
+}
+
+// Journeys of both engine modes against the timetable: the arrival is the
+// scan's, and every leg is a real ride with feasible transfers.
+TEST(GroundTruth, JourneysOnEveryPresetAtFullScale) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 1.0);
+    const TdGraph g = TdGraph::build(tt);
+    const OverlayGraph ov = contract_graph(tt, g);
+    const test::ConnectionScan scan(tt);
+    const std::string name = gen::preset_name(p);
+    TimeQuery flat(tt, g);
+    TimeQuery over(tt, g, ov);
+    Rng rng(71);
+    std::vector<StationId> sources = random_stations(rng, tt, 3);
+    sources.push_back(test::busiest_station(tt));
+    std::size_t journeys = 0, multi_leg = 0;
+    Journey j;
+    for (const StationId s : sources) {
+      // A random departure, and one whose journeys run past midnight.
+      for (const Time tau : {random_departure(rng, tt.period()),
+                             tt.period() - 600}) {
+        const std::vector<Time> want = scan.earliest_arrivals(s, tau);
+        flat.run(s, tau);
+        over.run(s, tau);
+        for (const StationId t : random_stations(rng, tt, 8)) {
+          if (t == s) continue;
+          for (auto [mode, q] : {std::pair{"flat", &flat},
+                                 std::pair{"overlay", &over}}) {
+            const std::string what = name + " " + mode + " " +
+                                     std::to_string(s) + "->" +
+                                     std::to_string(t) + " at " +
+                                     std::to_string(tau);
+            const bool found = q->extract_journey_into(s, tau, t, j);
+            ASSERT_EQ(found, want[t] != kInfTime) << what;
+            if (!found) continue;
+            EXPECT_EQ(j.arrival, want[t]) << what;
+            const std::string fault = journey_fault(tt, j, s, tau, t);
+            EXPECT_EQ(fault, "") << what;
+            ++journeys;
+            if (j.legs.size() > 1) ++multi_leg;
+          }
+        }
+      }
+    }
+    EXPECT_GT(journeys, 0u) << name;
+    EXPECT_GT(multi_leg, 0u) << name << ": no journey with a transfer";
   }
 }
 

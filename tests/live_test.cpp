@@ -99,7 +99,7 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, std::uint64_t seed,
                           int queries) {
   TimeQuery flat(tt, g);
-  OverlayTimeQuery over(tt, g, ov);
+  TimeQuery over(tt, g, ov);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =

@@ -58,7 +58,7 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryBatchSize) {
   const OverlayGraph ov = contract_graph(tt, g, {});
   Rng rng(72);
   MultiQueryOverlayTimeEngine multi(tt, g, ov);
-  OverlayTimeQuery per(tt, g, ov);
+  TimeQuery per(tt, g, ov);
   for (std::size_t k : kBatchSizes) {
     const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
     multi.run(qs);
@@ -94,7 +94,7 @@ TEST(MultiQuery, SettleContractedBatchMatchesPerQuery) {
   const OverlayGraph ov = contract_graph(tt, g, {});
   Rng rng(75);
   MultiQueryOverlayTimeEngine multi(tt, g, ov);
-  OverlayTimeQuery per(tt, g, ov);
+  TimeQuery per(tt, g, ov);
   for (std::size_t k : kBatchSizes) {
     std::vector<BatchQuery> qs = make_queries(tt, rng, k);
     for (BatchQuery& q : qs) q.target = kInvalidStation;

@@ -287,7 +287,7 @@ TEST(SerializeOverlay, BitFlipSweepNeverCrashes) {
       }
       // Binding re-checks the counts against the graph (a flipped base
       // edge count passes the file's own checks and fails here, loudly).
-      std::optional<OverlayTimeQuery> q;
+      std::optional<TimeQuery> q;
       try {
         q.emplace(w.tt, w.g, *back);
       } catch (const std::runtime_error&) {

@@ -99,15 +99,16 @@ TEST(QuerySession, WarmEqualsFreshJourneysAndPareto) {
     const Journey* warm = session.journey(s, dep, t);
     TimeQuery fresh(tt, g);
     fresh.run(s, dep, t);
-    auto cold = extract_journey(tt, g, fresh, s, dep, t);
-    ASSERT_EQ(warm != nullptr, cold.has_value()) << "query " << i;
+    Journey cold;
+    const bool found = fresh.extract_journey_into(s, dep, t, cold);
+    ASSERT_EQ(warm != nullptr, found) << "query " << i;
     if (warm) {
-      EXPECT_EQ(warm->arrival, cold->arrival);
-      ASSERT_EQ(warm->legs.size(), cold->legs.size());
+      EXPECT_EQ(warm->arrival, cold.arrival);
+      ASSERT_EQ(warm->legs.size(), cold.legs.size());
       for (std::size_t l = 0; l < warm->legs.size(); ++l) {
-        EXPECT_EQ(warm->legs[l].train, cold->legs[l].train);
-        EXPECT_EQ(warm->legs[l].dep, cold->legs[l].dep);
-        EXPECT_EQ(warm->legs[l].arr, cold->legs[l].arr);
+        EXPECT_EQ(warm->legs[l].train, cold.legs[l].train);
+        EXPECT_EQ(warm->legs[l].dep, cold.legs[l].dep);
+        EXPECT_EQ(warm->legs[l].arr, cold.legs[l].arr);
       }
     }
 
@@ -161,7 +162,7 @@ TEST(QuerySession, WarmOverlayEqualsFreshAndFlat) {
     StationId t = static_cast<StationId>(rng.next_below(tt.num_stations()));
     Time dep = static_cast<Time>(rng.next_below(kDayseconds));
     const Time warm = session.overlay_earliest_arrival(s, dep, t);
-    OverlayTimeQuery fresh(tt, g, ov);
+    TimeQuery fresh(tt, g, ov);
     fresh.run(s, dep, t);
     EXPECT_EQ(warm, fresh.arrival_at(t)) << s << "->" << t << " at " << dep;
     EXPECT_EQ(warm, session.earliest_arrival(s, dep, t)) << "overlay vs flat";

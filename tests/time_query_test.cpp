@@ -27,6 +27,12 @@ TEST(TimeQuery, TinyLineHandComputed) {
   // transfer penalty).
   q.run(0, 8 * 3600);
   EXPECT_EQ(q.arrival_at(1), 8u * 3600 + 600);
+
+  // A flat engine's labels are final at every node: the overlay's
+  // down-sweep is a no-op on it.
+  q.settle_contracted();
+  EXPECT_EQ(q.arrival_at(1), 8u * 3600 + 600);
+  EXPECT_EQ(q.labels().get(g.station_node(1)), 8u * 3600 + 600);
 }
 
 TEST(TimeQuery, TransferTimeRespectedAtIntermediate) {
@@ -123,24 +129,25 @@ TEST(Journey, LegsAreConsistent) {
     if (s == t) continue;
     Time tau = static_cast<Time>(rng.next_below(tt.period()));
     q.run(s, tau);
-    auto j = extract_journey(tt, g, q, s, tau, t);
+    Journey j;
+    const bool found = q.extract_journey_into(s, tau, t, j);
     if (q.arrival_at(t) == kInfTime) {
-      EXPECT_FALSE(j.has_value());
+      EXPECT_FALSE(found);
       continue;
     }
-    ASSERT_TRUE(j.has_value());
-    EXPECT_EQ(j->arrival, q.arrival_at(t));
-    ASSERT_FALSE(j->legs.empty());
-    EXPECT_EQ(j->legs.front().from, s);
-    EXPECT_EQ(j->legs.back().to, t);
-    EXPECT_GE(j->legs.front().dep, tau);
-    for (std::size_t i = 0; i < j->legs.size(); ++i) {
-      const JourneyLeg& leg = j->legs[i];
+    ASSERT_TRUE(found);
+    EXPECT_EQ(j.arrival, q.arrival_at(t));
+    ASSERT_FALSE(j.legs.empty());
+    EXPECT_EQ(j.legs.front().from, s);
+    EXPECT_EQ(j.legs.back().to, t);
+    EXPECT_GE(j.legs.front().dep, tau);
+    for (std::size_t i = 0; i < j.legs.size(); ++i) {
+      const JourneyLeg& leg = j.legs[i];
       EXPECT_LE(leg.dep, leg.arr);
       if (i > 0) {
         // Consecutive legs connect at a station in time order.
-        EXPECT_EQ(j->legs[i - 1].to, leg.from);
-        EXPECT_LE(j->legs[i - 1].arr, leg.dep);
+        EXPECT_EQ(j.legs[i - 1].to, leg.from);
+        EXPECT_LE(j.legs[i - 1].arr, leg.dep);
       }
       // The leg matches its trip's schedule.
       const Trip& trip = tt.trip(leg.train);
@@ -155,7 +162,7 @@ TEST(Journey, LegsAreConsistent) {
       EXPECT_TRUE(matches) << "leg " << i;
     }
     // The arrival equals the last leg's arrival.
-    EXPECT_EQ(j->legs.back().arr, j->arrival);
+    EXPECT_EQ(j.legs.back().arr, j.arrival);
   }
 }
 
@@ -194,9 +201,9 @@ TEST(Journey, DescriptionMentionsStations) {
   TdGraph g = TdGraph::build(tt);
   TimeQuery q(tt, g);
   q.run(0, 7 * 3600);
-  auto j = extract_journey(tt, g, q, 0, 7 * 3600, 2);
-  ASSERT_TRUE(j.has_value());
-  std::string text = describe_journey(tt, *j);
+  Journey j;
+  ASSERT_TRUE(q.extract_journey_into(0, 7 * 3600, 2, j));
+  std::string text = describe_journey(tt, j);
   EXPECT_NE(text.find("A"), std::string::npos);
   EXPECT_NE(text.find("C"), std::string::npos);
 }
