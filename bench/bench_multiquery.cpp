@@ -26,7 +26,6 @@
 
 #include "algo/contraction.hpp"
 #include "algo/multi_query.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
 #include "bench_common.hpp"
 #include "util/format.hpp"

@@ -8,11 +8,11 @@
 // run identical query streams on the flat engines and the overlay engines
 // with results enforced identical BEFORE any timing (a speedup over wrong
 // answers is meaningless; the full-node differential uses the downward
-// sweep). Timed workloads:
+// sweep). Timed workloads, whose geomean speedup is the gated headline:
 //   * time one-to-all  — earliest arrivals at every station (the overlay
-//     settles the core only; this plus p2p is the gated headline);
-//   * time p2p         — station-to-station earliest arrival, target stop;
-//   * lc one-to-all    — the label-correcting profile baseline (reported).
+//     settles the core only);
+//   * time p2p         — station-to-station earliest arrival, target stop.
+// (The overlay-routed profile engine is bench_spcs_overlay's.)
 //
 // JSON (--json) is archived by CI as BENCH_overlay.json; CI gates
 // overlay_speedup (geomean of the one-to-all and p2p speedups across
@@ -30,8 +30,6 @@
 #include <vector>
 
 #include "algo/contraction.hpp"
-#include "algo/lc_profile.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/time_query.hpp"
 #include "bench_common.hpp"
 #include "util/format.hpp"
@@ -61,19 +59,11 @@ struct OverlayRow {
   // queries (per query, ms)
   double flat_onetoall_ms = 0.0, over_onetoall_ms = 0.0;
   double flat_p2p_ms = 0.0, over_p2p_ms = 0.0;
-  double flat_lc_ms = 0.0, over_lc_ms = 0.0;
   bool identity_match = true;
 
   double onetoall_speedup() const { return flat_onetoall_ms / over_onetoall_ms; }
   double p2p_speedup() const { return flat_p2p_ms / over_p2p_ms; }
-  double lc_speedup() const { return flat_lc_ms / over_lc_ms; }
 };
-
-std::uint64_t profile_checksum(const Profile& p) {
-  std::uint64_t sum = p.size();
-  for (const ProfilePoint& pt : p) sum = sum * 1000003 + pt.dep * 2 + pt.arr;
-  return sum;
-}
 
 void require(bool ok, const char* what, OverlayRow& row) {
   row.identity_match = row.identity_match && ok;
@@ -157,76 +147,49 @@ OverlayRow run_network(gen::Preset preset) {
     require(over.arrival_at(targets[i]) == flat.arrival_at(targets[i]),
             "p2p arrival", row);
   }
-  {
-    LcProfileQuery flat_lc(net.tt, g);
-    OverlayLcProfileQuery over_lc(net.tt, ov);
-    for (StationId s : sources) {
-      flat_lc.run(s);
-      over_lc.run(s);
-      std::uint64_t a = 0, b = 0;
-      for (StationId v = 0; v < net.tt.num_stations(); ++v) {
-        a += profile_checksum(flat_lc.profile(v));
-        b += profile_checksum(over_lc.profile(v));
-      }
-      require(a == b, "lc profiles", row);
-    }
 
-    // --- timings --------------------------------------------------------
-    const int reps = std::max(1, 256 / static_cast<int>(sources.size()));
-    double fo = 1e100, oo = 1e100, fp = 1e100, op = 1e100;
-    double fl = 1e100, ol = 1e100;
-    for (int b = 0; b < kBlocks; ++b) {
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) flat.run(s, dep);
-        }
-        fo = std::min(fo, t.elapsed_ms());
+  // --- timings ----------------------------------------------------------
+  const int reps = std::max(1, 256 / static_cast<int>(sources.size()));
+  double fo = 1e100, oo = 1e100, fp = 1e100, op = 1e100;
+  for (int b = 0; b < kBlocks; ++b) {
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) {
+        for (StationId s : sources) flat.run(s, dep);
       }
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (StationId s : sources) over.run(s, dep);
-        }
-        oo = std::min(oo, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (std::size_t i = 0; i < sources.size(); ++i) {
-            flat.run(sources[i], dep, targets[i]);
-          }
-        }
-        fp = std::min(fp, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          for (std::size_t i = 0; i < sources.size(); ++i) {
-            over.run(sources[i], dep, targets[i]);
-          }
-        }
-        op = std::min(op, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (StationId s : sources) flat_lc.run(s);
-        fl = std::min(fl, t.elapsed_ms());
-      }
-      {
-        Timer t;
-        for (StationId s : sources) over_lc.run(s);
-        ol = std::min(ol, t.elapsed_ms());
-      }
+      fo = std::min(fo, t.elapsed_ms());
     }
-    const double n = static_cast<double>(sources.size());
-    row.flat_onetoall_ms = fo / (reps * n);
-    row.over_onetoall_ms = oo / (reps * n);
-    row.flat_p2p_ms = fp / (reps * n);
-    row.over_p2p_ms = op / (reps * n);
-    row.flat_lc_ms = fl / n;
-    row.over_lc_ms = ol / n;
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) {
+        for (StationId s : sources) over.run(s, dep);
+      }
+      oo = std::min(oo, t.elapsed_ms());
+    }
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          flat.run(sources[i], dep, targets[i]);
+        }
+      }
+      fp = std::min(fp, t.elapsed_ms());
+    }
+    {
+      Timer t;
+      for (int r = 0; r < reps; ++r) {
+        for (std::size_t i = 0; i < sources.size(); ++i) {
+          over.run(sources[i], dep, targets[i]);
+        }
+      }
+      op = std::min(op, t.elapsed_ms());
+    }
   }
+  const double n = static_cast<double>(sources.size());
+  row.flat_onetoall_ms = fo / (reps * n);
+  row.over_onetoall_ms = oo / (reps * n);
+  row.flat_p2p_ms = fp / (reps * n);
+  row.over_p2p_ms = op / (reps * n);
 
   TablePrinter table({"workload", "flat [ms]", "overlay [ms]", "spd-up"});
   table.add_row({"time one-to-all", fixed(row.flat_onetoall_ms, 4),
@@ -234,20 +197,17 @@ OverlayRow run_network(gen::Preset preset) {
                  fixed(row.onetoall_speedup(), 2)});
   table.add_row({"time p2p", fixed(row.flat_p2p_ms, 4),
                  fixed(row.over_p2p_ms, 4), fixed(row.p2p_speedup(), 2)});
-  table.add_row({"lc one-to-all", fixed(row.flat_lc_ms, 3),
-                 fixed(row.over_lc_ms, 3), fixed(row.lc_speedup(), 2)});
   table.print();
   return row;
 }
 
 std::string to_json(const std::vector<OverlayRow>& rows) {
-  std::vector<double> gated, lc;
+  std::vector<double> gated;
   bool contraction_identity = true;
   for (const OverlayRow& r : rows) {
     contraction_identity = contraction_identity && r.contraction_identity;
     gated.push_back(r.onetoall_speedup());
     gated.push_back(r.p2p_speedup());
-    lc.push_back(r.lc_speedup());
   }
   JsonWriter w = bench_json_doc(
       "bench_overlay", "core-contraction overlay vs flat time-dependent graph");
@@ -273,16 +233,12 @@ std::string to_json(const std::vector<OverlayRow>& rows) {
         .field("p2p_flat_ms", r.flat_p2p_ms, 4)
         .field("p2p_overlay_ms", r.over_p2p_ms, 4)
         .field("p2p_speedup", r.p2p_speedup(), 3)
-        .field("lc_flat_ms", r.flat_lc_ms, 4)
-        .field("lc_overlay_ms", r.over_lc_ms, 4)
-        .field("lc_speedup", r.lc_speedup(), 3)
         .field("identity_match", r.identity_match)
         .end_object();
   }
   w.end_array();
   // The gated headline: one-to-all + p2p time queries across networks.
   w.field("overlay_speedup", geomean(gated), 3);
-  w.field("lc_speedup_geomean", geomean(lc), 3);
   // Every network's default-thread overlay matches its 1-thread one.
   w.field("contraction_identity", contraction_identity);
   w.end_object();

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "algo/counters.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/relax_batch.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "algo/overlay_query.hpp"
 #include "algo/overlay_spcs.hpp"
+#include "graph/overlay_graph.hpp"
 #include "util/timer.hpp"
 
 namespace pconn {

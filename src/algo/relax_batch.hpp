@@ -7,11 +7,11 @@
 // TtfPool::arrival_tn_sorted_fused call per edge evaluates every label
 // point, instead of one scalar evaluation per point. Results and
 // accounting are identical either way; the batch body is faster and the
-// interleaved body is its oracle (tests/batch_relax_test.cpp,
-// contraction_test.cpp).
+// interleaved body is its oracle (tests/batch_relax_test.cpp) and the
+// measured side of bench_batchrelax's batch_speedup.
 //
-// LC (flat LcProfileQuery and OverlayLcProfileQuery) is the only engine
-// with both bodies, so RelaxMode has no reader outside it. Every other
+// LC (LcProfileQuery, the flat Table 1 baseline) is the only engine with
+// both bodies, so RelaxMode has no reader outside it. Every other
 // engine has one interleaved body: the flat scalar engines because a flat
 // node carries at most one travel function (graph_test asserts it); SPCS
 // (flat and overlay) and the overlay time query because their phased

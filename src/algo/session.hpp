@@ -31,7 +31,6 @@
 #include "algo/lc_profile.hpp"
 #include "algo/mc_query.hpp"
 #include "algo/multi_query.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
@@ -46,8 +45,8 @@ struct QuerySessionOptions {
   bool stopping_criterion = true;
   bool table_pruning = true;   // s2s engine only
   bool target_pruning = true;  // s2s engine only
-  // Relax body of the two LC engines (lc_engine, overlay_lc_engine), the
-  // only engines with two (algo/relax_batch.hpp).
+  // Relax body of the LC baseline (lc_engine), the only engine with two
+  // (algo/relax_batch.hpp).
   RelaxMode relax = RelaxMode::kBatch;
 
   /// `relax`, for callers that hand it to TimeQuery's no-op
@@ -97,8 +96,6 @@ class QuerySession {
     mc_.reset();
     ov_time_.reset();
     ov_time_graph_ = nullptr;
-    ov_lc_.reset();
-    ov_lc_graph_ = nullptr;
     ov_spcs_.reset();
     ov_spcs_graph_ = nullptr;
     s2s_.reset();
@@ -162,15 +159,6 @@ class QuerySession {
       ov_spcs_graph_ = &ov;
     }
     return *ov_spcs_;
-  }
-
-  OverlayLcProfileQuery& overlay_lc_engine(const OverlayGraph& ov) {
-    if (!ov_lc_ || ov_lc_graph_ != &ov) {
-      ov_lc_ = std::make_unique<OverlayLcProfileQuery>(*tt_, ov, &ws_);
-      ov_lc_->set_relax_mode(opt_.relax);
-      ov_lc_graph_ = &ov;
-    }
-    return *ov_lc_;
   }
 
   /// The accelerated s2s engine needs the station graph and (optionally) a
@@ -349,8 +337,6 @@ class QuerySession {
   std::unique_ptr<McTimeQuery> mc_;
   std::unique_ptr<TimeQuery> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
-  std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
-  const OverlayGraph* ov_lc_graph_ = nullptr;
   std::unique_ptr<ParallelSpcs> ov_spcs_;
   const OverlayGraph* ov_spcs_graph_ = nullptr;
   std::unique_ptr<S2sQueryEngine> s2s_;

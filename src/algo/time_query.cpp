@@ -5,7 +5,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "algo/overlay_query.hpp"
 #include "graph/overlay_graph.hpp"
 
 namespace pconn {

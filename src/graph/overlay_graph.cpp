@@ -1,6 +1,19 @@
 #include "graph/overlay_graph.hpp"
 
+#include <stdexcept>
+
 namespace pconn {
+
+void require_overlay_matches(const Timetable& tt, const TdGraph& g,
+                             const OverlayGraph& ov) {
+  if (ov.period() != tt.period() || ov.num_nodes() != g.num_nodes() ||
+      ov.num_stations() != tt.num_stations() ||
+      ov.num_base_ttfs() != g.ttfs().size() ||
+      ov.num_base_edges() != g.num_edges()) {
+    throw std::runtime_error(
+        "overlay: graph mismatch (contracted from a different dataset?)");
+  }
+}
 
 OverlayGraph::ProvenanceIndex OverlayGraph::build_provenance_index() const {
   ProvenanceIndex idx;

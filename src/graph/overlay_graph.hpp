@@ -1,6 +1,6 @@
 // OverlayGraph — the product of the time-dependent core contraction
 // (algo/contraction.hpp): the station-centric overlay the core-routed query
-// engines (algo/overlay_query.hpp) run on.
+// engines (TimeQuery, ParallelSpcs, MultiQueryOverlayTimeEngine) run on.
 //
 // Contraction removes *route nodes* from the time-dependent graph one by
 // one (stations are never contracted — every public query result is a
@@ -219,5 +219,14 @@ class OverlayGraph {
   TtfPool ttfs_;
   ContractionStats build_stats_;
 };
+
+/// Throws std::runtime_error unless `ov` was contracted from (tt, g): the
+/// same node space and the base pool as the overlay pool's prefix, or every
+/// origin/word reference is garbage; and the same period, or every answer
+/// across the wrap is wrong. A throw, not an assert: a stale cache bound to
+/// a regenerated dataset is a runtime data error and must fail loud in
+/// Release builds too.
+void require_overlay_matches(const Timetable& tt, const TdGraph& g,
+                             const OverlayGraph& ov);
 
 }  // namespace pconn

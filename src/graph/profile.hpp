@@ -23,25 +23,11 @@ struct ProfilePoint {
 
 using Profile = std::vector<ProfilePoint>;
 
-/// Merge order of the label-correcting engines (flat and overlay): the
-/// lexicographic (departure, arrival) order their std::merge unions use.
-/// One definition so the two engines can never silently diverge — their
-/// byte-identity relies on sharing it.
+/// Merge order of the label-correcting baseline (algo/lc_profile.cpp): the
+/// lexicographic (departure, arrival) order its std::merge unions use.
 inline bool profile_point_less(const ProfilePoint& x, const ProfilePoint& y) {
   return x.dep != y.dep ? x.dep < y.dep : x.arr < y.arr;
 }
-
-/// Fold-scheduling policy of the overlay LC engine's deferred k-way merge
-/// (overlay_query.cpp): a candidate run shorter than this goes to the
-/// head's pending pile even when the head label is stale, instead of
-/// paying a whole-label pairwise merge per run. Sparse rail networks'
-/// shortcut fans emit mostly 1-3 point runs into hub stations; batching
-/// them into the next settle's single k-way fold is what recovers the
-/// merge cost there. Exactness does not depend on the value: the
-/// settle-time fold reduces label + pending in one pass regardless of
-/// which side a point arrived on, so any threshold yields byte-identical
-/// profiles (tests/overlay_test.cpp) — this only tunes when work happens.
-constexpr std::size_t kLcEagerFoldMinRun = 8;
 
 /// The paper's connection reduction (Section 3.1): scan backward keeping
 /// the minimum arrival; drop every point whose arrival is not strictly

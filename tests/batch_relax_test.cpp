@@ -2,15 +2,12 @@
 // bodies (algo/relax_batch.hpp): the batch body must produce
 // byte-identical results AND byte-identical work accounting (settled,
 // pushed, decreased, relaxed, label points, ...) to the interleaved body,
-// its oracle. LC is the only engine with two bodies; the overlay LC port's
-// differential against flat LC lives in contraction_test.
+// its oracle. LC is the only engine with two bodies.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
 #include "test_util.hpp"
 
@@ -34,19 +31,16 @@ void expect_stats_eq(const QueryStats& a, const QueryStats& b,
 
 // ------------------------------------------------------------- session ---
 
-// QuerySessionOptions::relax must reach both engines that have two relax
-// bodies — results are mode-identical by design, so this checks the
-// plumbing directly instead of the output.
+// QuerySessionOptions::relax must reach the LC baseline, the one engine
+// with two relax bodies — results are mode-identical by design, so this
+// checks the plumbing directly instead of the output.
 TEST(BatchRelax, SessionAppliesRelaxOptionToEveryEngine) {
   Timetable tt = test::tiny_line();
   TdGraph g = TdGraph::build(tt);
-  const OverlayGraph ov = contract_graph(tt, g);
   QuerySessionOptions opt;
   opt.relax = RelaxMode::kInterleaved;
   QuerySession session(tt, g, opt);
   EXPECT_EQ(session.lc_engine().relax_mode(), RelaxMode::kInterleaved);
-  EXPECT_EQ(session.overlay_lc_engine(ov).relax_mode(),
-            RelaxMode::kInterleaved);
 }
 
 // ----------------------------------------------------------------- LC ---

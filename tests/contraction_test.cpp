@@ -4,8 +4,8 @@
 //    witness cost bounds;
 //  * differential overlay-vs-flat results — byte-identical arrival times
 //    at EVERY node (after the downward sweep) and byte-identical reduced
-//    profiles at every station — across engines (x RelaxMode for LC, the
-//    one engine with two relax bodies) on the deterministic
+//    profiles at every station (the overlay-routed ParallelSpcs against
+//    the flat LC baseline in both relax bodies) on the deterministic
 //    fixtures and random-network sweeps;
 //  * determinism across contraction thread counts, and cap/freeze
 //    behaviour (exactness never depends on caps);
@@ -23,8 +23,8 @@
 
 #include "algo/contraction.hpp"
 #include "algo/journey.hpp"
-#include "algo/lc_profile.hpp"
-#include "algo/overlay_query.hpp"
+#include "algo/multi_query.hpp"
+#include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "test_util.hpp"
 #include "timetable/snapshot.hpp"
@@ -178,50 +178,6 @@ TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
 
 // ----------------------------------------------------------- differential ---
 
-/// Full-node differential: one-to-all time queries on the overlay (core
-/// Dijkstra + downward sweep) must equal the flat engine — the single fixed
-/// oracle — at EVERY node.
-void expect_time_identity(const Timetable& tt, const TdGraph& g,
-                          const OverlayGraph& ov, std::uint64_t seed,
-                          int queries) {
-  TimeQuery flat(tt, g);
-  TimeQuery over(tt, g, ov);
-  Rng rng(seed);
-  for (int i = 0; i < queries; ++i) {
-    const StationId s =
-        static_cast<StationId>(rng.next_below(tt.num_stations()));
-    const Time dep = static_cast<Time>(rng.next_below(tt.period()));
-    flat.run(s, dep);
-    over.run(s, dep);
-    over.settle_contracted();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
-          << "node " << v << " source " << s << " dep " << dep;
-    }
-  }
-}
-
-void expect_lc_identity(const Timetable& tt, const TdGraph& g,
-                        const OverlayGraph& ov, RelaxMode mode,
-                        std::uint64_t seed, int queries) {
-  LcProfileQuery flat(tt, g);
-  OverlayLcProfileQuery over(tt, ov);
-  flat.set_relax_mode(mode);
-  over.set_relax_mode(mode);
-  Rng rng(seed);
-  for (int i = 0; i < queries; ++i) {
-    const StationId s =
-        static_cast<StationId>(rng.next_below(tt.num_stations()));
-    flat.run(s);
-    over.run(s);
-    for (StationId v = 0; v < tt.num_stations(); ++v) {
-      ASSERT_EQ(over.profile(v), flat.profile(v))
-          << "station " << v << " source " << s << " mode "
-          << relax_mode_name(mode);
-    }
-  }
-}
-
 void expect_overlay_identity(const Timetable& tt, const OverlayContractionOptions& opt,
                              std::uint64_t seed) {
   const TdGraph g = TdGraph::build(tt);
@@ -239,9 +195,9 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
     }
   }
 
-  expect_time_identity(tt, g, ov, seed, 3);
+  test::expect_time_identity(tt, g, ov, seed, 3);
   for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch}) {
-    expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
+    test::expect_profile_identity(tt, g, ov, mode, seed + 1, 2);
   }
 }
 
@@ -407,7 +363,21 @@ TEST(ContractionOverlay, GraphMismatchIsRejectedLoudly) {
   const Timetable city = test::small_city(38);
   const TdGraph g_city = TdGraph::build(city);
   EXPECT_THROW((TimeQuery{city, g_city, ov_tiny}), std::runtime_error);
-  EXPECT_THROW((OverlayLcProfileQuery{city, ov_tiny}), std::runtime_error);
+  EXPECT_THROW((ParallelSpcs{city, g_city, ov_tiny, {}}), std::runtime_error);
+
+  // The same trips under another period give equal node, edge and TTF
+  // counts; only the period tells the overlay apart, and every engine would
+  // answer wrongly across the wrap.
+  const Timetable two_day = test::tiny_line(2 * kDayseconds);
+  const TdGraph g_two_day = TdGraph::build(two_day);
+  ASSERT_EQ(g_two_day.num_nodes(), g_tiny.num_nodes());
+  ASSERT_EQ(g_two_day.num_edges(), g_tiny.num_edges());
+  ASSERT_EQ(g_two_day.ttfs().size(), g_tiny.ttfs().size());
+  EXPECT_THROW((TimeQuery{two_day, g_two_day, ov_tiny}), std::runtime_error);
+  EXPECT_THROW((ParallelSpcs{two_day, g_two_day, ov_tiny, {}}),
+               std::runtime_error);
+  EXPECT_THROW((MultiQueryOverlayTimeEngine{two_day, g_two_day, ov_tiny}),
+               std::runtime_error);
 }
 
 // -------------------------------------------------------- serialization ---

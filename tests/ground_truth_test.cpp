@@ -29,7 +29,6 @@
 #include "algo/all_to_one.hpp"
 #include "algo/contraction.hpp"
 #include "algo/mc_query.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/spcs.hpp"
 #include "algo/time_query.hpp"

@@ -23,8 +23,6 @@
 
 #include "alloc_counter.hpp"
 #include "algo/contraction.hpp"
-#include "algo/lc_profile.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/time_query.hpp"
 #include "live/delay_feed.hpp"
 #include "live/live_overlay.hpp"
@@ -94,45 +92,6 @@ void expect_overlays_byte_identical(const OverlayGraph& a,
   }
 }
 
-/// Overlay-vs-flat one-to-all arrival identity at EVERY node.
-void expect_time_identity(const Timetable& tt, const TdGraph& g,
-                          const OverlayGraph& ov, std::uint64_t seed,
-                          int queries) {
-  TimeQuery flat(tt, g);
-  TimeQuery over(tt, g, ov);
-  Rng rng(seed);
-  for (int i = 0; i < queries; ++i) {
-    const StationId s =
-        static_cast<StationId>(rng.next_below(tt.num_stations()));
-    const Time dep = static_cast<Time>(rng.next_below(tt.period()));
-    flat.run(s, dep);
-    over.run(s, dep);
-    over.settle_contracted();
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
-          << "node " << v << " source " << s << " dep " << dep;
-    }
-  }
-}
-
-void expect_lc_identity(const Timetable& tt, const TdGraph& g,
-                        const OverlayGraph& ov, std::uint64_t seed,
-                        int queries) {
-  LcProfileQuery flat(tt, g);
-  OverlayLcProfileQuery over(tt, ov);
-  Rng rng(seed);
-  for (int i = 0; i < queries; ++i) {
-    const StationId s =
-        static_cast<StationId>(rng.next_below(tt.num_stations()));
-    flat.run(s);
-    over.run(s);
-    for (StationId v = 0; v < tt.num_stations(); ++v) {
-      ASSERT_EQ(over.profile(v), flat.profile(v))
-          << "station " << v << " source " << s;
-    }
-  }
-}
-
 /// The full differential: re-link after `ev`, require `want` as the
 /// status; on kRelinked the result must be byte-identical to a fresh
 /// re-contraction AND query-identical to the flat engines.
@@ -157,8 +116,9 @@ void expect_relink(const Timetable& tt_old, const DelayEvent& ev,
   EXPECT_GT(r.stats.recomputed_functions, 0u);
   EXPECT_LT(r.stats.recomputed_functions, ov_old.ttfs().size());
 
-  expect_time_identity(tt_new, g_new, r.overlay, seed, 3);
-  expect_lc_identity(tt_new, g_new, r.overlay, seed + 2, 2);
+  test::expect_time_identity(tt_new, g_new, r.overlay, seed, 3);
+  test::expect_profile_identity(tt_new, g_new, r.overlay, RelaxMode::kBatch,
+                                seed + 2, 2);
 }
 
 // ------------------------------------------------------------- re-link ---
@@ -335,7 +295,7 @@ TEST(LiveOverlay, DelayEventRelinksAndPublishes) {
   const Timetable fresh_tt =
       apply_event(test::tiny_line(), DelayEvent::delayed(0, 1, 300));
   const TdGraph fresh_g = TdGraph::build(fresh_tt);
-  expect_time_identity(*snap->tt, *snap->graph, *snap->overlay, 17, 3);
+  test::expect_time_identity(*snap->tt, *snap->graph, *snap->overlay, 17, 3);
   TimeQuery a(fresh_tt, fresh_g), b(*snap->tt, *snap->graph);
   a.run(0, 8 * 3600);
   b.run(0, 8 * 3600);

@@ -14,7 +14,6 @@
 #include "alloc_counter.hpp"
 #include "algo/contraction.hpp"
 #include "algo/multi_query.hpp"
-#include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"

@@ -13,7 +13,7 @@
 #include <sstream>
 
 #include "algo/contraction.hpp"
-#include "algo/overlay_query.hpp"
+#include "algo/time_query.hpp"
 #include "live/live_overlay.hpp"
 #include "live/live_session.hpp"
 #include "test_util.hpp"

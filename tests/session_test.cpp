@@ -182,7 +182,6 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
   opt.threads = 2;
   QuerySession session(tt, g, opt);
   session.overlay_time_engine(ov);
-  session.overlay_lc_engine(ov);
   session.overlay_spcs_engine(ov);
 
   std::vector<StationId> sources;
@@ -211,8 +210,8 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
       // arena-pooled and labels are written via capacity-reusing assign().
       session.lc_engine().run(s);
       checksum += session.lc_engine().profile(target).size();
-      // Overlay engines (PR 5): core-routed time query incl. the downward
-      // sweep and journey expansion, and the core LC baseline.
+      // Overlay engines: core-routed time query incl. the downward sweep
+      // and journey expansion.
       checksum += static_cast<std::uint64_t>(
           session.overlay_earliest_arrival(s, dep, target));
       session.overlay_time_engine(ov).run(s, dep);
@@ -222,8 +221,6 @@ TEST(QuerySession, WarmQueriesDoNotAllocate) {
       if (const Journey* j = session.overlay_journey(s, dep, target)) {
         checksum += j->legs.size();
       }
-      session.overlay_lc_engine(ov).run(s);
-      checksum += session.overlay_lc_engine(ov).profile(target).size();
       // Overlay-routed SPCS (this PR): partitioned ascent, the in-place
       // batched down-sweep, node-level profile assembly and the s2s
       // variant, all through the session's warm `_into` buffers.

@@ -7,7 +7,11 @@
 #include <string>
 #include <vector>
 
+#include "algo/lc_profile.hpp"
+#include "algo/parallel_spcs.hpp"
+#include "algo/time_query.hpp"
 #include "gen/generator.hpp"
+#include "graph/overlay_graph.hpp"
 #include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/builder.hpp"
@@ -17,9 +21,10 @@
 namespace pconn::test {
 
 /// Three stations A-B-C on one line plus a slower direct A-C line; several
-/// departures. Small enough to reason about by hand.
-inline Timetable tiny_line() {
-  TimetableBuilder b;
+/// departures. Small enough to reason about by hand. `period` only changes
+/// the timetable's period, not the trips.
+inline Timetable tiny_line(Time period = kDayseconds) {
+  TimetableBuilder b(period);
   StationId a = b.add_station("A", 60);
   StationId s2 = b.add_station("B", 120);
   StationId c = b.add_station("C", 60);
@@ -217,6 +222,53 @@ inline void expect_same_function(const Profile& a, const Profile& b,
   for (Time t = 0; t < period; t += period / 97 + 1) {
     EXPECT_EQ(eval_profile(a, t, period), eval_profile(b, t, period))
         << what << " at sample " << t;
+  }
+}
+
+/// Overlay-vs-flat one-to-all earliest-arrival identity at EVERY node: the
+/// overlay-routed TimeQuery (core Dijkstra + downward sweep) against the
+/// flat one, from `queries` random (source, departure) pairs.
+inline void expect_time_identity(const Timetable& tt, const TdGraph& g,
+                                 const OverlayGraph& ov, std::uint64_t seed,
+                                 int queries) {
+  TimeQuery flat(tt, g);
+  TimeQuery over(tt, g, ov);
+  Rng rng(seed);
+  for (int i = 0; i < queries; ++i) {
+    const StationId s =
+        static_cast<StationId>(rng.next_below(tt.num_stations()));
+    const Time dep = static_cast<Time>(rng.next_below(tt.period()));
+    flat.run(s, dep);
+    over.run(s, dep);
+    over.settle_contracted();
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
+          << "node " << v << " source " << s << " dep " << dep;
+    }
+  }
+}
+
+/// Overlay profile exactness at every station: the overlay-routed
+/// ParallelSpcs one_to_all (the served profile engine, 2 threads) against
+/// the flat label-correcting baseline in relax body `mode`, from `queries`
+/// random sources. Both produce the canonical reduced profile.
+inline void expect_profile_identity(const Timetable& tt, const TdGraph& g,
+                                    const OverlayGraph& ov, RelaxMode mode,
+                                    std::uint64_t seed, int queries) {
+  LcProfileQuery flat(tt, g);
+  flat.set_relax_mode(mode);
+  ParallelSpcs over(tt, g, ov, {.threads = 2});
+  Rng rng(seed);
+  for (int i = 0; i < queries; ++i) {
+    const StationId s =
+        static_cast<StationId>(rng.next_below(tt.num_stations()));
+    flat.run(s);
+    const OneToAllResult res = over.one_to_all(s);
+    for (StationId v = 0; v < tt.num_stations(); ++v) {
+      ASSERT_EQ(res.profiles[v], flat.profile(v))
+          << "station " << v << " source " << s << " mode "
+          << relax_mode_name(mode);
+    }
   }
 }
 
