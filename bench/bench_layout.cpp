@@ -9,7 +9,10 @@
 //
 // Two workloads per Table-1 network:
 //  * relax path — every edge of every node evaluated at a grid of entry
-//    times, reported as ns/edge (the pure memory+eval cost of a relax);
+//    times, reported as ns/edge (the pure memory+eval cost of a relax),
+//    next to the pooled side's scanned_points_per_eval: the points eval
+//    steps over past its bucket entry, per travel-function eval (a count,
+//    not a time, and ungated — it tells a shorter scan from cheaper loads);
 //  * one-to-all — full earliest-arrival Dijkstra from random sources, the
 //    degenerate W = 1 SPCS; the legacy side replicates the seed TimeQuery
 //    loop (evaluate first, then test settled) on the legacy layout, the
@@ -155,6 +158,7 @@ struct LegacyTimeQuery {
 struct LayoutRow {
   std::string name;
   double legacy_relax_ns = 0, pooled_relax_ns = 0;   // per edge evaluation
+  double scanned_points_per_eval = 0;  // pooled, past the bucket entry
   double legacy_otoa_ms = 0, pooled_otoa_ms = 0;     // per one-to-all query
   std::size_t legacy_bytes = 0, pooled_bytes = 0;
   bool accounting_match = true;
@@ -193,6 +197,23 @@ LayoutRow run_network(gen::Preset preset) {
   const int relax_reps = options().smoke ? 2 : 4;
   const double evals =
       static_cast<double>(g.num_edges()) * times.size() * relax_reps;
+
+  // Where the pooled eval's time goes besides the loads: the points its
+  // scan steps over past the bucket entry, over the same grid (untimed).
+  {
+    std::uint64_t steps = 0, ttf_evals = 0;
+    for (Time tau : times) {
+      for (std::uint32_t ei = 0; ei < g.num_edges(); ++ei) {
+        const std::uint32_t w = g.edge_word(ei);
+        if (TdGraph::word_is_const(w)) continue;
+        steps += g.ttfs().scan_steps(TdGraph::word_ttf(w), tau);
+        ++ttf_evals;
+      }
+    }
+    row.scanned_points_per_eval =
+        static_cast<double>(steps) /
+        static_cast<double>(std::max<std::uint64_t>(ttf_evals, 1));
+  }
 
   // Relax path: legacy chases AoS records into per-Ttf vectors and binary
   // searches; pooled streams the packed words into the indexed eval with
@@ -299,6 +320,8 @@ LayoutRow run_network(gen::Preset preset) {
   TablePrinter table({"workload", "legacy", "pooled", "spd-up"});
   table.add_row({"relax [ns/edge]", fixed(row.legacy_relax_ns, 2),
                  fixed(row.pooled_relax_ns, 2), fixed(row.relax_speedup(), 2)});
+  table.add_row({"scanned points/eval", "",
+                 fixed(row.scanned_points_per_eval, 3), ""});
   table.add_row({"one-to-all [ms]", fixed(row.legacy_otoa_ms, 3),
                  fixed(row.pooled_otoa_ms, 3), fixed(row.otoa_speedup(), 2)});
   table.add_row({"graph [bytes]", format_bytes(row.legacy_bytes),
@@ -326,6 +349,7 @@ std::string to_json(const std::vector<LayoutRow>& rows) {
         .field("relax_legacy_ns_per_edge", r.legacy_relax_ns, 3)
         .field("relax_pooled_ns_per_edge", r.pooled_relax_ns, 3)
         .field("relax_speedup", r.relax_speedup(), 3)
+        .field("scanned_points_per_eval", r.scanned_points_per_eval, 4)
         .field("one_to_all_legacy_ms", r.legacy_otoa_ms, 4)
         .field("one_to_all_pooled_ms", r.pooled_otoa_ms, 4)
         .field("one_to_all_speedup", r.otoa_speedup(), 3)

@@ -18,7 +18,8 @@ namespace pconn {
 
 // --- TTF composition primitives ------------------------------------------
 
-Ttf link_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b) {
+Ttf link_edge_ttfs(const TtfPoolBuilder& pool, std::uint32_t a,
+                   std::uint32_t b) {
   const Time period = pool.period();
   const bool ca = TdGraph::word_is_const(a);
   const bool cb = TdGraph::word_is_const(b);
@@ -43,13 +44,13 @@ Ttf link_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b) {
     const std::uint32_t fa = TdGraph::word_ttf(a);
     const std::uint32_t fb = TdGraph::word_ttf(b);
     const auto src = pool.points(fa);
-    if (src.empty() || pool.empty_at(fb)) return Ttf{};
+    if (src.empty() || pool.pool().empty_at(fb)) return Ttf{};
     // A pruned function's arrivals (dep + dur) ascend strictly in point
     // order, so the second leg evaluates through the pool's sorted-merge
     // kernel: one division for the whole composition instead of one per
     // point (the arrival_tn_sorted shape the batch restructure built).
     pts.resize(src.size());
-    pool.arrival_tn_sorted_fused(
+    pool.pool().arrival_tn_sorted_fused(
         fb, src.size(),
         [&](std::size_t k) { return src[k].dep + src[k].dur; },
         [&](std::size_t k, Time arr) {
@@ -59,7 +60,8 @@ Ttf link_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b) {
   return Ttf::build(std::move(pts), period);
 }
 
-Ttf merge_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b) {
+Ttf merge_edge_ttfs(const TtfPoolBuilder& pool, std::uint32_t a,
+                    std::uint32_t b) {
   assert(!TdGraph::word_is_const(a) && !TdGraph::word_is_const(b));
   const auto pa = pool.points(TdGraph::word_ttf(a));
   const auto pb = pool.points(TdGraph::word_ttf(b));
@@ -72,8 +74,8 @@ Ttf merge_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b) {
   return Ttf::build(std::move(pts), pool.period());
 }
 
-std::pair<Time, Time> word_cost_bounds(const TtfPool& pool, std::uint32_t w,
-                                       Time period) {
+std::pair<Time, Time> word_cost_bounds(const TtfPoolBuilder& pool,
+                                       std::uint32_t w, Time period) {
   if (TdGraph::word_is_const(w)) {
     const Time c = TdGraph::word_weight(w);
     return {c, c};
@@ -329,7 +331,7 @@ class ContractionBuilder {
         const std::uint32_t hops = a.hops + b.hops;
         if (hops > opt_.max_hops) return false;
         if (cands.size() >= opt_.max_new_edges) return false;
-        Ttf f = link_edge_ttfs(ttfs_.pool(), a.word, b.word);
+        Ttf f = link_edge_ttfs(ttfs_, a.word, b.word);
         if (f.empty()) continue;
         cands.push_back({u, w, a.origin, b.origin, hops, std::move(f)});
       }
@@ -383,7 +385,7 @@ class ContractionBuilder {
           OverlayGraph::kShortcutBit |
           static_cast<std::uint32_t>(shortcuts_.size() - 1);
       const auto [mn, mx] =
-          word_cost_bounds(ttfs_.pool(), word_link, tt_.period());
+          word_cost_bounds(ttfs_, word_link, tt_.period());
 
       WorkEdge* existing = nullptr;
       for (WorkEdge& e : out_[c.tail]) {
@@ -398,7 +400,7 @@ class ContractionBuilder {
         // journey replay can still tell which one is ridden at a given time.
         const std::uint32_t old_origin = existing->origin;
         const Ttf merged =
-            merge_edge_ttfs(ttfs_.pool(), existing->word, word_link);
+            merge_edge_ttfs(ttfs_, existing->word, word_link);
         const std::uint32_t word_merged = ttfs_.add_raw(merged.points());
         shortcuts_.push_back(
             {word_merged, kInvalidNode, old_origin, origin_link});
@@ -406,7 +408,7 @@ class ContractionBuilder {
             OverlayGraph::kShortcutBit |
             static_cast<std::uint32_t>(shortcuts_.size() - 1);
         const auto [mmn, mmx] =
-            word_cost_bounds(ttfs_.pool(), word_merged, tt_.period());
+            word_cost_bounds(ttfs_, word_merged, tt_.period());
         existing->word = word_merged;
         existing->origin = origin_merged;
         existing->hops = std::max(existing->hops, c.hops);
@@ -462,7 +464,7 @@ class ContractionBuilder {
     for (NodeId v = 0; v < n; ++v) {
       for (TdGraph::EdgeId e = g_.edge_begin(v); e < g_.edge_end(v); ++e) {
         const std::uint32_t w = g_.edge_word(e);
-        const auto [mn, mx] = word_cost_bounds(ttfs_.pool(), w, tt_.period());
+        const auto [mn, mx] = word_cost_bounds(ttfs_, w, tt_.period());
         const NodeId head = g_.edge_head(e);
         out_[v].push_back({head, w, e, 1, mn, mx});
         in_[head].push_back({v, w, e, 1, mn, mx});
@@ -590,18 +592,6 @@ class OverlayRelinker {
   }
 };
 
-namespace {
-
-bool same_points(std::span<const TtfPoint> a, std::span<const TtfPoint> b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].dep != b[i].dep || a[i].dur != b[i].dur) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
                             const TdGraph& g_old, const OverlayGraph& old_ov,
                             const RelinkOptions& opt) {
@@ -674,7 +664,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
     if (old_base.empty_at(f) != new_base.empty_at(f)) {
       return fail(RelinkStatus::kStructureChanged);
     }
-    if (!same_points(old_base.points(f), new_base.points(f))) {
+    if (!std::ranges::equal(old_base.points(f), new_base.points(f))) {
       changed_base[f] = 1;
       ++res.stats.changed_base_ttfs;
     }
@@ -728,6 +718,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
   // A delay rarely changes a function's point count: sized like the old
   // pool, the rebuild usually never regrows.
   pool.reserve_like(old_pool);
+  std::vector<TtfPoint> base_pts;  // a changed base function, decoded
   std::uint32_t f = 0;
   while (f < total) {
     const bool needs =
@@ -748,17 +739,16 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
     if (f < nb_ttfs) {
       if (opt.faults) opt.faults->check(FaultInjector::Site::kPoolAppend);
       const auto pts = new_base.points(f);
-      pool.add_raw(pts);
+      base_pts.assign(pts.begin(), pts.end());
+      pool.add_raw(base_pts);
       res.stats.recomputed_points += pts.size();
     } else {
       if (opt.faults) opt.faults->check(FaultInjector::Site::kRelinkShortcut);
       const OverlayGraph::ShortcutRec& rec = old_ov.shortcut(f - nb_ttfs);
       const Ttf t =
           rec.mid != kInvalidNode
-              ? link_edge_ttfs(pool.pool(), origin_word(rec.a),
-                               origin_word(rec.b))
-              : merge_edge_ttfs(pool.pool(), origin_word(rec.a),
-                                origin_word(rec.b));
+              ? link_edge_ttfs(pool, origin_word(rec.a), origin_word(rec.b))
+              : merge_edge_ttfs(pool, origin_word(rec.a), origin_word(rec.b));
       // Base emptiness was checked invariant, which propagates through
       // link (empty iff a leg is empty) and merge (empty iff both are) —
       // this is defense in depth, not an expected exit.

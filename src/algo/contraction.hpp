@@ -86,6 +86,9 @@ OverlayGraph contract_graph(const Timetable& tt, const TdGraph& g,
                             const OverlayContractionOptions& opt = {});
 
 // --- TTF composition primitives (exposed for the property tests) ---------
+//
+// They compose functions of a pool under construction — the contraction's
+// and the re-linker's — and read its 8-byte points as they stand.
 
 /// Link: the exact travel-time function of traversing word `a` and then
 /// word `b` (packed TdGraph words against `pool`), as experienced at a's
@@ -93,17 +96,19 @@ OverlayGraph contract_graph(const Timetable& tt, const TdGraph& g,
 /// leading TTF evaluates the second leg at its (ascending) arrival times
 /// via the pool's sorted-merge kernel. The result is pruned (FIFO).
 /// At least one word must be non-constant.
-Ttf link_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b);
+Ttf link_edge_ttfs(const TtfPoolBuilder& pool, std::uint32_t a,
+                   std::uint32_t b);
 
 /// Merge: the pointwise minimum of two non-constant words — the union of
 /// their connection points with dominated points pruned.
-Ttf merge_edge_ttfs(const TtfPool& pool, std::uint32_t a, std::uint32_t b);
+Ttf merge_edge_ttfs(const TtfPoolBuilder& pool, std::uint32_t a,
+                    std::uint32_t b);
 
 /// [min over t, max over t] of a word's travel time (constant words:
 /// weight twice; empty functions: {kInfTime, kInfTime}). The witness
 /// search's edge bounds.
-std::pair<Time, Time> word_cost_bounds(const TtfPool& pool, std::uint32_t w,
-                                       Time period);
+std::pair<Time, Time> word_cost_bounds(const TtfPoolBuilder& pool,
+                                       std::uint32_t w, Time period);
 
 // --- incremental re-link (the live-update fast path, src/live/) -----------
 //

@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 
 #include "util/simd.hpp"
 
@@ -22,7 +25,8 @@ TtfPool TtfPool::prefix(std::uint32_t n) const {
     buckets = std::size_t{last.bucket0} + (std::size_t{1} << last.log2b);
   }
   TtfPool out(period_);
-  out.points_ = points_.prefix(points);
+  out.dep_bits_ = dep_bits_;
+  out.words_ = words_.prefix(word_index(points));
   out.meta_ = meta_.prefix(n);
   out.bucket_idx_ = bucket_idx_.prefix(buckets);
   return out;
@@ -37,41 +41,94 @@ std::uint32_t TtfPool::log2_buckets(std::size_t count) {
   return static_cast<std::uint32_t>(std::countr_zero(buckets));
 }
 
+std::uint32_t TtfPool::compact_dep_bits(Time period) {
+  return static_cast<std::uint32_t>(std::bit_width(period - 1));
+}
+
+namespace {
+
+/// True when a compact word over `dep_bits` departure bits holds every
+/// duration up to max_dur (the one test finish() and layout_error share).
+bool fits_compact(std::uint32_t dep_bits, Time max_dur) {
+  return dep_bits != 0 && (std::uint64_t{max_dur} >> (32 - dep_bits)) == 0;
+}
+
+}  // namespace
+
 const char* TtfPool::layout_error() const {
+  const std::uint32_t bits = compact_dep_bits(period_);
+  if (dep_bits_ != 0 && dep_bits_ != bits) return "point format";
+  const std::size_t num_pts = num_points();
+  if (word_index(num_pts) != words_.size()) return "point words";
   // The AVX2 kernel gathers points and bucket entries through signed
   // 32-bit lanes (the same bound add_raw asserts).
   if (meta_.size() >= (std::size_t{1} << 29) ||
-      points_.size() >= (std::size_t{1} << 29)) {
+      num_pts >= (std::size_t{1} << 29)) {
     return "pool too large";
   }
-  std::size_t first = 0, bucket0 = 0;
-  for (const TtfMeta& m : meta_) {
-    if (m.first != first || m.count > points_.size() - first) {
-      return "function points not contiguous";
-    }
-    if (m.bucket0 != bucket0 || m.log2b != log2_buckets(m.count) ||
-        (std::size_t{1} << m.log2b) > bucket_idx_.size() - bucket0) {
-      return "bucket table layout";
-    }
-    const TtfPoint* pts = points_.data() + m.first;
-    for (std::uint32_t i = 0; i < m.count; ++i) {
-      if (pts[i].dep >= period_ || (i > 0 && pts[i - 1].dep >= pts[i].dep)) {
-        return "malformed function points";
+  return with_codec([&](auto pts) -> const char* {
+    std::size_t first = 0, bucket0 = 0;
+    Time max_dur = 0;
+    for (const TtfMeta& m : meta_) {
+      if (m.first != first || m.count > num_pts - first) {
+        return "function points not contiguous";
       }
+      if (m.bucket0 != bucket0 || m.log2b != log2_buckets(m.count) ||
+          (std::size_t{1} << m.log2b) > bucket_idx_.size() - bucket0) {
+        return "bucket table layout";
+      }
+      for (std::uint32_t i = 0; i < m.count; ++i) {
+        const TtfPoint p = pts.at(m.first + i);
+        if (p.dep >= period_ ||
+            (i > 0 && pts.dep(m.first + i - 1) >= p.dep)) {
+          return "malformed function points";
+        }
+        // The kernels add durations to times in signed 32-bit lanes.
+        if (p.dur >= (Time{1} << 30)) return "duration out of range";
+        max_dur = std::max(max_dur, p.dur);
+      }
+      bool same = true;
+      const std::uint32_t* stored = bucket_idx_.data() + m.bucket0;
+      for_each_bucket_entry(
+          [&](std::uint32_t k) { return pts.dep(m.first + k); }, m,
+          [&](std::uint32_t entry) { same = same && *stored++ == entry; });
+      if (!same) return "bucket index differs from its recomputation";
+      first += m.count;
+      bucket0 += std::size_t{1} << m.log2b;
     }
-    bool same = true;
-    const std::uint32_t* stored = bucket_idx_.data() + m.bucket0;
-    for_each_bucket_entry(pts, m, [&](std::uint32_t entry) {
-      same = same && *stored++ == entry;
-    });
-    if (!same) return "bucket index differs from its recomputation";
-    first += m.count;
-    bucket0 += std::size_t{1} << m.log2b;
+    if (first != num_pts || bucket0 != bucket_idx_.size()) {
+      return "pool arrays longer than their functions";
+    }
+    // finish() stores a pool wide only when some duration needs it.
+    if (dep_bits_ == 0 && fits_compact(bits, max_dur)) {
+      return "wide points that fit one word";
+    }
+    return nullptr;
+  });
+}
+
+bool TtfPool::same_functions(const TtfPool& other) const {
+  const auto same = [](std::span<const std::byte> a,
+                       std::span<const std::byte> b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+  };
+  if (period_ != other.period_ || !same(meta_.bytes(), other.meta_.bytes()) ||
+      !same(bucket_idx_.bytes(), other.bucket_idx_.bytes())) {
+    return false;
   }
-  if (first != points_.size() || bucket0 != bucket_idx_.size()) {
-    return "pool arrays longer than their functions";
+  if (dep_bits_ == other.dep_bits_) {
+    return same(words_.bytes(), other.words_.bytes());
   }
-  return nullptr;
+  const std::size_t n = num_points();
+  if (other.num_points() != n) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (decode(words_.data(), dep_bits_, i) !=
+        decode(other.words_.data(), other.dep_bits_, i)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::uint32_t TtfPoolBuilder::add(const Ttf& f) {
@@ -84,8 +141,10 @@ std::uint32_t TtfPoolBuilder::add_raw(std::span<const TtfPoint> pts) {
   for (std::size_t i = 0; i < pts.size(); ++i) {
     assert(pts[i].dep < view_.period());
     assert(i == 0 || pts[i - 1].dep < pts[i].dep);
+    assert(pts[i].dur < (Time{1} << 30));
   }
 #endif
+  for (const TtfPoint& p : pts) max_dur_ = std::max(max_dur_, p.dur);
   // The AVX2 kernel gathers points and bucket entries through signed
   // 32-bit lanes; both stay far below 2^29 entries on any real network.
   assert(meta_.size() < (std::size_t{1} << 29));
@@ -98,7 +157,8 @@ std::uint32_t TtfPoolBuilder::add_raw(std::span<const TtfPoint> pts) {
   m.log2b = view_.log2_buckets(pts.size());
   points_.insert(points_.end(), pts.begin(), pts.end());
   view_.for_each_bucket_entry(
-      pts.data(), m, [this](std::uint32_t e) { bucket_idx_.push_back(e); });
+      [&pts](std::uint32_t k) { return pts[k].dep; }, m,
+      [this](std::uint32_t e) { bucket_idx_.push_back(e); });
   meta_.push_back(m);
   refresh_view();
   return idx;
@@ -124,8 +184,15 @@ void TtfPoolBuilder::append_copy(const TtfPool& src, std::uint32_t begin,
   const std::uint32_t bucket_shift =
       static_cast<std::uint32_t>(bucket_idx_.size()) - bkt_lo;
 
-  points_.insert(points_.end(), src.points_.begin() + pts_lo,
-                 src.points_.begin() + pts_hi);
+  const std::size_t at = points_.size();
+  points_.resize(at + (pts_hi - pts_lo));
+  src.with_codec([&](auto pts) {
+    for (std::uint32_t i = pts_lo; i < pts_hi; ++i) {
+      const TtfPoint p = pts.at(i);
+      points_[at + (i - pts_lo)] = p;
+      max_dur_ = std::max(max_dur_, p.dur);
+    }
+  });
   // Bucket entries are absolute point indices; shift them as they land.
   bucket_idx_.reserve(bucket_idx_.size() + (bkt_hi - bkt_lo));
   for (std::uint32_t b = bkt_lo; b < bkt_hi; ++b) {
@@ -145,14 +212,18 @@ void TtfPoolBuilder::reserve_like(const TtfPool& like, double factor) {
   const auto scaled = [factor](std::size_t n) {
     return static_cast<std::size_t>(static_cast<double>(n) * factor);
   };
-  points_.reserve(scaled(like.points_.size()));
+  points_.reserve(scaled(like.num_points()));
   meta_.reserve(scaled(like.meta_.size()));
   bucket_idx_.reserve(scaled(like.bucket_idx_.size()));
   refresh_view();
 }
 
 void TtfPoolBuilder::refresh_view() {
-  view_.points_ = ConstArray(points_.data(), points_.size(), nullptr);
+  // A TtfPoint is its two words, dep then dur: the builder's points are
+  // a wide pool as they stand.
+  view_.words_ =
+      ConstArray(reinterpret_cast<const std::uint32_t*>(points_.data()),
+                 2 * points_.size(), nullptr);
   view_.meta_ = ConstArray(meta_.data(), meta_.size(), nullptr);
   view_.bucket_idx_ =
       ConstArray(bucket_idx_.data(), bucket_idx_.size(), nullptr);
@@ -178,23 +249,42 @@ void release_slack(const std::vector<T>& v) {
 }  // namespace
 
 TtfPool TtfPoolBuilder::finish() {
-  release_slack(points_);
+  TtfPool out(view_.period_);
+  const std::uint32_t bits = TtfPool::compact_dep_bits(out.period_);
+  if (fits_compact(bits, max_dur_)) {
+    // One word per point, in an array of exactly that size; the 8-byte
+    // points go back to the allocator whole. (Encoding in place and
+    // releasing the freed half with madvise instead cost a page fault per
+    // released page whenever the allocator handed that memory out again —
+    // 1,570 faults per LA-like graph build and contraction.)
+    const std::size_t n = points_.size();
+    std::shared_ptr<std::uint32_t[]> owned(new std::uint32_t[n]);
+    std::uint32_t* const words = owned.get();
+    for (std::size_t i = 0; i < n; ++i) {
+      words[i] = points_[i].dep | points_[i].dur << bits;
+    }
+    out.dep_bits_ = bits;
+    out.words_ = ConstArray<std::uint32_t>(words, n, std::move(owned));
+    std::vector<TtfPoint>().swap(points_);
+  } else {
+    // Two words per point: the TtfPoints as they stand.
+    release_slack(points_);
+    auto owned =
+        std::make_shared<const std::vector<TtfPoint>>(std::move(points_));
+    const auto* words = reinterpret_cast<const std::uint32_t*>(owned->data());
+    const std::size_t n = 2 * owned->size();
+    out.words_ = ConstArray<std::uint32_t>(words, n, std::move(owned));
+    points_.clear();
+  }
   release_slack(meta_);
   release_slack(bucket_idx_);
-  TtfPool out(view_.period_);
-  out.points_ = ConstArray(std::move(points_));
   out.meta_ = ConstArray(std::move(meta_));
   out.bucket_idx_ = ConstArray(std::move(bucket_idx_));
-  points_.clear();
   meta_.clear();
   bucket_idx_.clear();
+  max_dur_ = 0;
   refresh_view();
   return out;
-}
-
-void TtfPool::arrival_tn_scalar(std::uint32_t f, const Time* ts, std::size_t n,
-                                Time* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = arrival(f, ts[i]);
 }
 
 void TtfPool::arrival_tn_sorted(std::uint32_t f, const Time* ts, std::size_t n,
@@ -211,8 +301,10 @@ void TtfPool::arrival_tn_sorted(std::uint32_t f, const Time* ts, std::size_t n,
 // with tau * inv < 2^32 (tau < period, inv = floor(2^32 / period)), so the
 // per-lane bucket is a 32-bit multiply plus a variable shift — no division
 // anywhere. All comparisons run in signed 32-bit lanes, which is safe
-// because times stay below 2^30 (asserted in reset) and pool indices below
-// 2^29 (asserted in add).
+// because times and durations stay below 2^30 (asserted in the
+// constructor and add_raw, checked by layout_error) and point indices
+// below 2^29 (asserted in add_raw), so a wide pool's word index 2 * pos
+// fits too.
 
 namespace {
 
@@ -226,9 +318,56 @@ namespace {
   return _mm256_blend_epi32(even, odd, 0b10101010);
 }
 
+/// The codecs' lane forms: the departure of point `pos` per lane (lanes
+/// off `on` keep `src`), and the departure and duration of point `pos`
+/// per lane. A compact pool gathers one word per point and splits it
+/// with a mask and a shift; a wide one gathers dep and dur separately.
+struct WideLanes {
+  explicit WideLanes(const TtfPool::WideCodec& c)
+      : base(reinterpret_cast<const int*>(c.words)) {}
+  [[gnu::target("avx2")]] __m256i dep(__m256i src, __m256i pos,
+                                      __m256i on) const {
+    return _mm256_mask_i32gather_epi32(src, base, _mm256_slli_epi32(pos, 1),
+                                       on, 4);
+  }
+  [[gnu::target("avx2")]] void point(__m256i pos, __m256i& dep,
+                                     __m256i& dur) const {
+    const __m256i p2 = _mm256_slli_epi32(pos, 1);
+    dep = _mm256_i32gather_epi32(base, p2, 4);
+    dur = _mm256_i32gather_epi32(base + 1, p2, 4);
+  }
+  const int* base;
+};
+
+struct CompactLanes {
+  [[gnu::target("avx2")]] explicit CompactLanes(
+      const TtfPool::CompactCodec& c)
+      : base(reinterpret_cast<const int*>(c.words)),
+        mask(_mm256_set1_epi32(static_cast<int>((1u << c.bits) - 1))),
+        shift(_mm_cvtsi32_si128(static_cast<int>(c.bits))) {}
+  // A masked-off lane keeps src, the lane's reduced time; tau < period
+  // <= 2^bits, so the mask leaves it as it is.
+  [[gnu::target("avx2")]] __m256i dep(__m256i src, __m256i pos,
+                                      __m256i on) const {
+    return _mm256_and_si256(
+        _mm256_mask_i32gather_epi32(src, base, pos, on, 4), mask);
+  }
+  [[gnu::target("avx2")]] void point(__m256i pos, __m256i& dep,
+                                     __m256i& dur) const {
+    const __m256i w = _mm256_i32gather_epi32(base, pos, 4);
+    dep = _mm256_and_si256(w, mask);
+    dur = _mm256_srl_epi32(w, shift);
+  }
+  const int* base;
+  __m256i mask;
+  __m128i shift;
+};
+
 }  // namespace
 
-[[gnu::target("avx2")]] void TtfPool::arrival_tn_avx2(std::uint32_t f,
+template <typename Codec>
+[[gnu::target("avx2")]] void TtfPool::arrival_tn_avx2(Codec pts,
+                                                      std::uint32_t f,
                                                       const Time* ts,
                                                       std::size_t n,
                                                       Time* out) const {
@@ -238,7 +377,9 @@ namespace {
     return;
   }
   const int* const bidx_base = reinterpret_cast<const int*>(bucket_idx_.data());
-  const int* const pts_base = reinterpret_cast<const int*>(points_.data());
+  const std::conditional_t<Codec::kWordsPerPoint == 1, CompactLanes,
+                           WideLanes>
+      lanes(pts);
   const std::uint32_t inv32 = static_cast<std::uint32_t>(inv_period_);
 
   const __m256i vinv = _mm256_set1_epi32(static_cast<int>(inv32));
@@ -270,38 +411,39 @@ namespace {
     for (;;) {
       const __m256i in_range = _mm256_cmpgt_epi32(vend, pos);
       if (_mm256_testz_si256(in_range, in_range)) break;
-      const __m256i dep = _mm256_mask_i32gather_epi32(
-          tau, pts_base, _mm256_slli_epi32(pos, 1), in_range, 4);
+      const __m256i dep = lanes.dep(tau, pos, in_range);
       const __m256i advance =
           _mm256_and_si256(in_range, _mm256_cmpgt_epi32(tau, dep));
       if (_mm256_testz_si256(advance, advance)) break;
       pos = _mm256_sub_epi32(pos, advance);
     }
     pos = _mm256_blendv_epi8(vfirst, pos, _mm256_cmpgt_epi32(vend, pos));
-    const __m256i p2 = _mm256_slli_epi32(pos, 1);
-    const __m256i dep = _mm256_i32gather_epi32(pts_base + 0, p2, 4);
-    const __m256i dur = _mm256_i32gather_epi32(pts_base + 1, p2, 4);
+    __m256i dep, dur;
+    lanes.point(pos, dep, dur);
     const __m256i wrap = _mm256_cmpgt_epi32(tau, dep);
     const __m256i wait = _mm256_add_epi32(_mm256_sub_epi32(dep, tau),
                                           _mm256_and_si256(wrap, vperiod));
     const __m256i res = _mm256_add_epi32(t, _mm256_add_epi32(wait, dur));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), res);
   }
-  arrival_tn_scalar(f, ts + i, n - i, out + i);
+  arrival_tn_scalar(pts, f, ts + i, n - i, out + i);
 }
 
 #endif  // PCONN_HAVE_AVX2_DISPATCH
 
 void TtfPool::arrival_tn(std::uint32_t f, const Time* ts, std::size_t n,
                          Time* out) const {
+  with_codec([&](auto pts) {
 #if PCONN_HAVE_AVX2_DISPATCH
-  // period_ == 1 would need the 33-bit reciprocal; never a real timetable.
-  if (n >= 8 && period_ > 1 && cpu_has_avx2()) {
-    arrival_tn_avx2(f, ts, n, out);
-    return;
-  }
+    // period_ == 1 would need the 33-bit reciprocal; never a real
+    // timetable.
+    if (n >= 8 && period_ > 1 && cpu_has_avx2()) {
+      arrival_tn_avx2(pts, f, ts, n, out);
+      return;
+    }
 #endif
-  arrival_tn_scalar(f, ts, n, out);
+    arrival_tn_scalar(pts, f, ts, n, out);
+  });
 }
 
 }  // namespace pconn

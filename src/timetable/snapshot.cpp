@@ -19,7 +19,7 @@ namespace pconn {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 5;
+constexpr std::uint32_t kSnapVersion = 6;
 
 // Section tags. Fixed enumeration, versioned with the file: the timetable
 // sections are required, the overlay sections come all or none, and each
@@ -55,7 +55,8 @@ enum : std::uint32_t {
   kSecOvDownTails = 31,    // u32[down edges]
   kSecOvDownWords = 32,    // u32[down edges]
   kSecOvDownPos = 33,      // u32[nodes]
-  kSecPoolPoints = 34,     // TtfPoint[points]
+  kSecPoolPoints = 34,     // u32[points] (compact) or u32[2 * points]
+                           //   (wide): the pool's point words
   kSecPoolMeta = 35,       // TtfPool::TtfMeta[functions]
   kSecPoolBuckets = 36,    // u32[buckets]
 };
@@ -64,14 +65,17 @@ enum : std::uint32_t {
 /// 8-byte fields: no padding.
 /// contraction_ms is always written as 0: a wall-clock reading would make
 /// two saves of one overlay differ, so a loaded overlay reports none.
+/// dep_bits is the pool's point format (TtfPool::dep_bits): 0 for two
+/// words per point, else one word dep | dur << dep_bits.
 struct OverlayMeta {
   std::uint64_t nodes, stations, core, period, base_ttfs, base_edges, edges,
       shortcuts, contracted, down_edges, funcs, points, buckets,
       contracted_nodes, frozen, rounds, shortcut_edges, merges,
       witness_dropped, witness_searches;
   double contraction_ms;
+  std::uint64_t dep_bits;
 };
-static_assert(sizeof(OverlayMeta) == 21 * 8);
+static_assert(sizeof(OverlayMeta) == 22 * 8);
 
 struct SectionEntry {
   std::uint32_t tag = 0;
@@ -144,7 +148,7 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
           ov->ttfs_.size(), ov->ttfs_.num_points(),
           ov->ttfs_.bucket_idx_.size(), st.contracted, st.frozen,
           st.rounds, st.shortcuts, st.merges, st.witness_dropped,
-          st.witness_searches, 0.0};
+          st.witness_searches, 0.0, ov->ttfs_.dep_bits_};
     sections.insert(
         sections.end(),
         {{kSecOvMeta, &om, sizeof(om)},
@@ -160,7 +164,7 @@ void save_snapshot(const Timetable& tt, const OverlayGraph* ov,
          arr(kSecOvDownTails, ov->down_tails_),
          arr(kSecOvDownWords, ov->down_words_),
          arr(kSecOvDownPos, ov->down_pos_),
-         arr(kSecPoolPoints, ov->ttfs_.points_),
+         arr(kSecPoolPoints, ov->ttfs_.words_),
          arr(kSecPoolMeta, ov->ttfs_.meta_),
          arr(kSecPoolBuckets, ov->ttfs_.bucket_idx_)});
   }
@@ -530,6 +534,12 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   if (m.period == 0 || m.period >= (Time{1} << 30)) {
     fail(LoadError::Kind::kCorrupt, "overlay: invalid period");
   }
+  // The point format sizes the points section: one word per point at the
+  // period's departure width, or two (0).
+  if (m.dep_bits != 0 &&
+      m.dep_bits != TtfPool::compact_dep_bits(static_cast<Time>(m.period))) {
+    fail(LoadError::Kind::kCorrupt, "overlay: invalid point format");
+  }
   for (const std::uint64_t c :
        {m.nodes, m.stations, m.core, m.base_ttfs, m.base_edges, m.edges,
         m.shortcuts, m.contracted, m.down_edges, m.funcs, m.points,
@@ -661,7 +671,10 @@ OverlayGraph MappedSnapshot::load_overlay() const {
   // compared before any eval can follow an index out of range.
   TtfPool& pool = ov.ttfs_;
   pool = TtfPool(ov.period_);
-  pool.points_ = array<TtfPoint>(kSecPoolPoints, m.points, "pool points");
+  pool.dep_bits_ = static_cast<std::uint32_t>(m.dep_bits);
+  pool.words_ = array<std::uint32_t>(
+      kSecPoolPoints, m.dep_bits != 0 ? m.points : 2 * m.points,
+      "pool points");
   pool.meta_ = array<TtfPool::TtfMeta>(kSecPoolMeta, m.funcs, "pool meta");
   pool.bucket_idx_ =
       array<std::uint32_t>(kSecPoolBuckets, m.buckets, "pool buckets");

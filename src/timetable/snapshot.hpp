@@ -2,7 +2,7 @@
 // contraction overlay as native, 8-byte-aligned sections that a process
 // maps read-only and serves from in place.
 //
-// Layout (version 5, little-endian): the header (magic "PCSN", version,
+// Layout (version 6, little-endian): the header (magic "PCSN", version,
 // file size, section count) and a table of {tag, offset, size} entries,
 // then one section per array:
 //   - timetable: meta (period and the five counts), station name offsets
@@ -14,8 +14,9 @@
 //     with its time as 0 so a file's bytes never depend on the clock),
 //     rank, board shifts, the upward CSR (offsets, heads, words, origins),
 //     shortcut records, the down-sweep arrays (order, offsets, tails,
-//     words, positions) and the TtfPool's points, metadata and bucket
-//     index — exactly the arrays OverlayGraph and TtfPool read.
+//     words, positions) and the TtfPool's point words (in the format the
+//     overlay meta records), metadata and bucket index — exactly the
+//     arrays OverlayGraph and TtfPool read.
 //
 // Adoption: load_timetable()/load_overlay() validate every section in
 // place and return objects whose ConstArrays point into the mapping. A
@@ -28,10 +29,10 @@
 // maps either the old file or the new one, never a half-written one, and
 // a mapping is never truncated under a live shard. Each load validates
 // its sections once, at map time, before anything is adopted:
-//   - header/section table: magic, version (a v1-v4 file is
+//   - header/section table: magic, version (a v1-v5 file is
 //     kBadVersion: v2 still carried per-node TTF out-degrees, v3 the
-//     pool's index options, v4 one index bucket per point), recorded file
-//     size, section bounds and alignment;
+//     pool's index options, v4 one index bucket per point, v5 8-byte
+//     points only), recorded file size, section bounds and alignment;
 //   - every section's byte size against the count its meta implies, before
 //     the section is read (a lying count is kBadCount);
 //   - timetable: every CSR monotone, every id in range, per-trip times
@@ -39,8 +40,10 @@
 //     cross-checked against the trip that claims it;
 //   - overlay: CSR monotonicity, head/word/origin/record ranges, record
 //     acyclicity, rank-descending down order, down positions the exact
-//     inverse of it; the pool's functions contiguous with sorted points,
-//     and its bucket index recomputed from the points and compared;
+//     inverse of it; the pool's point format the one its period and
+//     durations imply, every word decoded: functions contiguous with
+//     strictly ascending departures below the period and durations below
+//     2^30, and its bucket index recomputed from the points and compared;
 //   - base functions, when a LiveOverlay adopts the pair: the flat graph
 //     reads the overlay pool's first num_base_ttfs() functions instead of
 //     building its own, so TdGraph::adopt recomputes each of them from

@@ -53,14 +53,13 @@ TEST(ContractionTtf, LinkMatchesDirectCompositionPerSecond) {
     const Ttf b = random_ttf(rng, period, 6);
     const std::uint32_t fa = builder.add(a);
     const std::uint32_t fb = builder.add(b);
-    const TtfPool pool = builder.finish();
     const Time c = static_cast<Time>(rng.next_below(period));
     const std::uint32_t cw = TdGraph::kConstFlag | c;
 
     // ttf o ttf, const o ttf, ttf o const.
-    const Ttf tt_link = link_edge_ttfs(pool, fa, fb);
-    const Ttf ct_link = link_edge_ttfs(pool, cw, fb);
-    const Ttf tc_link = link_edge_ttfs(pool, fa, cw);
+    const Ttf tt_link = link_edge_ttfs(builder, fa, fb);
+    const Ttf ct_link = link_edge_ttfs(builder, cw, fb);
+    const Ttf tc_link = link_edge_ttfs(builder, fa, cw);
     EXPECT_TRUE(tt_link.is_fifo());
     EXPECT_TRUE(ct_link.is_fifo());
     EXPECT_TRUE(tc_link.is_fifo());
@@ -85,8 +84,7 @@ TEST(ContractionTtf, MergeIsPointwiseMin) {
     const Ttf b = random_ttf(rng, period, 5);
     const std::uint32_t fa = builder.add(a);
     const std::uint32_t fb = builder.add(b);
-    const TtfPool pool = builder.finish();
-    const Ttf m = merge_edge_ttfs(pool, fa, fb);
+    const Ttf m = merge_edge_ttfs(builder, fa, fb);
     EXPECT_TRUE(m.is_fifo());
     for (Time t = 0; t < period; ++t) {
       EXPECT_EQ(m.eval(t), std::min(a.eval(t), b.eval(t))) << "t=" << t;
@@ -101,8 +99,7 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
     TtfPoolBuilder builder(period);
     const Ttf f = random_ttf(rng, period, 5);
     const std::uint32_t fw = builder.add(f);
-    const TtfPool pool = builder.finish();
-    const auto [mn, mx] = word_cost_bounds(pool, fw, period);
+    const auto [mn, mx] = word_cost_bounds(builder, fw, period);
     Time seen_min = kInfTime, seen_max = 0;
     for (Time t = 0; t < period; ++t) {
       seen_min = std::min(seen_min, f.eval(t));
@@ -111,7 +108,7 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
     EXPECT_EQ(mn, seen_min);
     EXPECT_EQ(mx, seen_max);
     const auto [cmn, cmx] =
-        word_cost_bounds(pool, TdGraph::kConstFlag | 123u, period);
+        word_cost_bounds(builder, TdGraph::kConstFlag | 123u, period);
     EXPECT_EQ(cmn, 123u);
     EXPECT_EQ(cmx, 123u);
   }
@@ -120,8 +117,8 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
 /// word_cost_bounds in its modulo form — the next point as
 /// pts[(i + 1) % n], its gap through delta() — the reference the
 /// division-free form must match bit for bit.
-std::pair<Time, Time> modulo_cost_bounds(const TtfPool& pool, std::uint32_t w,
-                                         Time period) {
+std::pair<Time, Time> modulo_cost_bounds(const TtfPoolBuilder& pool,
+                                         std::uint32_t w, Time period) {
   if (TdGraph::word_is_const(w)) {
     const Time c = TdGraph::word_weight(w);
     return {c, c};
@@ -159,19 +156,18 @@ TEST(ContractionTtf, WordCostBoundsMatchTheModuloForm) {
       }
       words.push_back(builder.add(Ttf::build(std::move(pts), period)));
     }
-    const TtfPool pool = builder.finish();
     std::size_t one_point = 0;
     for (const std::uint32_t w : words) {
-      if (pool.points(w).size() == 1) ++one_point;
-      EXPECT_EQ(word_cost_bounds(pool, w, period),
-                modulo_cost_bounds(pool, w, period))
+      if (builder.points(w).size() == 1) ++one_point;
+      EXPECT_EQ(word_cost_bounds(builder, w, period),
+                modulo_cost_bounds(builder, w, period))
           << "function " << w << " of period " << period;
     }
     EXPECT_GE(one_point, 100u);
     for (const std::uint32_t c : {0u, 1u, 123u, 86399u}) {
       const std::uint32_t w = TdGraph::kConstFlag | c;
-      EXPECT_EQ(word_cost_bounds(pool, w, period),
-                modulo_cost_bounds(pool, w, period));
+      EXPECT_EQ(word_cost_bounds(builder, w, period),
+                modulo_cost_bounds(builder, w, period));
     }
   }
 }

@@ -24,12 +24,14 @@
 namespace pconn {
 namespace {
 
-// Section tags and OverlayMeta field offsets of the v3 layout
+// Section tags and OverlayMeta field offsets of the v6 layout
 // (timetable/snapshot.cpp), for the tests that corrupt a chosen field.
 constexpr std::uint32_t kTagOvMeta = 20;
 constexpr std::uint32_t kTagOvHeads = 24;
+constexpr std::uint32_t kTagPoolPoints = 34;
 constexpr std::size_t kOvMetaFuncs = 80;
 constexpr std::size_t kOvMetaPoints = 88;
+constexpr std::size_t kOvMetaDepBits = 168;
 
 /// A snapshot written to a unique temp file, removed on destruction.
 struct SnapshotTempFile {
@@ -89,6 +91,38 @@ std::size_t payload_end(const std::string& data) {
 
 void put_u64(std::string& data, std::size_t at, std::uint64_t v) {
   std::memcpy(data.data() + at, &v, 8);
+}
+
+std::uint32_t get_u32(const std::string& data, std::size_t at) {
+  std::uint32_t v;
+  std::memcpy(&v, data.data() + at, 4);
+  return v;
+}
+
+void put_u32(std::string& data, std::size_t at, std::uint32_t v) {
+  std::memcpy(data.data() + at, &v, 4);
+}
+
+/// tiny_line plus an overnight A -> D train riding 40,000 s: a duration
+/// no compact word holds at a one-day period, so the graph's and the
+/// overlay's pools both keep two words per point.
+Timetable long_ride_line() {
+  TimetableBuilder b(kDayseconds);
+  const StationId a = b.add_station("A", 60);
+  const StationId s2 = b.add_station("B", 120);
+  const StationId c = b.add_station("C", 60);
+  const StationId d = b.add_station("D", 60);
+  using St = TimetableBuilder::StopTime;
+  for (Time t = 8 * 3600; t <= 11 * 3600; t += 3600) {
+    b.add_trip(std::vector<St>{{a, t, t},
+                               {s2, t + 600, t + 660},
+                               {c, t + 1260, t + 1260}});
+  }
+  const Time night = 20 * 3600;
+  b.add_trip(std::vector<St>{{c, night - 1800, night - 1800},
+                             {a, night - 600, night},
+                             {d, night + 40'000, night + 40'000}});
+  return b.finalize();
 }
 
 /// Timetable + overlay of a fixture, as a snapshot would be written.
@@ -191,6 +225,11 @@ TEST(SerializeOverlay, TypedErrorKinds) {
     const std::uint32_t v4 = 4;
     std::memcpy(bad.data() + 4, &v4, 4);
     expect_kind(bad, LoadError::Kind::kBadVersion, "a version-4 file");
+    // Version 5 stored every pool point as 8 bytes and its overlay meta
+    // had no point format.
+    const std::uint32_t v5 = 5;
+    std::memcpy(bad.data() + 4, &v5, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-5 file");
     bad[4] = '\x7f';
     expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
   }
@@ -211,6 +250,126 @@ TEST(SerializeOverlay, TypedErrorKinds) {
   // keep working.
   snap.write_bytes("NOPE");
   EXPECT_THROW(MappedSnapshot{snap.path}, std::runtime_error);
+}
+
+// A compact pool's words are decoded and checked before adoption: a word
+// whose departure bits reach the period, or two departures out of order,
+// are corrupt, and the recorded point format must be the one the period
+// implies and must size the points section.
+TEST(SerializeOverlay, CompactWordsAreDecodedAndChecked) {
+  const World w(test::tiny_line());
+  const TtfPool& pool = w.ov.ttfs();
+  ASSERT_EQ(pool.dep_bits(), 17u);
+  SnapshotTempFile snap(w.tt, &w.ov);
+  const std::string data = snap.read_bytes();
+  const auto [at, size] = find_section(data, kTagPoolPoints);
+  ASSERT_EQ(size, pool.num_points() * sizeof(std::uint32_t));
+  const auto expect_kind = [&](const std::string& bytes, LoadError::Kind kind,
+                               const char* what) {
+    snap.write_bytes(bytes);
+    try {
+      (void)MappedSnapshot(snap.path).load_overlay();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const LoadError& e) {
+      EXPECT_EQ(e.kind(), kind) << what << ": " << e.what();
+    }
+  };
+  const std::uint32_t mask = (1u << 17) - 1;
+  {  // point 0 departs at the period itself
+    std::string bad = data;
+    put_u32(bad, at, (get_u32(data, at) & ~mask) | kDayseconds);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "departure at the period");
+  }
+  {  // the second point of a two-point function departs with the first
+    std::size_t first = 0;
+    std::uint32_t f = 0;
+    while (f < pool.size() && pool.points(f).size() < 2) {
+      first += pool.points(f).size();
+      ++f;
+    }
+    ASSERT_LT(f, pool.size());
+    std::string bad = data;
+    const std::size_t word = at + 4 * (first + 1);
+    const std::uint32_t dep0 = get_u32(data, at + 4 * first) & mask;
+    put_u32(bad, word, (get_u32(data, word) & ~mask) | dep0);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "departures not ascending");
+  }
+  {  // a format the period does not give
+    std::string bad = data;
+    put_u64(bad, find_section(data, kTagOvMeta).first + kOvMetaDepBits, 16);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "dep_bits 16 at one day");
+  }
+  {  // the wide format's section would be twice as long
+    std::string bad = data;
+    put_u64(bad, find_section(data, kTagOvMeta).first + kOvMetaDepBits, 0);
+    expect_kind(bad, LoadError::Kind::kBadCount, "wide count, compact bytes");
+  }
+}
+
+// A pool that a long ride keeps wide: it round-trips bit-exactly, adopts
+// as the flat graph's base functions, and its durations are checked — a
+// flipped high bit (2^30 and up would wrap t + wait + dur in the kernels'
+// signed lanes) is corrupt, and so is a wide pool every duration of which
+// fits a word (finish() would have made it compact).
+TEST(Snapshot, WidePoolRoundTripsBitExactly) {
+  const World w(long_ride_line());
+  ASSERT_EQ(w.g.ttfs().dep_bits(), 0u);
+  ASSERT_EQ(w.ov.ttfs().dep_bits(), 0u);
+  SnapshotTempFile snap(w.tt, &w.ov);
+  const std::string data = snap.read_bytes();
+  {
+    MappedSnapshot mapped(snap.path);
+    const Timetable tt_back = mapped.load_timetable();
+    const OverlayGraph ov_back = mapped.load_overlay();
+    ASSERT_EQ(ov_back.ttfs().dep_bits(), 0u);
+    SnapshotTempFile again(tt_back, &ov_back);
+    EXPECT_EQ(data, again.read_bytes());
+    for (std::uint32_t f = 0; f < w.ov.ttfs().size(); ++f) {
+      ASSERT_TRUE(std::ranges::equal(ov_back.ttfs().points(f),
+                                     w.ov.ttfs().points(f)));
+      for (Time t = 0; t < 2 * kDayseconds; t += 97) {
+        ASSERT_EQ(ov_back.ttfs().arrival(f, t), w.ov.ttfs().arrival(f, t));
+      }
+    }
+    const TdGraph g_back = TdGraph::adopt(tt_back, ov_back);
+    EXPECT_TRUE(g_back.ttfs().same_functions(w.g.ttfs()));
+    TimeQuery q(tt_back, g_back, ov_back);
+    q.run(2, 19 * 3600);
+    EXPECT_EQ(q.arrival_at(3), 20 * 3600 + 40'000u);
+  }
+
+  const auto [at, size] = find_section(data, kTagPoolPoints);
+  ASSERT_EQ(size, w.ov.ttfs().num_points() * sizeof(TtfPoint));
+  const auto expect_corrupt = [&](const std::string& bytes, const char* what) {
+    snap.write_bytes(bytes);
+    try {
+      (void)MappedSnapshot(snap.path).load_overlay();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const LoadError& e) {
+      EXPECT_EQ(e.kind(), LoadError::Kind::kCorrupt)
+          << what << ": " << e.what();
+    }
+  };
+  {
+    std::string bad = data;
+    put_u32(bad, at + 4, get_u32(data, at + 4) | (1u << 30));
+    expect_corrupt(bad, "duration with bit 30 set");
+    put_u32(bad, at + 4, get_u32(data, at + 4) | (1u << 31));
+    expect_corrupt(bad, "duration with bit 31 set");
+  }
+  {  // every ride of 2^15 s or more cut below it
+    std::string bad = data;
+    std::size_t cut = 0;
+    for (std::size_t k = 0; k < size / 8; ++k) {
+      const std::uint32_t dur = get_u32(data, at + 8 * k + 4);
+      if (dur >= (1u << 15)) {
+        put_u32(bad, at + 8 * k + 4, dur & ((1u << 15) - 1));
+        ++cut;
+      }
+    }
+    ASSERT_GT(cut, 0u);
+    expect_corrupt(bad, "a wide pool whose rides all fit a word");
+  }
 }
 
 TEST(SerializeOverlay, EveryTruncationPointRejectedCleanly) {

@@ -15,6 +15,76 @@ namespace {
 
 constexpr Time kP = kDayseconds;
 
+/// A ride no compact word over `period` holds: 2^(32 - dep_bits), far
+/// below the 2^30 time range.
+Time wide_ride(Time period) {
+  return Time{1} << (32 - TtfPool::compact_dep_bits(period));
+}
+
+/// `ttfs` as one pool in the format asked for: built as they are (each
+/// test's durations fit a compact word), or forced wide by one more
+/// function whose ride does not fit. Asserts the format finish() picked.
+TtfPool pool_of(const std::vector<Ttf>& ttfs, Time period, bool wide) {
+  TtfPoolBuilder builder(period);
+  for (const Ttf& f : ttfs) builder.add(f);
+  if (wide) builder.add(Ttf::build({{0, wide_ride(period)}}, period));
+  TtfPool pool = builder.finish();
+  EXPECT_EQ(pool.dep_bits(), wide ? 0u : TtfPool::compact_dep_bits(period));
+  return pool;
+}
+
+/// Every read path of `pool` against the Ttfs it was built from, for the
+/// entry times `ts` (ascending): eval and point_used per time, arrival_tn
+/// as one batch (the AVX2 gather for its blocks of 8 where the CPU has it,
+/// then the scalar tail) and in chunks of 7 (the scalar loop only), and
+/// the sorted merge both as arrival_tn_sorted and fused.
+void expect_pool_equals_ttfs(const TtfPool& pool, const std::vector<Ttf>& ttfs,
+                             const std::vector<Time>& ts) {
+  std::vector<Time> out(ts.size());
+  for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
+    const Ttf& ref = ttfs[f];
+    ASSERT_EQ(pool.points(f).size(), ref.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      ASSERT_EQ(pool.points(f)[k], ref.points()[k]) << "f=" << f;
+    }
+    for (const Time t : ts) {
+      ASSERT_EQ(pool.eval(f, t), ref.eval(t)) << "f=" << f << " t=" << t;
+      if (!ref.empty()) {
+        ASSERT_EQ(pool.point_used(f, t), ref.point_used(t))
+            << "f=" << f << " t=" << t;
+      }
+    }
+    pool.arrival_tn(f, ts.data(), ts.size(), out.data());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ASSERT_EQ(out[i], ref.arrival(ts[i]))
+          << "batch f=" << f << " t=" << ts[i];
+    }
+    std::fill(out.begin(), out.end(), 0);
+    for (std::size_t i = 0; i < ts.size(); i += 7) {
+      pool.arrival_tn(f, ts.data() + i,
+                      std::min<std::size_t>(7, ts.size() - i), out.data() + i);
+    }
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ASSERT_EQ(out[i], ref.arrival(ts[i]))
+          << "tail f=" << f << " t=" << ts[i];
+    }
+    pool.arrival_tn_sorted(f, ts.data(), ts.size(), out.data());
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      ASSERT_EQ(out[i], ref.arrival(ts[i]))
+          << "sorted f=" << f << " t=" << ts[i];
+    }
+    std::size_t emitted = 0;
+    pool.arrival_tn_sorted_fused(
+        f, ts.size(), [&](std::size_t i) { return ts[i]; },
+        [&](std::size_t i, Time a) {
+          ASSERT_EQ(i, emitted++);
+          ASSERT_EQ(a, ref.arrival(ts[i]))
+              << "fused f=" << f << " t=" << ts[i];
+        });
+    ASSERT_EQ(emitted, ts.size());
+  }
+}
+
 TEST(Ttf, EmptyEvaluatesToInfinity) {
   Ttf f = Ttf::build({}, kP);
   EXPECT_TRUE(f.empty());
@@ -152,7 +222,6 @@ class TtfPoolRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
   Rng rng(GetParam() * 977 + 5);
   const Time period = 2000 + static_cast<Time>(rng.next_below(20000));
-  TtfPoolBuilder builder(period);
   std::vector<Ttf> ttfs;
   // A mixed bag of sizes, including 1-point functions (the constant-ish
   // case) and sizes around the bucket-count power-of-two boundaries.
@@ -163,29 +232,33 @@ TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
                      static_cast<Time>(1 + rng.next_below(3 * period))});
     }
     ttfs.push_back(Ttf::build(std::move(pts), period));
-    ASSERT_EQ(builder.add(ttfs.back()), ttfs.size() - 1);
   }
-  const TtfPool pool = builder.finish();
-  for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
-    const Ttf& ref = ttfs[f];
-    ASSERT_EQ(pool.points(f).size(), ref.size());
-    for (Time t = 0; t < period; ++t) {
-      ASSERT_EQ(pool.eval(f, t), ref.eval(t)) << "f=" << f << " t=" << t;
-      ASSERT_EQ(pool.point_used(f, t), ref.point_used(t))
-          << "f=" << f << " t=" << t;
-    }
-    // Absolute times beyond the period reduce like the seed's.
-    for (Time t : {period, period + 1, 2 * period + period / 2,
-                   5 * period + period - 1}) {
-      ASSERT_EQ(pool.arrival(f, t), ref.arrival(t)) << "f=" << f << " t=" << t;
-    }
-    // Exhaustive reference over the *kept* points.
-    for (Time t = 0; t < period; t += 61) {
-      Time brute = kInfTime;
-      for (const TtfPoint& p : pool.points(f)) {
-        brute = std::min(brute, delta(t, p.dep, period) + p.dur);
+  for (const bool wide : {false, true}) {
+    const TtfPool pool = pool_of(ttfs, period, wide);
+    for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
+      const Ttf& ref = ttfs[f];
+      ASSERT_EQ(pool.points(f).size(), ref.size());
+      for (Time t = 0; t < period; ++t) {
+        ASSERT_EQ(pool.eval(f, t), ref.eval(t))
+            << "wide=" << wide << " f=" << f << " t=" << t;
+        ASSERT_EQ(pool.point_used(f, t), ref.point_used(t))
+            << "wide=" << wide << " f=" << f << " t=" << t;
       }
-      ASSERT_EQ(pool.eval(f, t), brute) << "f=" << f << " t=" << t;
+      // Absolute times beyond the period reduce like the seed's.
+      for (Time t : {period, period + 1, 2 * period + period / 2,
+                     5 * period + period - 1}) {
+        ASSERT_EQ(pool.arrival(f, t), ref.arrival(t))
+            << "wide=" << wide << " f=" << f << " t=" << t;
+      }
+      // Exhaustive reference over the *kept* points.
+      for (Time t = 0; t < period; t += 61) {
+        Time brute = kInfTime;
+        for (const TtfPoint& p : pool.points(f)) {
+          brute = std::min(brute, delta(t, p.dep, period) + p.dur);
+        }
+        ASSERT_EQ(pool.eval(f, t), brute)
+            << "wide=" << wide << " f=" << f << " t=" << t;
+      }
     }
   }
 }
@@ -200,50 +273,77 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TtfPoolRandomTest,
 TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   Rng rng(654);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPoolBuilder builder(period);
-  std::vector<std::uint32_t> fs;
+  std::vector<Ttf> ttfs;
   for (std::size_t n : {1u, 3u, 9u, 40u}) {
     std::vector<TtfPoint> pts;
     for (std::size_t i = 0; i < n; ++i) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(1 + rng.next_below(period))});
     }
-    fs.push_back(builder.add(Ttf::build(std::move(pts), period)));
+    ttfs.push_back(Ttf::build(std::move(pts), period));
   }
-  const TtfPool pool = builder.finish();
   // Every second of two periods in one call per function: the batch spans
   // the wrap, exercising both the reciprocal modulo of the gather kernel
   // and the re-anchor path of the sorted merge.
   std::vector<Time> ts;
   for (Time t = 0; t < 2 * period; ++t) ts.push_back(t);
-  std::vector<Time> out(ts.size()), sorted_out(ts.size());
-  for (std::uint32_t f : fs) {
-    pool.arrival_tn(f, ts.data(), ts.size(), out.data());
-    pool.arrival_tn_sorted(f, ts.data(), ts.size(), sorted_out.data());
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      ASSERT_EQ(out[i], pool.arrival(f, ts[i])) << "f=" << f << " t=" << ts[i];
-      ASSERT_EQ(sorted_out[i], out[i]) << "f=" << f << " t=" << ts[i];
-    }
-  }
-  // Unsorted batches through the gather kernel only.
   std::vector<Time> shuffled = ts;
   rng.shuffle(shuffled);
-  for (std::uint32_t f : fs) {
-    pool.arrival_tn(f, shuffled.data(), shuffled.size(), out.data());
-    for (std::size_t i = 0; i < shuffled.size(); ++i) {
-      ASSERT_EQ(out[i], pool.arrival(f, shuffled[i]));
-    }
-  }
-  // Sorted batches with multi-period gaps (the re-anchor division path).
   std::vector<Time> sparse;
   for (Time t = 17; t < 9 * period; t += 1237) sparse.push_back(t);
-  out.resize(sparse.size());
-  for (std::uint32_t f : fs) {
-    pool.arrival_tn_sorted(f, sparse.data(), sparse.size(), out.data());
-    for (std::size_t i = 0; i < sparse.size(); ++i) {
-      ASSERT_EQ(out[i], pool.arrival(f, sparse[i]));
+  for (const bool wide : {false, true}) {
+    const TtfPool pool = pool_of(ttfs, period, wide);
+    expect_pool_equals_ttfs(pool, ttfs, ts);
+    // Unsorted batches through the gather kernel only.
+    std::vector<Time> out(shuffled.size());
+    for (std::uint32_t f = 0; f < ttfs.size(); ++f) {
+      pool.arrival_tn(f, shuffled.data(), shuffled.size(), out.data());
+      for (std::size_t i = 0; i < shuffled.size(); ++i) {
+        ASSERT_EQ(out[i], ttfs[f].arrival(shuffled[i])) << "wide=" << wide;
+      }
     }
+    // Sorted batches with multi-period gaps (the re-anchor division path).
+    expect_pool_equals_ttfs(pool, ttfs, sparse);
   }
+}
+
+// The format finish() picks, at a one-day period: durations below 2^15 s
+// make one word per point (dep_bits 17); one 40,000 s overnight ride makes
+// the whole pool keep two words per point. Both evaluate exactly as Ttf
+// does at every second of the day and past it, on every read path.
+TEST(TtfPool, OneLongRideKeepsThePoolWide) {
+  Rng rng(31337);
+  std::vector<Ttf> ttfs;
+  for (std::size_t n : {1u, 4u, 5u, 12u, 64u}) {
+    std::vector<TtfPoint> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({static_cast<Time>(rng.next_below(kP)),
+                     static_cast<Time>(1 + rng.next_below(5000))});
+    }
+    ttfs.push_back(Ttf::build(std::move(pts), kP));
+  }
+  ttfs.push_back(Ttf{});
+  std::vector<Time> ts;
+  for (Time t = 0; t < kP + 3600; ++t) ts.push_back(t);
+
+  TtfPoolBuilder compact(kP);
+  for (const Ttf& f : ttfs) compact.add(f);
+  const TtfPool short_rides = compact.finish();
+  EXPECT_EQ(short_rides.dep_bits(), 17u);
+  EXPECT_EQ(short_rides.array_bytes()[0].size(),
+            short_rides.num_points() * sizeof(std::uint32_t));
+  expect_pool_equals_ttfs(short_rides, ttfs, ts);
+
+  // An overnight ride, kept by Ttf::build next to shorter daytime ones.
+  ttfs.push_back(Ttf::build({{8 * 3600, 1200}, {20 * 3600, 40'000}}, kP));
+  ASSERT_EQ(ttfs.back().size(), 2u);
+  TtfPoolBuilder wide(kP);
+  for (const Ttf& f : ttfs) wide.add(f);
+  const TtfPool long_ride = wide.finish();
+  EXPECT_EQ(long_ride.dep_bits(), 0u);
+  EXPECT_EQ(long_ride.array_bytes()[0].size(),
+            long_ride.num_points() * sizeof(TtfPoint));
+  expect_pool_equals_ttfs(long_ride, ttfs, ts);
 }
 
 // The evaluation index on both sides of kMinIndexedPoints: functions of
@@ -316,6 +416,9 @@ TEST(TtfPool, BucketCapHoldsForAMultiDayFunction) {
   const TtfPool pool = builder.finish();
   ASSERT_EQ(pool.array_bytes()[2].size(),
             (std::size_t{1} << 16) * sizeof(std::uint32_t));
+  // A week needs 20 departure bits; rides of 600-601 s fit the other 12,
+  // so even this pool stores one word per point.
+  EXPECT_EQ(pool.dep_bits(), 20u);
 
   // Strided absolute times over two periods (the second reduces modulo
   // the period); a 7 s stride, under the 9.2 s bucket width, lands in
@@ -344,11 +447,13 @@ TEST(TtfPool, BucketCapHoldsForAMultiDayFunction) {
 // A prefix view is the pool a TdGraph reads when it shares its overlay's
 // base functions: it must evaluate bit-identically to the full pool for
 // every function below n, its arrays must be prefixes of the full pool's
-// arrays (same storage), and it must keep that storage alive on its own.
+// arrays (same storage), and it must keep that storage alive on its own —
+// in both point formats (a prefix of a wide pool is wide, even where its
+// own functions would fit one word each).
 TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
   Rng rng(2468);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPoolBuilder builder(period);
+  std::vector<Ttf> ttfs;
   for (int f = 0; f < 30; ++f) {
     std::vector<TtfPoint> pts;
     const std::size_t n = rng.next_below(40);  // 0 = empty function
@@ -356,61 +461,96 @@ TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
                      static_cast<Time>(1 + rng.next_below(3 * period))});
     }
-    builder.add(Ttf::build(std::move(pts), period));
+    ttfs.push_back(Ttf::build(std::move(pts), period));
   }
-  std::optional<TtfPool> full(builder.finish());
   std::vector<Time> ts;
   for (Time t = 0; t < 2 * period; t += 3) ts.push_back(t);
 
-  for (const std::uint32_t n : {0u, 1u, 17u, 30u}) {
-    const TtfPool view = full->prefix(n);
-    ASSERT_EQ(view.size(), n);
-    EXPECT_EQ(view.period(), full->period());
-    const auto mine = view.array_bytes();
-    const auto theirs = full->array_bytes();
-    ASSERT_EQ(mine.size(), theirs.size());
-    for (std::size_t a = 0; a < mine.size(); ++a) {
-      EXPECT_LE(mine[a].size(), theirs[a].size()) << "array " << a;
-      if (n > 0) EXPECT_EQ(mine[a].data(), theirs[a].data()) << "array " << a;
-    }
-    if (n == full->size()) {
+  for (const bool wide : {false, true}) {
+    std::optional<TtfPool> full(pool_of(ttfs, period, wide));
+    for (const std::uint32_t n : {0u, 1u, 17u, 30u}) {
+      const TtfPool view = full->prefix(n);
+      ASSERT_EQ(view.size(), n);
+      EXPECT_EQ(view.period(), full->period());
+      EXPECT_EQ(view.dep_bits(), full->dep_bits());
+      const auto mine = view.array_bytes();
+      const auto theirs = full->array_bytes();
+      ASSERT_EQ(mine.size(), theirs.size());
       for (std::size_t a = 0; a < mine.size(); ++a) {
-        EXPECT_EQ(mine[a].size(), theirs[a].size()) << "array " << a;
+        EXPECT_LE(mine[a].size(), theirs[a].size()) << "array " << a;
+        if (n > 0) {
+          EXPECT_EQ(mine[a].data(), theirs[a].data()) << "array " << a;
+        }
       }
+
+      std::vector<std::uint32_t> entries;
+      for (std::uint32_t f = 0; f < n; ++f) {
+        entries.push_back(f);
+        entries.push_back(TtfPool::kConstFlag | f);
+      }
+      for (Time t = 0; t < 2 * period; t += 7) {
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          ASSERT_EQ(view.arrival_entry(entries[i], t),
+                    full->arrival_entry(entries[i], t))
+              << "wide=" << wide << " n=" << n << " entry " << i;
+        }
+      }
+      const std::vector<Ttf> head(ttfs.begin(), ttfs.begin() + n);
+      expect_pool_equals_ttfs(view, head, ts);
     }
 
-    std::vector<std::uint32_t> entries;
-    for (std::uint32_t f = 0; f < n; ++f) {
-      entries.push_back(f);
-      entries.push_back(TtfPool::kConstFlag | f);
-    }
-    for (Time t = 0; t < 2 * period; t += 7) {
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        ASSERT_EQ(view.arrival_entry(entries[i], t),
-                  full->arrival_entry(entries[i], t))
-            << "n=" << n << " entry " << i;
-      }
-    }
-    std::vector<Time> got(ts.size());
-    std::vector<Time> want(ts.size());
-    for (std::uint32_t f = 0; f < n; ++f) {
-      for (Time t = 0; t < period; ++t) {
-        ASSERT_EQ(view.eval(f, t), full->eval(f, t)) << "f=" << f;
-      }
-      view.arrival_tn_sorted(f, ts.data(), ts.size(), got.data());
-      full->arrival_tn_sorted(f, ts.data(), ts.size(), want.data());
-      for (std::size_t i = 0; i < ts.size(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << "f=" << f << " t=" << ts[i];
-      }
+    // The view owns a share of the storage: it outlives the full pool.
+    const TtfPool view = full->prefix(17);
+    std::vector<Time> before;
+    for (std::uint32_t f = 0; f < 17; ++f) before.push_back(full->eval(f, 123));
+    full.reset();
+    for (std::uint32_t f = 0; f < 17; ++f) {
+      EXPECT_EQ(view.eval(f, 123), before[f]);
     }
   }
+}
 
-  // The view owns a share of the storage: it outlives the full pool.
-  const TtfPool view = full->prefix(17);
-  std::vector<Time> before;
-  for (std::uint32_t f = 0; f < 17; ++f) before.push_back(full->eval(f, 123));
-  full.reset();
-  for (std::uint32_t f = 0; f < 17; ++f) EXPECT_EQ(view.eval(f, 123), before[f]);
+// append_copy, the re-link's splice, decodes its source: functions copied
+// from a compact or a wide pool evaluate bit-identically to the source in
+// the builder's own view and in the pool finish() makes of them, whatever
+// format that pool picks.
+TEST(TtfPool, AppendCopyDecodesEitherFormat) {
+  Rng rng(8642);
+  std::vector<Ttf> ttfs;
+  for (int f = 0; f < 24; ++f) {
+    std::vector<TtfPoint> pts;
+    const std::size_t n = rng.next_below(30);  // 0 = empty function
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({static_cast<Time>(rng.next_below(kP)),
+                     static_cast<Time>(1 + rng.next_below(9000))});
+    }
+    ttfs.push_back(Ttf::build(std::move(pts), kP));
+  }
+  std::vector<Time> ts;
+  for (Time t = 0; t < kP; t += 5) ts.push_back(t);
+  const Ttf head = Ttf::build({{100, 60}, {5000, 90}, {7000, 80}}, kP);
+
+  for (const bool wide : {false, true}) {
+    const TtfPool src = pool_of(ttfs, kP, wide);
+    // One function of its own first, so every copied index shifts.
+    TtfPoolBuilder builder(kP);
+    builder.add(head);
+    builder.append_copy(src, 3, 20);
+    ASSERT_EQ(builder.pool().size(), 18u);
+    EXPECT_EQ(builder.pool().dep_bits(), 0u);  // the builder holds TtfPoints
+    std::vector<Ttf> want = {head};
+    want.insert(want.end(), ttfs.begin() + 3, ttfs.begin() + 20);
+    expect_pool_equals_ttfs(builder.pool(), want, ts);
+    for (std::uint32_t f = 3; f < 20; ++f) {
+      for (const Time t : {Time{0}, Time{4321}, kP - 1, 2 * kP + 99}) {
+        ASSERT_EQ(builder.pool().arrival(f - 2, t), src.arrival(f, t))
+            << "wide=" << wide << " f=" << f;
+      }
+    }
+    const TtfPool copied = builder.finish();
+    EXPECT_EQ(copied.dep_bits(), 17u);  // no long ride came along
+    expect_pool_equals_ttfs(copied, want, ts);
+  }
 }
 
 }  // namespace
