@@ -664,7 +664,7 @@ RelinkResult relink_overlay(const Timetable& tt, const TdGraph& g_new,
     if (old_base.empty_at(f) != new_base.empty_at(f)) {
       return fail(RelinkStatus::kStructureChanged);
     }
-    if (!std::ranges::equal(old_base.points(f), new_base.points(f))) {
+    if (old_base.points(f) != new_base.points(f)) {
       changed_base[f] = 1;
       ++res.stats.changed_base_ttfs;
     }

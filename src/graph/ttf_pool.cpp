@@ -48,9 +48,10 @@ std::uint32_t TtfPool::compact_dep_bits(Time period) {
 namespace {
 
 /// True when a compact word over `dep_bits` departure bits holds every
-/// duration up to max_dur (the one test finish() and layout_error share).
-bool fits_compact(std::uint32_t dep_bits, Time max_dur) {
-  return dep_bits != 0 && (std::uint64_t{max_dur} >> (32 - dep_bits)) == 0;
+/// duration of a pool, given their maximum or their bitwise OR (the one
+/// test finish() and layout_error share).
+bool fits_compact(std::uint32_t dep_bits, Time durs) {
+  return dep_bits != 0 && (std::uint64_t{durs} >> (32 - dep_bits)) == 0;
 }
 
 }  // namespace
@@ -77,12 +78,13 @@ const char* TtfPool::layout_error() const {
           (std::size_t{1} << m.log2b) > bucket_idx_.size() - bucket0) {
         return "bucket table layout";
       }
+      Time prev = 0;
       for (std::uint32_t i = 0; i < m.count; ++i) {
         const TtfPoint p = pts.at(m.first + i);
-        if (p.dep >= period_ ||
-            (i > 0 && pts.dep(m.first + i - 1) >= p.dep)) {
+        if (p.dep >= period_ || (i > 0 && prev >= p.dep)) {
           return "malformed function points";
         }
+        prev = p.dep;
         // The kernels add durations to times in signed 32-bit lanes.
         if (p.dur >= (Time{1} << 30)) return "duration out of range";
         max_dur = std::max(max_dur, p.dur);
@@ -144,7 +146,6 @@ std::uint32_t TtfPoolBuilder::add_raw(std::span<const TtfPoint> pts) {
     assert(pts[i].dur < (Time{1} << 30));
   }
 #endif
-  for (const TtfPoint& p : pts) max_dur_ = std::max(max_dur_, p.dur);
   // The AVX2 kernel gathers points and bucket entries through signed
   // 32-bit lanes; both stay far below 2^29 entries on any real network.
   assert(meta_.size() < (std::size_t{1} << 29));
@@ -187,11 +188,7 @@ void TtfPoolBuilder::append_copy(const TtfPool& src, std::uint32_t begin,
   const std::size_t at = points_.size();
   points_.resize(at + (pts_hi - pts_lo));
   src.with_codec([&](auto pts) {
-    for (std::uint32_t i = pts_lo; i < pts_hi; ++i) {
-      const TtfPoint p = pts.at(i);
-      points_[at + (i - pts_lo)] = p;
-      max_dur_ = std::max(max_dur_, p.dur);
-    }
+    pts.decode_range(pts_lo, pts_hi - pts_lo, points_.data() + at);
   });
   // Bucket entries are absolute point indices; shift them as they land.
   bucket_idx_.reserve(bucket_idx_.size() + (bkt_hi - bkt_lo));
@@ -251,29 +248,34 @@ void release_slack(const std::vector<T>& v) {
 TtfPool TtfPoolBuilder::finish() {
   TtfPool out(view_.period_);
   const std::uint32_t bits = TtfPool::compact_dep_bits(out.period_);
-  if (fits_compact(bits, max_dur_)) {
-    // One word per point, in an array of exactly that size; the 8-byte
-    // points go back to the allocator whole. (Encoding in place and
-    // releasing the freed half with madvise instead cost a page fault per
-    // released page whenever the allocator handed that memory out again —
-    // 1,570 faults per LA-like graph build and contraction.)
-    const std::size_t n = points_.size();
-    std::shared_ptr<std::uint32_t[]> owned(new std::uint32_t[n]);
-    std::uint32_t* const words = owned.get();
-    for (std::size_t i = 0; i < n; ++i) {
-      words[i] = points_[i].dep | points_[i].dur << bits;
-    }
+  // Encode every point into one word, in an array of exactly that size,
+  // and OR the durations on the way: the pool is compact when no duration
+  // sets a bit the departure leaves no room for. (Encoding in place and
+  // releasing the freed half with madvise instead cost a page fault per
+  // released page whenever the allocator handed that memory out again —
+  // 1,570 faults per LA-like graph build and contraction.)
+  const std::size_t n = points_.size();
+  std::shared_ptr<std::uint32_t[]> owned(new std::uint32_t[n]);
+  std::uint32_t* const words = owned.get();
+  const TtfPoint* const pts = points_.data();
+  Time durs = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    words[i] = pts[i].dep | pts[i].dur << bits;
+    durs |= pts[i].dur;
+  }
+  if (fits_compact(bits, durs)) {
+    // The 8-byte points go back to the allocator whole.
     out.dep_bits_ = bits;
     out.words_ = ConstArray<std::uint32_t>(words, n, std::move(owned));
     std::vector<TtfPoint>().swap(points_);
   } else {
-    // Two words per point: the TtfPoints as they stand.
+    // Two words per point: the TtfPoints as they stand (a long ride, rare;
+    // the words are dropped).
     release_slack(points_);
-    auto owned =
+    auto kept =
         std::make_shared<const std::vector<TtfPoint>>(std::move(points_));
-    const auto* words = reinterpret_cast<const std::uint32_t*>(owned->data());
-    const std::size_t n = 2 * owned->size();
-    out.words_ = ConstArray<std::uint32_t>(words, n, std::move(owned));
+    const auto* wide = reinterpret_cast<const std::uint32_t*>(kept->data());
+    out.words_ = ConstArray<std::uint32_t>(wide, 2 * n, std::move(kept));
     points_.clear();
   }
   release_slack(meta_);
@@ -282,7 +284,6 @@ TtfPool TtfPoolBuilder::finish() {
   out.bucket_idx_ = ConstArray(std::move(bucket_idx_));
   meta_.clear();
   bucket_idx_.clear();
-  max_dur_ = 0;
   refresh_view();
   return out;
 }

@@ -56,9 +56,11 @@
 // snapshot can supply in place (timetable/snapshot.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <span>
 #include <string>
@@ -109,6 +111,10 @@ class TtfPool {
     TtfPoint at(std::size_t i) const {
       return {words[2 * i], words[2 * i + 1]};
     }
+    /// Points [lo, lo + n) into out.
+    void decode_range(std::size_t lo, std::size_t n, TtfPoint* out) const {
+      if (n != 0) std::memcpy(out, words + 2 * lo, n * sizeof(TtfPoint));
+    }
   };
   /// The compact point format: one word per point, dep | dur << bits.
   struct CompactCodec {
@@ -118,6 +124,12 @@ class TtfPool {
     Time dep(std::size_t i) const { return words[i] & ((1u << bits) - 1); }
     TtfPoint at(std::size_t i) const {
       return {words[i] & ((1u << bits) - 1), words[i] >> bits};
+    }
+    /// Points [lo, lo + n) into out, in one loop that vectorizes.
+    void decode_range(std::size_t lo, std::size_t n, TtfPoint* out) const {
+      const std::uint32_t* const w = words + lo;
+      const std::uint32_t mask = (1u << bits) - 1;
+      for (std::size_t i = 0; i < n; ++i) out[i] = {w[i] & mask, w[i] >> bits};
     }
   };
 
@@ -163,6 +175,16 @@ class TtfPool {
     }
     iterator begin() const { return {words_, bits_, 0}; }
     iterator end() const { return {words_, bits_, count_}; }
+    /// The same points. Views of one format compare their words: each
+    /// format has one encoding of a point.
+    friend bool operator==(const Points& a, const Points& b) {
+      if (a.count_ != b.count_) return false;
+      if (a.bits_ != b.bits_) return std::equal(a.begin(), a.end(), b.begin());
+      const std::size_t words = a.bits_ != 0 ? a.count_ : 2 * a.count_;
+      return a.count_ == 0 ||
+             std::memcmp(a.words_, b.words_, words * sizeof(std::uint32_t)) ==
+                 0;
+    }
 
    private:
     friend class TtfPool;
@@ -500,10 +522,11 @@ class TtfPoolBuilder {
 
   /// Hands the arrays over to a finished pool: compact when every
   /// duration fits the bits a departure leaves (the points are encoded
-  /// into an exactly sized word array, one word each, and freed), wide
-  /// otherwise (the points as they stand, no copy). Returns the whole
-  /// pages past each kept array's size to the kernel, so what stays
-  /// resident is the finished pool. The builder is left empty.
+  /// into an exactly sized word array, one word each, and freed; the same
+  /// pass tests the durations), wide otherwise (the points as they stand,
+  /// not copied). Returns the whole pages past each kept array's size to
+  /// the kernel, so what stays resident is the finished pool. The builder
+  /// is left empty.
   TtfPool finish();
 
  private:
@@ -512,7 +535,6 @@ class TtfPoolBuilder {
   std::vector<TtfPoint> points_;
   std::vector<TtfPool::TtfMeta> meta_;
   std::vector<std::uint32_t> bucket_idx_;
-  Time max_dur_ = 0;  // the longest ride appended: finish()'s format test
   TtfPool view_;  // non-owning wide views of the three vectors
 };
 

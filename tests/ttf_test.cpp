@@ -344,6 +344,17 @@ TEST(TtfPool, OneLongRideKeepsThePoolWide) {
   EXPECT_EQ(long_ride.array_bytes()[0].size(),
             long_ride.num_points() * sizeof(TtfPoint));
   expect_pool_equals_ttfs(long_ride, ttfs, ts);
+
+  // Points views compare decoded points across formats and words within
+  // one; the long ride differs from every other function.
+  const std::uint32_t last = static_cast<std::uint32_t>(ttfs.size() - 1);
+  for (std::uint32_t f = 0; f < last; ++f) {
+    EXPECT_TRUE(long_ride.points(f) == short_rides.points(f)) << "f=" << f;
+    EXPECT_TRUE(long_ride.points(f) == long_ride.points(f)) << "f=" << f;
+    EXPECT_FALSE(long_ride.points(last) == short_rides.points(f));
+    EXPECT_FALSE(long_ride.points(last) == long_ride.points(f));
+  }
+  EXPECT_FALSE(short_rides.points(0) == short_rides.points(1));
 }
 
 // The evaluation index on both sides of kMinIndexedPoints: functions of
