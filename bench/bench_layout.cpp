@@ -23,6 +23,8 @@
 // (CMakeLists.txt, bench/layout_pad.cpp), gates the median of their
 // `layout_speedup` at >= 1.2 and archives this binary's JSON (--json),
 // with the per-link ratios added, as BENCH_layout.json.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <iostream>
 #include <sstream>
@@ -176,6 +178,30 @@ std::vector<Time> relax_times(Time period) {
   return out;
 }
 
+/// Points the pooled eval at reduced time tau steps over past its bucket
+/// entry in a function with points `pts`, recomputed from the index's
+/// shape (graph/ttf_pool.hpp): a function of n >= kMinIndexedPoints points
+/// has B = min(bit_ceil(n) / kPointsPerBucket, 2^16) buckets, a smaller
+/// one a single bucket; time x maps to bucket (x * B * floor(2^32 /
+/// period)) >> 32; a bucket's entry is the first point whose departure
+/// maps to that bucket or later, and the scan ends at the first point
+/// departing at tau or later.
+std::uint32_t scan_steps(const TtfPool::Points& pts, Time period, Time tau) {
+  const std::size_t n = pts.size();
+  std::uint64_t buckets = 1;
+  if (n >= TtfPool::kMinIndexedPoints) {
+    buckets = std::min<std::uint64_t>(
+        std::bit_ceil(n) / TtfPool::kPointsPerBucket, std::uint64_t{1} << 16);
+  }
+  const std::uint64_t inv = (std::uint64_t{1} << 32) / period;
+  const auto bucket = [&](Time x) { return (x * buckets * inv) >> 32; };
+  std::uint32_t entry = 0;
+  while (entry < n && bucket(pts[entry].dep) < bucket(tau)) ++entry;
+  std::uint32_t end = entry;
+  while (end < n && pts[end].dep < tau) ++end;
+  return end - entry;
+}
+
 LayoutRow run_network(gen::Preset preset) {
   Network net = load_network(preset);
   print_network_header(net);
@@ -206,7 +232,8 @@ LayoutRow run_network(gen::Preset preset) {
       for (std::uint32_t ei = 0; ei < g.num_edges(); ++ei) {
         const std::uint32_t w = g.edge_word(ei);
         if (TdGraph::word_is_const(w)) continue;
-        steps += g.ttfs().scan_steps(TdGraph::word_ttf(w), tau);
+        steps += scan_steps(g.ttfs().points(TdGraph::word_ttf(w)),
+                            g.period(), tau);
         ++ttf_evals;
       }
     }

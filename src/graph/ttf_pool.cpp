@@ -119,16 +119,8 @@ bool TtfPool::same_functions(const TtfPool& other) const {
       !same(bucket_idx_.bytes(), other.bucket_idx_.bytes())) {
     return false;
   }
-  if (dep_bits_ == other.dep_bits_) {
-    return same(words_.bytes(), other.words_.bytes());
-  }
-  const std::size_t n = num_points();
-  if (other.num_points() != n) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (decode(words_.data(), dep_bits_, i) !=
-        decode(other.words_.data(), other.dep_bits_, i)) {
-      return false;
-    }
+  for (std::uint32_t f = 0; f < size(); ++f) {
+    if (!(points(f) == other.points(f))) return false;
   }
   return true;
 }

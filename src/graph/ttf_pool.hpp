@@ -259,18 +259,6 @@ class TtfPool {
     });
   }
 
-  /// Points eval's scan steps over past the bucket entry at time t (0:
-  /// the entry's point is the one used, or the function is empty) — the
-  /// scan length the index leaves, which bench_layout reports per eval.
-  std::uint32_t scan_steps(std::uint32_t f, Time t) const {
-    const TtfMeta& m = meta_[f];
-    const Time tau = t % period_;
-    return with_codec([&](auto pts) {
-      return lower_bound_abs(pts, m, tau) -
-             bucket_idx_[m.bucket0 + bucket_of(tau, m.log2b)];
-    });
-  }
-
   /// Batch evaluation, one function at many entry times:
   /// out[i] = arrival(f, ts[i]). AVX2 gather kernel under runtime
   /// dispatch, scalar loop otherwise; bit-identical either way.
@@ -369,9 +357,10 @@ class TtfPool {
                          std::size_t i) {
     return bits != 0 ? CompactCodec{w, bits}.at(i) : WideCodec{w}.at(i);
   }
-  /// The word index of point i.
+  /// The word index of point i: a shift, not a branch, since the relax
+  /// loops' prefetch computes it for every edge.
   std::size_t word_index(std::size_t i) const {
-    return dep_bits_ != 0 ? i : 2 * i;
+    return i << (dep_bits_ == 0);
   }
 
   template <typename Codec>

@@ -15,19 +15,26 @@ namespace {
 
 constexpr Time kP = kDayseconds;
 
-/// A ride no compact word over `period` holds: 2^(32 - dep_bits), far
-/// below the 2^30 time range.
-Time wide_ride(Time period) {
-  return Time{1} << (32 - TtfPool::compact_dep_bits(period));
+/// The function pool_of appends to force a pool wide: one ride of
+/// 2^(32 - dep_bits) s, which no compact word over `period` holds (far
+/// below the 2^30 time range).
+Ttf wide_ride(Time period) {
+  const Time dur = Time{1} << (32 - TtfPool::compact_dep_bits(period));
+  return Ttf::build({{0, dur}}, period);
 }
 
 /// `ttfs` as one pool in the format asked for: built as they are (each
-/// test's durations fit a compact word), or forced wide by one more
-/// function whose ride does not fit. Asserts the format finish() picked.
+/// test's durations fit a compact word), or forced wide by wide_ride() as
+/// one more function. Asserts the indices add() returns and the format
+/// finish() picked.
 TtfPool pool_of(const std::vector<Ttf>& ttfs, Time period, bool wide) {
   TtfPoolBuilder builder(period);
-  for (const Ttf& f : ttfs) builder.add(f);
-  if (wide) builder.add(Ttf::build({{0, wide_ride(period)}}, period));
+  for (std::size_t i = 0; i < ttfs.size(); ++i) {
+    EXPECT_EQ(builder.add(ttfs[i]), i);
+  }
+  if (wide) {
+    EXPECT_EQ(builder.add(wide_ride(period)), ttfs.size());
+  }
   TtfPool pool = builder.finish();
   EXPECT_EQ(pool.dep_bits(), wide ? 0u : TtfPool::compact_dep_bits(period));
   return pool;
@@ -479,7 +486,12 @@ TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
 
   for (const bool wide : {false, true}) {
     std::optional<TtfPool> full(pool_of(ttfs, period, wide));
-    for (const std::uint32_t n : {0u, 1u, 17u, 30u}) {
+    // The functions of `full`: a wide pool also holds wide_ride().
+    std::vector<Ttf> all = ttfs;
+    if (wide) all.push_back(wide_ride(period));
+    ASSERT_EQ(full->size(), all.size());
+    const auto whole = static_cast<std::uint32_t>(full->size());
+    for (const std::uint32_t n : {0u, 1u, 17u, 30u, whole}) {
       const TtfPool view = full->prefix(n);
       ASSERT_EQ(view.size(), n);
       EXPECT_EQ(view.period(), full->period());
@@ -491,6 +503,11 @@ TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
         EXPECT_LE(mine[a].size(), theirs[a].size()) << "array " << a;
         if (n > 0) {
           EXPECT_EQ(mine[a].data(), theirs[a].data()) << "array " << a;
+        }
+      }
+      if (n == full->size()) {
+        for (std::size_t a = 0; a < mine.size(); ++a) {
+          EXPECT_EQ(mine[a].size(), theirs[a].size()) << "array " << a;
         }
       }
 
@@ -506,7 +523,13 @@ TEST(TtfPool, PrefixViewSharesStorageAndEvaluatesIdentically) {
               << "wide=" << wide << " n=" << n << " entry " << i;
         }
       }
-      const std::vector<Ttf> head(ttfs.begin(), ttfs.begin() + n);
+      for (std::uint32_t f = 0; f < n; ++f) {
+        for (Time t = 0; t < period; ++t) {
+          ASSERT_EQ(view.eval(f, t), full->eval(f, t))
+              << "wide=" << wide << " n=" << n << " f=" << f;
+        }
+      }
+      const std::vector<Ttf> head(all.begin(), all.begin() + n);
       expect_pool_equals_ttfs(view, head, ts);
     }
 
