@@ -24,8 +24,7 @@ void ParallelSpcs::sweep_partition(std::size_t th) {
 
   // The thread's label matrix is node-major (slot v * W + li): each node's
   // W connection lanes are one contiguous row, so the sweep extends the
-  // matrix in place — the multi-query engine's transposed-copy step
-  // (multi_query.cpp settle_contracted_batch) disappears entirely.
+  // matrix in place, with no transposed copy.
   EpochArray<Time>& arr = st.label_matrix();
   Time* const __restrict vals = arr.values_data();
   std::uint32_t* const __restrict eps = arr.epochs_data();

@@ -32,12 +32,10 @@
 // batched per-partition downward sweep over the overlay's down-CSR. The
 // thread's label matrix is already node-major (slot v * W + li), so each
 // down-edge feeds ONE pooled arrival_tn call with the whole partition's W
-// connection lanes — the multi-query engine's cross-lane sweep
-// (multi_query.cpp settle_contracted_batch) generalized from K query
-// lanes to a partition's connection fan, writing back in place instead of
-// keeping a transposed copy. Unlike the station-sourced engines' sweep,
-// the SPCS ascent can settle contracted nodes on its way up (sources are
-// contracted), so the sweep folds with min() rather than overwriting. The
+// connection lanes, writing back in place with no transposed copy. Unlike
+// the station-sourced engines' sweep, the SPCS ascent can settle contracted
+// nodes on its way up (sources are contracted), so the sweep folds with
+// min() rather than overwriting. The
 // row call is the sweep's only body: a per-lane scalar variant measured
 // slower on three of five presets and was deleted (docs/architecture.md
 // "Batch relaxation").

@@ -21,8 +21,8 @@ namespace pconn {
 inline constexpr unsigned kSpcsKeyShift = 20;
 using SpcsQueue = DAryHeap<std::uint64_t, 2>;
 
-/// Scalar-time engines (TimeQuery, flat or overlay-routed, the
-/// multi-query lanes) and the label-correcting baselines.
+/// Scalar-time engines (TimeQuery, flat or overlay-routed) and the
+/// label-correcting baselines.
 using TimeQueue = DAryHeap<Time, 2>;
 
 /// Mc queue keys are composite: (arrival << kMcKeyShift) | boardings. A

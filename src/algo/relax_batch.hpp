@@ -16,14 +16,10 @@
 // node carries at most one travel function (graph_test asserts it); SPCS
 // (flat and overlay) and the overlay time query because their phased
 // gather -> eval -> commit bodies measured slower on every preset and were
-// deleted. The
-// down-sweeps (multi-query, overlay SPCS) batch across lanes with one
-// arrival_tn call per down-edge; that is their only body.
+// deleted. The overlay SPCS down-sweep batches a partition's connection
+// lanes into one arrival_tn call per down-edge; that is its only body.
 #pragma once
 
-#include <array>
-#include <bit>
-#include <cstddef>
 #include <cstdint>
 
 namespace pconn {
@@ -36,29 +32,5 @@ enum class RelaxMode : std::uint8_t {
 inline const char* relax_mode_name(RelaxMode m) {
   return m == RelaxMode::kBatch ? "batch" : "interleaved";
 }
-
-/// Kernel-call accounting of the multi-query down-sweep (kept apart from
-/// QueryStats, which must equal a per-query run's): `record(n)` counts one
-/// call over n lanes; the histogram is log2-bucketed (bucket b holds calls
-/// of [2^(b-1), 2^b) lanes).
-struct BatchStats {
-  std::uint64_t gathers = 0;
-  std::uint64_t gathered_edges = 0;
-  std::array<std::uint64_t, 16> fanout_hist{};
-
-  void record(std::size_t n) {
-    ++gathers;
-    gathered_edges += n;
-    const unsigned b = static_cast<unsigned>(std::bit_width(n));
-    ++fanout_hist[b < fanout_hist.size() ? b : fanout_hist.size() - 1];
-  }
-  /// Mean lanes per kernel call (bench_multiquery's mean_lane_count).
-  double mean_gather() const {
-    return gathers == 0 ? 0.0
-                        : static_cast<double>(gathered_edges) /
-                              static_cast<double>(gathers);
-  }
-  void reset() { *this = BatchStats{}; }
-};
 
 }  // namespace pconn

@@ -26,11 +26,9 @@
 #include <memory>
 #include <span>
 
-#include "algo/all_to_one.hpp"
 #include "algo/journey.hpp"
 #include "algo/lc_profile.hpp"
 #include "algo/mc_query.hpp"
-#include "algo/multi_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
@@ -101,9 +99,6 @@ class QuerySession {
     s2s_.reset();
     s2s_sg_ = nullptr;
     s2s_dt_ = nullptr;
-    all_to_one_.reset();
-    multi_ov_.reset();
-    multi_ov_graph_ = nullptr;
     // All engine scratch above lived in ws_ (or in per-engine workspaces
     // that died with their engine); with the views gone the arena can
     // rewind in place.
@@ -173,29 +168,6 @@ class QuerySession {
     return *s2s_;
   }
 
-  /// Builds the reversed timetable on first use (that build allocates; the
-  /// queries after it reuse everything).
-  AllToOneProfiles& all_to_one_engine() {
-    if (!all_to_one_) {
-      all_to_one_ = std::make_unique<AllToOneProfiles>(*tt_, opt_.spcs());
-    }
-    return *all_to_one_;
-  }
-
-  /// Throughput-mode engine (docs/architecture.md "Throughput execution"):
-  /// K overlay time queries per call plus the cross-lane down-sweep.
-  /// Per-lane results and accounting stay byte-identical to
-  /// overlay_time_engine(). Binds to the overlay passed first like
-  /// overlay_time_engine().
-  MultiQueryOverlayTimeEngine& multi_overlay_engine(const OverlayGraph& ov) {
-    if (!multi_ov_ || multi_ov_graph_ != &ov) {
-      multi_ov_ =
-          std::make_unique<MultiQueryOverlayTimeEngine>(*tt_, *g_, ov, &ws_);
-      multi_ov_graph_ = &ov;
-    }
-    return *multi_ov_;
-  }
-
   // --- unified query API (allocation-free once warm; every kind has its
   // --- own result buffer, overwritten by the next query of that kind) ---
 
@@ -238,12 +210,6 @@ class QuerySession {
     return s2s_buf_;
   }
 
-  /// All-to-one profile query dist(·, T, ·).
-  const OneToAllResult& all_to_one(StationId target) {
-    all_to_one_engine().all_to_one_into(target, all_to_one_buf_);
-    return all_to_one_buf_;
-  }
-
   /// Earliest arrival at `target` departing `source` at `departure`
   /// (kInvalidStation target: settle everything, query later via
   /// time_engine().arrival_at).
@@ -282,29 +248,16 @@ class QuerySession {
     return mc_engine().pareto(target);
   }
 
-  /// Runs all `queries` as one batch; read results off the returned engine
-  /// (arrival_at(q, s), stats(q), ...) — they hold until the next batch.
-  /// Allocation-free once warm at a given batch shape. Requires a prior
-  /// multi_overlay_engine(ov) call to bind the overlay.
-  MultiQueryOverlayTimeEngine& overlay_run_batch(
-      std::span<const BatchQuery> queries) {
-    assert(multi_ov_ &&
-           "bind the overlay with multi_overlay_engine(ov) first");
-    multi_ov_->run(queries);
-    return *multi_ov_;
-  }
-
   // --- memory accounting ---
 
   /// Arena bytes pinned by this session: its own workspace plus the
   /// per-thread workspaces of every parallel engine it has constructed
-  /// (profile, s2s, all-to-one) — the capacity-planning number.
+  /// (profile, overlay profile, s2s) — the capacity-planning number.
   std::size_t scratch_bytes_reserved() const {
     std::size_t total = ws_.bytes_reserved();
     if (spcs_) total += spcs_->scratch_bytes_reserved();
     if (ov_spcs_) total += ov_spcs_->scratch_bytes_reserved();
     if (s2s_) total += s2s_->scratch_bytes_reserved();
-    if (all_to_one_) total += all_to_one_->scratch_bytes_reserved();
     return total;
   }
 
@@ -342,13 +295,9 @@ class QuerySession {
   std::unique_ptr<S2sQueryEngine> s2s_;
   const StationGraph* s2s_sg_ = nullptr;
   const DistanceTable* s2s_dt_ = nullptr;
-  std::unique_ptr<AllToOneProfiles> all_to_one_;
-  std::unique_ptr<MultiQueryOverlayTimeEngine> multi_ov_;
-  const OverlayGraph* multi_ov_graph_ = nullptr;
 
   // Reusable result buffers for the query API above, one per query kind.
   OneToAllResult one_to_all_buf_;
-  OneToAllResult all_to_one_buf_;
   OneToAllResult overlay_one_to_all_buf_;
   StationQueryResult station_buf_;
   StationQueryResult overlay_station_buf_;

@@ -68,8 +68,7 @@ class TimeQuery {
   /// Predecessor node on the shortest path tree (kInvalidNode at the
   /// source / unreached nodes).
   NodeId parent(NodeId v) const { return parent_.get(v); }
-  /// The label array (the multi-query engine transposes it through the
-  /// EpochArray raw views).
+  /// The label array at every node.
   const EpochArray<Time>& labels() const { return dist_; }
   /// Overlay-routed only (asserted; undefined on a flat engine in a
   /// Release build): the overlay edge of the last relax that set v's label.
@@ -88,14 +87,14 @@ class TimeQuery {
   /// file's next change (only the LC engines read RelaxMode).
   void set_relax_options(RelaxMode) {}
 
+ private:
+  TimeQuery(const Timetable& tt, const TdGraph& g, const OverlayGraph* ov,
+            QueryWorkspace* ws);
+
   /// Overlay-routed only (asserted; undefined on a flat engine in a
   /// Release build): arrival via an overlay word entered at `t` at the last
   /// run's source, undoing the folded board cost.
   Time source_arrival(std::uint32_t w, Time t) const;
-
- private:
-  TimeQuery(const Timetable& tt, const TdGraph& g, const OverlayGraph* ov,
-            QueryWorkspace* ws);
 
   /// The search over the TdGraph or the OverlayGraph; run() picks once.
   template <typename Graph>

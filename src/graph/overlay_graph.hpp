@@ -1,6 +1,6 @@
 // OverlayGraph — the product of the time-dependent core contraction
 // (algo/contraction.hpp): the station-centric overlay the core-routed query
-// engines (TimeQuery, ParallelSpcs, MultiQueryOverlayTimeEngine) run on.
+// engines (TimeQuery, ParallelSpcs) run on.
 //
 // Contraction removes *route nodes* from the time-dependent graph one by
 // one (stations are never contracted — every public query result is a
@@ -176,9 +176,9 @@ class OverlayGraph {
       std::numeric_limits<std::uint32_t>::max();
   /// Inverse of down_node(): v's position in the down-sweep order, or
   /// kNoDownPos for core nodes. Built once by the contraction (and stored
-  /// in snapshots), so every sweeping engine — the per-query
-  /// settle_contracted, the multi-query cross-lane sweep, the partitioned
-  /// SPCS sweep — shares one map instead of each building its own.
+  /// in snapshots), so both sweeping engines — the per-query
+  /// settle_contracted and the partitioned SPCS sweep — share one map
+  /// instead of each building its own.
   std::uint32_t down_pos(NodeId v) const { return down_pos_[v]; }
 
   const ContractionStats& build_stats() const { return build_stats_; }

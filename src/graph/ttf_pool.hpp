@@ -35,8 +35,8 @@
 //
 // Batch evaluation, one function at many entry times (docs/architecture.md
 // "Batch relaxation"):
-//   * arrival_tn() — the down-sweeps' row call (multi-query lanes, an SPCS
-//     partition's connection lanes). It runs an 8-lane AVX2 gather kernel
+//   * arrival_tn() — the SPCS down-sweep's row call (a partition's
+//     connection lanes). It runs an 8-lane AVX2 gather kernel
 //     when the CPU has it (runtime dispatch, PCONN_NO_AVX2 escape hatch)
 //     and a scalar loop otherwise; the kernel replaces the per-eval
 //     hardware division of `t % period` with the same reciprocal multiply

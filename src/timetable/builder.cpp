@@ -31,13 +31,11 @@ StationId TimetableBuilder::add_station(std::string name, Time transfer_time) {
   return static_cast<StationId>(names_.size() - 1);
 }
 
-TrainId TimetableBuilder::add_trip(const std::vector<StopTime>& stops,
-                                   std::uint32_t group) {
+TrainId TimetableBuilder::add_trip(const std::vector<StopTime>& stops) {
   if (stops.size() < 2) {
     throw std::invalid_argument("trip: needs at least 2 stops");
   }
   RawTrip t;
-  t.group = group;
   t.stops.reserve(stops.size());
   t.arrivals.reserve(stops.size());
   t.departures.reserve(stops.size());
@@ -105,13 +103,10 @@ Timetable TimetableBuilder::finalize() {
   }
   const std::size_t num_stations = names_.size();
 
-  // 1. Group trips by (group, station sequence).
-  std::map<std::pair<std::uint32_t, std::vector<StationId>>,
-           std::vector<TrainId>>
-      by_sequence;
+  // 1. Group trips by station sequence.
+  std::map<std::vector<StationId>, std::vector<TrainId>> by_sequence;
   for (std::size_t i = 0; i < raw_trips_.size(); ++i) {
-    by_sequence[{raw_trips_[i].group, raw_trips_[i].stops}].push_back(
-        static_cast<TrainId>(i));
+    by_sequence[raw_trips_[i].stops].push_back(static_cast<TrainId>(i));
   }
 
   // 2. Within each group, sort by first departure and split greedily into
@@ -121,8 +116,7 @@ Timetable TimetableBuilder::finalize() {
   std::vector<StationId> route_stops;
   std::vector<TrainId> route_trips;
   std::vector<RouteId> trip_route(raw_trips_.size());
-  for (auto& [key, members] : by_sequence) {
-    const std::vector<StationId>& stops = key.second;
+  for (auto& [stops, members] : by_sequence) {
     std::stable_sort(members.begin(), members.end(), [&](TrainId a, TrainId b) {
       return raw_trips_[a].departures[0] < raw_trips_[b].departures[0];
     });

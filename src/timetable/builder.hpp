@@ -42,12 +42,7 @@ class TimetableBuilder {
   /// encoding of a negative travel time), consecutive stops less than
   /// 1 second apart, immediate self-loops, or a normalized span outside
   /// the supported time range.
-  ///
-  /// Trips of different `group`s never share a route, whatever their
-  /// stops: make_reverse_timetable tags each reversed trip with its forward
-  /// route so the mirrored routes hold the same trips.
-  TrainId add_trip(const std::vector<StopTime>& stops,
-                   std::uint32_t group = 0);
+  TrainId add_trip(const std::vector<StopTime>& stops);
 
   std::size_t num_stations() const { return names_.size(); }
   std::size_t num_trips() const { return raw_trips_.size(); }
@@ -59,7 +54,6 @@ class TimetableBuilder {
 
  private:
   struct RawTrip {
-    std::uint32_t group;
     std::vector<StationId> stops;
     std::vector<Time> arrivals;
     std::vector<Time> departures;

@@ -66,18 +66,15 @@ class EpochArray {
 
   bool touched(std::size_t i) const { return epochs_[i] == epoch_; }
 
-  /// Bulk-snapshot support for tiled readers (multi_query's label
-  /// transpose): slot i logically holds values_data()[i] iff
-  /// epochs_data()[i] == epoch(), else the default.
-  const T* values_data() const { return values_.data(); }
-  const std::uint32_t* epochs_data() const { return epochs_.data(); }
   std::uint32_t epoch() const { return epoch_; }
 
-  /// Mutable bulk views for in-place sweeps (the overlay SPCS down-sweep
-  /// extends a thread's label matrix row by row): writing values_data()[i]
-  /// must be paired with stamping epochs_data()[i] = epoch(), exactly what
-  /// set() does — these views only exist so a row writer can do it without
-  /// per-slot bounds/epoch re-checks.
+  /// Bulk views for in-place sweeps (the overlay SPCS down-sweep extends a
+  /// thread's label matrix row by row): slot i logically holds
+  /// values_data()[i] iff epochs_data()[i] == epoch(), else the default.
+  /// Writing values_data()[i] must be paired with stamping
+  /// epochs_data()[i] = epoch(), exactly what set() does — these views only
+  /// exist so a row writer can do it without per-slot bounds/epoch
+  /// re-checks.
   T* values_data() { return values_.data(); }
   std::uint32_t* epochs_data() { return epochs_.data(); }
 

@@ -1,5 +1,5 @@
 // Global allocation counter for the zero-allocation guards of warm query
-// paths (session_test, live_test, multi_query_test).
+// paths (session_test, live_test).
 //
 // Replaces EVERY replaceable global operator new/delete — plain, array,
 // aligned and the nothrow forms of each — with malloc/aligned_alloc/free

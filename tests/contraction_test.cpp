@@ -23,7 +23,6 @@
 
 #include "algo/contraction.hpp"
 #include "algo/journey.hpp"
-#include "algo/multi_query.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "test_util.hpp"
@@ -371,8 +370,6 @@ TEST(ContractionOverlay, GraphMismatchIsRejectedLoudly) {
   ASSERT_EQ(g_two_day.ttfs().size(), g_tiny.ttfs().size());
   EXPECT_THROW((TimeQuery{two_day, g_two_day, ov_tiny}), std::runtime_error);
   EXPECT_THROW((ParallelSpcs{two_day, g_two_day, ov_tiny, {}}),
-               std::runtime_error);
-  EXPECT_THROW((MultiQueryOverlayTimeEngine{two_day, g_two_day, ov_tiny}),
                std::runtime_error);
 }
 
