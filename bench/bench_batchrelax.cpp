@@ -8,10 +8,12 @@
 // query streams, enforces bit-identical results AND settled/pushed/relaxed
 // accounting (aborting otherwise), and reports the one-to-all profile
 // search: its batch dimension is the whole label profile per linked edge
-// (tens to hundreds of points through one function). CI gates
-// `batch_speedup` (geomean over networks) >= 1.1 on this workload.
+// (tens to hundreds of points through one function). CI gates the median
+// `batch_speedup` (geomean over networks) of five runs >= 1.1 on this
+// workload.
 //
-// JSON (--json) is archived by CI as BENCH_batch.json.
+// JSON (--json) is archived by CI as BENCH_batch.json: the median run's
+// document plus every run's ratio.
 #include <cstdint>
 #include <iostream>
 #include <string>

@@ -17,7 +17,9 @@
 // JSON (--json) is archived by CI as BENCH_overlay.json; CI gates
 // overlay_speedup (geomean of the one-to-all and p2p speedups across
 // networks) >= 1.5 and the identity flags (contraction_identity among
-// them; no contraction time is gated). The smoke preset pair is
+// them; no contraction time is gated), and oahu-like's flat_bytes,
+// overlay_bytes and timetable_bytes (the sum of Timetable::array_bytes())
+// against the committed file. The smoke preset pair is
 // the two dense-bus networks — the shape the overlay targets; sparse
 // railways sit near 1.0-1.3x (frozen hubs keep their core big) and are
 // reported by full runs, same split bench_batchrelax uses.
@@ -56,6 +58,7 @@ struct OverlayRow {
   std::size_t core_nodes = 0;
   std::size_t flat_bytes = 0;
   std::size_t overlay_bytes = 0;
+  std::size_t timetable_bytes = 0;  // sum of Timetable::array_bytes()
   // queries (per query, ms)
   double flat_onetoall_ms = 0.0, over_onetoall_ms = 0.0;
   double flat_p2p_ms = 0.0, over_p2p_ms = 0.0;
@@ -106,6 +109,9 @@ OverlayRow run_network(gen::Preset preset) {
   row.core_nodes = ov.num_core_nodes();
   row.flat_bytes = g.memory_bytes();
   row.overlay_bytes = ov.memory_bytes();
+  for (const std::span<const std::byte> a : net.tt.array_bytes()) {
+    row.timetable_bytes += a.size();
+  }
 
   std::cout << "  contraction: " << fixed(row.contraction_ms_t1, 0)
             << " ms at 1 thread, " << fixed(row.contraction_ms_default, 0)
@@ -119,7 +125,8 @@ OverlayRow run_network(gen::Preset preset) {
             << format_count(row.shortcuts) << " shortcuts ("
             << format_count(row.shortcut_points) << " TTF points), memory "
             << format_count(row.flat_bytes) << " -> "
-            << format_count(row.overlay_bytes) << " bytes\n";
+            << format_count(row.overlay_bytes) << " bytes, timetable "
+            << format_count(row.timetable_bytes) << " bytes\n";
 
   const std::vector<StationId> sources =
       random_stations(net.tt, num_queries(), 20260727);
@@ -227,6 +234,7 @@ std::string to_json(const std::vector<OverlayRow>& rows) {
         .field("shortcut_ttf_points", r.shortcut_points)
         .field("flat_bytes", r.flat_bytes)
         .field("overlay_bytes", r.overlay_bytes)
+        .field("timetable_bytes", r.timetable_bytes)
         .field("onetoall_flat_ms", r.flat_onetoall_ms, 4)
         .field("onetoall_overlay_ms", r.over_onetoall_ms, 4)
         .field("onetoall_speedup", r.onetoall_speedup(), 3)

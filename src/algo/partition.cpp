@@ -4,7 +4,7 @@
 
 namespace pconn {
 
-void partition_connections_into(std::span<const Connection> conns, unsigned p,
+void partition_connections_into(ConnectionView conns, unsigned p,
                                 PartitionStrategy strategy, Time period,
                                 std::vector<std::uint32_t>& b) {
   const auto n = static_cast<std::uint32_t>(conns.size());
@@ -73,7 +73,7 @@ void partition_connections_into(std::span<const Connection> conns, unsigned p,
 }
 
 std::vector<std::uint32_t> partition_connections(
-    std::span<const Connection> conns, unsigned p, PartitionStrategy strategy,
+    ConnectionView conns, unsigned p, PartitionStrategy strategy,
     Time period) {
   std::vector<std::uint32_t> b;
   partition_connections_into(conns, p, strategy, period, b);

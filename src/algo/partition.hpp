@@ -2,10 +2,9 @@
 // Partition").
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "timetable/types.hpp"
+#include "timetable/timetable.hpp"
 
 namespace pconn {
 
@@ -27,12 +26,12 @@ enum class PartitionStrategy {
 /// thread k owns global connection indices [b[k], b[k+1]). `conns` must be
 /// sorted by departure time (which Timetable::outgoing guarantees).
 std::vector<std::uint32_t> partition_connections(
-    std::span<const Connection> conns, unsigned p, PartitionStrategy strategy,
+    ConnectionView conns, unsigned p, PartitionStrategy strategy,
     Time period);
 
 /// Allocation-free variant for warm query paths: writes the boundaries into
 /// `out`, reusing its capacity.
-void partition_connections_into(std::span<const Connection> conns, unsigned p,
+void partition_connections_into(ConnectionView conns, unsigned p,
                                 PartitionStrategy strategy, Time period,
                                 std::vector<std::uint32_t>& out);
 

@@ -122,7 +122,7 @@ class SpcsThreadState {
   /// applied (per thread) and relaxing stops at the target's station node.
   template <typename Hook>
   void run(const TdGraph& g, const Timetable& tt,
-           std::span<const Connection> conns, std::uint32_t lo,
+           ConnectionView conns, std::uint32_t lo,
            std::uint32_t hi, StationId target, const SpcsOptions& opt,
            Hook& hook) {
     run_on(g, g, tt, conns, lo, hi, target, opt, hook);
@@ -139,7 +139,7 @@ class SpcsThreadState {
   /// stats() is summed over the chunks.
   template <typename GraphT>
   void run_chunked_on(const GraphT& g, const TdGraph& flat,
-                      const Timetable& tt, std::span<const Connection> conns,
+                      const Timetable& tt, ConnectionView conns,
                       std::uint32_t lo, std::uint32_t hi, StationId target,
                       const SpcsOptions& opt, ProfilePoint* raw,
                       std::uint32_t chunk = kSpcsChunk) {
@@ -170,7 +170,7 @@ class SpcsThreadState {
   /// run_on(g, g, ...) is the flat engine, byte for byte.
   template <typename GraphT, typename Hook>
   void run_on(const GraphT& g, const TdGraph& flat, const Timetable& tt,
-              std::span<const Connection> conns, std::uint32_t lo,
+              ConnectionView conns, std::uint32_t lo,
               std::uint32_t hi, StationId target, const SpcsOptions& opt,
               Hook& hook) {
     assert(lo <= hi && hi <= conns.size());
@@ -202,7 +202,7 @@ class SpcsThreadState {
       return (static_cast<std::uint64_t>(arr) << kKeyShift) | (W - 1 - li);
     };
     for (std::uint32_t li = 0; li < W; ++li) {
-      const Connection& c = conns[lo + li];
+      const Connection c = conns[lo + li];
       NodeId r = flat.departure_node(tt, c);
       heap_.push(static_cast<std::uint32_t>(
                      static_cast<std::uint64_t>(r) * W + li),

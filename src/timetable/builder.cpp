@@ -162,7 +162,7 @@ Timetable TimetableBuilder::finalize() {
   }
 
   // 3. Trip rows in trip-id order, and the elementary connections sorted
-  //    by (from, dep, arr) with the conn(S) index.
+  //    by (from, dep, arr, train) with the conn(S) index.
   std::vector<std::uint32_t> trip_begin{0};
   std::vector<Time> arrivals, departures;
   std::vector<Connection> connections;
@@ -196,6 +196,12 @@ Timetable TimetableBuilder::finalize() {
   std::vector<std::uint32_t> conn_begin(num_stations + 1, 0);
   for (const Connection& c : connections) conn_begin[c.from + 1]++;
   std::partial_sum(conn_begin.begin(), conn_begin.end(), conn_begin.begin());
+  // The timetable keeps each record's trip reference only; its other
+  // fields are decoded from the trip rows on read.
+  std::vector<ConnRef> refs(connections.size());
+  std::ranges::transform(connections, refs.begin(), [](const Connection& c) {
+    return ConnRef{c.train, c.pos};
+  });
 
   tt.name_begin_ = ConstArray(std::move(name_begin));
   tt.name_bytes_ = ConstArray(std::move(name_bytes));
@@ -208,7 +214,7 @@ Timetable TimetableBuilder::finalize() {
   tt.trip_begin_ = ConstArray(std::move(trip_begin));
   tt.arrivals_ = ConstArray(std::move(arrivals));
   tt.departures_ = ConstArray(std::move(departures));
-  tt.connections_ = ConstArray(std::move(connections));
+  tt.connections_ = ConstArray(std::move(refs));
   tt.conn_begin_ = ConstArray(std::move(conn_begin));
   names_.clear();
   transfer_times_.clear();

@@ -19,7 +19,7 @@ namespace pconn {
 namespace {
 
 constexpr char kSnapMagic[4] = {'P', 'C', 'S', 'N'};
-constexpr std::uint32_t kSnapVersion = 6;
+constexpr std::uint32_t kSnapVersion = 7;
 
 // Section tags. Fixed enumeration, versioned with the file: the timetable
 // sections are required, the overlay sections come all or none, and each
@@ -39,7 +39,7 @@ enum : std::uint32_t {
   kSecTripBegin = 10,      // u32[trips + 1]
   kSecTripArrivals = 11,   // u32[total stop-times]
   kSecTripDepartures = 12, // u32[total stop-times]
-  kSecConnections = 13,    // Connection[connections]
+  kSecConnections = 13,    // u32[2 * connections]: ConnRef {train, pos}
   kSecConnBegin = 14,      // u32[stations + 1]
   kSecOvMeta = 20,         // OverlayMeta
   kSecOvRank = 21,         // u32[nodes]
@@ -94,9 +94,8 @@ std::size_t aligned(std::size_t n) { return (n + kAlign - 1) & ~(kAlign - 1); }
   throw LoadError(kind, "snapshot: " + what);
 }
 
-static_assert(std::is_trivially_copyable_v<Connection> &&
-                  sizeof(Connection) == 24,
-              "snapshot stores Connection[] verbatim");
+static_assert(std::is_trivially_copyable_v<ConnRef> && sizeof(ConnRef) == 8,
+              "snapshot stores ConnRef[] verbatim");
 static_assert(sizeof(OverlayGraph::ShortcutRec) == 16 &&
               sizeof(TtfPool::TtfMeta) == 16 && sizeof(TtfPoint) == 8);
 
@@ -474,37 +473,38 @@ Timetable MappedSnapshot::load_timetable() const {
     }
   }
 
-  // Connections: the sorted per-station index, cross-checked against the
-  // trip that claims each one — a bit flip in either world fails here.
-  const auto& conns = tt.connections_ =
-      array<Connection>(kSecConnections, num_conns, "connections");
+  // Connections: the sorted per-station index of trip references. Each
+  // must name a departure stop of its trip at the station it is filed
+  // under, each stop-time row at most once; with the count fixed to
+  // stop-times - trips above, they are then every connection exactly once.
+  const auto& refs = tt.connections_ =
+      array<ConnRef>(kSecConnections, num_conns, "connections");
   corrupt(conn_begin.front() == 0 && conn_begin.back() == num_conns,
           "conn begin bounds");
   std::vector<bool> conn_seen(total_times, false);
   for (std::size_t s = 0; s < n; ++s) {
-    corrupt(conn_begin[s] <= conn_begin[s + 1], "conn begin not monotone");
+    corrupt(conn_begin[s] <= conn_begin[s + 1] &&
+                conn_begin[s + 1] <= num_conns,
+            "conn begin not monotone");
+    Time prev_dep = 0, prev_arr = 0;
     for (std::size_t i = conn_begin[s]; i < conn_begin[s + 1]; ++i) {
-      const Connection& c = conns[i];
-      corrupt(c.from == s, "connection filed under wrong station");
-      corrupt(c.to < n, "connection head out of range");
-      corrupt(c.train < num_trips, "connection train out of range");
-      const std::uint32_t r = trip_route[c.train];
+      const ConnRef ref = refs[i];
+      corrupt(ref.train < num_trips, "connection train out of range");
+      const std::uint32_t r = trip_route[ref.train];
       const std::size_t len = route_stop_begin[r + 1] - route_stop_begin[r];
-      corrupt(std::size_t{c.pos} + 1 < len, "connection pos out of range");
-      corrupt(route_stops[route_stop_begin[r] + c.pos] == c.from &&
-                  route_stops[route_stop_begin[r] + c.pos + 1] == c.to,
-              "connection endpoints vs route");
-      const std::size_t row = trip_begin[c.train];
-      const std::uint32_t t_dep = departures[row + c.pos];
-      const std::uint32_t t_arr = arrivals[row + c.pos + 1];
-      corrupt(c.dep == t_dep % period && c.arr >= c.dep &&
-                  c.arr - c.dep == t_arr - t_dep,
-              "connection times vs trip");
-      corrupt(!conn_seen[row + c.pos], "duplicate connection");
-      conn_seen[row + c.pos] = true;
-      corrupt(i == conn_begin[s] || conns[i - 1].dep < c.dep ||
-                  (conns[i - 1].dep == c.dep && conns[i - 1].arr <= c.arr),
+      corrupt(std::size_t{ref.pos} + 1 < len, "connection pos out of range");
+      corrupt(route_stops[route_stop_begin[r] + ref.pos] == s,
+              "connection filed under wrong station");
+      const std::size_t row = trip_begin[ref.train] + ref.pos;
+      corrupt(!conn_seen[row], "duplicate connection");
+      conn_seen[row] = true;
+      // Sorted on the decoded (dep, arr) — what every engine reads.
+      const Connection c = tt.connection(ref);
+      corrupt(i == conn_begin[s] || prev_dep < c.dep ||
+                  (prev_dep == c.dep && prev_arr <= c.arr),
               "connections not sorted");
+      prev_dep = c.dep;
+      prev_arr = c.arr;
     }
   }
   // Everything checked: the sections are the timetable. No route

@@ -2,14 +2,16 @@
 // contraction overlay as native, 8-byte-aligned sections that a process
 // maps read-only and serves from in place.
 //
-// Layout (version 6, little-endian): the header (magic "PCSN", version,
+// Layout (version 7, little-endian): the header (magic "PCSN", version,
 // file size, section count) and a table of {tag, offset, size} entries,
 // then one section per array:
 //   - timetable: meta (period and the five counts), station name offsets
 //     and bytes, transfer times, the route CSR (stop and trip offsets,
 //     stops, trips), the trip CSR (route per trip, row offsets, arrival
-//     and departure rows), the sorted connections and their per-station
-//     offsets — exactly the arrays Timetable reads;
+//     and departure rows), the sorted connections as 8-byte trip
+//     references {train, pos} and their per-station offsets — exactly the
+//     arrays Timetable reads (a connection's times and stations are
+//     decoded from the trip and route rows, never stored);
 //   - overlay (all or none): meta (scalars, counts, the ContractionStats
 //     with its time as 0 so a file's bytes never depend on the clock),
 //     rank, board shifts, the upward CSR (offsets, heads, words, origins),
@@ -29,15 +31,18 @@
 // maps either the old file or the new one, never a half-written one, and
 // a mapping is never truncated under a live shard. Each load validates
 // its sections once, at map time, before anything is adopted:
-//   - header/section table: magic, version (a v1-v5 file is
+//   - header/section table: magic, version (a v1-v6 file is
 //     kBadVersion: v2 still carried per-node TTF out-degrees, v3 the
 //     pool's index options, v4 one index bucket per point, v5 8-byte
-//     points only), recorded file size, section bounds and alignment;
+//     points only, v6 24-byte connections), recorded file size, section
+//     bounds and alignment;
 //   - every section's byte size against the count its meta implies, before
 //     the section is read (a lying count is kBadCount);
 //   - timetable: every CSR monotone, every id in range, per-trip times
 //     non-decreasing, routes FIFO (non-overtaking), every connection
-//     cross-checked against the trip that claims it;
+//     reference a departure stop of its trip at the station it is filed
+//     under, each stop-time row referenced at most once, and each
+//     station's connections sorted by their decoded (dep, arr);
 //   - overlay: CSR monotonicity, head/word/origin/record ranges, record
 //     acyclicity, rank-descending down order, down positions the exact
 //     inverse of it; the pool's point format the one its period and

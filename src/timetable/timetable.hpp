@@ -5,7 +5,10 @@
 // route partitioning and validation; a finalized Timetable is read-only.
 #pragma once
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,6 +39,67 @@ struct Trip {
 struct Route {
   std::span<const StationId> stops;
   std::span<const TrainId> trips;  // ordered by departure at the first stop
+};
+
+class Timetable;
+
+/// A random-access range of connections, decoded on read from their stored
+/// ConnRefs and the timetable's trip and route rows (Timetable::connection).
+/// Elements are values: `for (const Connection& c : view)` binds each one
+/// to a temporary. Valid while the timetable lives.
+class ConnectionView {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::random_access_iterator_tag;
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Connection;
+    using difference_type = std::ptrdiff_t;
+    using reference = Connection;
+
+    iterator() = default;
+    iterator(const Timetable* tt, const ConnRef* ref) : tt_(tt), ref_(ref) {}
+
+    Connection operator*() const;
+    Connection operator[](difference_type n) const { return *(*this + n); }
+    iterator& operator++() { ++ref_; return *this; }
+    iterator operator++(int) { iterator t = *this; ++ref_; return t; }
+    iterator& operator--() { --ref_; return *this; }
+    iterator operator--(int) { iterator t = *this; --ref_; return t; }
+    iterator& operator+=(difference_type n) { ref_ += n; return *this; }
+    iterator& operator-=(difference_type n) { ref_ -= n; return *this; }
+    friend iterator operator+(iterator i, difference_type n) { return i += n; }
+    friend iterator operator+(difference_type n, iterator i) { return i += n; }
+    friend iterator operator-(iterator i, difference_type n) { return i -= n; }
+    friend difference_type operator-(iterator a, iterator b) {
+      return a.ref_ - b.ref_;
+    }
+    friend bool operator==(iterator a, iterator b) { return a.ref_ == b.ref_; }
+    friend auto operator<=>(iterator a, iterator b) {
+      return a.ref_ <=> b.ref_;
+    }
+
+   private:
+    const Timetable* tt_ = nullptr;
+    const ConnRef* ref_ = nullptr;
+  };
+
+  ConnectionView() = default;
+  ConnectionView(const Timetable* tt, std::span<const ConnRef> refs)
+      : tt_(tt), refs_(refs) {}
+
+  std::size_t size() const { return refs_.size(); }
+  bool empty() const { return refs_.empty(); }
+  Connection operator[](std::size_t i) const;
+  Connection front() const { return (*this)[0]; }
+  iterator begin() const { return {tt_, refs_.data()}; }
+  iterator end() const { return {tt_, refs_.data() + refs_.size()}; }
+  /// The stored references themselves.
+  std::span<const ConnRef> refs() const { return refs_; }
+
+ private:
+  const Timetable* tt_ = nullptr;
+  std::span<const ConnRef> refs_;
 };
 
 /// Every array is a ConstArray: filled once by TimetableBuilder, or adopted
@@ -71,14 +135,27 @@ class Timetable {
   }
 
   /// All elementary connections, sorted by (departure station, departure
-  /// time, arrival time).
-  std::span<const Connection> connections() const {
-    return connections_.span();
-  }
+  /// time, arrival time, train).
+  ConnectionView connections() const { return {this, connections_.span()}; }
 
   /// conn(S): outgoing connections of `s`, non-decreasing in departure time.
-  std::span<const Connection> outgoing(StationId s) const {
-    return connections_.slice(conn_begin_[s], conn_begin_[s + 1]);
+  ConnectionView outgoing(StationId s) const {
+    return {this, connections_.slice(conn_begin_[s], conn_begin_[s + 1])};
+  }
+
+  /// The connection `r` refers to: its departure is the trip's departure
+  /// at stop r.pos reduced into the period, its duration the trip's ride
+  /// from there to the next stop, its endpoints the route's stops.
+  Connection connection(ConnRef r) const {
+    const std::uint32_t row = trip_begin_[r.train] + r.pos;
+    const std::uint32_t stop = route_stop_begin_[trip_route_[r.train]] + r.pos;
+    const Time dep = departures_[row] % period_;
+    return {r.train,
+            route_stops_[stop],
+            route_stops_[stop + 1],
+            dep,
+            dep + (arrivals_[row + 1] - departures_[row]),
+            r.pos};
   }
 
   /// Offset of outgoing(s) within connections().
@@ -123,8 +200,16 @@ class Timetable {
   ConstArray<std::uint32_t> trip_begin_;  // num_trips() + 1
   ConstArray<Time> arrivals_;
   ConstArray<Time> departures_;
-  ConstArray<Connection> connections_;
+  ConstArray<ConnRef> connections_;  // sorted as connections()
   ConstArray<std::uint32_t> conn_begin_;  // num_stations() + 1
 };
+
+inline Connection ConnectionView::iterator::operator*() const {
+  return tt_->connection(*ref_);
+}
+
+inline Connection ConnectionView::operator[](std::size_t i) const {
+  return tt_->connection(refs_[i]);
+}
 
 }  // namespace pconn

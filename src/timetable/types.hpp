@@ -41,6 +41,10 @@ inline Time delta(Time tau1, Time tau2, Time period) {
 /// `pos` is the index of `from` within the trip's stop sequence — it
 /// disambiguates loop routes that visit a station twice and maps the
 /// connection to its departure route node in the time-dependent graph.
+///
+/// A decoded value, not the stored record: the timetable stores a ConnRef
+/// per connection and derives the other four fields from its trip and
+/// route rows on read (Timetable::connections()).
 struct Connection {
   TrainId train;
   StationId from;
@@ -51,6 +55,14 @@ struct Connection {
 
   Time duration() const { return arr - dep; }
   bool operator==(const Connection&) const = default;
+};
+
+/// The stored form of an elementary connection: its trip and the index of
+/// its departure stop within the trip's stop sequence (PCSN's connection
+/// section holds exactly these, two u32 words each).
+struct ConnRef {
+  TrainId train;
+  std::uint32_t pos;
 };
 
 }  // namespace pconn

@@ -18,8 +18,8 @@ struct ValidationReport {
 /// Checks:
 ///  * route stop sequences match their trips' time vectors;
 ///  * trips within a route are component-wise ordered (non-overtaking);
-///  * every elementary connection matches its originating trip and has
-///    duration >= 1, dep in [0, period);
+///  * every elementary connection references a departure stop of its trip
+///    at the station it is filed under, and decodes to duration >= 1;
 ///  * conn(S) ranges are sorted by departure time;
 ///  * connection count equals sum over trips of (stops - 1).
 ValidationReport validate(const Timetable& tt);

@@ -1,15 +1,19 @@
 // Helpers shared by the ground-truth suites (ground_truth_test: small and
-// random networks, scale 0.3 and live epochs; ground_truth_full_test: every
-// preset at full generator scale). Both compare the engines against the
-// naive connection scan of connection_scan.hpp.
+// random networks, scale 0.3 and live epochs; ground_truth_full_test and
+// ground_truth_arrive_by_test: every preset at full generator scale). All
+// compare the engines against the naive connection scan of
+// connection_scan.hpp.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "algo/contraction.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/time_query.hpp"
 #include "connection_scan.hpp"
@@ -17,6 +21,25 @@
 #include "test_util.hpp"
 
 namespace pconn::test {
+
+/// A preset at full scale with its graph and overlay, built once per
+/// process: every full-scale case reads the same five networks.
+struct FullScaleNetwork {
+  explicit FullScaleNetwork(gen::Preset p)
+      : tt(gen::make_preset(p, 1.0)),
+        g(TdGraph::build(tt)),
+        ov(contract_graph(tt, g)) {}
+  Timetable tt;
+  TdGraph g;
+  OverlayGraph ov;
+};
+
+inline const FullScaleNetwork& full_scale(gen::Preset p) {
+  static std::map<gen::Preset, std::unique_ptr<FullScaleNetwork>> cache;
+  std::unique_ptr<FullScaleNetwork>& net = cache[p];
+  if (!net) net = std::make_unique<FullScaleNetwork>(p);
+  return *net;
+}
 
 inline Profile as_profile(const std::vector<ScanProfilePoint>& points) {
   Profile p;

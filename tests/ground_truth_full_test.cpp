@@ -1,26 +1,22 @@
 // The engines against the connection-scan oracle (connection_scan.hpp) on
 // every preset at full generator scale — the cases too slow for
 // ground_truth_test.cpp, in their own executable so that ctest runs the
-// two side by side:
+// suites side by side:
 //
 //  * earliest arrival: TimeQuery, flat and overlay-routed, at every station;
 //  * journeys: both TimeQuery modes' legs against the trips they ride;
-//  * one-to-all profiles: flat and overlay one_to_all at every station;
-//  * arrive-by profiles: flat and overlay station_to_station into the
-//    busiest station and one random target, from sampled sources — the
-//    profiles pconn_cli arrive-by and examples/arrive_by read
-//    latest_departure_by off.
+//  * one-to-all profiles: flat and overlay one_to_all at every station.
+//
+// The arrive-by profiles, the other long case, are
+// ground_truth_arrive_by_test's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "algo/contraction.hpp"
 #include "algo/parallel_spcs.hpp"
 #include "algo/spcs.hpp"
 #include "algo/time_query.hpp"
@@ -32,28 +28,9 @@ namespace {
 
 using test::as_profile;
 using test::expect_earliest_arrivals;
-using test::expect_profiles;
+using test::full_scale;
 using test::random_departure;
 using test::random_stations;
-
-/// A preset at full scale with its graph and overlay, built once per
-/// process: every case below reads the same five networks.
-struct FullScaleNetwork {
-  explicit FullScaleNetwork(gen::Preset p)
-      : tt(gen::make_preset(p, 1.0)),
-        g(TdGraph::build(tt)),
-        ov(contract_graph(tt, g)) {}
-  Timetable tt;
-  TdGraph g;
-  OverlayGraph ov;
-};
-
-const FullScaleNetwork& full_scale(gen::Preset p) {
-  static std::map<gen::Preset, std::unique_ptr<FullScaleNetwork>> cache;
-  std::unique_ptr<FullScaleNetwork>& net = cache[p];
-  if (!net) net = std::make_unique<FullScaleNetwork>(p);
-  return *net;
-}
 
 /// The station whose departures come closest to filling whole
 /// kSpcsChunk-wide chunks (|conn(S)| nearest a nonzero multiple of
@@ -202,30 +179,6 @@ TEST(GroundTruth, OneToAllProfilesOnEveryPresetAtFullScale) {
                                    pair + " overlay");
       }
       EXPECT_GT(reached, tt.num_stations() / 2) << name << " from " << s;
-    }
-  }
-}
-
-// Arrive-by answers read latest_departure_by off a forward
-// station-to-station profile into the deadline's station, so the scan
-// checks those profiles into the busiest station and one random target,
-// from sampled sources.
-TEST(GroundTruth, ArriveByProfilesOnEveryPresetAtFullScale) {
-  for (const gen::Preset p : gen::kAllPresets) {
-    const auto& [tt, g, ov] = full_scale(p);
-    const std::string name = gen::preset_name(p);
-    Rng rng(61);
-    for (const StationId t :
-         {test::busiest_station(tt),
-          static_cast<StationId>(rng.next_below(tt.num_stations()))}) {
-      std::vector<StationId> sources = random_stations(rng, tt, 6);
-      sources.push_back(test::busiest_station(tt));
-      std::vector<std::pair<StationId, StationId>> pairs;
-      for (const StationId s : sources) {
-        if (s != t) pairs.emplace_back(s, t);
-      }
-      EXPECT_GT(expect_profiles(tt, g, ov, pairs, name + " arrive-by"), 0u)
-          << name << " into " << t;
     }
   }
 }

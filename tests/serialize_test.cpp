@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "algo/contraction.hpp"
@@ -24,8 +25,10 @@
 namespace pconn {
 namespace {
 
-// Section tags and OverlayMeta field offsets of the v6 layout
+// Section tags and OverlayMeta field offsets of the v7 layout
 // (timetable/snapshot.cpp), for the tests that corrupt a chosen field.
+constexpr std::uint32_t kTagConnections = 13;
+constexpr std::uint32_t kTagConnBegin = 14;
 constexpr std::uint32_t kTagOvMeta = 20;
 constexpr std::uint32_t kTagOvHeads = 24;
 constexpr std::uint32_t kTagPoolPoints = 34;
@@ -185,6 +188,93 @@ TEST(SerializeTimetable, EmptyTimetable) {
   EXPECT_EQ(back.num_trips(), 0u);
 }
 
+// Connections are stored as {train, pos} trip references (u32 pairs). A
+// reference that names no departure stop of a trip, a stop at another
+// station, a row twice, or breaks the decoded (dep, arr) order is corrupt,
+// and so is a station range that runs past the last reference; a section
+// sized for another count is kBadCount.
+TEST(SerializeTimetable, ConnectionReferencesAreChecked) {
+  const Timetable tt = test::tiny_line();
+  SnapshotTempFile snap(tt, nullptr);
+  const std::string data = snap.read_bytes();
+  const auto [conn_off, conn_size] = find_section(data, kTagConnections);
+  ASSERT_EQ(conn_size, 8 * tt.num_connections());
+  const auto expect_kind = [&](const std::string& bytes, LoadError::Kind kind,
+                               const char* what) {
+    snap.write_bytes(bytes);
+    try {
+      (void)MappedSnapshot(snap.path).load_timetable();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const LoadError& e) {
+      EXPECT_EQ(e.kind(), kind) << what;
+      if (kind == LoadError::Kind::kCorrupt) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+      }
+    }
+  };
+  // Byte offset of connection i's train (its pos follows at + 4).
+  const auto at = [&](std::size_t i) { return conn_off + 8 * i; };
+  const std::span<const ConnRef> refs = tt.connections().refs();
+  {
+    std::string bad = data;
+    put_u32(bad, at(0), static_cast<std::uint32_t>(tt.num_trips()));
+    expect_kind(bad, LoadError::Kind::kCorrupt,
+                "connection train out of range");
+  }
+  {  // pos on the route's last stop, from which nothing departs
+    std::string bad = data;
+    const ConnRef r = refs[0];
+    const std::size_t len = tt.route(tt.trip(r.train).route).stops.size();
+    put_u32(bad, at(0) + 4, static_cast<std::uint32_t>(len - 1));
+    expect_kind(bad, LoadError::Kind::kCorrupt, "connection pos out of range");
+  }
+  {  // station 0's first slot holds a departure of station 1
+    std::string bad = data;
+    const ConnRef other = refs[tt.outgoing_offset(1)];
+    put_u32(bad, at(0), other.train);
+    put_u32(bad, at(0) + 4, other.pos);
+    expect_kind(bad, LoadError::Kind::kCorrupt,
+                "connection filed under wrong station");
+  }
+  {  // the same row twice at one station
+    std::string bad = data;
+    ASSERT_GE(tt.outgoing(0).size(), 2u);
+    put_u32(bad, at(1), refs[0].train);
+    put_u32(bad, at(1) + 4, refs[0].pos);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "duplicate connection");
+  }
+  {  // two departures of one station swapped
+    std::string bad = data;
+    ASSERT_LT(tt.outgoing(0)[0].dep, tt.outgoing(0)[1].dep);
+    std::memcpy(bad.data() + at(0), data.data() + at(1), 8);
+    std::memcpy(bad.data() + at(1), data.data() + at(0), 8);
+    expect_kind(bad, LoadError::Kind::kCorrupt, "connections not sorted");
+  }
+  {  // station 0's range reaching past the last reference
+    std::string bad = data;
+    const std::uint64_t begin = find_section(data, kTagConnBegin).first;
+    put_u32(bad, begin + 4,
+            static_cast<std::uint32_t>(tt.num_connections() + 1));
+    expect_kind(bad, LoadError::Kind::kCorrupt, "conn begin not monotone");
+  }
+  {  // a section one reference short of the meta's connection count
+    std::string bad = data;
+    std::uint32_t count;
+    std::memcpy(&count, data.data() + 16, 4);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::size_t entry = 24 + 24 * i;
+      if (get_u32(data, entry) == kTagConnections) {
+        put_u64(bad, entry + 16, conn_size - 8);
+      }
+    }
+    expect_kind(bad, LoadError::Kind::kBadCount, "connection section size");
+  }
+  // The untouched file still loads.
+  snap.write_bytes(data);
+  EXPECT_TRUE(validate(MappedSnapshot(snap.path).load_timetable()).ok());
+}
+
 // ------------------------------------------------------ overlay sections ---
 
 TEST(SerializeOverlay, TypedErrorKinds) {
@@ -230,6 +320,10 @@ TEST(SerializeOverlay, TypedErrorKinds) {
     const std::uint32_t v5 = 5;
     std::memcpy(bad.data() + 4, &v5, 4);
     expect_kind(bad, LoadError::Kind::kBadVersion, "a version-5 file");
+    // Version 6 stored every connection as a 24-byte record.
+    const std::uint32_t v6 = 6;
+    std::memcpy(bad.data() + 4, &v6, 4);
+    expect_kind(bad, LoadError::Kind::kBadVersion, "a version-6 file");
     bad[4] = '\x7f';
     expect_kind(bad, LoadError::Kind::kBadVersion, "an unknown version");
   }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ranges>
+#include <tuple>
+#include <vector>
+
 #include "test_util.hpp"
 #include "timetable/builder.hpp"
 #include "timetable/types.hpp"
@@ -162,6 +167,60 @@ TEST(Timetable, TransferTimesStored) {
 TEST(Timetable, AvgOutgoingConnections) {
   Timetable tt = test::tiny_line();
   EXPECT_DOUBLE_EQ(tt.avg_outgoing_connections(), 12.0 / 3.0);
+}
+
+// Partitioning binary-searches the view and callers compare it as a range.
+static_assert(std::ranges::random_access_range<ConnectionView> &&
+              std::ranges::sized_range<ConnectionView>);
+
+// The timetable stores connections as trip references and decodes the
+// rest on read. Every decoded entry equals the connection derived here from
+// the trip and route rows alone, in the builder's order: by departure
+// station, departure (reduced into the period), arrival, train — and stop
+// position, which no preset ties on.
+TEST(Timetable, DecodedConnectionsMatchTripRowsOnEveryPreset) {
+  for (const gen::Preset p : gen::kAllPresets) {
+    const Timetable tt = gen::make_preset(p, 1.0);
+    const Time period = tt.period();
+    std::vector<Connection> want;
+    for (TrainId t = 0; t < tt.num_trips(); ++t) {
+      const Trip trip = tt.trip(t);
+      const Route route = tt.route(trip.route);
+      for (std::uint32_t k = 0; k + 1 < route.stops.size(); ++k) {
+        const Time dep = trip.departures[k] % period;
+        want.push_back({t, route.stops[k], route.stops[k + 1], dep,
+                        dep + trip.arrivals[k + 1] - trip.departures[k], k});
+      }
+    }
+    std::ranges::sort(want, {}, [](const Connection& c) {
+      return std::tuple{c.from, c.dep, c.arr, c.train, c.pos};
+    });
+    const ConnectionView got = tt.connections();
+    ASSERT_EQ(got.size(), want.size()) << gen::preset_name(p);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const Connection c = got[i];
+      const Connection& w = want[i];
+      const bool same = c.train == w.train && c.from == w.from &&
+                        c.to == w.to && c.dep == w.dep && c.arr == w.arr &&
+                        c.pos == w.pos;
+      if (!same && ++mismatches <= 5) {
+        ADD_FAILURE() << gen::preset_name(p) << " connection " << i
+                      << ": train " << c.train << "/" << w.train << " from "
+                      << c.from << "/" << w.from << " to " << c.to << "/"
+                      << w.to << " dep " << c.dep << "/" << w.dep << " arr "
+                      << c.arr << "/" << w.arr << " pos " << c.pos << "/"
+                      << w.pos;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << gen::preset_name(p);
+    for (StationId s = 0; s < tt.num_stations(); ++s) {
+      const ConnectionView out = tt.outgoing(s);
+      ASSERT_EQ(out.refs().data(),
+                got.refs().data() + tt.outgoing_offset(s));
+      for (const Connection& c : out) EXPECT_EQ(c.from, s);
+    }
+  }
 }
 
 TEST(Validation, RandomTimetablesAreValid) {
